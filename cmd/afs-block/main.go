@@ -30,16 +30,14 @@
 // afs-server -mirror instead when the two halves must live on
 // different machines.
 //
-// With -debug-addr the process serves expvar counters on /debug/vars,
-// Prometheus text on /metrics (per-command afs_rpc_seconds and
-// afs_rpc_errors_total for the block commands it answers, plus store
-// usage) and the Go profiling endpoints under /debug/pprof/ (enable
-// contention profiles with -mutex-profile-fraction and
-// -block-profile-rate).
+// With -debug-addr the process serves Prometheus text on /metrics
+// (per-command afs_rpc_seconds and afs_rpc_errors_total for the block
+// commands it answers, plus store usage) and the Go profiling endpoints
+// under /debug/pprof/ (enable contention profiles with
+// -mutex-profile-fraction and -block-profile-rate).
 package main
 
 import (
-	"expvar"
 	"flag"
 	"fmt"
 	"log/slog"
@@ -103,7 +101,7 @@ func main() {
 		// already hold — which is what afs-server's mirror heal loop
 		// probes. Without it every restart mints a fresh random port.
 		portFlag  = flag.String("port", "", "fixed service port (16 hex digits); empty mints a random one; needs -shards=1")
-		debugAddr = flag.String("debug-addr", "", "HTTP address serving expvar counters on /debug/vars, Prometheus text on /metrics and profiling on /debug/pprof/ (empty disables)")
+		debugAddr = flag.String("debug-addr", "", "HTTP address serving Prometheus text on /metrics and profiling on /debug/pprof/ (empty disables)")
 		logLevel  = flag.String("log-level", "info", "log verbosity: debug, info, warn or error")
 		mutexFrac = flag.Int("mutex-profile-fraction", 0, "runtime mutex-contention sampling fraction for /debug/pprof/mutex (0 disables)")
 		blockRate = flag.Int("block-profile-rate", 0, "runtime blocking-event sampling rate in ns for /debug/pprof/block (0 disables)")
@@ -175,21 +173,6 @@ func main() {
 		"shards", *shards, "nblocks", *blocks, "bsize", *bsize, "addr", tcp.Addr())
 
 	if *debugAddr != "" {
-		expvar.Publish("afs.block.usage", expvar.Func(func() any {
-			type shardUsage struct {
-				Shard int
-				Usage block.Usage
-			}
-			var out []shardUsage
-			for i, st := range stores {
-				if ur, ok := st.(block.UsageReporter); ok {
-					if u, err := ur.Usage(); err == nil {
-						out = append(out, shardUsage{Shard: i, Usage: u})
-					}
-				}
-			}
-			return out
-		}))
 		http.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
 			w.Header().Set("Content-Type", "text/plain; version=0.0.4")
 			rpc.WriteMetricsHeaders(w)
@@ -211,7 +194,7 @@ func main() {
 				slog.Error("debug listener", "err", err)
 			}
 		}()
-		slog.Info("debug endpoints up", "addr", *debugAddr, "paths", "/debug/vars /metrics /debug/pprof/")
+		slog.Info("debug endpoints up", "addr", *debugAddr, "paths", "/metrics /debug/pprof/")
 	}
 
 	stop := make(chan struct{})

@@ -38,15 +38,16 @@
 // before a crash are served again after it.
 //
 // With -debug-addr the server exposes every layer's counters over HTTP
-// expvar (GET /debug/vars): block-store operation and fsync counts,
-// per-shard and per-mirror-half snapshots, segstore group-commit and
-// compaction counters, and the OCC commit/validation counters. The same
-// listener serves Prometheus text on /metrics (including the
-// per-command afs_rpc_seconds/afs_rpc_errors_total families for both
-// the commands this process serves and the block commands it issues),
-// the Go profiling endpoints under /debug/pprof/ (enable contention
-// profiles with -mutex-profile-fraction and -block-profile-rate), and
-// recent and slowest distributed traces on /debug/traces.
+// as Prometheus text (GET /metrics): block-store operation and fsync
+// counts, per-shard and per-mirror-half snapshots, segstore
+// group-commit and compaction counters, the OCC commit/validation
+// counters, and the per-command afs_rpc_seconds/afs_rpc_errors_total
+// families for both the commands this process serves and the block
+// commands it issues. The same listener serves the replicated file
+// table on /ftab, the Go profiling endpoints under /debug/pprof/
+// (enable contention profiles with -mutex-profile-fraction and
+// -block-profile-rate), and recent and slowest distributed traces on
+// /debug/traces.
 //
 // With -trace-sample R the server samples that ratio of requests into
 // distributed traces: span trees covering command dispatch, OCC
@@ -62,7 +63,6 @@
 package main
 
 import (
-	"expvar"
 	"flag"
 	"fmt"
 	"io"
@@ -137,7 +137,7 @@ func main() {
 		mirrors     = flag.String("mirror", "", "mirrored block services as PORT@ADDR+PORT@ADDR[,PORT@ADDR+PORT@ADDR...]: each element is a §4 companion pair; several pairs are sharded")
 		heal        = flag.Duration("heal", 2*time.Second, "probe interval for rejoining down mirror halves (0 disables)")
 		stale       = flag.String("stale", "", "mirror halves known to have missed writes, as PAIR:a|b[,PAIR:a|b...] (e.g. 0:b): mounted down and restored by full copy (usually unnecessary: epochs detect this)")
-		debugAddr   = flag.String("debug-addr", "", "HTTP address serving expvar counters on /debug/vars and Prometheus text on /metrics (empty disables)")
+		debugAddr   = flag.String("debug-addr", "", "HTTP address serving Prometheus text on /metrics, the file table on /ftab, traces on /debug/traces and profiling on /debug/pprof/ (empty disables)")
 		archSpec    = flag.String("archive", "", "archive tier backing: a directory (durable segstore, sized by -nblocks) or PORT@ADDR (remote block service); the collector demotes retired versions here instead of deleting them")
 		gcEvery     = flag.Duration("gc", 5*time.Second, "garbage collection interval (0 disables; safe to leave on everywhere in a -peers mesh — the lowest-ID replica is elected sweeper)")
 		gcRetain    = flag.Int("retain", 4, "committed versions retained per file")
@@ -398,14 +398,12 @@ func main() {
 	slog.Info("file service up", "component", "server", "servers", *servers, "addr", tcp.Addr())
 
 	if *debugAddr != "" {
-		publishDebugVars(store, sharded, pairs, segStore, srvs, sh, rep, arch, archiver)
-		// expvar self-registers on the default mux (GET /debug/vars), as
-		// do the net/http/pprof profiling endpoints (/debug/pprof/);
-		// /metrics renders the same counters (plus the commit latency
-		// histogram and the per-command RPC families) in Prometheus text
-		// exposition format, /ftab dumps the replicated file table for
-		// convergence checks, and /debug/traces the recent and slowest
-		// distributed traces.
+		// The net/http/pprof profiling endpoints (/debug/pprof/)
+		// self-register on the default mux; /metrics renders every
+		// layer's counters (plus the commit latency histogram and the
+		// per-command RPC families) in Prometheus text exposition format,
+		// /ftab dumps the replicated file table for convergence checks,
+		// and /debug/traces the recent and slowest distributed traces.
 		http.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
 			w.Header().Set("Content-Type", "text/plain; version=0.0.4")
 			writeProm(w, store, sharded, pairs, segStore, srvs, sh, rep, arch, archiver)
@@ -424,7 +422,7 @@ func main() {
 			}
 		}()
 		slog.Info("debug endpoints up", "addr", *debugAddr,
-			"paths", "/debug/vars /metrics /ftab /debug/traces /debug/pprof/")
+			"paths", "/metrics /ftab /debug/traces /debug/pprof/")
 	}
 
 	stop := make(chan struct{})
@@ -899,82 +897,6 @@ func openArchiveBacking(spec string, frontSize, capacity int, syncMode string) (
 	return st, closer, nil
 }
 
-// publishDebugVars exposes every layer's counters through expvar: the
-// slim first cut of uniform observability. Each variable is computed on
-// read, so GET /debug/vars always reflects live state.
-func publishDebugVars(store block.Store, sharded *shard.Store, pairs []*stable.Pair, seg *segstore.Store, srvs []*server.Server, sh *server.Shared, rep *ftab.Replicated, arch *archive.Store, archiver *archive.Archiver) {
-	if rep != nil {
-		expvar.Publish("afs.ftab", expvar.Func(func() any { return rep.StatsSnapshot() }))
-	}
-	expvar.Publish("afs.block", expvar.Func(func() any {
-		if sr, ok := store.(block.StatsReporter); ok {
-			if st, err := sr.BlockStats(); err == nil {
-				return st
-			}
-		}
-		return nil
-	}))
-	expvar.Publish("afs.usage", expvar.Func(func() any {
-		if ur, ok := store.(block.UsageReporter); ok {
-			if u, err := ur.Usage(); err == nil {
-				return u
-			}
-		}
-		return nil
-	}))
-	expvar.Publish("afs.files", expvar.Func(func() any { return sh.Table.Len() }))
-	expvar.Publish("afs.occ", expvar.Func(func() any {
-		var sum struct {
-			Commits, FastCommits, Validations, Conflicts uint64
-			PagesCompared, Merged, ChainRetries          uint64
-		}
-		for _, s := range srvs {
-			st := s.OCCStats()
-			sum.Commits += st.Commits.Load()
-			sum.FastCommits += st.FastCommits.Load()
-			sum.Validations += st.Validations.Load()
-			sum.Conflicts += st.Conflicts.Load()
-			sum.PagesCompared += st.PagesCompared.Load()
-			sum.Merged += st.Merged.Load()
-			sum.ChainRetries += st.ChainRetries.Load()
-		}
-		return sum
-	}))
-	if sharded != nil {
-		expvar.Publish("afs.shards", expvar.Func(func() any { return sharded.ShardStats() }))
-	}
-	if seg != nil {
-		expvar.Publish("afs.segstore", expvar.Func(func() any { return seg.Stats() }))
-		expvar.Publish("afs.segstore.lanes", expvar.Func(func() any { return seg.LaneStats() }))
-	}
-	if arch != nil {
-		expvar.Publish("afs.archive", expvar.Func(func() any {
-			return struct {
-				Store    archive.Stats
-				Archiver archive.ArchiverStats
-			}{arch.Stats(), archiver.Stats()}
-		}))
-	}
-	if len(pairs) > 0 {
-		expvar.Publish("afs.mirror", expvar.Func(func() any {
-			type halfVar struct {
-				Pair  int
-				Half  string
-				Down  bool
-				Stats stable.HalfStats
-			}
-			var out []halfVar
-			for i, p := range pairs {
-				a, b := p.Halves()
-				for _, h := range []*stable.Half{a, b} {
-					out = append(out, halfVar{Pair: i, Half: h.Name(), Down: h.Down(), Stats: h.Stats()})
-				}
-			}
-			return out
-		}))
-	}
-}
-
 // dialMounts parses a comma-separated PORT@ADDR list and dials each
 // endpoint, in order (the order is the shard placement order).
 func dialMounts(list string) ([]block.Store, error) {
@@ -1018,9 +940,9 @@ func splitMount(s string) (capability.Port, string, error) {
 }
 
 // writeProm renders every layer's counters in Prometheus text
-// exposition format (GET /metrics): the same live sources as the expvar
-// endpoint, plus the commit-path latency histogram aggregated across
-// this process's file servers.
+// exposition format (GET /metrics), each computed on read from the
+// layer's live state, plus the commit-path latency histogram aggregated
+// across this process's file servers.
 func writeProm(w io.Writer, store block.Store, sharded *shard.Store, pairs []*stable.Pair, seg *segstore.Store, srvs []*server.Server, sh *server.Shared, rep *ftab.Replicated, arch *archive.Store, archiver *archive.Archiver) {
 	metrics.WriteHelp(w, "afs_files", "gauge", "Files in the table.")
 	metrics.WriteSample(w, "afs_files", nil, float64(sh.Table.Len()))

@@ -148,6 +148,9 @@ type pendingPut struct {
 // Store is the content-addressed facade. All methods are safe for
 // concurrent use (assuming the backing store is).
 type Store struct {
+	// Scalar derives Alloc/Free/Read/Write from the vectored operations.
+	block.Scalar
+
 	backing block.Store
 	acct    block.Account
 	size    int // facade block size: backing minus FrameOverhead
@@ -167,10 +170,7 @@ type Store struct {
 	bytesStored  atomic.Uint64
 }
 
-var (
-	_ block.Store      = (*Store)(nil)
-	_ block.MultiStore = (*Store)(nil)
-)
+var _ block.MultiStore = (*Store)(nil)
 
 // New opens the archive over a backing store, rebuilding the score
 // indexes and the snapshot log with one recovery scan of the given
@@ -191,6 +191,7 @@ func New(backing block.Store, acct block.Account) (*Store, error) {
 		pending: make(map[Score]*pendingPut),
 		snaps:   make(map[uint32][]Entry),
 	}
+	s.Scalar = block.Scalar{Multi: s}
 	ns, err := backing.Recover(acct)
 	if err != nil {
 		return nil, fmt.Errorf("archive: recovery scan: %w", err)
@@ -425,58 +426,6 @@ func (s *Store) Lookup(score Score) (block.Num, bool) {
 	return n, ok
 }
 
-// Alloc implements block.Store as a content-addressed put of a raw
-// payload: identical content returns the existing block.
-func (s *Store) Alloc(account block.Account, data []byte) (block.Num, error) {
-	n, _, err := s.Put(account, KindRaw, data)
-	return n, err
-}
-
-// Free implements block.Store by refusing: the archive never reclaims.
-func (s *Store) Free(account block.Account, n block.Num) error {
-	return fmt.Errorf("archive: free block %d: %w", n, ErrImmutable)
-}
-
-// Read implements block.Store, returning the payload after re-hashing
-// it against the stored score; a mismatch (or an undecodable frame)
-// returns an error satisfying errors.Is(err, block.ErrCorrupt) that
-// names the block.
-func (s *Store) Read(account block.Account, n block.Num) ([]byte, error) {
-	raw, err := s.backing.Read(account, n)
-	if err != nil {
-		return nil, err
-	}
-	_, payload, _, err := parseFrame(n, raw)
-	if err != nil {
-		s.corruptReads.Add(1)
-		return nil, err
-	}
-	s.reads.Add(1)
-	return payload, nil
-}
-
-// Write implements block.Store with write-once semantics: rewriting a
-// block with the content it already holds is an idempotent dedup hit;
-// different content under an existing address is refused. Allocation
-// and ownership are checked through the backing store first, so those
-// failures classify exactly as on any other store.
-func (s *Store) Write(account block.Account, n block.Num, data []byte) error {
-	if _, err := s.backing.Read(account, n); err != nil {
-		return err
-	}
-	s.mu.RLock()
-	r, ok := s.byNum[n]
-	s.mu.RUnlock()
-	if !ok {
-		return fmt.Errorf("archive: write block %d: %w", n, block.ErrNotAllocated)
-	}
-	if ScoreOf(r.kind, s.pad(data)) != r.score {
-		return fmt.Errorf("archive: write block %d: %w", n, ErrImmutable)
-	}
-	s.dedupHits.Add(1)
-	return nil
-}
-
 // Lock implements block.Store by delegating to the backing store: the
 // commit machinery never runs against the archive, but the facade
 // keeps the full contract so generic layers work unchanged.
@@ -494,42 +443,74 @@ func (s *Store) Recover(account block.Account) ([]block.Num, error) {
 	return s.backing.Recover(account)
 }
 
-// ReadMulti implements block.MultiStore (all-or-nothing).
+// ReadMulti implements block.MultiStore (all-or-nothing): one batched
+// read of the backing store, then every payload is re-hashed against
+// its stored score; a mismatch (or an undecodable frame) returns an
+// error satisfying errors.Is(err, block.ErrCorrupt) that names the
+// block.
 func (s *Store) ReadMulti(account block.Account, ns []block.Num) ([][]byte, error) {
-	out := make([][]byte, len(ns))
-	for i, n := range ns {
-		data, err := s.Read(account, n)
+	out, err := block.ReadMulti(s.backing, account, ns)
+	if err != nil {
+		return nil, err
+	}
+	for i, raw := range out {
+		_, payload, _, err := parseFrame(ns[i], raw)
 		if err != nil {
+			s.corruptReads.Add(1)
 			return nil, &block.MultiError{Op: "read", Index: i, N: len(ns), Err: err}
 		}
-		out[i] = data
+		out[i] = payload
 	}
+	s.reads.Add(uint64(len(ns)))
 	return out, nil
 }
 
 // WriteMulti implements block.MultiStore (first error, every block
-// attempted).
+// attempted) with write-once semantics: rewriting a block with the
+// content it already holds is an idempotent dedup hit; different
+// content under an existing address is refused.
 func (s *Store) WriteMulti(account block.Account, ns []block.Num, data [][]byte) error {
 	if len(ns) != len(data) {
 		return fmt.Errorf("archive: write multi with %d blocks, %d payloads", len(ns), len(data))
 	}
 	var first error
 	for i, n := range ns {
-		if err := s.Write(account, n, data[i]); err != nil && first == nil {
+		if err := s.rewrite(account, n, data[i]); err != nil && first == nil {
 			first = &block.MultiError{Op: "write", Index: i, N: len(ns), Err: err}
 		}
 	}
 	return first
 }
 
-// AllocMulti implements block.MultiStore. The all-or-nothing rollback
-// of the generic contract is moot here: a write-once store cannot free
-// the prefix stored before a failure, and need not — a retry dedups
-// onto it, so no space is lost.
+// rewrite checks one write-once rewrite. Allocation and ownership are
+// checked through the backing store first, so those failures classify
+// exactly as on any other store.
+func (s *Store) rewrite(account block.Account, n block.Num, data []byte) error {
+	if _, err := s.backing.Read(account, n); err != nil {
+		return err
+	}
+	s.mu.RLock()
+	r, ok := s.byNum[n]
+	s.mu.RUnlock()
+	if !ok {
+		return fmt.Errorf("archive: write block %d: %w", n, block.ErrNotAllocated)
+	}
+	if ScoreOf(r.kind, s.pad(data)) != r.score {
+		return fmt.Errorf("archive: write block %d: %w", n, ErrImmutable)
+	}
+	s.dedupHits.Add(1)
+	return nil
+}
+
+// AllocMulti implements block.MultiStore as content-addressed puts of
+// raw payloads: identical content returns the existing block. The
+// all-or-nothing rollback of the generic contract is moot here: a
+// write-once store cannot free the prefix stored before a failure, and
+// need not — a retry dedups onto it, so no space is lost.
 func (s *Store) AllocMulti(account block.Account, data [][]byte) ([]block.Num, error) {
 	out := make([]block.Num, len(data))
 	for i, d := range data {
-		n, err := s.Alloc(account, d)
+		n, _, err := s.Put(account, KindRaw, d)
 		if err != nil {
 			return nil, &block.MultiError{Op: "alloc", Index: i, N: len(data), Err: err}
 		}
@@ -538,10 +519,12 @@ func (s *Store) AllocMulti(account block.Account, data [][]byte) ([]block.Num, e
 	return out, nil
 }
 
-// FreeMulti implements block.MultiStore by refusing every block.
+// FreeMulti implements block.MultiStore by refusing every block: the
+// archive never reclaims.
 func (s *Store) FreeMulti(account block.Account, ns []block.Num) error {
 	if len(ns) == 0 {
 		return nil
 	}
-	return &block.MultiError{Op: "free", Index: 0, N: len(ns), Err: ErrImmutable}
+	return &block.MultiError{Op: "free", Index: 0, N: len(ns),
+		Err: fmt.Errorf("archive: free block %d: %w", ns[0], ErrImmutable)}
 }

@@ -87,6 +87,30 @@ func TestArchiveWriteOnce(t *testing.T) {
 	blocktest.WriteOnceSuite(t, "archive", dut, archive.ErrImmutable)
 }
 
+// TestArchiveScalars runs the write-once variant of the scalar suite: a
+// scalar call on the facade is its vectored operation at length one —
+// same data, sentinel (refusals included) and backing-store counter
+// movement. The facade binds no trace spans of its own, so its
+// trace-bound view is the facade itself; the second run pins that.
+func TestArchiveScalars(t *testing.T) {
+	for _, bind := range []bool{false, true} {
+		_, dut := newPair(t, 16, 64)
+		backing := dut.Backing().(*block.Server)
+		var st block.MultiStore = dut
+		if bind {
+			st = blocktest.TraceBound(t, dut)
+		}
+		blocktest.ScalarSuite(t, fmt.Sprintf("archive/bound=%v", bind), st, blocktest.ScalarOpts{
+			Capacity: 16, Refuse: archive.ErrImmutable, Stats: backing,
+			Corrupt: func(n block.Num) {
+				if err := backing.Disk().InjectCorruption(int(n)); err != nil {
+					t.Fatal(err)
+				}
+			},
+		})
+	}
+}
+
 // FuzzArchiveContract feeds random write-once scripts to the reference
 // store and the archive facade in lockstep.
 func FuzzArchiveContract(f *testing.F) {

@@ -41,7 +41,9 @@
 //   - Lock bits are volatile commit-section state, never file state: a
 //     backend restart clears them.
 //
-// The batched MultiStore operations (multi.go) extend the contract with
+// The vectored MultiStore operations (multi.go) are the one native data
+// path of every backend — the scalar Alloc/Free/Read/Write are derived
+// from them by the embedded Scalar adapter, a vector of one — with
 // documented partial-failure semantics; their first failure is reported
 // as a MultiError carrying the failing position, so batching layers can
 // attribute errors without parsing text. Backends may additionally
@@ -190,6 +192,9 @@ type shard struct {
 type Server struct {
 	d *disk.Disk
 
+	// Scalar derives Alloc/Free/Read/Write from the vectored operations.
+	Scalar
+
 	shards [numShards]shard
 
 	// epoch backs EpochStore for the process lifetime (the RAM server
@@ -282,6 +287,7 @@ func (s *Server) shardOf(n Num) *shard {
 // NewServer creates a block server on d. Block 0 is reserved as NilNum.
 func NewServer(d *disk.Disk) *Server {
 	s := &Server{d: d, nextHint: 1}
+	s.Scalar = Scalar{Multi: s}
 	for i := range s.shards {
 		s.shards[i].owner = make(map[Num]Account)
 		s.shards[i].locked = make(map[Num]bool)
@@ -389,23 +395,6 @@ func (s *Server) unclaim(n Num) {
 	sh.mu.Unlock()
 }
 
-// Alloc implements Store.
-func (s *Server) Alloc(account Account, data []byte) (Num, error) {
-	s.allocMu.Lock()
-	n, err := s.allocNum(account)
-	s.allocMu.Unlock()
-	if err != nil {
-		return NilNum, err
-	}
-	s.stats.allocs.Add(1)
-
-	if err := s.d.Write(int(n), data); err != nil {
-		s.unclaim(n)
-		return NilNum, fmt.Errorf("block %d: %w", n, err)
-	}
-	return n, nil
-}
-
 // Claim allocates a *specific* block number for account, failing if it is
 // already taken. The stable-storage companion protocol uses Claim to
 // mirror its partner's allocation choice; a failed Claim is exactly the
@@ -425,34 +414,6 @@ func (s *Server) Claim(account Account, n Num) error {
 	return nil
 }
 
-// Free implements Store.
-func (s *Server) Free(account Account, n Num) error {
-	sh := s.shardOf(n)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if err := sh.checkOwner(account, n); err != nil {
-		return err
-	}
-	delete(sh.owner, n)
-	delete(sh.locked, n)
-	s.stats.frees.Add(1)
-	return nil
-}
-
-// Read implements Store.
-func (s *Server) Read(account Account, n Num) ([]byte, error) {
-	sh := s.shardOf(n)
-	sh.mu.Lock()
-	err := sh.checkOwner(account, n)
-	sh.mu.Unlock()
-	if err != nil {
-		return nil, err
-	}
-	s.stats.reads.Add(1)
-	data, err := s.d.Read(int(n))
-	return data, diskErr(err)
-}
-
 // diskErr maps the simulated disk's corruption error onto the shared
 // block.ErrCorrupt sentinel; other disk errors pass through.
 func diskErr(err error) error {
@@ -460,19 +421,6 @@ func diskErr(err error) error {
 		return MarkCorrupt(err)
 	}
 	return err
-}
-
-// Write implements Store.
-func (s *Server) Write(account Account, n Num, data []byte) error {
-	sh := s.shardOf(n)
-	sh.mu.Lock()
-	err := sh.checkOwner(account, n)
-	sh.mu.Unlock()
-	if err != nil {
-		return err
-	}
-	s.stats.writes.Add(1)
-	return s.d.Write(int(n), data)
 }
 
 // Lock implements Store. A failed Lock is the §5.2 signal that another
@@ -622,7 +570,16 @@ func (s *Server) AllocMulti(account Account, data [][]byte) ([]Num, error) {
 func (s *Server) FreeMulti(account Account, ns []Num) error {
 	var first error
 	for i, n := range ns {
-		if err := s.Free(account, n); err != nil && first == nil {
+		sh := s.shardOf(n)
+		sh.mu.Lock()
+		err := sh.checkOwner(account, n)
+		if err == nil {
+			delete(sh.owner, n)
+			delete(sh.locked, n)
+			s.stats.frees.Add(1)
+		}
+		sh.mu.Unlock()
+		if err != nil && first == nil {
 			first = multiErr("free", i, len(ns), err)
 		}
 	}

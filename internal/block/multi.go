@@ -11,12 +11,16 @@ import (
 // O(N) trips. MultiStore collapses that to O(1) operations (chunked by
 // the transport's frame limit where one applies).
 //
-// MultiStore is optional: backends that can batch natively (the
-// in-memory Server, segstore, the RPC proxy) implement it; everything
-// else (the stable-storage pairs, test doubles) is covered by the
-// package-level adapter functions, which fall back to a per-block loop
-// with identical semantics. Consumers therefore never type-assert —
-// they call block.ReadMulti(st, ...) and friends on any Store.
+// The vectored operations are the native data path of every store in
+// this repo (the in-memory Server, segstore, the RPC proxy, the sharded
+// facade, the mirrored pairs, the archive): each implements exactly
+// these four bodies and derives the scalar Alloc/Free/Read/Write from
+// them through the embedded Scalar adapter below. MultiStore stays an
+// optional interface for foreign stores that forward only the eight
+// block.Store methods: the package-level adapter functions fall back to
+// a per-block loop with identical semantics for those. Consumers
+// therefore never type-assert — they call block.ReadMulti(st, ...) and
+// friends on any Store.
 //
 // The partial-failure contract, which native implementations and the
 // loop adapters must agree on (the mem-vs-seg contract tests enforce
@@ -92,6 +96,64 @@ func MultiIndex(err error, fallback int) int {
 		return me.Index
 	}
 	return fallback
+}
+
+// Scalar derives the four scalar data operations block.Store requires —
+// Alloc, Free, Read, Write — from a store's vectored ones, as a vector
+// of one. Every store in the spine implements only the vectored bodies
+// natively and embeds a Scalar bound to itself:
+//
+//	s := &Store{...}
+//	s.Scalar = block.Scalar{Multi: s}
+//
+// so there is one data path per layer. A one-element MultiError is
+// unwrapped back to the per-block error it carries, so a scalar call
+// reports exactly what a hand-written scalar would (same sentinel under
+// errors.Is, same message, never a *MultiError).
+//
+// Middleware that embeds a concrete store and overrides a vectored
+// operation must embed its own Scalar bound to itself as well; the
+// shallower embedding wins, so scalar calls reach the override instead
+// of bypassing it through the inner store's adapter.
+type Scalar struct {
+	// Multi is the store whose vectored operations the scalars run.
+	Multi MultiStore
+}
+
+// scalarErr unwraps the first-failure wrapper of a one-element multi op.
+func scalarErr(err error) error {
+	if me, ok := err.(*MultiError); ok {
+		return me.Err
+	}
+	return err
+}
+
+// Alloc implements Store as AllocMulti of one payload.
+func (s Scalar) Alloc(account Account, data []byte) (Num, error) {
+	ns, err := s.Multi.AllocMulti(account, [][]byte{data})
+	if err != nil {
+		return NilNum, scalarErr(err)
+	}
+	return ns[0], nil
+}
+
+// Free implements Store as FreeMulti of one block.
+func (s Scalar) Free(account Account, n Num) error {
+	return scalarErr(s.Multi.FreeMulti(account, []Num{n}))
+}
+
+// Read implements Store as ReadMulti of one block.
+func (s Scalar) Read(account Account, n Num) ([]byte, error) {
+	out, err := s.Multi.ReadMulti(account, []Num{n})
+	if err != nil {
+		return nil, scalarErr(err)
+	}
+	return out[0], nil
+}
+
+// Write implements Store as WriteMulti of one block.
+func (s Scalar) Write(account Account, n Num, data []byte) error {
+	return scalarErr(s.Multi.WriteMulti(account, []Num{n}, [][]byte{data}))
 }
 
 // ReadMulti reads the listed blocks from st, using the native multi

@@ -269,14 +269,10 @@ func serveFunc(orig Store) func(Store, *rpc.Message) *rpc.Message {
 			// client re-issues the remainder. (Clients chunk requests by
 			// worst-case size, so a partial serve is a rare safety net.)
 			r := req.Reply(rpc.StatusOK)
-			served := 0
-			for _, d := range datas {
-				if len(r.Data)+4+len(d) > rpc.MaxData {
-					break
-				}
-				r.Data = append(r.Data, byte(len(d)>>24), byte(len(d)>>16), byte(len(d)>>8), byte(len(d)))
-				r.Data = append(r.Data, d...)
-				served++
+			served, size := chunkEnd(datas, 0, 4)
+			r.Data = make([]byte, 0, size)
+			for _, d := range datas[:served] {
+				r.Data = appendPayload(r.Data, d)
 			}
 			r.Args[1] = uint64(served)
 			return r
@@ -320,11 +316,14 @@ func serveFunc(orig Store) func(Store, *rpc.Message) *rpc.Message {
 // caller-order index (if known) rides in Args[2] as index+1, so the
 // remote proxy can rebuild an exact MultiError on the client side.
 func multiBlockErr(req *rpc.Message, err error) *rpc.Message {
-	r := blockErr(req, err)
 	var me *MultiError
-	if errors.As(err, &me) {
-		r.Args[2] = uint64(me.Index) + 1
+	if !errors.As(err, &me) {
+		return blockErr(req, err)
 	}
+	// Only the per-block error's text travels: the proxy re-wraps it in
+	// a MultiError, and a vector of one unwraps to the bare message.
+	r := blockErr(req, me.Err)
+	r.Args[2] = uint64(me.Index) + 1
 	return r
 }
 
@@ -379,6 +378,9 @@ func statusErr(resp *rpc.Message) error {
 
 // remoteStore is a Store proxy over a transport.
 type remoteStore struct {
+	// Scalar derives Alloc/Free/Read/Write from the vectored commands:
+	// the proxy never sends the scalar command codes.
+	Scalar
 	tr   rpc.Transactor
 	port capability.Port
 	size int
@@ -389,9 +391,13 @@ type remoteStore struct {
 // context to every wire message, so the trace continues on the far
 // machine and its spans ride home in the reply trailer.
 func (r *remoteStore) BindTrace(tc trace.Context) Store {
-	v := *r
-	v.tc = tc
-	return &v
+	return newRemote(r.tr, r.port, r.size, tc)
+}
+
+func newRemote(tr rpc.Transactor, port capability.Port, size int, tc trace.Context) *remoteStore {
+	r := &remoteStore{tr: tr, port: port, size: size, tc: tc}
+	r.Scalar = Scalar{Multi: r}
+	return r
 }
 
 // transact sends req over the transport under an rpc-layer span when a
@@ -413,7 +419,7 @@ func (r *remoteStore) transact(req *rpc.Message) (*rpc.Message, error) {
 // Dial connects to a block service on port via tr and learns its block
 // size. The returned Store is indistinguishable from a local one.
 func Dial(tr rpc.Transactor, port capability.Port) (Store, error) {
-	r := &remoteStore{tr: tr, port: port}
+	r := newRemote(tr, port, 0, trace.Context{})
 	resp, err := r.call(&rpc.Message{Command: cmdBlockSize})
 	if err != nil {
 		return nil, err
@@ -431,7 +437,7 @@ func Dial(tr rpc.Transactor, port capability.Port) (Store, error) {
 // in the down state and the heal loop brings it back, so one dead
 // machine never blocks bringing the service up.
 func Remote(tr rpc.Transactor, port capability.Port, blockSize int) Store {
-	return &remoteStore{tr: tr, port: port, size: blockSize}
+	return newRemote(tr, port, blockSize, trace.Context{})
 }
 
 func (r *remoteStore) call(req *rpc.Message) (*rpc.Message, error) {
@@ -454,36 +460,6 @@ func (r *remoteStore) req(cmd uint32, acct Account, n Num, data []byte) *rpc.Mes
 
 // BlockSize implements Store.
 func (r *remoteStore) BlockSize() int { return r.size }
-
-// Alloc implements Store.
-func (r *remoteStore) Alloc(acct Account, data []byte) (Num, error) {
-	resp, err := r.call(r.req(cmdAlloc, acct, 0, data))
-	if err != nil {
-		return NilNum, err
-	}
-	return Num(resp.Args[0]), nil
-}
-
-// Free implements Store.
-func (r *remoteStore) Free(acct Account, n Num) error {
-	_, err := r.call(r.req(cmdFree, acct, n, nil))
-	return err
-}
-
-// Read implements Store.
-func (r *remoteStore) Read(acct Account, n Num) ([]byte, error) {
-	resp, err := r.call(r.req(cmdRead, acct, n, nil))
-	if err != nil {
-		return nil, err
-	}
-	return resp.Data, nil
-}
-
-// Write implements Store.
-func (r *remoteStore) Write(acct Account, n Num, data []byte) error {
-	_, err := r.call(r.req(cmdWrite, acct, n, data))
-	return err
-}
 
 // Lock implements Store.
 func (r *remoteStore) Lock(acct Account, n Num) error {
@@ -596,7 +572,10 @@ func decodeStats(data []byte) (Stats, error) {
 //
 // The client packs greedily up to rpc.MaxData per frame and issues as
 // many frames as the batch needs; a payload too large to share a frame
-// with its 8-byte entry header falls back to the single-block command.
+// with its entry header is refused with rpc.ErrTooLarge. The scalar
+// command codes (cmdAlloc..cmdWrite) stay reserved and Serve still
+// answers them for older clients, but this proxy sends only the
+// vectored ones — a scalar call is a vector of one.
 
 // appendNums appends count block numbers.
 func appendNums(dst []byte, ns []Num) []byte {
@@ -694,27 +673,10 @@ func (r *remoteStore) multiCall(op string, req *rpc.Message, chunkStart, chunkLe
 // ReadMulti implements MultiStore over the wire. Requests are chunked
 // so the worst-case reply (every block full) fits one frame.
 func (r *remoteStore) ReadMulti(acct Account, ns []Num) ([][]byte, error) {
-	perChunk := rpc.MaxData / (4 + r.size)
-	if perChunk < 1 {
-		// Blocks too large to share a frame with the entry header: the
-		// single-block command carries the payload bare.
-		out := make([][]byte, len(ns))
-		for i, n := range ns {
-			d, err := r.Read(acct, n)
-			if err != nil {
-				return nil, multiErr("read", i, len(ns), err)
-			}
-			out[i] = d
-		}
-		return out, nil
-	}
+	perChunk := max(1, rpc.MaxData/(4+r.size))
 	out := make([][]byte, 0, len(ns))
 	for start := 0; start < len(ns); {
-		end := start + perChunk
-		if end > len(ns) {
-			end = len(ns)
-		}
-		chunk := ns[start:end]
+		chunk := ns[start:min(start+perChunk, len(ns))]
 		req := &rpc.Message{Command: cmdReadMulti, Data: appendNums(make([]byte, 0, 4*len(chunk)), chunk)}
 		req.Args[0] = uint64(acct)
 		req.Args[1] = uint64(len(chunk))
@@ -722,20 +684,15 @@ func (r *remoteStore) ReadMulti(acct Account, ns []Num) ([][]byte, error) {
 		if err != nil {
 			return nil, err
 		}
+		// The server serves the leading entries that fit its reply frame
+		// and the loop re-issues the rest; none served means one block
+		// cannot share a frame with its entry header.
 		served := int(resp.Args[1])
 		if served > len(chunk) {
 			return nil, fmt.Errorf("block: multi read served %d of %d: %w", served, len(chunk), rpc.ErrMalformed)
 		}
 		if served == 0 {
-			// Entry would not fit the reply frame (safety net): take the
-			// block through the single-block command.
-			d, err := r.Read(acct, chunk[0])
-			if err != nil {
-				return nil, multiErr("read", start, len(ns), err)
-			}
-			out = append(out, d)
-			start++
-			continue
+			return nil, multiErr("read", start, len(ns), rpc.ErrTooLarge)
 		}
 		datas, err := decodePayloads(resp.Data, served)
 		if err != nil {
@@ -747,44 +704,52 @@ func (r *remoteStore) ReadMulti(acct Account, ns []Num) ([][]byte, error) {
 	return out, nil
 }
 
+// chunkEnd returns the end of the longest run of payloads from start
+// that fits one frame at hdr header bytes per entry, and the run's
+// encoded size. end == start means data[start] alone exceeds a frame.
+func chunkEnd(data [][]byte, start, hdr int) (end, size int) {
+	end = start
+	for end < len(data) && size+hdr+len(data[end]) <= rpc.MaxData {
+		size += hdr + len(data[end])
+		end++
+	}
+	return end, size
+}
+
+// appendPayload appends one (dlen || payload) entry.
+func appendPayload(dst, d []byte) []byte {
+	dst = append(dst, byte(len(d)>>24), byte(len(d)>>16), byte(len(d)>>8), byte(len(d)))
+	return append(dst, d...)
+}
+
 // WriteMulti implements MultiStore over the wire with greedy packing;
 // per the contract each block's write stands alone, so chunk errors are
 // collected and the first one returned.
 func (r *remoteStore) WriteMulti(acct Account, ns []Num, data [][]byte) error {
 	if len(ns) != len(data) {
-		return fmt.Errorf("block: multi write with %d blocks, %d payloads", len(ns), len(data))
+		return errMultiShape
 	}
 	var first error
-	note := func(err error) {
+	for i := 0; i < len(ns); {
+		end, size := chunkEnd(data, i, 8)
+		var err error
+		if end == i {
+			err = multiErr("write", i, len(ns), rpc.ErrTooLarge)
+			end++ // skip the one payload no frame can carry
+		} else {
+			buf := make([]byte, 0, size)
+			for j := i; j < end; j++ {
+				buf = appendPayload(appendNums(buf, ns[j:j+1]), data[j])
+			}
+			req := &rpc.Message{Command: cmdWriteMulti, Data: buf}
+			req.Args[0] = uint64(acct)
+			req.Args[1] = uint64(end - i)
+			_, err = r.multiCall("write", req, i, end-i, len(ns))
+		}
 		if err != nil && first == nil {
 			first = err
 		}
-	}
-	i := 0
-	for i < len(ns) {
-		if 8+len(data[i]) > rpc.MaxData {
-			if err := r.Write(acct, ns[i], data[i]); err != nil {
-				note(multiErr("write", i, len(ns), err))
-			}
-			i++
-			continue
-		}
-		chunkStart := i
-		buf := make([]byte, 0, rpc.MaxData)
-		count := 0
-		for i < len(ns) && 8+len(data[i]) <= rpc.MaxData-len(buf) {
-			d := data[i]
-			buf = appendNums(buf, ns[i:i+1])
-			buf = append(buf, byte(len(d)>>24), byte(len(d)>>16), byte(len(d)>>8), byte(len(d)))
-			buf = append(buf, d...)
-			count++
-			i++
-		}
-		req := &rpc.Message{Command: cmdWriteMulti, Data: buf}
-		req.Args[0] = uint64(acct)
-		req.Args[1] = uint64(count)
-		_, err := r.multiCall("write", req, chunkStart, count, len(ns))
-		note(err)
+		i = end
 	}
 	return first
 }
@@ -800,39 +765,28 @@ func (r *remoteStore) AllocMulti(acct Account, data [][]byte) ([]Num, error) {
 		}
 		return nil, err
 	}
-	i := 0
-	for i < len(data) {
-		if 4+len(data[i]) > rpc.MaxData {
-			n, err := r.Alloc(acct, data[i])
-			if err != nil {
-				return fail(multiErr("alloc", i, len(data), err))
-			}
-			out = append(out, n)
-			i++
-			continue
+	for i := 0; i < len(data); {
+		end, size := chunkEnd(data, i, 4)
+		if end == i {
+			return fail(multiErr("alloc", i, len(data), rpc.ErrTooLarge))
 		}
-		chunkStart := i
-		buf := make([]byte, 0, rpc.MaxData)
-		count := 0
-		for i < len(data) && 4+len(data[i]) <= rpc.MaxData-len(buf) {
-			d := data[i]
-			buf = append(buf, byte(len(d)>>24), byte(len(d)>>16), byte(len(d)>>8), byte(len(d)))
-			buf = append(buf, d...)
-			count++
-			i++
+		buf := make([]byte, 0, size)
+		for _, d := range data[i:end] {
+			buf = appendPayload(buf, d)
 		}
 		req := &rpc.Message{Command: cmdAllocMulti, Data: buf}
 		req.Args[0] = uint64(acct)
-		req.Args[1] = uint64(count)
-		resp, err := r.multiCall("alloc", req, chunkStart, count, len(data))
+		req.Args[1] = uint64(end - i)
+		resp, err := r.multiCall("alloc", req, i, end-i, len(data))
 		if err != nil {
 			return fail(err)
 		}
-		nums, err := decodeNums(resp.Data, count)
+		nums, err := decodeNums(resp.Data, end-i)
 		if err != nil {
 			return fail(err)
 		}
 		out = append(out, nums...)
+		i = end
 	}
 	return out, nil
 }

@@ -127,3 +127,119 @@ func TestFileServiceOverRemoteBlocks(t *testing.T) {
 	remote, _ := dialTest(t)
 	_ = remote
 }
+
+// cmdRecorder notes every command a proxy sends.
+type cmdRecorder struct {
+	rpc.Transactor
+	seen map[uint32]int
+}
+
+func (c *cmdRecorder) Transact(port capability.Port, req *rpc.Message) (*rpc.Message, error) {
+	c.seen[req.Command]++
+	return c.Transactor.Transact(port, req)
+}
+
+// TestProxySendsOnlyVectoredCommands pins the single data path on the
+// wire: scalar calls on the proxy travel as the vectored commands, and
+// the scalar command codes — still reserved, still answered by Serve
+// for clients that send them — are never issued.
+func TestProxySendsOnlyVectoredCommands(t *testing.T) {
+	srv := NewServer(disk.MustNew(disk.Geometry{Blocks: 64, BlockSize: 256}))
+	net := rpc.NewNetwork()
+	port := capability.NewPort().Public()
+	if err := net.Register("blk", port, Serve(srv)); err != nil {
+		t.Fatal(err)
+	}
+	rec := &cmdRecorder{Transactor: net, seen: map[uint32]int{}}
+	remote, err := Dial(rec, port)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n, err := remote.Alloc(1, []byte("one"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := remote.Write(1, n, []byte("two")); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := remote.Read(1, n); err != nil || !bytes.HasPrefix(got, []byte("two")) {
+		t.Fatalf("read = %q, %v", got, err)
+	}
+	if err := remote.Free(1, n); err != nil {
+		t.Fatal(err)
+	}
+	for _, cmd := range []uint32{cmdAlloc, cmdFree, cmdRead, cmdWrite} {
+		if rec.seen[cmd] != 0 {
+			t.Errorf("proxy sent scalar command %s %d times", CmdName(cmd), rec.seen[cmd])
+		}
+	}
+	for _, cmd := range []uint32{cmdAllocMulti, cmdFreeMulti, cmdReadMulti, cmdWriteMulti} {
+		if rec.seen[cmd] != 1 {
+			t.Errorf("proxy sent %s %d times, want 1", CmdName(cmd), rec.seen[cmd])
+		}
+	}
+
+	// A client that still speaks the scalar codes is answered as before,
+	// sentinel statuses included.
+	call := func(cmd uint32, n Num, data []byte) *rpc.Message {
+		req := &rpc.Message{Command: cmd, Data: data}
+		req.Args[0], req.Args[1] = 1, uint64(n)
+		resp, err := net.Transact(port, req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp
+	}
+	resp := call(cmdAlloc, 0, []byte("old client"))
+	if resp.Status != rpc.StatusOK {
+		t.Fatalf("scalar alloc: %v", resp.Err())
+	}
+	n = Num(resp.Args[0])
+	if resp := call(cmdWrite, n, []byte("rewritten")); resp.Status != rpc.StatusOK {
+		t.Fatalf("scalar write: %v", resp.Err())
+	}
+	if resp := call(cmdRead, n, nil); resp.Status != rpc.StatusOK || !bytes.HasPrefix(resp.Data, []byte("rewritten")) {
+		t.Fatalf("scalar read = %q, %v", resp.Data, resp.Err())
+	}
+	if resp := call(cmdFree, n, nil); resp.Status != rpc.StatusOK {
+		t.Fatalf("scalar free: %v", resp.Err())
+	}
+	if resp := call(cmdRead, n, nil); resp.Status != statusNotAllocated {
+		t.Fatalf("scalar read of a freed block: status %v, want not-allocated", resp.Status)
+	}
+}
+
+// TestProxyRefusesBlocksNoFrameCarries covers the one shape the
+// vectored commands cannot move: a block too large to share a frame
+// with its entry header is refused with rpc.ErrTooLarge at its index,
+// the rest of the batch still travels, and nothing loops.
+func TestProxyRefusesBlocksNoFrameCarries(t *testing.T) {
+	srv := NewServer(disk.MustNew(disk.Geometry{Blocks: 8, BlockSize: rpc.MaxData}))
+	net := rpc.NewNetwork()
+	port := capability.NewPort().Public()
+	if err := net.Register("blk", port, Serve(srv)); err != nil {
+		t.Fatal(err)
+	}
+	remote, err := Dial(net, port)
+	if err != nil {
+		t.Fatal(err)
+	}
+	small, err := remote.Alloc(1, []byte("fits"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	full := make([]byte, rpc.MaxData)
+	err = WriteMulti(remote, 1, []Num{small, small}, [][]byte{full, []byte("second")})
+	if !errors.Is(err, rpc.ErrTooLarge) || MultiIndex(err, -1) != 0 {
+		t.Fatalf("oversized write err = %v, want ErrTooLarge at index 0", err)
+	}
+	if got, _ := srv.Read(1, small); !bytes.HasPrefix(got, []byte("second")) {
+		t.Fatalf("the payload after the oversized one was not written: %q", got[:8])
+	}
+	if _, err := remote.Alloc(1, full); !errors.Is(err, rpc.ErrTooLarge) {
+		t.Fatalf("oversized alloc err = %v, want ErrTooLarge", err)
+	}
+	if _, err := remote.Read(1, small); !errors.Is(err, rpc.ErrTooLarge) {
+		t.Fatalf("read of a block no reply frame carries: err = %v, want ErrTooLarge", err)
+	}
+}

@@ -37,16 +37,23 @@ func BindTrace(s Store, tc trace.Context) Store {
 // how a shard fan-out leg's span becomes the parent of the mirror-half
 // and segstore spans beneath it.
 func Traced(inner Store, tc trace.Context, layer, tag string) Store {
-	return &traced{inner: inner, tc: tc, layer: layer, tag: tag, rebind: true}
+	return newTraced(inner, tc, layer, tag, true)
 }
 
 // TracedLeaf is Traced without downward rebinding: for stores whose
 // internals are not trace-aware (or that would rebind to themselves).
 func TracedLeaf(inner Store, tc trace.Context, layer, tag string) Store {
-	return &traced{inner: inner, tc: tc, layer: layer, tag: tag}
+	return newTraced(inner, tc, layer, tag, false)
+}
+
+func newTraced(inner Store, tc trace.Context, layer, tag string, rebind bool) *traced {
+	t := &traced{inner: inner, tc: tc, layer: layer, tag: tag, rebind: rebind}
+	t.Scalar = Scalar{Multi: t}
+	return t
 }
 
 type traced struct {
+	Scalar     // a scalar call is a one-block vectored span
 	inner      Store
 	tc         trace.Context
 	layer, tag string
@@ -64,34 +71,6 @@ func (t *traced) span(op string) (*trace.Span, Store) {
 }
 
 func (t *traced) BlockSize() int { return t.inner.BlockSize() }
-
-func (t *traced) Alloc(account Account, data []byte) (Num, error) {
-	sp, st := t.span("alloc")
-	n, err := st.Alloc(account, data)
-	sp.End(err)
-	return n, err
-}
-
-func (t *traced) Free(account Account, n Num) error {
-	sp, st := t.span("free")
-	err := st.Free(account, n)
-	sp.End(err)
-	return err
-}
-
-func (t *traced) Read(account Account, n Num) ([]byte, error) {
-	sp, st := t.span("read")
-	data, err := st.Read(account, n)
-	sp.End(err)
-	return data, err
-}
-
-func (t *traced) Write(account Account, n Num, data []byte) error {
-	sp, st := t.span("write")
-	err := st.Write(account, n, data)
-	sp.End(err)
-	return err
-}
 
 func (t *traced) Lock(account Account, n Num) error {
 	sp, st := t.span("lock")

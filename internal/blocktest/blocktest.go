@@ -18,6 +18,8 @@ import (
 	"testing"
 
 	"repro/internal/block"
+	"repro/internal/disk"
+	"repro/internal/trace"
 )
 
 // Op is one step of a scripted sequence.
@@ -395,4 +397,259 @@ func WriteOnceSuite(t *testing.T, name string, st block.MultiStore, refuse error
 	if len(got) < len(payload) || !bytes.Equal(got[:len(payload)], payload) {
 		t.Fatalf("%s: content changed despite write-once contract: %q", name, got)
 	}
+}
+
+// ScalarOpts adapts ScalarSuite to one backend.
+type ScalarOpts struct {
+	// Capacity is the store's total allocatable block count, used to
+	// force ErrNoSpace; 0 skips the exhaustion scenario (a store too
+	// large to fill).
+	Capacity int
+	// Refuse, when set, selects the write-once variant: Free and a
+	// Write of different content must fail with this sentinel, and the
+	// only write that succeeds rewrites a block's current content.
+	Refuse error
+	// Stats reports the counters the scalar and the vectored call must
+	// move identically; nil uses the store itself when it implements
+	// block.StatsReporter (a trace-bound view passes the unbound store).
+	Stats block.StatsReporter
+	// Corrupt damages the store's copy of block n so the next read of
+	// it hits block.ErrCorrupt or a companion repair; nil skips the
+	// scenario. It is called before each of the two reads, since a
+	// mirrored store repairs the damage while serving the first.
+	Corrupt func(n block.Num)
+	// Collide stages a companion-pair collision on block n, so writes
+	// of it fail with block.ErrCollision until release is called; nil
+	// skips the scenario.
+	Collide func(n block.Num) (release func())
+}
+
+// ScalarSuite checks that the scalar Alloc/Free/Read/Write of st are
+// exactly its vectored operations at length one — the single data path
+// of the block spine. Every scenario runs the scalar call and the
+// one-element vectored call from equivalent states and requires the
+// same data, the same sentinel (which must also be what the in-memory
+// block.Server reference reports for the scenario, where it has an
+// equivalent), the same block.Stats movement, and that the scalar's
+// error is never a *block.MultiError while the vectored one always is:
+// a vector of one unwraps to the plain per-block error.
+func ScalarSuite(t *testing.T, name string, st block.MultiStore, o ScalarOpts) {
+	t.Helper()
+	sentinels := []error{block.ErrNotAllocated, block.ErrNotOwner, block.ErrLocked,
+		block.ErrNotLocked, block.ErrCorrupt, block.ErrCollision, block.ErrNoSpace}
+	if o.Refuse != nil {
+		sentinels = append(sentinels, o.Refuse)
+	}
+	other := errors.New("other")
+	classify := func(err error) error {
+		for _, s := range sentinels {
+			if errors.Is(err, s) {
+				return s
+			}
+		}
+		if err != nil {
+			return other
+		}
+		return nil
+	}
+	stats := o.Stats
+	if stats == nil {
+		stats, _ = st.(block.StatsReporter)
+	}
+	snap := func() block.Stats {
+		t.Helper()
+		if stats == nil {
+			return block.Stats{}
+		}
+		s, err := stats.BlockStats()
+		if err != nil {
+			t.Fatalf("%s: stats: %v", name, err)
+		}
+		return s
+	}
+	moved := func(a, b block.Stats) block.Stats {
+		return block.Stats{Allocs: b.Allocs - a.Allocs, Frees: b.Frees - a.Frees,
+			Reads: b.Reads - a.Reads, Writes: b.Writes - a.Writes, Locks: b.Locks - a.Locks,
+			Unlocks: b.Unlocks - a.Unlocks, LockConflicts: b.LockConflicts - a.LockConflicts,
+			Syncs: b.Syncs - a.Syncs}
+	}
+	// check runs the scalar and the vectored form of one scenario and
+	// compares everything observable; want is the reference's verdict.
+	type call func() ([]byte, error)
+	check := func(what string, want error, scalar, vector call) {
+		t.Helper()
+		s0 := snap()
+		sd, serr := scalar()
+		s1 := snap()
+		vd, verr := vector()
+		s2 := snap()
+		var me *block.MultiError
+		if errors.As(serr, &me) {
+			t.Fatalf("%s: %s: scalar error is a MultiError: %v", name, what, serr)
+		}
+		if verr != nil && !errors.As(verr, &me) {
+			t.Fatalf("%s: %s: vectored error carries no MultiError index: %v", name, what, verr)
+		}
+		if classify(serr) != classify(verr) {
+			t.Fatalf("%s: %s: scalar %v, vector-of-one %v", name, what, serr, verr)
+		}
+		if classify(serr) != want {
+			t.Fatalf("%s: %s: got %v, reference says %v", name, what, serr, want)
+		}
+		if !bytes.Equal(sd, vd) {
+			t.Fatalf("%s: %s: scalar and vector-of-one disagree on data", name, what)
+		}
+		if d1, d2 := moved(s0, s1), moved(s1, s2); d1 != d2 {
+			t.Fatalf("%s: %s: stats moved %+v by the scalar, %+v by the vector of one", name, what, d1, d2)
+		}
+	}
+	read := func(acct block.Account, n block.Num) (scalar, vector call) {
+		return func() ([]byte, error) { return st.Read(acct, n) },
+			func() ([]byte, error) {
+				out, err := st.ReadMulti(acct, []block.Num{n})
+				if err != nil {
+					return nil, err
+				}
+				return out[0], nil
+			}
+	}
+	write := func(acct block.Account, n block.Num, payload string) (scalar, vector call) {
+		return func() ([]byte, error) { return nil, st.Write(acct, n, []byte(payload)) },
+			func() ([]byte, error) {
+				return nil, st.WriteMulti(acct, []block.Num{n}, [][]byte{[]byte(payload)})
+			}
+	}
+	// alloc and free take one block per form: the operation consumes it.
+	var allocated []block.Num
+	alloc := func(a, b string) (scalar, vector call) {
+		return func() ([]byte, error) {
+				n, err := st.Alloc(1, []byte(a))
+				allocated = append(allocated, n)
+				return nil, err
+			}, func() ([]byte, error) {
+				ns, err := st.AllocMulti(1, [][]byte{[]byte(b)})
+				allocated = append(allocated, ns...)
+				return nil, err
+			}
+	}
+	free := func(a, b block.Num) (scalar, vector call) {
+		return func() ([]byte, error) { return nil, st.Free(1, a) },
+			func() ([]byte, error) { return nil, st.FreeMulti(1, []block.Num{b}) }
+	}
+
+	// The reference replays the plain scenarios to say which sentinel
+	// each must produce.
+	ref := block.NewServer(disk.MustNew(disk.Geometry{Blocks: 64, BlockSize: st.BlockSize()}))
+	setup := func(s block.Store, acct block.Account, payload string) block.Num {
+		t.Helper()
+		n, err := s.Alloc(acct, []byte(payload))
+		if err != nil {
+			t.Fatalf("%s: setup alloc: %v", name, err)
+		}
+		return n
+	}
+	const content = "scalar-mine"
+	mine, rmine := setup(st, 1, content), setup(ref, 1, content)
+	theirs, rtheirs := setup(st, 2, "scalar-theirs"), setup(ref, 2, "scalar-theirs")
+
+	// Distinct payloads: a content-addressed store would turn a repeat
+	// into a dedup hit, a different counter movement.
+	s, v := alloc("scalar-a", "scalar-b")
+	check("alloc", nil, s, v)
+
+	for _, c := range []struct {
+		what   string
+		n, ref block.Num
+	}{{"own block", mine, rmine}, {"foreign block", theirs, rtheirs}, {"unallocated block", bogusNum, bogusNum}} {
+		_, rerr := ref.Read(1, c.ref)
+		s, v = read(1, c.n)
+		check("read "+c.what, classify(rerr), s, v)
+		// Rewriting the current content is the one write every store,
+		// write-once included, accepts.
+		s, v = write(1, c.n, content)
+		check("write "+c.what, classify(ref.Write(1, c.ref, []byte(content))), s, v)
+		if c.n != mine { // a refused free leaves the block for the next form
+			want := classify(ref.Free(1, c.ref))
+			if o.Refuse != nil {
+				want = o.Refuse
+			}
+			s, v = free(c.n, c.n)
+			check("free "+c.what, want, s, v)
+		}
+	}
+	if o.Refuse != nil {
+		s, v = write(1, mine, "different content")
+		check("write of different content", o.Refuse, s, v)
+	}
+
+	// Data operations ignore the advisory lock bit: a locked block
+	// reads and rewrites exactly like an unlocked one, both ways.
+	if err := st.Lock(1, mine); err != nil {
+		t.Fatalf("%s: lock: %v", name, err)
+	}
+	s, v = read(1, mine)
+	check("read locked block", nil, s, v)
+	s, v = write(1, mine, content)
+	check("write locked block", nil, s, v)
+	if err := st.Unlock(1, mine); err != nil {
+		t.Fatalf("%s: unlock: %v", name, err)
+	}
+
+	if o.Collide != nil {
+		release := o.Collide(mine)
+		s, v = write(1, mine, content)
+		check("write under a companion collision", block.ErrCollision, s, v)
+		release()
+	}
+
+	if o.Corrupt != nil {
+		// A plain store refuses with ErrCorrupt, a mirror repairs and
+		// serves: the backend's own tests pin which; here only that
+		// both forms do the same.
+		damaged := func(c call) call {
+			return func() ([]byte, error) {
+				o.Corrupt(mine)
+				return c()
+			}
+		}
+		s, v = read(1, mine)
+		_, err := damaged(s)()
+		check("read corrupt block", classify(err), damaged(s), damaged(v))
+	}
+
+	s, v = free(allocated[0], allocated[1])
+	check("free own block", o.Refuse, s, v)
+
+	// Exhaustion: fill the store, then one more each way.
+	if o.Capacity > 0 {
+		for i := 0; ; i++ {
+			if i > o.Capacity {
+				t.Fatalf("%s: %d allocations into a %d-block store all succeeded", name, i, o.Capacity)
+			}
+			if _, err := st.Alloc(1, []byte(fmt.Sprintf("scalar-fill-%d", i))); err != nil {
+				break
+			}
+		}
+		s, v = alloc("scalar-over-a", "scalar-over-b")
+		check("alloc on a full store", block.ErrNoSpace, s, v)
+	}
+}
+
+// TraceBound returns st's view bound to a sampled trace context (what a
+// traced request runs against); the trace ends with the test. The bound
+// views are stores in their own right — the shard and mirror
+// views carry their own scalar adapter — so the contract suites run on
+// them too.
+func TraceBound(t *testing.T, st block.Store) block.MultiStore {
+	t.Helper()
+	sp, ctx := trace.New(1, 0, 4).Start("test", "contract")
+	t.Cleanup(func() { sp.End(nil) })
+	if !ctx.Sampled() {
+		t.Fatal("blocktest: trace context not sampled")
+	}
+	bound, ok := block.BindTrace(st, ctx).(block.MultiStore)
+	if !ok {
+		t.Fatalf("blocktest: trace-bound view of %T lost the vectored surface", st)
+	}
+	return bound
 }

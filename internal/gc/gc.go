@@ -330,7 +330,7 @@ func (g *Collector) reshareVersion(root block.Num) (int, error) {
 // read-only copies, and recurses into written subtrees.
 func (g *Collector) resharePage(blk block.Num, pg *page.Page) (int, error) {
 	reshared := 0
-	dirty := false
+	var patched []int // indices of pg.Refs reshared here
 	for i, r := range pg.Refs {
 		if r.IsNil() || !r.Flags.Accessed() {
 			continue
@@ -370,17 +370,40 @@ func (g *Collector) resharePage(blk block.Num, pg *page.Page) (int, error) {
 			continue // created fresh; nothing to reshare with
 		}
 		pg.Refs[i] = page.Ref{Block: child.BaseRef}
-		dirty = true
+		patched = append(patched, i)
 		reshared++
 		// The orphaned copy (and its non-written descendants) become
 		// unreachable and fall to the sweep.
 	}
-	if dirty {
-		if err := g.St.WritePage(blk, pg); err != nil {
-			return reshared, err
-		}
+	switch {
+	case len(patched) == 0:
+		return reshared, nil
+	case !pg.IsVersion:
+		// Interior pages of a committed version are immutable: nobody
+		// else writes them, so the copy read above is still current.
+		return reshared, g.St.WritePage(blk, pg)
 	}
-	return reshared, nil
+	// The version page is the one page of a committed version that is
+	// still written in place — its commit reference is set by a
+	// successor's commit, and lock hints and tombstones land there too —
+	// always inside the block-level critical section. Writing the copy
+	// read above back whole would erase a commit reference set since,
+	// forking the chain and losing acknowledged commits. Join the same
+	// critical section and patch only the reshared slots into the page
+	// as it is now; its references never change once it is committed.
+	// A held lock (block.ErrLocked) skips the write-back: the next cycle
+	// reshares again.
+	err := block.WithLock(g.St.Blocks, g.St.Acct, blk, func(raw []byte) ([]byte, error) {
+		fresh, err := page.Decode(raw)
+		if err != nil {
+			return nil, fmt.Errorf("gc: version page %d: %w", blk, err)
+		}
+		for _, i := range patched {
+			fresh.Refs[i] = pg.Refs[i]
+		}
+		return fresh.Encode(g.St.Blocks.BlockSize())
+	})
+	return reshared, err
 }
 
 // subtreeWrites reports whether any accessed reference below pg carries W

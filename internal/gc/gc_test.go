@@ -552,3 +552,129 @@ func TestLiveVersionBasePinned(t *testing.T) {
 		t.Fatalf("rebuilt current content = %q, want g3", cur.Data)
 	}
 }
+
+// hookStore is fault-injection middleware over the in-memory server in
+// the vector-only style: it embeds the real store, re-binds the scalar
+// adapter to itself and overrides just the vectored read, so scalar
+// reads reach the hook as well instead of bypassing it through the
+// embedded server's own adapter.
+type hookStore struct {
+	*block.Server
+	block.Scalar
+	afterRead func(ns []block.Num) // runs after each successful read
+}
+
+func (h *hookStore) ReadMulti(a block.Account, ns []block.Num) ([][]byte, error) {
+	out, err := h.Server.ReadMulti(a, ns)
+	if err == nil && h.afterRead != nil {
+		h.afterRead(ns)
+	}
+	return out, err
+}
+
+// TestReshareKeepsConcurrentCommitRef is the regression for the lost
+// acknowledged commit: reshare reads a committed version page, a
+// successor commits (setting that page's commit reference), and the
+// reshare write-back must not erase the reference with its stale copy.
+func TestReshareKeepsConcurrentCommitRef(t *testing.T) {
+	hs := &hookStore{Server: block.NewServer(disk.MustNew(disk.Geometry{Blocks: 1 << 12, BlockSize: 1024}))}
+	hs.Scalar = block.Scalar{Multi: hs}
+	sh := server.NewShared(hs, 1)
+	srv := server.New(sh, nil)
+	col := New(srv.Store(), sh.Table, 8, nil)
+
+	fcap, _ := srv.CreateFile(nil)
+	setup, _ := srv.CreateVersion(fcap, server.CreateVersionOpts{})
+	for i := 0; i < 4; i++ {
+		srv.InsertPage(setup, page.RootPath, i, []byte(fmt.Sprintf("leaf%d", i)))
+	}
+	if err := srv.Commit(setup); err != nil {
+		t.Fatal(err)
+	}
+	// The version to reshare: three read shadows and one written page.
+	v, _ := srv.CreateVersion(fcap, server.CreateVersionOpts{})
+	for i := 0; i < 3; i++ {
+		if _, _, err := srv.ReadPage(v, page.Path{i}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := srv.WritePage(v, page.Path{3}, []byte("written")); err != nil {
+		t.Fatal(err)
+	}
+	if err := srv.Commit(v); err != nil {
+		t.Fatal(err)
+	}
+	chain, err := srv.History(fcap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pred := chain[len(chain)-1]
+
+	// The successor is prepared up front and committed from inside the
+	// hook, right after reshare's read of the predecessor's version page
+	// returns — between the read and the write-back.
+	succ, _ := srv.CreateVersion(fcap, server.CreateVersionOpts{})
+	if err := srv.WritePage(succ, page.Path{0}, []byte("successor")); err != nil {
+		t.Fatal(err)
+	}
+	hs.afterRead = func(ns []block.Num) {
+		if len(ns) == 1 && ns[0] == pred {
+			hs.afterRead = nil
+			if err := srv.Commit(succ); err != nil {
+				t.Errorf("successor commit: %v", err)
+			}
+		}
+	}
+	n, err := col.reshareVersion(pred)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if hs.afterRead != nil {
+		t.Fatal("the hook never fired: the race was not staged")
+	}
+	if n < 3 {
+		t.Fatalf("reshared %d pages, want >= 3 (no write-back, nothing proven)", n)
+	}
+
+	pp, err := col.St.ReadPage(pred)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if pp.CommitRef == block.NilNum {
+		t.Fatal("reshare write-back erased the predecessor's commit reference: the acknowledged successor commit is lost")
+	}
+	// Crash recovery sees one chain ending in the successor.
+	tb, err := file.Rebuild(col.St)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, err := tb.Get(fcap.Object)
+	if err != nil {
+		t.Fatal(err)
+	}
+	head, err := occ.Current(col.St, e.Entry)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if head != pp.CommitRef {
+		t.Fatalf("rebuilt table leads to %d, not the committed successor %d", head, pp.CommitRef)
+	}
+	after, err := occ.History(col.St, e.Entry)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(after) != len(chain)+1 || after[len(after)-2] != pred {
+		t.Fatalf("chain after recovery = %v, want %v followed by the successor", after, chain)
+	}
+	// Both the reshare and the successor's write took effect.
+	cur, _ := srv.CreateVersion(fcap, server.CreateVersionOpts{})
+	for i, want := range []string{"successor", "leaf1", "leaf2", "written"} {
+		data, _, err := srv.ReadPage(cur, page.Path{i})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(data) != want {
+			t.Fatalf("page %d = %q, want %q", i, data, want)
+		}
+	}
+}

@@ -119,6 +119,34 @@ func TestContractMultiOps(t *testing.T) {
 	})
 }
 
+// damageRecord returns a hook that flips a payload byte of block n's
+// live record on disk, behind the store's back.
+func damageRecord(t *testing.T, s *Store) func(n block.Num) {
+	return func(n block.Num) {
+		t.Helper()
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		l := s.idx.entries[n].loc
+		if _, err := s.lanes[l.lane].segs[l.seg].f.WriteAt([]byte{0xFF}, l.off+headerSize+2); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestContractScalars checks the single data path at every lane count:
+// a scalar call is the vectored operation at length one — same data,
+// sentinel and counter movement, on the store and on its trace-bound
+// view (the leaf span wrapper tracing binds requests to).
+func TestContractScalars(t *testing.T) {
+	forEachShardCount(t, func(t *testing.T, shards int) {
+		_, seg := newPair(t, 16, 64, shards)
+		blocktest.ScalarSuite(t, "seg", seg, blocktest.ScalarOpts{Capacity: 16, Corrupt: damageRecord(t, seg)})
+		_, seg = newPair(t, 16, 64, shards)
+		blocktest.ScalarSuite(t, "seg-traced", blocktest.TraceBound(t, seg),
+			blocktest.ScalarOpts{Capacity: 16, Stats: seg, Corrupt: damageRecord(t, seg)})
+	})
+}
+
 // FuzzContract feeds random operation scripts to both backends, at
 // every contract lane count. The seed corpus runs under plain
 // `go test`; `go test -fuzz=FuzzContract` explores further.

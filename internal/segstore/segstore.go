@@ -238,18 +238,12 @@ type writeReq struct {
 	// done is buffered and reused across pool generations: finish
 	// sends rather than closes, so the request can go back to reqPool.
 	done chan struct{}
-	// self is the preallocated single-request group, so submitting one
-	// request sends no freshly allocated slice.
-	self [1]*writeReq
 }
 
-// reqPool recycles writeReqs so the steady-state append path allocates
-// nothing per operation: the request, its done channel and its group
-// slice all come back for the next call.
+// reqPool recycles writeReqs so the steady-state append path reuses the
+// request and its done channel across calls.
 var reqPool = sync.Pool{New: func() any {
-	r := &writeReq{done: make(chan struct{}, 1)}
-	r.self[0] = r
-	return r
+	return &writeReq{done: make(chan struct{}, 1)}
 }}
 
 // getReq takes a clean request from the pool.
@@ -295,6 +289,10 @@ type sealedBatch struct {
 // Store is a durable block store rooted in one directory. It implements
 // block.Store; all methods are safe for concurrent use.
 type Store struct {
+	// Scalar derives Alloc/Free/Read/Write from the vectored operations,
+	// so every mutation takes the one request-group path to its lane.
+	block.Scalar
+
 	dir     string
 	opt     Options
 	recSize int
@@ -397,6 +395,7 @@ func Open(dir string, opt Options) (*Store, error) {
 		batchHist:  metrics.NewHistogram(1, 2, 4, 8, 16, 32, 64, 128),
 		windowHist: metrics.NewHistogram(0, 10e-6, 25e-6, 50e-6, 100e-6, 250e-6, 500e-6, 1e-3, 2e-3, 5e-3),
 	}
+	s.Scalar = block.Scalar{Multi: s}
 	s.epoch, s.epochBad = epoch, epochBad
 	for i := 0; i < shards; i++ {
 		l, err := openLane(s, i)
@@ -721,9 +720,6 @@ func (s *Store) laneIndex(n block.Num) int {
 	return int((uint64(n) * 0x9e3779b97f4a7c15 >> 32) % uint64(len(s.lanes)))
 }
 
-// laneFor is laneIndex returning the lane itself.
-func (s *Store) laneFor(n block.Num) *lane { return s.lanes[s.laneIndex(n)] }
-
 // finish completes one request.
 func finish(r *writeReq, err error) {
 	r.err = err
@@ -806,24 +802,14 @@ func (s *Store) send(l *lane, group []*writeReq) error {
 	return nil
 }
 
-// submit queues r on its block's lane and waits for its outcome.
-func (s *Store) submit(r *writeReq) error {
-	start := time.Now()
-	if err := s.send(s.laneFor(r.num), r.self[:]); err != nil {
-		return err
-	}
-	r.queued = true
-	<-r.done
-	s.appendHist.Observe(time.Since(start))
-	return r.err
-}
-
 // submitMany splits a multi-block operation's requests across their
 // lanes (order-preserving within each lane, in maxBatch-sized groups)
 // and waits for all of them, returning the first (lowest-index) error
 // and its index. Each request's own outcome stays readable in
 // r.err/r.skipped.
 func (s *Store) submitMany(reqs []*writeReq) (int, error) {
+	start := time.Now()
+	defer func() { s.appendHist.Observe(time.Since(start)) }()
 	if len(s.lanes) == 1 {
 		s.sendChunks(s.lanes[0], reqs)
 	} else {
@@ -880,20 +866,6 @@ func (s *Store) sendChunks(l *lane, group []*writeReq) bool {
 	return true
 }
 
-// reserveAlloc picks and reserves a fresh block number, so the request
-// can be routed to the number's lane before any record exists.
-func (s *Store) reserveAlloc(account block.Account) (block.Num, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return block.NilNum, ErrClosed
-	}
-	if s.failed != nil {
-		return block.NilNum, s.failed
-	}
-	return s.idx.allocNum(account, s.opt.Capacity)
-}
-
 // dropReservation rolls back a reservation whose request never reached
 // the pipeline (the pipeline's own failure paths roll back the ones
 // that did).
@@ -917,37 +889,6 @@ func (s *Store) BindTrace(tc trace.Context) block.Store {
 // BlockSize implements block.Store.
 func (s *Store) BlockSize() int { return s.opt.BlockSize }
 
-// checkData validates a payload size.
-func (s *Store) checkData(data []byte) error {
-	if len(data) > s.opt.BlockSize {
-		return fmt.Errorf("segstore: %d bytes into %d-byte block", len(data), s.opt.BlockSize)
-	}
-	return nil
-}
-
-// Alloc implements block.Store: it allocates a fresh block, appends its
-// first record, and acknowledges once the record is durable.
-func (s *Store) Alloc(account block.Account, data []byte) (block.Num, error) {
-	if err := s.checkData(data); err != nil {
-		return block.NilNum, err
-	}
-	n, err := s.reserveAlloc(account)
-	if err != nil {
-		return block.NilNum, err
-	}
-	r := getReq()
-	r.kind, r.alloc, r.num, r.account, r.data = recData, true, n, account, data
-	err = s.submit(r)
-	if err != nil && !r.queued {
-		s.dropReservation(n)
-	}
-	putReq(r)
-	if err != nil {
-		return block.NilNum, err
-	}
-	return n, nil
-}
-
 // Claim allocates a specific block number, failing if it is taken — the
 // same companion-pair operation block.Server has. Durable: a claim
 // appends an empty data record.
@@ -967,45 +908,12 @@ func (s *Store) Claim(account block.Account, n block.Num) error {
 	s.mu.Unlock()
 	r := getReq()
 	r.kind, r.num, r.account = recData, n, account
-	err := s.submit(r)
+	_, err := s.submitMany([]*writeReq{r})
 	putReq(r)
 	if err != nil {
 		s.dropReservation(n)
-		return err
 	}
-	return nil
-}
-
-// Free implements block.Store: durable once the free record is synced.
-func (s *Store) Free(account block.Account, n block.Num) error {
-	r := getReq()
-	r.kind, r.num, r.account = recFree, n, account
-	err := s.submit(r)
-	putReq(r)
 	return err
-}
-
-// Read implements block.Store. The payload is CRC-checked on every
-// read, so media corruption surfaces as ErrCorrupt rather than as
-// silently wrong data.
-func (s *Store) Read(account block.Account, n block.Num) ([]byte, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return nil, ErrClosed
-	}
-	if err := s.idx.checkOwner(account, n); err != nil {
-		return nil, err
-	}
-	s.stats.Reads++
-	e := s.idx.entries[n]
-	if e.loc == (loc{}) {
-		// Reserved by a Claim (or an Alloc still in flight): no record
-		// yet, so the block reads as zeroes like a never-written disk
-		// block.
-		return make([]byte, s.opt.BlockSize), nil
-	}
-	return s.readRecord(n, e.loc)
 }
 
 // readRecord loads and verifies the record at l; caller holds s.mu.
@@ -1029,19 +937,6 @@ func (s *Store) readRecord(n block.Num, l loc) ([]byte, error) {
 		return nil, fmt.Errorf("block %d (lane %d segment %d offset %d): record names block %d: %w", n, l.lane, l.seg, l.off, rec.num, ErrCorrupt)
 	}
 	return rec.data, nil
-}
-
-// Write implements block.Store: acknowledged only once the record is
-// durable (per the store's SyncMode).
-func (s *Store) Write(account block.Account, n block.Num, data []byte) error {
-	if err := s.checkData(data); err != nil {
-		return err
-	}
-	r := getReq()
-	r.kind, r.num, r.account, r.data = recData, n, account, data
-	err := s.submit(r)
-	putReq(r)
-	return err
 }
 
 // Lock implements block.Store. Lock bits are volatile (§5.2 commit
@@ -1102,7 +997,9 @@ var _ block.EpochStore = (*Store)(nil)
 // pipelines.
 
 // ReadMulti implements block.MultiStore: one index-lock acquisition for
-// the whole batch (all-or-nothing; reads modify nothing).
+// the whole batch (all-or-nothing; reads modify nothing). Every payload
+// is CRC-checked on every read, so media corruption surfaces as
+// ErrCorrupt rather than as silently wrong data.
 func (s *Store) ReadMulti(account block.Account, ns []block.Num) ([][]byte, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -1116,6 +1013,9 @@ func (s *Store) ReadMulti(account block.Account, ns []block.Num) ([][]byte, erro
 		}
 		e := s.idx.entries[n]
 		if e.loc == (loc{}) {
+			// Reserved by a Claim (or an alloc still in flight): no
+			// record yet, so the block reads as zeroes like a
+			// never-written disk block.
 			out[i] = make([]byte, s.opt.BlockSize)
 			continue
 		}
@@ -1158,9 +1058,13 @@ func (s *Store) WriteMulti(account block.Account, ns []block.Num, data [][]byte)
 func (s *Store) AllocMulti(account block.Account, data [][]byte) ([]block.Num, error) {
 	reqs := make([]*writeReq, len(data))
 	s.mu.Lock()
+	err := s.failed
 	if s.closed {
+		err = ErrClosed
+	}
+	if err != nil {
 		s.mu.Unlock()
-		return nil, &block.MultiError{Op: "alloc", Index: 0, N: len(data), Err: ErrClosed}
+		return nil, &block.MultiError{Op: "alloc", Index: 0, N: len(data), Err: err}
 	}
 	for i := range data {
 		n, err := s.idx.allocNum(account, s.opt.Capacity)

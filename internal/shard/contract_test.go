@@ -126,6 +126,35 @@ func TestShardContractMultiOps(t *testing.T) {
 	}
 }
 
+// TestShardContractScalars checks the single data path through the
+// facade: a scalar call is the fan-out operation at length one — same
+// data, sentinel and counter movement — on the facade and on its
+// trace-bound view, whose legs are span wrappers around the backends.
+// The backends are all in-memory here: which shard an allocation lands
+// on is the facade's choice, and over mixed backends that choice alone
+// would move the fsync counter differently.
+func TestShardContractScalars(t *testing.T) {
+	for _, nShards := range []int{1, 3} {
+		t.Run(fmt.Sprintf("%dshards", nShards), func(t *testing.T) {
+			build := func() *shard.Store {
+				backends := make([]block.Store, nShards)
+				for i := range backends {
+					backends[i] = memBackend(8, 64)
+				}
+				dut, err := shard.New(backends...)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return dut
+			}
+			blocktest.ScalarSuite(t, "shard", build(), blocktest.ScalarOpts{Capacity: 8 * nShards})
+			dut := build()
+			blocktest.ScalarSuite(t, "shard-traced", blocktest.TraceBound(t, dut),
+				blocktest.ScalarOpts{Capacity: 8 * nShards, Stats: dut})
+		})
+	}
+}
+
 // FuzzShardContract feeds random operation scripts to the reference
 // store and the mixed-backend facade in lockstep.
 func FuzzShardContract(f *testing.F) {

@@ -84,12 +84,33 @@ const defaultFreeEstimate = 1 << 20
 // (assuming the backends are, as every block.Store implementation in
 // this repo is).
 type Store struct {
+	// Scalar derives Alloc/Free/Read/Write from the fan-out operations.
+	block.Scalar
 	backends []block.Store
 	size     int
 	// free holds the advisory per-shard free-count estimates the
 	// allocation heuristic reads. They drift under partial failures and
 	// are never trusted for correctness.
 	free []atomic.Int64
+	// pick is the placement tie-break source, shared with trace-bound
+	// views.
+	pick *picker
+}
+
+// picker is the facade's own power-of-two-choices sample source: a PCG
+// stream with a fixed seed rather than the process-global generator, so
+// identically built facades replaying the same allocation script place
+// every block identically (repeatable fsync and RPC counts), and a
+// future fault simulator can replay a run.
+type picker struct {
+	mu sync.Mutex
+	r  *rand.Rand
+}
+
+func (p *picker) intN(n int) int {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.r.IntN(n)
 }
 
 // New builds a facade over the given backends, in placement order. All
@@ -106,7 +127,9 @@ func New(backends ...block.Store) (*Store, error) {
 				i, b.BlockSize(), size)
 		}
 	}
-	s := &Store{backends: backends, size: size, free: make([]atomic.Int64, len(backends))}
+	s := &Store{backends: backends, size: size, free: make([]atomic.Int64, len(backends)),
+		pick: &picker{r: rand.New(rand.NewPCG(0x5eed, 0xb10c))}}
+	s.Scalar = block.Scalar{Multi: s}
 	for i, b := range backends {
 		est := int64(defaultFreeEstimate)
 		if ur, ok := b.(block.UsageReporter); ok {
@@ -125,7 +148,8 @@ func New(backends ...block.Store) (*Store, error) {
 // mirror-half and segstore spans beneath it. The view shares the
 // facade's free estimates — only the span plumbing differs.
 func (s *Store) BindTrace(tc trace.Context) block.Store {
-	v := &Store{backends: make([]block.Store, len(s.backends)), size: s.size, free: s.free}
+	v := &Store{backends: make([]block.Store, len(s.backends)), size: s.size, free: s.free, pick: s.pick}
+	v.Scalar = block.Scalar{Multi: v}
 	for i, b := range s.backends {
 		v.backends[i] = block.Traced(b, tc, "shard", fmt.Sprintf("leg-%d", i))
 	}
@@ -172,9 +196,9 @@ func (s *Store) BlockSize() int { return s.size }
 // p2cPick samples two distinct shards and returns them with the one
 // holding the larger free estimate first — the power-of-two-choices
 // step. free is indexed by shard; n = len(free) must be ≥ 2.
-func p2cPick(free func(int) int64, n int) (winner, loser int) {
-	a := rand.IntN(n)
-	b := rand.IntN(n - 1)
+func (s *Store) p2cPick(free func(int) int64, n int) (winner, loser int) {
+	a := s.pick.intN(n)
+	b := s.pick.intN(n - 1)
 	if b >= a {
 		b++
 	}
@@ -193,7 +217,7 @@ func (s *Store) allocOrder() []int {
 	if n == 1 {
 		return append(order, 0)
 	}
-	a, b := p2cPick(func(i int) int64 { return s.free[i].Load() }, n)
+	a, b := s.p2cPick(func(i int) int64 { return s.free[i].Load() }, n)
 	order = append(order, a, b)
 	for i := 0; i < n; i++ {
 		if i != a && i != b {
@@ -218,12 +242,13 @@ func (s *Store) penalize(sh int) {
 	}
 }
 
-// Alloc implements block.Store: the chosen shard allocates a local
-// number, which is translated to the global number space. Full,
+// allocOne is AllocMulti's retry step for a payload whose batched shard
+// refused: each shard in allocOrder is asked for one block, and its
+// local number is translated to the global number space. Full,
 // unreachable or unaddressable shards are routed around; only when
-// every shard refuses does Alloc fail — with ErrNoSpace if space was
-// the only problem, otherwise with the first non-space error seen.
-func (s *Store) Alloc(account block.Account, data []byte) (block.Num, error) {
+// every shard refuses does it fail — with ErrNoSpace if space was the
+// only problem, otherwise with the first non-space error seen.
+func (s *Store) allocOne(account block.Account, data []byte) (block.Num, error) {
 	var firstErr error
 	for _, sh := range s.allocOrder() {
 		local, err := s.backends[sh].Alloc(account, data)
@@ -254,29 +279,6 @@ func (s *Store) Alloc(account block.Account, data []byte) (block.Num, error) {
 		return block.NilNum, firstErr
 	}
 	return block.NilNum, fmt.Errorf("all %d shards full: %w", len(s.backends), block.ErrNoSpace)
-}
-
-// Free implements block.Store.
-func (s *Store) Free(account block.Account, n block.Num) error {
-	sh, local := s.Locate(n)
-	if err := s.backends[sh].Free(account, local); err != nil {
-		return shardErr(sh, err)
-	}
-	s.free[sh].Add(1)
-	return nil
-}
-
-// Read implements block.Store.
-func (s *Store) Read(account block.Account, n block.Num) ([]byte, error) {
-	sh, local := s.Locate(n)
-	data, err := s.backends[sh].Read(account, local)
-	return data, shardErr(sh, err)
-}
-
-// Write implements block.Store.
-func (s *Store) Write(account block.Account, n block.Num, data []byte) error {
-	sh, local := s.Locate(n)
-	return shardErr(sh, s.backends[sh].Write(account, local, data))
 }
 
 // Lock implements block.Store: the lock bit lives on the shard owning
@@ -408,20 +410,16 @@ type subOp struct {
 	orig   []int
 }
 
-// split partitions caller-order block numbers by shard, preserving
-// relative order within each shard (so a shard's first failure is also
-// the lowest caller-order failure it holds).
-func (s *Store) split(ns []block.Num) map[int]*subOp {
-	parts := make(map[int]*subOp)
+// split partitions caller-order block numbers by shard (the result is
+// indexed by shard; untouched shards stay empty), preserving relative
+// order within each shard, so a shard's first failure is also the
+// lowest caller-order failure it holds.
+func (s *Store) split(ns []block.Num) []subOp {
+	parts := make([]subOp, len(s.backends))
 	for i, n := range ns {
 		sh, local := s.Locate(n)
-		p := parts[sh]
-		if p == nil {
-			p = &subOp{}
-			parts[sh] = p
-		}
-		p.locals = append(p.locals, local)
-		p.orig = append(p.orig, i)
+		parts[sh].locals = append(parts[sh].locals, local)
+		parts[sh].orig = append(parts[sh].orig, i)
 	}
 	return parts
 }
@@ -429,14 +427,14 @@ func (s *Store) split(ns []block.Num) map[int]*subOp {
 // firstFailure reduces concurrent per-shard failures to the error a
 // sequential pass would have returned: each shard's block.MultiError
 // index is translated to caller order, and the lowest one wins.
-func firstFailure(op string, total int, parts map[int]*subOp, errs map[int]error) error {
+func firstFailure(op string, total int, parts []subOp, errs []error) error {
 	bestIdx := total
 	var best error
 	for sh, err := range errs {
 		if err == nil {
 			continue
 		}
-		p := parts[sh]
+		p := &parts[sh]
 		idx := p.orig[0]
 		var me *block.MultiError
 		if errors.As(err, &me) && me.Index >= 0 && me.Index < len(p.orig) {
@@ -453,26 +451,30 @@ func firstFailure(op string, total int, parts map[int]*subOp, errs map[int]error
 	return &block.MultiError{Op: op, Index: bestIdx, N: total, Err: best}
 }
 
-// fanOut runs fn once per shard part concurrently and collects errors.
-func fanOut(parts map[int]*subOp, fn func(sh int, p *subOp) error) map[int]error {
-	errs := make(map[int]error, len(parts))
-	if len(parts) == 1 {
-		for sh, p := range parts {
-			errs[sh] = fn(sh, p)
+// fanOut runs fn once per non-empty shard part and collects the errors
+// by shard — concurrently when more than one shard is touched.
+func fanOut(parts []subOp, fn func(sh int, p *subOp) error) []error {
+	errs := make([]error, len(parts))
+	touched := 0
+	for sh := range parts {
+		if len(parts[sh].orig) > 0 {
+			touched++
 		}
-		return errs
 	}
-	var mu sync.Mutex
 	var wg sync.WaitGroup
-	for sh, p := range parts {
-		wg.Add(1)
-		go func(sh int, p *subOp) {
-			defer wg.Done()
-			err := fn(sh, p)
-			mu.Lock()
-			errs[sh] = err
-			mu.Unlock()
-		}(sh, p)
+	for sh := range parts {
+		p := &parts[sh]
+		switch {
+		case len(p.orig) == 0:
+		case touched == 1:
+			errs[sh] = fn(sh, p)
+		default:
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				errs[sh] = fn(sh, p)
+			}()
+		}
 	}
 	wg.Wait()
 	return errs
@@ -548,19 +550,14 @@ func (s *Store) AllocMulti(account block.Account, data [][]byte) ([]block.Num, e
 	for i := range est {
 		est[i] = s.free[i].Load()
 	}
-	parts := make(map[int]*subOp)
+	parts := make([]subOp, n)
 	for i := range data {
 		sh := 0
 		if n > 1 {
-			sh, _ = p2cPick(func(i int) int64 { return est[i] }, n)
+			sh, _ = s.p2cPick(func(i int) int64 { return est[i] }, n)
 		}
 		est[sh]--
-		p := parts[sh]
-		if p == nil {
-			p = &subOp{}
-			parts[sh] = p
-		}
-		p.orig = append(p.orig, i)
+		parts[sh].orig = append(parts[sh].orig, i)
 	}
 
 	out := make([]block.Num, len(data))
@@ -615,12 +612,12 @@ func (s *Store) AllocMulti(account block.Account, data [][]byte) ([]block.Num, e
 	}
 
 	if len(pending) > 0 {
-		// The batched attempt failed for these payloads; Alloc routes
+		// The batched attempt failed for these payloads; allocOne routes
 		// each around full and unreachable shards, so the whole
 		// operation fails only when no shard will take a payload.
 		sort.Ints(pending)
 		for _, idx := range pending {
-			g, err := s.Alloc(account, data[idx])
+			g, err := s.allocOne(account, data[idx])
 			if err != nil {
 				rollback()
 				// Prefer the sequential failure over the batched ones:

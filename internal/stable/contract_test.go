@@ -122,6 +122,70 @@ func TestPairContractMultiOps(t *testing.T) {
 	}
 }
 
+// TestPairContractScalars checks the single data path of the mirror: a
+// scalar call runs the vectored companion protocol at length one — same
+// data, sentinel and backend counter movement — through the failover
+// front, its trace-bound view and each half directly, healthy and with
+// one half down, including a staged companion collision and a damaged
+// local copy.
+func TestPairContractScalars(t *testing.T) {
+	damage := func(d *disk.Disk) func(block.Num) {
+		if d == nil {
+			return nil // segstore half: its own contract test damages records
+		}
+		return func(n block.Num) {
+			if err := d.InjectCorruption(int(n)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	collideAt := func(h *stable.Half) func(block.Num) func() {
+		return func(n block.Num) func() {
+			if !h.TryLatch(n) {
+				t.Fatalf("block %d already latched", n)
+			}
+			return func() { h.Unlatch(n) }
+		}
+	}
+	for _, mix := range mixes {
+		for _, down := range []int{-1, 0, 1} {
+			t.Run(fmt.Sprintf("%s+%s/down=%d", mix[0], mix[1], down), func(t *testing.T) {
+				// build returns a fresh pair in the case's state, with the
+				// options for driving it through half `via` (the front
+				// serves through the first half that is up).
+				build := func(via int) (*pairDut, [2]*stable.Half, blocktest.ScalarOpts) {
+					_, dut := newPairDut(t, mix[0], mix[1], 16, 64)
+					a, b := dut.pair.Halves()
+					halves := [2]*stable.Half{a, b}
+					o := blocktest.ScalarOpts{Capacity: 16, Corrupt: damage(dut.disks[via]),
+						Stats: dut.stores[via].(block.StatsReporter)}
+					if down >= 0 {
+						halves[down].Crash()
+					} else {
+						o.Collide = collideAt(halves[1-via])
+					}
+					return dut, halves, o
+				}
+				primary := 0
+				if down == 0 {
+					primary = 1
+				}
+				dut, _, o := build(primary)
+				blocktest.ScalarSuite(t, "pair", dut.pair, o)
+				dut, _, o = build(primary)
+				blocktest.ScalarSuite(t, "pair-traced", blocktest.TraceBound(t, dut.pair), o)
+				for via := range 2 {
+					if via == down {
+						continue
+					}
+					_, halves, o := build(via)
+					blocktest.ScalarSuite(t, "half-"+halves[via].Name(), halves[via], o)
+				}
+			})
+		}
+	}
+}
+
 // TestPairContractHalfCrashed runs the whole contract over a degraded
 // pair — one half down, every mutation riding the intentions list —
 // then rejoins the half and requires both backends to agree.

@@ -56,6 +56,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sync"
 
 	"repro/internal/block"
@@ -100,7 +101,21 @@ type intent struct {
 // surface is block.Store (and block.MultiStore/block.PairStore), so file
 // services cannot tell a Half from a plain server — availability is
 // transparent, as the paper intends.
+//
+// Only the vectored data operations carry the companion protocol; the
+// scalar ones are the embedded block.Scalar's vector of one. Every
+// operation has one body: a trace-bound view (bind) shares the half's
+// state and differs only in tc, the context its backend legs record
+// mirror-layer spans under — zero, and therefore free, on the half
+// itself.
 type Half struct {
+	block.Scalar
+	*halfState
+	tc trace.Context
+}
+
+// halfState is one half's protocol state, shared by all its views.
+type halfState struct {
 	name string
 	st   block.PairStore
 
@@ -176,12 +191,27 @@ func NewPair(a, b block.PairStore) (*Half, *Half) {
 }
 
 func newHalf(name string, st block.PairStore) *Half {
-	return &Half{
+	return (&halfState{
 		name:     name,
 		st:       st,
 		latches:  make(map[block.Num]bool),
 		accounts: make(map[block.Account]bool),
+	}).view(trace.Context{})
+}
+
+// view returns a Half over s whose backend legs record under tc.
+func (s *halfState) view(tc trace.Context) *Half {
+	h := &Half{halfState: s, tc: tc}
+	h.Scalar = block.Scalar{Multi: h}
+	return h
+}
+
+// bind returns h's view for a sampled trace context, else h itself.
+func (h *Half) bind(tc trace.Context) *Half {
+	if !tc.Sampled() {
+		return h
 	}
+	return h.view(tc)
 }
 
 // TryLatch acquires the write-collision latch for block n, reporting
@@ -206,38 +236,30 @@ func (h *Half) Unlatch(n block.Num) {
 
 // latchAll acquires the latches of every distinct block in ns, or none:
 // a busy latch releases the ones already taken and reports the caller
-// order index that collided.
-func (h *Half) latchAll(ns []block.Num) (release func(), collidedAt int) {
+// order index that collided (-1: all latched; unlatchAll releases them).
+func (h *Half) latchAll(ns []block.Num) (collidedAt int) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	taken := make([]block.Num, 0, len(ns))
 	for i, n := range ns {
-		if h.latches[n] {
-			already := false
-			for _, t := range taken {
-				if t == n {
-					already = true // duplicate within this batch; ours
-					break
-				}
-			}
-			if already {
-				continue
-			}
-			for _, t := range taken {
+		// A latched block listed earlier in this batch is ours.
+		if h.latches[n] && !slices.Contains(ns[:i], n) {
+			for _, t := range ns[:i] {
 				delete(h.latches, t)
 			}
-			return nil, i
+			return i
 		}
 		h.latches[n] = true
-		taken = append(taken, n)
 	}
-	return func() {
-		h.mu.Lock()
-		defer h.mu.Unlock()
-		for _, t := range taken {
-			delete(h.latches, t)
-		}
-	}, -1
+	return -1
+}
+
+// unlatchAll releases the latches latchAll took for ns.
+func (h *Half) unlatchAll(ns []block.Num) {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	for _, n := range ns {
+		delete(h.latches, n)
+	}
 }
 
 // Name identifies the half ("A" or "B") in logs.
@@ -700,20 +722,21 @@ func (h *Half) copyAccount(comp *Half, acct block.Account) error {
 // BlockSize implements block.Store.
 func (h *Half) BlockSize() int { return h.st.BlockSize() }
 
-// legStore resolves one backend leg of the pair protocol: on a sampled
-// trace it opens a mirror-layer span named for this half and returns the
-// backend bound to the span's context (so segstore spans nest beneath
-// it); otherwise it returns the raw backend and a nil span, costing
-// nothing. Callers end the span with the leg's error.
-func (h *Half) legStore(tc trace.Context, op string) (*trace.Span, block.Store) {
-	if !tc.Sampled() {
+// legStore resolves one backend leg of the pair protocol: on a view
+// bound to a sampled trace it opens a mirror-layer span named for this
+// half and returns the backend bound to the span's context (so segstore
+// spans nest beneath it); otherwise it returns the raw backend and a nil
+// span, costing nothing. Callers end the span with the leg's error.
+func (h *Half) legStore(op string) (*trace.Span, block.Store) {
+	if !h.tc.Sampled() {
 		return nil, h.st
 	}
-	sp, ctx := tc.Start("mirror", "half-"+h.name+" "+op)
+	sp, ctx := h.tc.Start("mirror", "half-"+h.name+" "+op)
 	return sp, block.BindTrace(h.st, ctx)
 }
 
-// companionUp returns the companion if it is serving.
+// companionUp returns the companion if it is serving, as a view under
+// this half's trace context so the mirror legs join the same trace.
 func (h *Half) companionUp() *Half {
 	c := h.companion
 	c.mu.Lock()
@@ -721,7 +744,7 @@ func (h *Half) companionUp() *Half {
 	if c.down {
 		return nil
 	}
-	return c
+	return c.bind(h.tc)
 }
 
 // lockBoth acquires both halves' mutexes in the fixed pair-wide order
@@ -773,81 +796,26 @@ func copyData(data []byte) []byte {
 	return append([]byte(nil), data...)
 }
 
-// Alloc implements block.Store with the companion-first write protocol.
-func (h *Half) Alloc(account block.Account, data []byte) (block.Num, error) {
-	return h.allocT(trace.Context{}, account, data)
+// intents builds one outage record per listed block; data is nil for
+// operations that carry no payload.
+func intents(op byte, account block.Account, ns []block.Num, data [][]byte) []intent {
+	its := make([]intent, len(ns))
+	for i, n := range ns {
+		its[i] = intent{op: op, n: n, account: account}
+		if data != nil {
+			its[i].data = copyData(data[i])
+		}
+	}
+	return its
 }
 
-func (h *Half) allocT(tc trace.Context, account block.Account, data []byte) (block.Num, error) {
-	if h.Down() {
-		return block.NilNum, h.downErr()
-	}
-	h.note(account)
-	// Step 1: allocate locally (chooses the block number).
-	sp, st := h.legStore(tc, "alloc")
-	n, err := st.Alloc(account, data)
-	sp.End(err)
-	if err != nil {
-		return block.NilNum, h.selfCheck(err)
-	}
-	// Step 2: the companion mirrors the choice and writes. The loop
-	// covers the races around outage transitions: a companion dying
-	// mid-call falls back to the intentions list, and a companion that
-	// rejoined between the check and the append mirrors directly.
-	for {
-		comp := h.companionUp()
-		if comp == nil {
-			if h.keepIntentsFor(h.companion, intent{op: 'a', n: n, account: account, data: copyData(data)}) {
-				return n, nil
-			}
-			continue
-		}
-		if err := comp.acceptCompanionAlloc(tc, account, n, data); err != nil {
-			if h.companionLost(comp, err) {
-				continue
-			}
-			// Collision: another client allocated the same number via
-			// the companion. Undo and report; the client redoes the
-			// call.
-			_ = h.st.Free(account, n)
-			if errors.Is(err, ErrCollision) {
-				h.mu.Lock()
-				h.stats.Collisions++
-				h.mu.Unlock()
-			}
-			return block.NilNum, err
-		}
+// noteCollision counts a collision reported by the companion.
+func (h *Half) noteCollision(err error) {
+	if errors.Is(err, ErrCollision) {
 		h.mu.Lock()
-		h.stats.CompanionWrites++
+		h.stats.Collisions++
 		h.mu.Unlock()
-		return n, nil
 	}
-}
-
-// acceptCompanionAlloc is the companion side of Alloc: claim the same
-// block number and write the data. A claim that fails because the number
-// is taken is exactly the paper's allocate collision.
-func (h *Half) acceptCompanionAlloc(tc trace.Context, account block.Account, n block.Num, data []byte) error {
-	if h.Down() {
-		return h.downErr()
-	}
-	h.note(account)
-	if err := h.st.Claim(account, n); err != nil {
-		if unreachable(err) {
-			return err
-		}
-		return fmt.Errorf("block %d: %v: %w", n, err, ErrCollision)
-	}
-	sp, st := h.legStore(tc, "mirror-alloc")
-	err := st.Write(account, n, data)
-	sp.End(err)
-	if err != nil {
-		if !unreachable(err) {
-			_ = h.st.Free(account, n)
-		}
-		return err
-	}
-	return nil
 }
 
 // Claim implements block.PairStore: the caller-chosen number is claimed
@@ -874,18 +842,16 @@ func (h *Half) Claim(account block.Account, n block.Num) error {
 				continue
 			}
 			_ = h.st.Free(account, n)
-			if errors.Is(err, ErrCollision) {
-				h.mu.Lock()
-				h.stats.Collisions++
-				h.mu.Unlock()
-			}
+			h.noteCollision(err)
 			return err
 		}
 		return nil
 	}
 }
 
-// acceptCompanionClaim mirrors a claim on the companion side.
+// acceptCompanionClaim mirrors a claim on the companion side. A claim
+// that fails because the number is taken is exactly the paper's
+// allocate collision.
 func (h *Half) acceptCompanionClaim(account block.Account, n block.Num) error {
 	if h.Down() {
 		return h.downErr()
@@ -900,183 +866,22 @@ func (h *Half) acceptCompanionClaim(account block.Account, n block.Num) error {
 	return nil
 }
 
-// Free implements block.Store.
-func (h *Half) Free(account block.Account, n block.Num) error {
-	return h.freeT(trace.Context{}, account, n)
-}
-
-func (h *Half) freeT(tc trace.Context, account block.Account, n block.Num) error {
-	if h.Down() {
-		return h.downErr()
-	}
-	h.note(account)
-	sp, st := h.legStore(tc, "free")
-	err := st.Free(account, n)
-	sp.End(err)
-	if err != nil {
-		return h.selfCheck(err)
-	}
-	for {
-		comp := h.companionUp()
-		if comp == nil {
-			if h.keepIntentsFor(h.companion, intent{op: 'f', n: n, account: account}) {
-				return nil
-			}
-			continue
-		}
-		if err := comp.acceptCompanionFree(tc, account, n); err != nil && h.companionLost(comp, err) {
-			continue
-		}
-		// Semantic companion failures are best-effort; recovery
-		// reconciles.
-		return nil
-	}
-}
-
-// acceptCompanionFree mirrors a free on the companion side.
-func (h *Half) acceptCompanionFree(tc trace.Context, account block.Account, n block.Num) error {
-	if h.Down() {
-		return h.downErr()
-	}
-	h.note(account)
-	sp, st := h.legStore(tc, "mirror-free")
-	err := st.Free(account, n)
-	sp.End(err)
-	return err
-}
-
-// Read implements block.Store. Per §4, "For reads, the block server need
-// not consult its companion server, except when the block on its disk is
-// corrupted." The corrupt local copy is repaired from the good one.
-func (h *Half) Read(account block.Account, n block.Num) ([]byte, error) {
-	return h.readT(trace.Context{}, account, n)
-}
-
-func (h *Half) readT(tc trace.Context, account block.Account, n block.Num) ([]byte, error) {
-	if h.Down() {
-		return nil, h.downErr()
-	}
-	sp, st := h.legStore(tc, "read")
-	data, err := st.Read(account, n)
-	sp.End(err)
-	if err == nil {
-		return data, nil
-	}
-	if !errors.Is(err, block.ErrCorrupt) {
-		return nil, h.selfCheck(err)
-	}
-	comp := h.companionUp()
-	if comp == nil {
-		return nil, fmt.Errorf("stable: local corrupt and companion down: %w", err)
-	}
-	data, cerr := comp.st.Read(account, n)
-	if cerr != nil {
-		if h.companionLost(comp, cerr) {
-			return nil, fmt.Errorf("stable: local corrupt and companion down: %w", err)
-		}
-		return nil, fmt.Errorf("stable: both copies bad: local %v, companion %w", err, cerr)
-	}
-	// Repair the local copy from the good one. A backend dying under
-	// the repair write routes through selfCheck like every other local
-	// leg, so the pair front retries on the companion that just served
-	// the good copy.
-	if werr := h.st.Write(account, n, data); werr != nil {
-		return nil, h.selfCheck(fmt.Errorf("stable: repair failed: %w", werr))
-	}
-	h.mu.Lock()
-	h.stats.CorruptFallbacks++
-	h.stats.Repairs++
-	h.mu.Unlock()
-	return data, nil
-}
-
-// Write implements block.Store with companion-first ordering, which makes
-// write collisions detectable before damage is done: the companion
-// serialises both clients' writes on its latch table.
-func (h *Half) Write(account block.Account, n block.Num, data []byte) error {
-	return h.writeT(trace.Context{}, account, n, data)
-}
-
-func (h *Half) writeT(tc trace.Context, account block.Account, n block.Num, data []byte) error {
-	if h.Down() {
-		return h.downErr()
-	}
-	h.note(account)
-	for {
-		comp := h.companionUp()
-		if comp == nil {
-			// Outage path: record the intent BEFORE the local write,
-			// atomically with a companion-still-down check. A write
-			// that then fails returns its error unacknowledged; the
-			// stray intent replays the same unacked bytes at worst —
-			// equivalent to a torn mirror write.
-			if !h.keepIntentsFor(h.companion, intent{op: 'w', n: n, account: account, data: copyData(data)}) {
-				continue
-			}
-			sp, st := h.legStore(tc, "write")
-			err := st.Write(account, n, data)
-			sp.End(err)
-			return h.selfCheck(err)
-		}
-		if err := comp.acceptCompanionWrite(tc, account, n, data); err != nil {
-			if h.companionLost(comp, err) {
-				continue
-			}
-			if errors.Is(err, ErrCollision) {
-				h.mu.Lock()
-				h.stats.Collisions++
-				h.mu.Unlock()
-			}
-			return err
-		}
-		h.mu.Lock()
-		h.stats.CompanionWrites++
-		h.mu.Unlock()
-		sp, st := h.legStore(tc, "write")
-		err := st.Write(account, n, data)
-		sp.End(err)
-		return h.selfCheck(err)
-	}
-}
-
-// acceptCompanionWrite performs the companion-first write under the
-// block's write latch so concurrent writers of the same block via
-// different halves collide here instead of interleaving.
-func (h *Half) acceptCompanionWrite(tc trace.Context, account block.Account, n block.Num, data []byte) error {
-	if h.Down() {
-		return h.downErr()
-	}
-	h.note(account)
-	if !h.TryLatch(n) {
-		return fmt.Errorf("block %d write: %w", n, ErrCollision)
-	}
-	defer h.Unlatch(n)
-	sp, st := h.legStore(tc, "mirror-write")
-	err := st.Write(account, n, data)
-	sp.End(err)
-	return err
-}
-
 // Lock implements block.Store; the lock lives on whichever half receives
 // it plus its companion, so the commit critical section holds across the
 // pair.
 func (h *Half) Lock(account block.Account, n block.Num) error {
-	return h.lockT(trace.Context{}, account, n)
-}
-
-func (h *Half) lockT(tc trace.Context, account block.Account, n block.Num) error {
 	if h.Down() {
 		return h.downErr()
 	}
 	h.note(account)
-	sp, st := h.legStore(tc, "lock")
+	sp, st := h.legStore("lock")
 	err := st.Lock(account, n)
 	sp.End(err)
 	if err != nil {
 		return h.selfCheck(err)
 	}
 	if comp := h.companionUp(); comp != nil {
-		if err := comp.acceptCompanionLock(tc, account, n); err != nil && !h.companionLost(comp, err) {
+		if err := comp.acceptCompanionLockOp("mirror-lock", block.Store.Lock, account, n); err != nil && !h.companionLost(comp, err) {
 			_ = h.st.Unlock(account, n)
 			return err
 		}
@@ -1084,44 +889,31 @@ func (h *Half) lockT(tc trace.Context, account block.Account, n block.Num) error
 	return nil
 }
 
-func (h *Half) acceptCompanionLock(tc trace.Context, account block.Account, n block.Num) error {
+// acceptCompanionLockOp mirrors a lock or unlock on the companion side.
+func (h *Half) acceptCompanionLockOp(leg string, op func(block.Store, block.Account, block.Num) error, account block.Account, n block.Num) error {
 	if h.Down() {
 		return h.downErr()
 	}
-	sp, st := h.legStore(tc, "mirror-lock")
-	err := st.Lock(account, n)
+	sp, st := h.legStore(leg)
+	err := op(st, account, n)
 	sp.End(err)
 	return err
 }
 
 // Unlock implements block.Store.
 func (h *Half) Unlock(account block.Account, n block.Num) error {
-	return h.unlockT(trace.Context{}, account, n)
-}
-
-func (h *Half) unlockT(tc trace.Context, account block.Account, n block.Num) error {
 	if h.Down() {
 		return h.downErr()
 	}
 	if comp := h.companionUp(); comp != nil {
-		if err := comp.acceptCompanionUnlock(tc, account, n); err != nil {
+		if err := comp.acceptCompanionLockOp("mirror-unlock", block.Store.Unlock, account, n); err != nil {
 			_ = h.companionLost(comp, err) // best-effort; locks are volatile
 		}
 	}
-	sp, st := h.legStore(tc, "unlock")
+	sp, st := h.legStore("unlock")
 	err := st.Unlock(account, n)
 	sp.End(err)
 	return h.selfCheck(err)
-}
-
-func (h *Half) acceptCompanionUnlock(tc trace.Context, account block.Account, n block.Num) error {
-	if h.Down() {
-		return h.downErr()
-	}
-	sp, st := h.legStore(tc, "mirror-unlock")
-	err := st.Unlock(account, n)
-	sp.End(err)
-	return err
 }
 
 // Recover implements block.Store.
@@ -1145,43 +937,38 @@ func (h *Half) ClearLocks() {
 	h.st.ClearLocks()
 }
 
-var _ block.Store = (*Half)(nil)
 var _ block.MultiStore = (*Half)(nil)
 var _ block.PairStore = (*Half)(nil)
 
-// --- the multi-block operations ---
+// --- the data operations ---
 //
-// The pair protocol batches exactly like its backends do: the
-// companion-first leg of an N-block write is one batched call on the
-// companion's store (over a TCP mount: one batched RPC stream), the
-// local leg another, and an outage records N intents which are replayed
-// batched on rejoin. The block.MultiStore partial-failure contract is
-// preserved; a collision anywhere in the batch is detected before any
-// damage and reported as ErrCollision for the pair front to retry.
+// The pair protocol is vectored: the companion-first leg of an N-block
+// write is one batched call on the companion's store (over a TCP mount:
+// one batched RPC stream), the local leg another, and an outage records
+// N intents which are replayed batched on rejoin. A scalar call is the
+// same protocol at N = 1. The block.MultiStore partial-failure contract
+// is preserved; a collision anywhere in the batch is detected before
+// any damage and reported as ErrCollision for the pair front to retry.
 
-// ReadMulti implements block.MultiStore: the local batched read serves
-// the whole batch; only when it reports corruption does the half fall
-// back to the per-block path, which repairs from the companion.
+// ReadMulti implements block.MultiStore. Per §4, "For reads, the block
+// server need not consult its companion server, except when the block on
+// its disk is corrupted": the local batched read serves the whole batch;
+// only when it reports corruption does the half take each block through
+// readRepair, which fetches and repairs from the companion.
 func (h *Half) ReadMulti(account block.Account, ns []block.Num) ([][]byte, error) {
-	return h.readMultiT(trace.Context{}, account, ns)
-}
-
-func (h *Half) readMultiT(tc trace.Context, account block.Account, ns []block.Num) ([][]byte, error) {
 	if h.Down() {
 		return nil, h.downErr()
 	}
 	h.note(account)
-	sp, st := h.legStore(tc, "readMulti")
+	sp, st := h.legStore("readMulti")
 	out, err := block.ReadMulti(st, account, ns)
 	sp.End(err)
 	if err == nil || !errors.Is(err, block.ErrCorrupt) {
 		return out, h.selfCheck(err)
 	}
-	// A corrupt block in the batch: take the slow path so each bad
-	// block is fetched from (and repaired from) the companion.
 	out = make([][]byte, len(ns))
 	for i, n := range ns {
-		data, rerr := h.readT(tc, account, n)
+		data, rerr := h.readRepair(account, n)
 		if rerr != nil {
 			return nil, &block.MultiError{Op: "read", Index: i, N: len(ns), Err: rerr}
 		}
@@ -1190,17 +977,49 @@ func (h *Half) readMultiT(tc trace.Context, account block.Account, ns []block.Nu
 	return out, nil
 }
 
-// WriteMulti implements block.MultiStore with companion-first ordering:
-// every distinct block in the batch is latched on the companion, the
+// readRepair reads one block of a batch that reported corruption: a
+// corrupt local copy is served from the companion's and rewritten from
+// it.
+func (h *Half) readRepair(account block.Account, n block.Num) ([]byte, error) {
+	data, err := h.st.Read(account, n)
+	if err == nil {
+		return data, nil
+	}
+	if !errors.Is(err, block.ErrCorrupt) {
+		return nil, h.selfCheck(err)
+	}
+	comp := h.companionUp()
+	if comp == nil {
+		return nil, fmt.Errorf("stable: local corrupt and companion down: %w", err)
+	}
+	data, cerr := comp.st.Read(account, n)
+	if cerr != nil {
+		if h.companionLost(comp, cerr) {
+			return nil, fmt.Errorf("stable: local corrupt and companion down: %w", err)
+		}
+		return nil, fmt.Errorf("stable: both copies bad: local %v, companion %w", err, cerr)
+	}
+	// A backend dying under the repair write routes through selfCheck
+	// like every other local leg, so the pair front retries on the
+	// companion that just served the good copy.
+	if werr := h.st.Write(account, n, data); werr != nil {
+		return nil, h.selfCheck(fmt.Errorf("stable: repair failed: %w", werr))
+	}
+	h.mu.Lock()
+	h.stats.CorruptFallbacks++
+	h.stats.Repairs++
+	h.mu.Unlock()
+	return data, nil
+}
+
+// WriteMulti implements block.MultiStore with companion-first ordering,
+// which makes write collisions detectable before damage is done: every
+// distinct block in the batch is latched on the companion, the
 // companion applies the whole batch with one call, then the local
 // backend does the same. Per-block independence holds on both halves;
 // the first semantic failure is returned after both legs have applied
-// what they individually could, exactly as N lone Writes would have.
+// what they individually could.
 func (h *Half) WriteMulti(account block.Account, ns []block.Num, data [][]byte) error {
-	return h.writeMultiT(trace.Context{}, account, ns, data)
-}
-
-func (h *Half) writeMultiT(tc trace.Context, account block.Account, ns []block.Num, data [][]byte) error {
 	if len(ns) != len(data) {
 		return fmt.Errorf("stable: multi write with %d blocks, %d payloads", len(ns), len(data))
 	}
@@ -1211,53 +1030,45 @@ func (h *Half) writeMultiT(tc trace.Context, account block.Account, ns []block.N
 	for {
 		comp := h.companionUp()
 		if comp == nil {
-			// Outage path: the whole batch is recorded before the
-			// local write (per-block refusals replay tolerantly on
-			// rejoin; see Write for why intent-before-write is safe).
-			its := make([]intent, len(ns))
-			for i := range ns {
-				its[i] = intent{op: 'w', n: ns[i], account: account, data: copyData(data[i])}
-			}
-			if !h.keepIntentsFor(h.companion, its...) {
+			// Outage path: record the intents BEFORE the local write,
+			// atomically with a companion-still-down check. A write that
+			// then fails returns its error unacknowledged; the stray
+			// intent replays the same unacked bytes at worst —
+			// equivalent to a torn mirror write (per-block refusals
+			// replay tolerantly on rejoin).
+			if !h.keepIntentsFor(h.companion, intents('w', account, ns, data)...) {
 				continue
 			}
-			sp, st := h.legStore(tc, "writeMulti")
-			err := block.WriteMulti(st, account, ns, data)
-			sp.End(err)
-			if err != nil && !isPerBlock(err) {
-				return h.selfCheck(err)
-			}
-			return err
-		}
-		if err := comp.acceptCompanionWriteMulti(tc, account, ns, data); err != nil {
+		} else if err := comp.acceptCompanionWriteMulti(account, ns, data); err != nil {
 			switch {
 			case h.companionLost(comp, err):
 				continue
-			case errors.Is(err, ErrCollision):
-				h.mu.Lock()
-				h.stats.Collisions++
-				h.mu.Unlock()
+			case errors.Is(err, ErrCollision) || len(ns) == 1:
+				// A collision modified nothing; a refused single block
+				// skips the local leg so the mirrors cannot diverge.
+				h.noteCollision(err)
 				return err
 			default:
 				// The companion refused some entry per-block, and only
 				// the first refusal is reported — a blanket local write
 				// could apply an entry the companion skipped and
 				// silently diverge the mirrors. Take each block through
-				// the single-write protocol instead, which skips the
-				// local leg exactly where the companion refuses.
+				// the protocol on its own instead, which skips the local
+				// leg exactly where the companion refuses.
 				var first error
 				for i := range ns {
-					if werr := h.writeT(tc, account, ns[i], data[i]); werr != nil && first == nil {
+					if werr := h.Write(account, ns[i], data[i]); werr != nil && first == nil {
 						first = &block.MultiError{Op: "write", Index: i, N: len(ns), Err: werr}
 					}
 				}
 				return first
 			}
+		} else {
+			h.mu.Lock()
+			h.stats.CompanionWrites += uint64(len(ns))
+			h.mu.Unlock()
 		}
-		h.mu.Lock()
-		h.stats.CompanionWrites += uint64(len(ns))
-		h.mu.Unlock()
-		sp, st := h.legStore(tc, "writeMulti")
+		sp, st := h.legStore("writeMulti")
 		err := block.WriteMulti(st, account, ns, data)
 		sp.End(err)
 		return h.selfCheck(err)
@@ -1266,39 +1077,39 @@ func (h *Half) writeMultiT(tc trace.Context, account block.Account, ns []block.N
 
 // acceptCompanionWriteMulti is the companion leg of WriteMulti: all
 // latches or none (a busy latch is a write collision, detected before
-// any damage), then one batched write.
-func (h *Half) acceptCompanionWriteMulti(tc trace.Context, account block.Account, ns []block.Num, data [][]byte) error {
+// any damage — concurrent writers of one block via different halves
+// collide here instead of interleaving), then one batched write.
+func (h *Half) acceptCompanionWriteMulti(account block.Account, ns []block.Num, data [][]byte) error {
 	if h.Down() {
 		return h.downErr()
 	}
 	h.note(account)
-	release, collidedAt := h.latchAll(ns)
-	if release == nil {
-		return &block.MultiError{Op: "write", Index: collidedAt, N: len(ns),
-			Err: fmt.Errorf("block %d write: %w", ns[collidedAt], ErrCollision)}
+	if at := h.latchAll(ns); at >= 0 {
+		return &block.MultiError{Op: "write", Index: at, N: len(ns),
+			Err: fmt.Errorf("block %d write: %w", ns[at], ErrCollision)}
 	}
-	defer release()
-	sp, st := h.legStore(tc, "mirror-writeMulti")
+	defer h.unlatchAll(ns)
+	sp, st := h.legStore("mirror-writeMulti")
 	err := block.WriteMulti(st, account, ns, data)
 	sp.End(err)
 	return err
 }
 
-// AllocMulti implements block.MultiStore: the local backend chooses all
-// numbers with one batched allocation, the companion mirrors them
-// (claims, then one batched write). All-or-nothing per the contract; a
-// claim refused at the companion rolls everything back and reports
-// ErrCollision for the pair front to retry.
+// AllocMulti implements block.MultiStore with the §4 allocate-and-write
+// protocol: the local backend chooses all numbers with one batched
+// allocation, the companion mirrors them (claims, then one batched
+// write). All-or-nothing per the contract; a claim refused at the
+// companion rolls everything back and reports ErrCollision for the pair
+// front to retry. The loop covers the races around outage transitions:
+// a companion dying mid-call falls back to the intentions list, and a
+// companion that rejoined between the check and the append mirrors
+// directly.
 func (h *Half) AllocMulti(account block.Account, data [][]byte) ([]block.Num, error) {
-	return h.allocMultiT(trace.Context{}, account, data)
-}
-
-func (h *Half) allocMultiT(tc trace.Context, account block.Account, data [][]byte) ([]block.Num, error) {
 	if h.Down() {
 		return nil, h.downErr()
 	}
 	h.note(account)
-	sp, st := h.legStore(tc, "allocMulti")
+	sp, st := h.legStore("allocMulti")
 	ns, err := block.AllocMulti(st, account, data)
 	sp.End(err)
 	if err != nil {
@@ -1307,21 +1118,17 @@ func (h *Half) allocMultiT(tc trace.Context, account block.Account, data [][]byt
 	for {
 		comp := h.companionUp()
 		if comp == nil {
-			if h.keepIntentsFor(h.companion, allocIntents(ns, account, data)...) {
+			if h.keepIntentsFor(h.companion, intents('a', account, ns, data)...) {
 				return ns, nil
 			}
 			continue
 		}
-		if err := comp.acceptCompanionAllocMulti(tc, account, ns, data); err != nil {
+		if err := comp.acceptCompanionAllocMulti(account, ns, data); err != nil {
 			if h.companionLost(comp, err) {
 				continue
 			}
 			_ = block.FreeMulti(h.st, account, ns)
-			if errors.Is(err, ErrCollision) {
-				h.mu.Lock()
-				h.stats.Collisions++
-				h.mu.Unlock()
-			}
+			h.noteCollision(err)
 			return nil, err
 		}
 		h.mu.Lock()
@@ -1331,18 +1138,9 @@ func (h *Half) allocMultiT(tc trace.Context, account block.Account, data [][]byt
 	}
 }
 
-// allocIntents builds one alloc intent per freshly chosen number.
-func allocIntents(ns []block.Num, account block.Account, data [][]byte) []intent {
-	its := make([]intent, len(ns))
-	for i := range ns {
-		its[i] = intent{op: 'a', n: ns[i], account: account, data: copyData(data[i])}
-	}
-	return its
-}
-
 // acceptCompanionAllocMulti mirrors a batch of allocations: claim every
 // number (all or nothing), then write the payloads with one call.
-func (h *Half) acceptCompanionAllocMulti(tc trace.Context, account block.Account, ns []block.Num, data [][]byte) error {
+func (h *Half) acceptCompanionAllocMulti(account block.Account, ns []block.Num, data [][]byte) error {
 	if h.Down() {
 		return h.downErr()
 	}
@@ -1357,30 +1155,24 @@ func (h *Half) acceptCompanionAllocMulti(tc trace.Context, account block.Account
 				Err: fmt.Errorf("block %d: %v: %w", n, err, ErrCollision)}
 		}
 	}
-	sp, st := h.legStore(tc, "mirror-allocMulti")
+	sp, st := h.legStore("mirror-allocMulti")
 	err := block.WriteMulti(st, account, ns, data)
 	sp.End(err)
-	if err != nil {
-		if !unreachable(err) {
-			_ = block.FreeMulti(h.st, account, ns)
-		}
-		return err
+	if err != nil && !unreachable(err) {
+		_ = block.FreeMulti(h.st, account, ns)
 	}
-	return nil
+	return err
 }
 
 // FreeMulti implements block.MultiStore: one batched free per half,
-// per-block independence as the contract requires.
+// per-block independence as the contract requires. Semantic companion
+// failures are best-effort; recovery reconciles.
 func (h *Half) FreeMulti(account block.Account, ns []block.Num) error {
-	return h.freeMultiT(trace.Context{}, account, ns)
-}
-
-func (h *Half) freeMultiT(tc trace.Context, account block.Account, ns []block.Num) error {
 	if h.Down() {
 		return h.downErr()
 	}
 	h.note(account)
-	sp, st := h.legStore(tc, "freeMulti")
+	sp, st := h.legStore("freeMulti")
 	err := block.FreeMulti(st, account, ns)
 	sp.End(err)
 	if err != nil && !isPerBlock(err) {
@@ -1389,33 +1181,24 @@ func (h *Half) freeMultiT(tc trace.Context, account block.Account, ns []block.Nu
 	for {
 		comp := h.companionUp()
 		if comp == nil {
-			if h.keepIntentsFor(h.companion, freeIntents(ns, account)...) {
+			if h.keepIntentsFor(h.companion, intents('f', account, ns, nil)...) {
 				return err
 			}
 			continue
 		}
-		if cerr := comp.acceptCompanionFreeMulti(tc, account, ns); cerr != nil && h.companionLost(comp, cerr) {
+		if cerr := comp.acceptCompanionFreeMulti(account, ns); cerr != nil && h.companionLost(comp, cerr) {
 			continue
 		}
 		return err
 	}
 }
 
-// freeIntents builds one free intent per listed number.
-func freeIntents(ns []block.Num, account block.Account) []intent {
-	its := make([]intent, len(ns))
-	for i, n := range ns {
-		its[i] = intent{op: 'f', n: n, account: account}
-	}
-	return its
-}
-
-func (h *Half) acceptCompanionFreeMulti(tc trace.Context, account block.Account, ns []block.Num) error {
+func (h *Half) acceptCompanionFreeMulti(account block.Account, ns []block.Num) error {
 	if h.Down() {
 		return h.downErr()
 	}
 	h.note(account)
-	sp, st := h.legStore(tc, "mirror-freeMulti")
+	sp, st := h.legStore("mirror-freeMulti")
 	err := block.FreeMulti(st, account, ns)
 	sp.End(err)
 	return err
@@ -1434,11 +1217,22 @@ func isPerBlock(err error) bool {
 // Pair bundles both halves behind one block.Store that fails over
 // automatically: requests go to the primary half and fall back to the
 // companion, reproducing "Clients send requests to the alternative block
-// server if the primary fails to respond."
+// server if the primary fails to respond." A trace-bound view of the
+// pair (BindTrace) is the same front over trace-bound views of the two
+// halves.
 type Pair struct {
-	a, b *Half
-	rng  *rand.Rand
-	mu   sync.Mutex
+	block.Scalar
+	a, b    *Half
+	backoff *backoff
+}
+
+// backoff is the pair's collision-backoff randomness: its own seeded
+// source (no global math/rand state), so concurrent pairs are
+// race-clean and a test's backoff schedule is reproducible from its
+// seed.
+type backoff struct {
+	mu  sync.Mutex
+	rng *rand.Rand
 }
 
 // NewFailoverPair builds the two halves plus the failover front over any
@@ -1448,12 +1242,25 @@ func NewFailoverPair(a, b block.PairStore) *Pair {
 }
 
 // NewFailoverPairSeed is NewFailoverPair with the collision-backoff
-// randomness seeded explicitly. Each pair owns its seeded source (no
-// global math/rand state), so concurrent pairs are race-clean and a
-// test's backoff schedule is reproducible from its seed.
+// randomness seeded explicitly.
 func NewFailoverPairSeed(a, b block.PairStore, seed int64) *Pair {
 	ha, hb := NewPair(a, b)
-	return &Pair{a: ha, b: hb, rng: rand.New(rand.NewSource(seed))}
+	return newFront(ha, hb, &backoff{rng: rand.New(rand.NewSource(seed))})
+}
+
+func newFront(a, b *Half, bo *backoff) *Pair {
+	p := &Pair{a: a, b: b, backoff: bo}
+	p.Scalar = block.Scalar{Multi: p}
+	return p
+}
+
+// BindTrace implements block.TraceBinder: operations on the bound view
+// run the same failover pair protocol, but each backend leg — the
+// serving half's own write and the companion-first mirror write —
+// records a mirror-layer span and passes the trace context down to its
+// backend (so segstore lane spans nest under the half that issued them).
+func (p *Pair) BindTrace(tc trace.Context) block.Store {
+	return newFront(p.a.bind(tc), p.b.bind(tc), p.backoff)
 }
 
 // Halves returns the two halves for fault injection.
@@ -1575,9 +1382,9 @@ func (p *Pair) retryCollision(fn func(h *Half) error) error {
 		// Random backoff: the simulated equivalent of the paper's
 		// "redo the operation after a random wait interval". We spin
 		// on the scheduler rather than sleeping to keep tests fast.
-		p.mu.Lock()
-		spins := p.rng.Intn(1 << uint(min(attempt, 8)))
-		p.mu.Unlock()
+		p.backoff.mu.Lock()
+		spins := p.backoff.rng.Intn(1 << uint(min(attempt, 8)))
+		p.backoff.mu.Unlock()
 		for i := 0; i < spins; i++ {
 			_ = i
 		}
@@ -1586,38 +1393,6 @@ func (p *Pair) retryCollision(fn func(h *Half) error) error {
 
 // BlockSize implements block.Store.
 func (p *Pair) BlockSize() int { return p.a.BlockSize() }
-
-// Alloc implements block.Store with failover and collision retry.
-func (p *Pair) Alloc(account block.Account, data []byte) (block.Num, error) {
-	var n block.Num
-	err := p.retryCollision(func(h *Half) error {
-		var e error
-		n, e = h.Alloc(account, data)
-		return e
-	})
-	return n, err
-}
-
-// Free implements block.Store.
-func (p *Pair) Free(account block.Account, n block.Num) error {
-	return p.retryCollision(func(h *Half) error { return h.Free(account, n) })
-}
-
-// Read implements block.Store.
-func (p *Pair) Read(account block.Account, n block.Num) ([]byte, error) {
-	var data []byte
-	err := p.retryCollision(func(h *Half) error {
-		var e error
-		data, e = h.Read(account, n)
-		return e
-	})
-	return data, err
-}
-
-// Write implements block.Store.
-func (p *Pair) Write(account block.Account, n block.Num, data []byte) error {
-	return p.retryCollision(func(h *Half) error { return h.Write(account, n, data) })
-}
 
 // Lock implements block.Store.
 func (p *Pair) Lock(account block.Account, n block.Num) error {
@@ -1693,99 +1468,6 @@ func (p *Pair) FreeMulti(account block.Account, ns []block.Num) error {
 	return p.retryCollision(func(h *Half) error { return h.FreeMulti(account, ns) })
 }
 
-// BindTrace implements block.TraceBinder: operations on the bound view
-// run the same failover pair protocol, but each backend leg — the
-// serving half's own write and the companion-first mirror write —
-// records a mirror-layer span and passes the trace context down to its
-// backend (so segstore lane spans nest under the half that issued them).
-func (p *Pair) BindTrace(tc trace.Context) block.Store {
-	return &pairView{p: p, tc: tc}
-}
-
-// pairView is the per-request traced front over a Pair.
-type pairView struct {
-	p  *Pair
-	tc trace.Context
-}
-
-func (v *pairView) BlockSize() int { return v.p.BlockSize() }
-
-func (v *pairView) Alloc(account block.Account, data []byte) (block.Num, error) {
-	var n block.Num
-	err := v.p.retryCollision(func(h *Half) error {
-		var e error
-		n, e = h.allocT(v.tc, account, data)
-		return e
-	})
-	return n, err
-}
-
-func (v *pairView) Free(account block.Account, n block.Num) error {
-	return v.p.retryCollision(func(h *Half) error { return h.freeT(v.tc, account, n) })
-}
-
-func (v *pairView) Read(account block.Account, n block.Num) ([]byte, error) {
-	var data []byte
-	err := v.p.retryCollision(func(h *Half) error {
-		var e error
-		data, e = h.readT(v.tc, account, n)
-		return e
-	})
-	return data, err
-}
-
-func (v *pairView) Write(account block.Account, n block.Num, data []byte) error {
-	return v.p.retryCollision(func(h *Half) error { return h.writeT(v.tc, account, n, data) })
-}
-
-func (v *pairView) Lock(account block.Account, n block.Num) error {
-	return v.p.retryCollision(func(h *Half) error { return h.lockT(v.tc, account, n) })
-}
-
-func (v *pairView) Unlock(account block.Account, n block.Num) error {
-	return v.p.retryCollision(func(h *Half) error { return h.unlockT(v.tc, account, n) })
-}
-
-func (v *pairView) Recover(account block.Account) ([]block.Num, error) {
-	return v.p.Recover(account)
-}
-
-func (v *pairView) ReadMulti(account block.Account, ns []block.Num) ([][]byte, error) {
-	var out [][]byte
-	err := v.p.retryCollision(func(h *Half) error {
-		var e error
-		out, e = h.readMultiT(v.tc, account, ns)
-		return e
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-func (v *pairView) WriteMulti(account block.Account, ns []block.Num, data [][]byte) error {
-	return v.p.retryCollision(func(h *Half) error { return h.writeMultiT(v.tc, account, ns, data) })
-}
-
-func (v *pairView) AllocMulti(account block.Account, data [][]byte) ([]block.Num, error) {
-	var ns []block.Num
-	err := v.p.retryCollision(func(h *Half) error {
-		var e error
-		ns, e = h.allocMultiT(v.tc, account, data)
-		return e
-	})
-	if err != nil {
-		return nil, err
-	}
-	return ns, nil
-}
-
-func (v *pairView) FreeMulti(account block.Account, ns []block.Num) error {
-	return v.p.retryCollision(func(h *Half) error { return h.freeMultiT(v.tc, account, ns) })
-}
-
-var _ block.Store = (*pairView)(nil)
-var _ block.MultiStore = (*pairView)(nil)
 var _ block.TraceBinder = (*Pair)(nil)
 
 // Usage implements block.UsageReporter when the serving half's backend
@@ -1869,7 +1551,6 @@ func (p *Pair) SetEpoch(e uint64) error {
 	return nil
 }
 
-var _ block.Store = (*Pair)(nil)
 var _ block.MultiStore = (*Pair)(nil)
 var _ block.PairStore = (*Pair)(nil)
 var _ block.EpochStore = (*Pair)(nil)

@@ -536,7 +536,7 @@ func TestSeededBackoffIsDeterministic(t *testing.T) {
 	draw := func(p *Pair, k int) []int {
 		out := make([]int, k)
 		for i := range out {
-			out[i] = p.rng.Intn(1 << 8)
+			out[i] = p.backoff.rng.Intn(1 << 8)
 		}
 		return out
 	}
