@@ -31,7 +31,6 @@ import (
 	"sort"
 	"time"
 
-	"repro/internal/archive"
 	"repro/internal/block"
 	"repro/internal/capability"
 	"repro/internal/client"
@@ -39,7 +38,6 @@ import (
 	"repro/internal/gc"
 	"repro/internal/occ"
 	"repro/internal/page"
-	"repro/internal/segstore"
 	"repro/internal/trace"
 )
 
@@ -119,79 +117,40 @@ type Options struct {
 
 // Cluster is a running file service: servers, storage and collector.
 type Cluster struct {
-	inner   *core.Cluster
-	store   *segstore.Store // non-nil when backed by Options.Dir
-	archSeg *segstore.Store // non-nil when backed by Options.ArchiveDir
+	inner *core.Cluster
 }
 
 // Start brings up a file service.
 func Start(o Options) (*Cluster, error) {
 	cfg := core.Config{
-		Servers:     o.Servers,
-		DiskBlocks:  o.DiskBlocks,
-		BlockSize:   o.BlockSize,
-		StablePair:  o.StableStorage,
+		Servers: o.Servers,
+		Backend: core.Backend{
+			Blocks:    o.DiskBlocks,
+			BlockSize: o.BlockSize,
+			Pair:      o.StableStorage,
+			Sync:      o.SyncMode,
+			ReadCost:  o.DiskReadCost,
+			WriteCost: o.DiskWriteCost,
+		},
 		Retain:      o.RetainVersions,
-		Archive:     o.Archive,
 		NetLatency:  o.NetworkLatency,
-		ReadCost:    o.DiskReadCost,
-		WriteCost:   o.DiskWriteCost,
 		TraceSample: o.TraceSample,
 		TraceSlow:   o.TraceSlow,
 	}
-	mode := segstore.SyncGroup
-	if o.SyncMode != "" {
-		var err error
-		if mode, err = segstore.ParseSyncMode(o.SyncMode); err != nil {
-			return nil, err
-		}
-	}
-	var st *segstore.Store
 	if o.Dir != "" {
-		var err error
-		st, err = segstore.Open(o.Dir, segstore.Options{
-			BlockSize: o.BlockSize,
-			Capacity:  o.DiskBlocks,
-			Sync:      mode,
-		})
-		if err != nil {
-			return nil, err
-		}
-		cfg.Store = st
+		cfg.Backend.Kind, cfg.Backend.Dir, cfg.Backend.Pair = "seg", o.Dir, false
 	}
-	var archSeg *segstore.Store
-	if o.ArchiveDir != "" {
-		bsize := o.BlockSize
-		if bsize <= 0 {
-			bsize = 4096
-		}
-		var err error
-		archSeg, err = segstore.Open(o.ArchiveDir, segstore.Options{
-			// Framed: each archive block carries a kind, length and
-			// SHA-256 score around a front-tier-sized payload.
-			BlockSize: bsize + archive.FrameOverhead,
-			Capacity:  o.DiskBlocks,
-			Sync:      mode,
-		})
-		if err != nil {
-			if st != nil {
-				st.Close()
-			}
-			return nil, err
-		}
-		cfg.ArchiveStore = archSeg
+	switch {
+	case o.ArchiveDir != "":
+		cfg.Archive = &core.Backend{Kind: "seg", Dir: o.ArchiveDir, Blocks: o.DiskBlocks, Sync: o.SyncMode}
+	case o.Archive:
+		cfg.Archive = &core.Backend{Blocks: o.DiskBlocks, ReadCost: o.DiskReadCost, WriteCost: o.DiskWriteCost}
 	}
 	c, err := core.NewCluster(cfg)
 	if err != nil {
-		if st != nil {
-			st.Close()
-		}
-		if archSeg != nil {
-			archSeg.Close()
-		}
 		return nil, err
 	}
-	return &Cluster{inner: c, store: st, archSeg: archSeg}, nil
+	return &Cluster{inner: c}, nil
 }
 
 // RecoverFiles rebuilds the file table from the block store — the §4
@@ -211,37 +170,19 @@ func (c *Cluster) RecoverFiles() ([]Capability, error) {
 	return out, nil
 }
 
-// Close shuts down the cluster's durable store, if any: pending group
+// Close shuts down the cluster's durable stores, if any: pending group
 // commits finish, segment files are synced and closed. A cluster that
 // is simply abandoned (or killed) loses nothing either — acknowledged
 // writes are already on disk — which is what the crash-recovery
 // example demonstrates.
-func (c *Cluster) Close() error {
-	var first error
-	if c.store != nil {
-		first = c.store.Close()
-	}
-	if c.archSeg != nil {
-		if err := c.archSeg.Close(); first == nil {
-			first = err
-		}
-	}
-	return first
-}
+func (c *Cluster) Close() error { return c.inner.Close() }
 
 // Abandon simulates a process crash for tests and demos that restart a
-// durable cluster within one process: the store's file handles (and
-// its single-writer directory lock) are dropped with no flush or
+// durable cluster within one process: the stores' file handles (and
+// their single-writer directory locks) are dropped with no flush or
 // shutdown, so a fresh Start on the same Dir sees exactly what a
 // restarted process would. A genuinely killed process needs no call.
-func (c *Cluster) Abandon() {
-	if c.store != nil {
-		c.store.Abandon()
-	}
-	if c.archSeg != nil {
-		c.archSeg.Abandon()
-	}
-}
+func (c *Cluster) Abandon() { c.inner.Abandon() }
 
 // NewClient connects a client to every server of the cluster, with
 // automatic failover.
@@ -269,7 +210,7 @@ func (c *Cluster) Collect() (gc.Report, error) { return c.inner.GC.Collect() }
 
 // RunGC runs the collector every interval until stop is closed.
 func (c *Cluster) RunGC(interval time.Duration, stop <-chan struct{}) {
-	c.inner.GC.Run(interval, stop, nil)
+	core.Every(interval, stop, func() { c.inner.GC.Collect() })
 }
 
 // RebuildFileTable reconstructs the file table from storage, the §4

@@ -18,7 +18,7 @@ func clientOpts() client.UpdateOpts { return client.UpdateOpts{} }
 // connected client.
 func newBenchClient(b *testing.B) (*client.Client, capability.Capability) {
 	b.Helper()
-	c, err := core.NewCluster(core.Config{Servers: 1, DiskBlocks: 1 << 20, BlockSize: 4096})
+	c, err := core.NewCluster(core.Config{Servers: 1, Backend: core.Backend{Blocks: 1 << 20, BlockSize: 4096}})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -34,7 +34,7 @@ func newBenchClient(b *testing.B) (*client.Client, capability.Capability) {
 // function that kills the preferred server.
 func newCrashableCluster(b *testing.B) (*client.Client, capability.Capability, func()) {
 	b.Helper()
-	c, err := core.NewCluster(core.Config{Servers: 2, DiskBlocks: 1 << 18, BlockSize: 4096})
+	c, err := core.NewCluster(core.Config{Servers: 2, Backend: core.Backend{Blocks: 1 << 18, BlockSize: 4096}})
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -7,17 +7,13 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/block"
 	"repro/internal/capability"
 	"repro/internal/client"
-	"repro/internal/disk"
-	"repro/internal/file"
+	"repro/internal/core"
 	"repro/internal/ftab"
 	"repro/internal/occ"
 	"repro/internal/page"
 	"repro/internal/rpc"
-	"repro/internal/server"
-	"repro/internal/version"
 )
 
 // runE14 prices the replicated file table (internal/ftab): commit
@@ -126,12 +122,26 @@ func runE14() error {
 	return nil
 }
 
-// e14Machine is one front-tier server process for the experiment.
+// e14Machine is one front-tier server process for the experiment: a
+// service instance with one file server behind its own TCP listener.
 type e14Machine struct {
-	sh  *server.Shared
-	rep *ftab.Replicated
-	srv *server.Server
-	tcp *rpc.TCPServer
+	*core.Instance
+	ep core.Endpoint // the file server's endpoint
+}
+
+// flush drains the machine's push streams (a lone machine has none).
+func (m *e14Machine) flush() {
+	if m.Table != nil {
+		m.Table.Flush(10 * time.Second)
+	}
+}
+
+// stats snapshots the machine's replication counters.
+func (m *e14Machine) stats() (s ftab.StatsSnapshot) {
+	if m.Table != nil {
+		s = m.Table.StatsSnapshot()
+	}
+	return s
 }
 
 // e14Wire adds a fixed wire latency to every round trip of the wrapped
@@ -152,88 +162,77 @@ func (w e14Wire) Transact(port capability.Port, req *rpc.Message) (*rpc.Message,
 
 // e14Mesh builds n file-service machines over one shared TCP block
 // store, tables replicated; wire delays every peer-stream round trip.
-func e14Mesh(n int, wire time.Duration) ([]*e14Machine, *rpc.Resolver, func(), error) {
+func e14Mesh(n int, wire time.Duration) ([]*e14Machine, func(), error) {
 	var closers []func()
 	closeAll := func() {
 		for i := len(closers) - 1; i >= 0; i-- {
 			closers[i]()
 		}
 	}
+	fail := func(err error) ([]*e14Machine, func(), error) {
+		closeAll()
+		return nil, nil, err
+	}
 
-	// The shared block machine.
-	blockSrv := block.NewServer(disk.MustNew(disk.Geometry{Blocks: 1 << 16, BlockSize: 1024}))
-	blockTCP, err := rpc.NewTCPServer("127.0.0.1:0")
+	// The shared block machine, then every file-service machine's
+	// listener: peers address each other before any of them boots.
+	blocks, err := core.StartBlockMachine(core.Backend{BlockSize: 1024}, "127.0.0.1:0", nil)
 	if err != nil {
-		return nil, nil, nil, err
+		return fail(err)
 	}
-	closers = append(closers, func() { blockTCP.Close() })
-	blockPort := capability.NewPort().Public()
-	blockTCP.Register(blockPort, block.Serve(blockSrv))
-
-	res := rpc.NewResolver() // resolves ftab ports and server ports
-	var machines []*e14Machine
-	for i := 0; i < n; i++ {
-		bres := rpc.NewResolver()
-		bres.Set(blockPort, blockTCP.Addr())
-		bcli := rpc.NewTCPClient(bres)
-		closers = append(closers, bcli.Close)
-		store, err := block.Dial(bcli, blockPort)
-		if err != nil {
-			closeAll()
-			return nil, nil, nil, err
+	closers = append(closers, func() { blocks.Close() })
+	tcps := make([]*rpc.TCPServer, n)
+	for i := range tcps {
+		if tcps[i], err = rpc.NewTCPServer("127.0.0.1:0"); err != nil {
+			return fail(err)
 		}
-		sh := server.NewShared(store, 1)
-		sh.SetID(uint32(i))
-		tcp, err := rpc.NewTCPServer("127.0.0.1:0")
-		if err != nil {
-			closeAll()
-			return nil, nil, nil, err
-		}
+		tcp := tcps[i]
 		closers = append(closers, func() { tcp.Close() })
-		rep := ftab.NewReplicated(ftab.Options{
-			ID:    uint32(i),
-			Local: sh.Table.(*file.Table),
-			Store: version.NewStore(store, sh.Acct),
-			Ident: sh.Fact,
-		})
-		sh.Table = rep
-		res.Set(ftab.PortFor(uint32(i)), tcp.Addr())
-		tcp.Register(ftab.PortFor(uint32(i)), rep.Handler())
-		srv := server.New(sh, nil)
-		tcp.Register(srv.Port(), srv.Handler())
-		res.Set(srv.Port(), tcp.Addr())
-		// Streams down before the transports: a failed flush just marks
-		// the peer down, so teardown never stalls on a half-closed mesh.
-		closers = append(closers, func() { rep.Close(2 * time.Second) })
-		machines = append(machines, &e14Machine{sh: sh, rep: rep, srv: srv, tcp: tcp})
 	}
-	for i, m := range machines {
-		for j := range machines {
+	dial := core.TCPDialer(nil)
+	var machines []*e14Machine
+	for i, tcp := range tcps {
+		store, _, err := core.Mount([][]core.Endpoint{blocks.Endpoints}, dial, nil)
+		if err != nil {
+			return fail(err)
+		}
+		spec := core.Service{
+			ID:       uint32(i),
+			Store:    store,
+			Servers:  1,
+			Retain:   4,
+			Register: tcp.Register,
+		}
+		for j := range tcps {
 			if j != i {
-				cli := rpc.NewTCPClient(res)
-				closers = append(closers, cli.Close)
-				m.rep.AddPeer(uint32(j), e14Wire{tr: cli, d: wire})
+				peer := dial(core.Endpoint{Port: ftab.PortFor(uint32(j)), Addr: tcps[j].Addr()})
+				spec.Peers = append(spec.Peers, core.Peer{ID: uint32(j), Via: e14Wire{tr: peer, d: wire}})
 			}
 		}
+		inst, err := core.NewInstance(spec)
+		if err != nil {
+			return fail(err)
+		}
+		// Streams down before the transports: a failed flush just marks
+		// the peer down, so teardown never stalls on a half-closed mesh.
+		closers = append(closers, func() { inst.Close(2 * time.Second) })
+		machines = append(machines, &e14Machine{inst, core.Endpoint{Port: inst.Servers()[0].Port(), Addr: tcp.Addr()}})
 	}
-	for _, m := range machines {
-		m.rep.Bootstrap()
-	}
-	return machines, res, closeAll, nil
+	return machines, closeAll, nil
 }
 
 // e14Client builds a client preferring machine i, its RPCs delayed by
 // the wire latency.
-func e14Client(machines []*e14Machine, res *rpc.Resolver, i int, wire time.Duration) *client.Client {
-	cli := rpc.NewTCPClient(res)
-	ports := make([]capability.Port, 0, len(machines))
-	ports = append(ports, machines[i].srv.Port())
+func e14Client(machines []*e14Machine, i int, wire time.Duration) *client.Client {
+	eps := []core.Endpoint{machines[i].ep}
+	ports := []capability.Port{machines[i].ep.Port}
 	for j, m := range machines {
 		if j != i {
-			ports = append(ports, m.srv.Port())
+			eps = append(eps, m.ep)
+			ports = append(ports, m.ep.Port)
 		}
 	}
-	return client.New(e14Wire{tr: cli, d: wire}, ports...)
+	return client.New(e14Wire{tr: core.TCPDialer(nil)(eps...), d: wire}, ports...)
 }
 
 // e14Throughput: 2 workers per server, each committing to its own file
@@ -242,7 +241,7 @@ func e14Client(machines []*e14Machine, res *rpc.Resolver, i int, wire time.Durat
 // pipeline buys; the stream flush below the timer makes the push and
 // frame counters complete before they are read.
 func e14Throughput(n, commits int, wire time.Duration, syncAck bool) (rate, pushes, frames, totalCommits float64, err error) {
-	machines, res, closeAll, err := e14Mesh(n, wire)
+	machines, closeAll, err := e14Mesh(n, wire)
 	if err != nil {
 		return 0, 0, 0, 0, err
 	}
@@ -252,7 +251,7 @@ func e14Throughput(n, commits int, wire time.Duration, syncAck bool) (rate, push
 	caps := make([]capability.Capability, workers)
 	clients := make([]*client.Client, workers)
 	for w := 0; w < workers; w++ {
-		clients[w] = e14Client(machines, res, w%n, wire)
+		clients[w] = e14Client(machines, w%n, wire)
 		caps[w], err = clients[w].CreateFile([]byte("bench"))
 		if err != nil {
 			return 0, 0, 0, 0, err
@@ -282,7 +281,7 @@ func e14Throughput(n, commits int, wire time.Duration, syncAck bool) (rate, push
 				if syncAck {
 					// The synchronous-replication regime for comparison:
 					// the commit does not count until every peer holds it.
-					machines[w%n].rep.Flush(10 * time.Second)
+					machines[w%n].flush()
 				}
 			}
 		}(w)
@@ -295,10 +294,10 @@ func e14Throughput(n, commits int, wire time.Duration, syncAck bool) (rate, push
 	elapsed := time.Since(start).Seconds()
 	total := float64(workers * commits)
 	for _, m := range machines {
-		m.rep.Flush(10 * time.Second)
+		m.flush()
 	}
 	for _, m := range machines {
-		s := m.rep.StatsSnapshot()
+		s := m.stats()
 		pushes += float64(s.Pushes)
 		frames += float64(s.Batches)
 	}
@@ -311,13 +310,13 @@ func e14Throughput(n, commits int, wire time.Duration, syncAck bool) (rate, push
 // the race window, because commit validation reads the storage chain
 // (the chase rule), never a possibly-stale peer table.
 func e14Contention(n, commits int) (rate float64, okCommits, conflicts int, resolved uint64, err error) {
-	machines, res, closeAll, err := e14Mesh(n, 0)
+	machines, closeAll, err := e14Mesh(n, 0)
 	if err != nil {
 		return 0, 0, 0, 0, err
 	}
 	defer closeAll()
 
-	c0 := e14Client(machines, res, 0, 0)
+	c0 := e14Client(machines, 0, 0)
 	fcap, err := c0.CreateFile([]byte("contended"))
 	if err != nil {
 		return 0, 0, 0, 0, err
@@ -325,7 +324,7 @@ func e14Contention(n, commits int) (rate float64, okCommits, conflicts int, reso
 	// The create is acked before it propagates; drain machine 0's
 	// streams so every server can check the capability before the
 	// contention window opens.
-	machines[0].rep.Flush(10 * time.Second)
+	machines[0].flush()
 	start := time.Now()
 	var mu sync.Mutex
 	var wg sync.WaitGroup
@@ -334,7 +333,7 @@ func e14Contention(n, commits int) (rate float64, okCommits, conflicts int, reso
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			c := e14Client(machines, res, w, 0)
+			c := e14Client(machines, w, 0)
 			for k := 0; k < commits; k++ {
 				for {
 					v, err := c.Update(fcap, client.UpdateOpts{})
@@ -378,10 +377,10 @@ func e14Contention(n, commits int) (rate float64, okCommits, conflicts int, reso
 	}
 	elapsed := time.Since(start).Seconds()
 	for _, m := range machines {
-		m.rep.Flush(10 * time.Second)
+		m.flush()
 	}
 	for _, m := range machines {
-		resolved += m.rep.StatsSnapshot().Resolved
+		resolved += m.stats().Resolved
 	}
 	return float64(okCommits) / elapsed, okCommits, conflicts, resolved, nil
 }
@@ -389,40 +388,40 @@ func e14Contention(n, commits int) (rate float64, okCommits, conflicts int, reso
 // e14Rejoin: fill the table through machine 0, then time a cold
 // replica's Bootstrap (snapshot pull + merge) and verify byte equality.
 func e14Rejoin(files int) (ms, usPerFile float64, err error) {
-	machines, res, closeAll, err := e14Mesh(2, 0)
+	machines, closeAll, err := e14Mesh(2, 0)
 	if err != nil {
 		return 0, 0, err
 	}
 	defer closeAll()
 
-	c := e14Client(machines, res, 0, 0)
+	c := e14Client(machines, 0, 0)
 	for i := 0; i < files; i++ {
 		if _, err := c.CreateFile([]byte(fmt.Sprintf("file %d", i))); err != nil {
 			return 0, 0, err
 		}
 	}
 
-	// A cold replica (fresh table, fresh identity) joins the mesh and
-	// pulls everything — the rebooted-server catch-up path, minus the
-	// storage scan both paths share.
-	m1 := machines[1]
-	cold := server.NewShared(m1.sh.Store, 1)
-	cold.SetID(1)
-	rep := ftab.NewReplicated(ftab.Options{
-		ID:    1,
-		Local: cold.Table.(*file.Table),
-		Store: version.NewStore(m1.sh.Store, cold.Acct),
-		Ident: cold.Fact,
-	})
-	cli := rpc.NewTCPClient(res)
-	defer cli.Close()
-	rep.AddPeer(0, cli)
+	// A cold replica (fresh table, fresh identity, served nowhere)
+	// joins the mesh and pulls everything — the rebooted-server catch-up
+	// path, minus the storage scan both paths share.
 	start := time.Now()
-	if n := rep.Bootstrap(); n == 0 {
-		return 0, 0, fmt.Errorf("cold replica found no live peer")
+	cold, err := core.NewInstance(core.Service{
+		ID:       1,
+		Store:    machines[1].Shared.Store,
+		Retain:   4,
+		Peers:    []core.Peer{{ID: 0, Via: core.TCPDialer(nil)(core.Endpoint{Port: ftab.PortFor(0), Addr: machines[0].ep.Addr})}},
+		Register: func(capability.Port, rpc.Handler) {},
+	})
+	if err != nil {
+		return 0, 0, err
 	}
 	elapsed := time.Since(start)
-	if a, b := ftab.Fingerprint(rep), ftab.Fingerprint(machines[0].sh.Table); a != b {
+	defer cold.Close(time.Second)
+	rep := cold.Table
+	if rep.StatsSnapshot().Resyncs == 0 {
+		return 0, 0, fmt.Errorf("cold replica found no live peer")
+	}
+	if a, b := ftab.Fingerprint(rep), ftab.Fingerprint(machines[0].Shared.Table); a != b {
 		return 0, 0, fmt.Errorf("cold replica not byte-equal after catch-up: %s vs %s", a, b)
 	}
 	return float64(elapsed.Microseconds()) / 1000, float64(elapsed.Microseconds()) / float64(files), nil

@@ -6,9 +6,7 @@ import (
 	"time"
 
 	"repro/internal/block"
-	"repro/internal/capability"
-	"repro/internal/disk"
-	"repro/internal/rpc"
+	"repro/internal/core"
 	"repro/internal/shard"
 )
 
@@ -36,40 +34,28 @@ func runE12() error {
 
 	var baseWrite, baseRead float64
 	for _, nShards := range []int{1, 2, 4} {
-		// One "machine" per shard: its own store, listener and client
-		// connection.
-		backends := make([]block.Store, nShards)
-		var closers []func()
-		for i := 0; i < nShards; i++ {
-			srv := block.NewServer(disk.MustNew(disk.Geometry{
-				Blocks: total + 64, BlockSize: blockSize,
-				ReadCost: readCost, WriteCost: writeCost,
-			}))
-			tcp, err := rpc.NewTCPServer("127.0.0.1:0")
-			if err != nil {
-				return err
-			}
-			closers = append(closers, func() { tcp.Close() })
-			port := capability.NewPort().Public()
-			tcp.Register(port, block.Serve(srv))
-			res := rpc.NewResolver()
-			res.Set(port, tcp.Addr())
-			cli := rpc.NewTCPClient(res)
-			closers = append(closers, cli.Close)
-			remote, err := block.Dial(cli, port)
-			if err != nil {
-				return err
-			}
-			backends[i] = remote
+		// One store and service port per shard, each mounted over its
+		// own client connection — afs-block -shards under afs-server
+		// -blocks.
+		m, err := core.StartBlockMachine(core.Backend{
+			Shards: nShards, Blocks: total + 64, BlockSize: blockSize,
+			ReadCost: readCost, WriteCost: writeCost,
+		}, "127.0.0.1:0", nil)
+		if err != nil {
+			return err
 		}
-		st, err := shard.New(backends...)
+		var mounts [][]core.Endpoint
+		for _, ep := range m.Endpoints {
+			mounts = append(mounts, []core.Endpoint{ep})
+		}
+		st, _, err := core.Mount(mounts, core.TCPDialer(nil), nil)
 		if err != nil {
 			return err
 		}
 
 		// Pre-allocate the working set (not timed), then time
 		// sequential batched writes and reads over it.
-		nums, err := st.AllocMulti(1, make([][]byte, total))
+		nums, err := block.AllocMulti(st, 1, make([][]byte, total))
 		if err != nil {
 			return err
 		}
@@ -81,7 +67,7 @@ func runE12() error {
 
 		t0 := time.Now()
 		for start := 0; start < total; start += batch {
-			if err := st.WriteMulti(1, nums[start:start+batch], payloads); err != nil {
+			if err := block.WriteMulti(st, 1, nums[start:start+batch], payloads); err != nil {
 				return err
 			}
 		}
@@ -89,7 +75,7 @@ func runE12() error {
 
 		t0 = time.Now()
 		for start := 0; start < total; start += batch {
-			if _, err := st.ReadMulti(1, nums[start:start+batch]); err != nil {
+			if _, err := block.ReadMulti(st, 1, nums[start:start+batch]); err != nil {
 				return err
 			}
 		}
@@ -110,13 +96,11 @@ func runE12() error {
 			// visibly striped, not piled on one server.
 			fmt.Println("\nper-shard operation counts at 4 shards (read over the wire):")
 			header("shard", "writes", "reads", "in use")
-			for _, ss := range st.ShardStats() {
+			for _, ss := range st.(*shard.Store).ShardStats() {
 				row(ss.Shard, ss.Stats.Writes, ss.Stats.Reads, ss.Usage.InUse)
 			}
 		}
-		for _, c := range closers {
-			c()
-		}
+		m.Close()
 	}
 	fmt.Println("\nA batch splits by shard and fans out one RPC stream per block")
 	fmt.Println("server, so the media time that serialises on one machine overlaps")

@@ -212,7 +212,7 @@ func runE7() error {
 	header("mode", "cycles", "bytes fetched", "bytes saved", "null valid.")
 	const cycles = 200
 	for _, cached := range []bool{false, true} {
-		cluster, err := core.NewCluster(core.Config{Servers: 1, DiskBlocks: 1 << 18, BlockSize: 4096})
+		cluster, err := core.NewCluster(core.Config{Servers: 1, Backend: core.Backend{Blocks: 1 << 18, BlockSize: 4096}})
 		if err != nil {
 			return err
 		}
@@ -261,7 +261,7 @@ func runE7() error {
 	fmt.Println("validation discards exactly the rewritten pages:")
 	header("pages dirtied", "discarded/cycle", "bytes refetched/cycle")
 	for _, dirty := range []int{0, 1, 4, 16} {
-		cluster, err := core.NewCluster(core.Config{Servers: 1, DiskBlocks: 1 << 18, BlockSize: 4096})
+		cluster, err := core.NewCluster(core.Config{Servers: 1, Backend: core.Backend{Blocks: 1 << 18, BlockSize: 4096}})
 		if err != nil {
 			return err
 		}
@@ -421,7 +421,7 @@ func runE9() error {
 	fmt.Println("\n(a) Optimistic service: server crash with an update in flight:")
 	header("metric", "value")
 	{
-		cluster, err := core.NewCluster(core.Config{Servers: 2, DiskBlocks: 1 << 18, BlockSize: 4096})
+		cluster, err := core.NewCluster(core.Config{Servers: 2, Backend: core.Backend{Blocks: 1 << 18, BlockSize: 4096}})
 		if err != nil {
 			return err
 		}

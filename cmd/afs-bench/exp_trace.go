@@ -38,7 +38,7 @@ func runE17() error {
 	for _, arm := range arms {
 		c, err := core.NewCluster(core.Config{
 			Servers:     2,
-			StablePair:  true,
+			Backend:     core.Backend{Pair: true},
 			TraceSample: arm.sample,
 			TraceSlow:   time.Hour, // keep the slow list out of the picture
 		})

@@ -18,12 +18,11 @@ import (
 	"log"
 	"os"
 	"strconv"
-	"strings"
 
 	"repro/internal/capability"
 	"repro/internal/client"
+	"repro/internal/core"
 	"repro/internal/page"
-	"repro/internal/rpc"
 )
 
 func main() {
@@ -35,21 +34,17 @@ func main() {
 		os.Exit(2)
 	}
 
-	res := rpc.NewResolver()
-	var ports []capability.Port
-	for _, ep := range strings.Split(*serversFlag, ",") {
-		i := strings.IndexByte(ep, '@')
-		if i < 0 {
-			log.Fatalf("endpoint %q: want PORT@ADDR", ep)
-		}
-		var p uint64
-		if _, err := fmt.Sscanf(ep[:i], "%x", &p); err != nil {
-			log.Fatalf("endpoint %q: %v", ep, err)
-		}
-		res.Set(capability.Port(p), ep[i+1:])
-		ports = append(ports, capability.Port(p))
+	mounts, err := core.ParseMounts(*serversFlag, 1)
+	if err != nil {
+		log.Fatal(err)
 	}
-	c := client.New(rpc.NewTCPClient(res), ports...)
+	var eps []core.Endpoint
+	var ports []capability.Port
+	for _, m := range mounts {
+		eps = append(eps, m[0])
+		ports = append(ports, m[0].Port)
+	}
+	c := client.New(core.TCPDialer(nil)(eps...), ports...)
 
 	switch args[0] {
 	case "ping":

@@ -14,7 +14,8 @@
 //     through a surviving server. No recovery work at all.
 //  2. Media corruption: block machine A's segment log rots on disk.
 //     Reads fall back to companion B over the wire (block.ErrCorrupt
-//     crosses it) and repair A's copies in place.
+//     crosses it) and repair A's copies in place; a scrub pass over the
+//     account repairs the rest.
 //  3. Machine B is killed. The transport failure marks it down
 //     automatically; writes continue on A alone, each recorded on the
 //     §4 intentions list. B reboots at the same endpoint and the pair
@@ -42,65 +43,34 @@ import (
 	"os"
 	"path/filepath"
 
-	"repro/internal/block"
 	"repro/internal/capability"
 	"repro/internal/client"
 	"repro/internal/core"
 	"repro/internal/page"
-	"repro/internal/rpc"
-	"repro/internal/segstore"
 	"repro/internal/stable"
 )
 
 const blockSize = 1024
 
-// machine is one block-server box: a durable segstore behind a TCP
-// listener, with a service port that survives reboots (only the TCP
-// address changes).
-type machine struct {
-	name  string
-	dir   string
-	port  capability.Port
-	store *segstore.Store
-	tcp   *rpc.TCPServer
+// startMachine boots one block-server box: a durable segstore behind a
+// TCP listener. A restarted box comes back at the same endpoint.
+func startMachine(dir string) *core.BlockMachine {
+	m, err := core.StartBlockMachine(core.Backend{Kind: "seg", Dir: dir, Blocks: 1 << 12, BlockSize: blockSize}, "127.0.0.1:0", nil)
+	if err != nil {
+		log.Fatal(err)
+	}
+	return m
 }
 
-func (m *machine) start() error {
-	st, err := segstore.Open(m.dir, segstore.Options{BlockSize: blockSize, Capacity: 1 << 12, SegmentRecords: 64})
+// mountPair dials the two machines as one §4 companion pair, exactly as
+// `afs-server -mirror` does: fail-fast transports, so a dead half lands
+// on the intentions list instead of stalling writes.
+func mountPair(ma, mb *core.BlockMachine) *stable.Pair {
+	_, pairs, err := core.Mount([][]core.Endpoint{{ma.Endpoints[0], mb.Endpoints[0]}}, core.TCPDialer(nil), nil)
 	if err != nil {
-		return err
+		log.Fatal(err)
 	}
-	tcp, err := rpc.NewTCPServer("127.0.0.1:0")
-	if err != nil {
-		st.Close()
-		return err
-	}
-	tcp.Register(m.port, block.Serve(st))
-	m.store, m.tcp = st, tcp
-	return nil
-}
-
-// crash kills the box: listener gone, store handles dropped with no
-// flush (acknowledged writes are already on its disk).
-func (m *machine) crash() {
-	m.tcp.Close()
-	m.store.Abandon()
-}
-
-// dial mounts the machine as a companion-pair half through res.
-func (m *machine) dial(res *rpc.Resolver) (block.PairStore, error) {
-	res.Set(m.port, m.tcp.Addr())
-	cli := rpc.NewTCPClient(res)
-	cli.SetRetryPolicy(rpc.RetryPolicy{Attempts: 2}) // fail fast onto the intentions list
-	remote, err := block.Dial(cli, m.port)
-	if err != nil {
-		return nil, err
-	}
-	ps, ok := remote.(block.PairStore)
-	if !ok {
-		return nil, fmt.Errorf("%s does not serve the pair operations", m.name)
-	}
-	return ps, nil
+	return pairs[0]
 }
 
 func main() {
@@ -110,27 +80,10 @@ func main() {
 	}
 	defer os.RemoveAll(base)
 
-	ma := &machine{name: "A", dir: filepath.Join(base, "a"), port: capability.NewPort().Public()}
-	mb := &machine{name: "B", dir: filepath.Join(base, "b"), port: capability.NewPort().Public()}
-	res := rpc.NewResolver()
-	for _, m := range []*machine{ma, mb} {
-		if err := m.start(); err != nil {
-			log.Fatal(err)
-		}
-	}
-	ra, err := ma.dial(res)
-	if err != nil {
-		log.Fatal(err)
-	}
-	rb, err := mb.dial(res)
-	if err != nil {
-		log.Fatal(err)
-	}
+	ma := startMachine(filepath.Join(base, "a"))
+	mb := startMachine(filepath.Join(base, "b"))
 
-	cluster, err := core.NewCluster(core.Config{
-		Servers:      3,
-		MirrorStores: []block.PairStore{ra, rb},
-	})
+	cluster, err := core.NewCluster(core.Config{Servers: 3, Store: mountPair(ma, mb)})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -168,7 +121,7 @@ func main() {
 	fmt.Printf("redone through a surviving server: %q\n", readFile(c, f))
 
 	// --- act 2: media corruption on machine A ---
-	rotSegments(ma.dir)
+	rotSegments(filepath.Join(base, "a"))
 	fmt.Println("\nmachine A's segment log ROTS on disk (every record's CRC now fails)")
 	if got := readFile(c, f); got != "balance: 150" {
 		log.Fatalf("read over corrupt medium: %q", got)
@@ -176,17 +129,27 @@ func main() {
 	sA := hA.Stats()
 	fmt.Printf("read still serves %q — %d corrupt reads fell back to B over the wire, %d copies repaired\n",
 		readFile(c, f), sA.CorruptFallbacks, sA.Repairs)
+	// A scrub pass reads every block of the service's account through
+	// the pair, so the copies nobody happened to read are repaired too
+	// before A is ever the only good half.
+	blocks, err := cluster.Pair().Recover(cluster.Instances[0].Shared.Acct)
+	if err != nil {
+		log.Fatal(err)
+	}
+	if _, err := cluster.Pair().ReadMulti(cluster.Instances[0].Shared.Acct, blocks); err != nil {
+		log.Fatal(err)
+	}
+	fmt.Printf("scrub over %d blocks: %d copies repaired in all\n", len(blocks), hA.Stats().Repairs)
 
 	// --- act 3: machine B dies; writes continue; reboot + heal ---
-	mb.crash()
+	mb.Crash()
 	fmt.Println("\nmachine B is KILLED (no fault-injection call: the pair notices the dead transport)")
 	writeFile(c, f, "balance: 175")
 	fmt.Printf("write lands on A alone: %q (B down=%v, auto-markdowns=%d, intents kept=%d)\n",
 		readFile(c, f), hB.Down(), hB.Stats().AutoMarkdowns, hA.Stats().IntentionsKept)
-	if err := mb.start(); err != nil {
+	if err := mb.Restart(); err != nil {
 		log.Fatal(err)
 	}
-	res.Set(mb.port, mb.tcp.Addr()) // same service port, new TCP address
 	if healed, err := cluster.Pair().Heal(); healed != 1 {
 		log.Fatalf("heal rejoined %d halves, want 1 (err=%v)", healed, err)
 	}
@@ -194,25 +157,18 @@ func main() {
 		hA.Stats().Replayed)
 
 	// --- act 4: total loss and full-copy rejoin ---
-	mb.crash()
+	mb.Crash()
 	writeFile(c, f, "balance: 200")
 	fmt.Println("\nmachine B dies AGAIN and misses an update (balance -> 200);")
 	fmt.Println("then the file-service machine goes down too — the intentions list dies with it")
 
-	// A fresh service process: new mounts, new pair, no memory.
-	if err := mb.start(); err != nil {
+	// A fresh service process: new mounts, new pair, no memory — but
+	// the survivor bumped its persisted epoch when B went down, so the
+	// fresh pair finds B lagging at mount time and holds it down.
+	if err := mb.Restart(); err != nil {
 		log.Fatal(err)
 	}
-	res2 := rpc.NewResolver()
-	ra2, err := ma.dial(res2)
-	if err != nil {
-		log.Fatal(err)
-	}
-	rb2, err := mb.dial(res2)
-	if err != nil {
-		log.Fatal(err)
-	}
-	cluster2, err := core.NewCluster(core.Config{Servers: 2, MirrorStores: []block.PairStore{ra2, rb2}})
+	cluster2, err := core.NewCluster(core.Config{Servers: 2, Store: mountPair(ma, mb)})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -226,9 +182,8 @@ func main() {
 		f2 = cp
 	}
 	_, hB2 := cluster2.Pair().Halves()
-	// The operator knows B was stale when everything went down: rejoin
-	// it. With no intentions list anywhere, §4's "compares notes with
-	// its companion" runs as a full copy of every block A holds.
+	// Rejoin it. With no intentions list anywhere, §4's "compares notes
+	// with its companion" runs as a full copy of every block A holds.
 	if err := hB2.Rejoin(); err != nil {
 		log.Fatal(err)
 	}
@@ -238,11 +193,11 @@ func main() {
 	if got := readFile(c2, f2); got != "balance: 200" {
 		log.Fatalf("after recovery: %q", got)
 	}
-	ma.crash()
+	ma.Crash()
 	fmt.Printf("machine A killed after the copy; B alone serves %q — the mirror is whole again\n",
 		readFile(c2, f2))
 
-	mb.crash()
+	mb.Crash()
 }
 
 // readFile reads the root page of the file's current version.
@@ -280,10 +235,11 @@ func writeFile(c *client.Client, f capability.Capability, content string) {
 }
 
 // rotSegments flips a payload byte in every record of every segment
-// file under dir, behind the running store's back: media decay. Record
-// layout per segstore/segment.go: 32-byte header + blockSize payload.
+// file of every log lane under dir, behind the running store's back:
+// media decay. Record layout per segstore/segment.go: 32-byte header +
+// blockSize payload.
 func rotSegments(dir string) {
-	matches, err := filepath.Glob(filepath.Join(dir, "seg-*.log"))
+	matches, err := filepath.Glob(filepath.Join(dir, "log-*", "seg-*.log"))
 	if err != nil || len(matches) == 0 {
 		log.Fatalf("no segments under %s: %v", dir, err)
 	}

@@ -41,142 +41,77 @@ import (
 	"fmt"
 	"log"
 	"os"
-	"path/filepath"
 	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"repro/internal/block"
 	"repro/internal/capability"
 	"repro/internal/client"
-	"repro/internal/disk"
-	"repro/internal/file"
+	"repro/internal/core"
 	"repro/internal/ftab"
 	"repro/internal/occ"
 	"repro/internal/page"
 	"repro/internal/rpc"
-	"repro/internal/segstore"
-	"repro/internal/server"
-	"repro/internal/shard"
-	"repro/internal/version"
 )
 
 const (
-	workers        = 4 // concurrent clients, half per machine
-	commitsPerWkr  = 8
-	blockNodeCount = 2 // sharded durable block machines
+	workers       = 4 // concurrent clients, half per machine
+	commitsPerWkr = 8
+	blockShards   = 2 // durable block services behind the sharded facade
 )
 
-// blockNode is one durable block-server machine (as in examples/sharded).
-type blockNode struct {
-	dir  string
-	port capability.Port
-	st   *segstore.Store
-	tcp  *rpc.TCPServer
-}
-
-func (n *blockNode) start() error {
-	st, err := segstore.Open(n.dir, segstore.Options{BlockSize: 1024, Capacity: 1 << 12})
-	if err != nil {
-		return err
-	}
-	tcp, err := rpc.NewTCPServer("127.0.0.1:0")
-	if err != nil {
-		st.Close()
-		return err
-	}
-	tcp.Register(n.port, block.Serve(st))
-	n.st, n.tcp = st, tcp
-	return nil
-}
-
-// machine is one file-service process: its own Shared state and table
-// replica, one file server, one TCP listener.
+// machine is one file-service process (an afs-server in miniature): a
+// service instance with its table replica and one file server behind
+// one TCP listener.
 type machine struct {
-	id   uint32
-	sh   *server.Shared
-	rep  *ftab.Replicated
-	srv  *server.Server
+	*core.Instance
 	tcp  *rpc.TCPServer
 	addr string
 }
 
-// ftabRes resolves the well-known replication ports to machine
-// addresses; a rebooted machine re-registers its (stable) address here.
-var ftabRes = rpc.NewResolver()
-
-// bootMachine starts (or reboots) a file-service machine: mount the
-// block nodes, join the table mesh, run the recovery scan, serve.
-func bootMachine(id uint32, listen string, nodes []*blockNode, peerIDs []uint32) (*machine, error) {
-	// Each machine dials the block machines itself, like a real process.
-	backends := make([]block.Store, len(nodes))
-	for i, nd := range nodes {
-		res := rpc.NewResolver()
-		res.Set(nd.port, nd.tcp.Addr())
-		cli := rpc.NewTCPClient(res)
-		cli.SetRetryPolicy(rpc.RetryPolicy{Attempts: 2})
-		remote, err := block.Dial(cli, nd.port)
-		if err != nil {
-			return nil, err
-		}
-		backends[i] = remote
+// bootMachine starts (or reboots) a file-service machine the way
+// afs-server does: mount the block nodes, join the table mesh, run the
+// recovery scan, serve. peerAddrs names the siblings' listen addresses
+// by replica ID; a not-yet-booted sibling is simply found down and
+// joins when it pulls from us.
+func bootMachine(id uint32, listen string, blocks []core.Endpoint, peerAddrs map[uint32]string) (*machine, error) {
+	// Each machine dials the block services itself, like a real process.
+	var mounts [][]core.Endpoint
+	for _, ep := range blocks {
+		mounts = append(mounts, []core.Endpoint{ep})
 	}
-	store, err := shard.New(backends...)
+	store, _, err := core.Mount(mounts, core.TCPDialer(nil), nil)
 	if err != nil {
 		return nil, err
 	}
-
-	sh := server.NewShared(store, 1)
-	sh.SetID(id)
 	tcp, err := rpc.NewTCPServer(listen)
 	if err != nil {
 		return nil, err
 	}
-	m := &machine{id: id, sh: sh, tcp: tcp, addr: tcp.Addr()}
-
-	// The replicated table: peers are dialled through the shared
-	// resolver, so a rebooted peer is found at its stable address.
-	rep := ftab.NewReplicated(ftab.Options{
-		ID:        id,
-		Local:     sh.Table.(*file.Table),
-		Store:     version.NewStore(store, sh.Acct),
-		Ident:     sh.Fact,
-		PortAlive: sh.Ports.Alive,
-		Live: func() []block.Num {
-			if m.srv == nil {
-				return nil
-			}
-			return m.srv.LiveVersions()
-		},
-	})
-	for _, pid := range peerIDs {
-		cli := rpc.NewTCPClient(ftabRes)
-		cli.SetRetryPolicy(rpc.RetryPolicy{Attempts: 2})
-		rep.AddPeer(pid, cli)
+	spec := core.Service{
+		ID:       id,
+		Store:    store,
+		Servers:  1,
+		Retain:   4,
+		Recover:  true, // adopt whatever the mesh did not already give us
+		Register: tcp.Register,
 	}
-	sh.Table = rep
-	m.rep = rep
-	ftabRes.Set(ftab.PortFor(id), m.addr)
-	tcp.Register(ftab.PortFor(id), rep.Handler())
-	pulled := rep.Bootstrap()
-
-	// §4 recovery scan: adopt whatever the mesh did not already give us.
-	rebuilt, err := file.Rebuild(version.NewStore(store, sh.Acct))
+	for pid, addr := range peerAddrs {
+		spec.Peers = append(spec.Peers, core.Peer{ID: pid,
+			Via: core.TCPDialer(nil)(core.Endpoint{Port: ftab.PortFor(pid), Addr: addr})})
+	}
+	inst, err := core.NewInstance(spec)
 	if err != nil {
 		return nil, err
 	}
-	adopted := sh.AdoptTable(rebuilt)
-	fmt.Printf("machine %d up at %s: %d peer snapshot(s) pulled, %d files live, %d adopted by scan\n",
-		id, m.addr, pulled, sh.Table.Len(), len(adopted))
-
-	srv := server.New(sh, func(p capability.Port) bool {
-		return sh.Ports.Alive(p) || rep.PortAlive(p)
-	})
-	tcp.Register(srv.Port(), srv.Handler())
-	m.srv = srv
-	return m, nil
+	fmt.Printf("machine %d up at %s: %d files live, %d adopted by scan\n",
+		id, tcp.Addr(), inst.Shared.Table.Len(), len(inst.Recovered))
+	return &machine{Instance: inst, tcp: tcp, addr: tcp.Addr()}, nil
 }
+
+// port is the machine's file-server port.
+func (m *machine) port() capability.Port { return m.Servers()[0].Port() }
 
 // kill simulates the machine's process dying.
 func (m *machine) kill() { m.tcp.Close() }
@@ -184,12 +119,9 @@ func (m *machine) kill() { m.tcp.Close() }
 // clientFor builds a client that prefers the given machine but knows
 // both.
 func clientFor(prefer, other *machine) *client.Client {
-	res := rpc.NewResolver()
-	res.Set(prefer.srv.Port(), prefer.addr)
-	res.Set(other.srv.Port(), other.addr)
-	cli := rpc.NewTCPClient(res)
-	cli.SetRetryPolicy(rpc.RetryPolicy{Attempts: 2})
-	return client.New(cli, prefer.srv.Port(), other.srv.Port())
+	dial := core.TCPDialer(nil)
+	return client.New(dial(core.Endpoint{Port: prefer.port(), Addr: prefer.addr}, core.Endpoint{Port: other.port(), Addr: other.addr}),
+		prefer.port(), other.port())
 }
 
 // runWorkload runs the no-lost-updates workload: each worker owns child
@@ -294,24 +226,17 @@ func ensure(c *client.Client, fcap capability.Capability, w, target int) error {
 // over a fresh in-memory store: the baseline state the two-machine run
 // must match exactly.
 func oracleRun() ([]int, error) {
-	d, err := disk.New(disk.Geometry{Blocks: 1 << 12, BlockSize: 1024})
+	oracle, err := core.NewCluster(core.Config{Backend: core.Backend{Blocks: 1 << 12, BlockSize: 1024}})
 	if err != nil {
 		return nil, err
 	}
-	sh := server.NewShared(block.NewServer(d), 1)
-	net := rpc.NewNetwork()
-	srv := server.New(sh, net.Alive)
-	if err := net.Register("oracle", srv.Port(), srv.Handler()); err != nil {
-		return nil, err
-	}
-	c := client.New(net, srv.Port())
-	fcap, err := counterFile(c)
+	fcap, err := counterFile(oracle.Client())
 	if err != nil {
 		return nil, err
 	}
 	clients := make([]*client.Client, workers)
 	for i := range clients {
-		clients[i] = client.New(net, srv.Port())
+		clients[i] = oracle.Client()
 	}
 	return runWorkload(clients, fcap, nil)
 }
@@ -342,29 +267,34 @@ func main() {
 	defer os.RemoveAll(base)
 
 	// One sharded durable block store, shared by both machines.
-	var nodes []*blockNode
-	for i := 0; i < blockNodeCount; i++ {
-		nd := &blockNode{dir: filepath.Join(base, fmt.Sprintf("node%d", i)), port: capability.NewPort().Public()}
-		if err := nd.start(); err != nil {
-			log.Fatal(err)
-		}
-		nodes = append(nodes, nd)
+	blocks, err := core.StartBlockMachine(core.Backend{
+		Kind: "seg", Dir: base, Shards: blockShards, Blocks: 1 << 12, BlockSize: 1024,
+	}, "127.0.0.1:0", nil)
+	if err != nil {
+		log.Fatal(err)
 	}
-	fmt.Printf("%d block machines up (one sharded store under %s)\n\n", blockNodeCount, base)
+	defer blocks.Close()
+	fmt.Printf("%d block services up (one sharded store under %s)\n\n", blockShards, base)
 
-	// Two file-service machines, a mutual mesh.
-	m0, err := bootMachine(0, "127.0.0.1:0", nodes, []uint32{1})
+	// Two file-service machines, a mutual mesh. Machine 1's address must
+	// be known before either boots (the -peers flag of a real
+	// deployment): reserve it.
+	addr1, err := reserveAddr()
 	if err != nil {
 		log.Fatal(err)
 	}
-	m1, err := bootMachine(1, "127.0.0.1:0", nodes, []uint32{0})
+	m0, err := bootMachine(0, "127.0.0.1:0", blocks.Endpoints, map[uint32]string{1: addr1})
 	if err != nil {
 		log.Fatal(err)
 	}
-	if p0, p1 := m0.sh.Fact.Port(), m1.sh.Fact.Port(); p0 != p1 {
+	m1, err := bootMachine(1, addr1, blocks.Endpoints, map[uint32]string{0: m0.addr})
+	if err != nil {
+		log.Fatal(err)
+	}
+	if p0, p1 := m0.Shared.Fact.Port(), m1.Shared.Fact.Port(); p0 != p1 {
 		log.Fatalf("machines did not agree on a service identity: %v vs %v", p0, p1)
 	}
-	fmt.Printf("machines agreed on service identity %s\n\n", m0.sh.Fact.Port())
+	fmt.Printf("machines agreed on service identity %s\n\n", m0.Shared.Fact.Port())
 
 	// --- act 1: create through machine 0, update through machine 1 ---
 	c0, c1 := clientFor(m0, m1), clientFor(m1, m0)
@@ -375,7 +305,7 @@ func main() {
 	// The create was acknowledged after local durability only; drain
 	// machine 0's push streams so machine 1 holds the entry (and the
 	// secret that verifies the capability) before we present it there.
-	m0.rep.Flush(10 * time.Second)
+	m0.Table.Flush(10 * time.Second)
 	v, err := c1.Update(fcap, client.UpdateOpts{})
 	if err != nil {
 		log.Fatalf("machine 1 refuses the capability machine 0 minted: %v", err)
@@ -419,11 +349,11 @@ func main() {
 	fmt.Printf("single-server oracle run agrees: every counter at %d\n\n", oracleCounts[0])
 
 	// --- act 4: machine 0 reboots and catches up ---
-	m0b, err := bootMachine(0, m0.addr, nodes, []uint32{1})
+	m0b, err := bootMachine(0, m0.addr, blocks.Endpoints, map[uint32]string{1: m1.addr})
 	if err != nil {
 		log.Fatal(err)
 	}
-	f0, f1 := ftab.Fingerprint(m0b.sh.Table), ftab.Fingerprint(m1.sh.Table)
+	f0, f1 := ftab.Fingerprint(m0b.Shared.Table), ftab.Fingerprint(m1.Shared.Table)
 	if f0 != f1 {
 		log.Fatalf("tables diverged after catch-up: %s vs %s", f0, f1)
 	}
@@ -445,8 +375,14 @@ func main() {
 
 	m0b.kill()
 	m1.kill()
-	for _, nd := range nodes {
-		nd.tcp.Close()
-		nd.st.Close()
+}
+
+// reserveAddr picks a free loopback address by binding and releasing it.
+func reserveAddr() (string, error) {
+	tcp, err := rpc.NewTCPServer("127.0.0.1:0")
+	if err != nil {
+		return "", err
 	}
+	defer tcp.Close()
+	return tcp.Addr(), nil
 }

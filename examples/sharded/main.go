@@ -9,9 +9,9 @@
 //  1. One block machine crashes. Pages on the two surviving machines
 //     are still served; only reads that need the dead machine fail,
 //     with the transport's dead-port error naming the offending block.
-//  2. The machine comes back (same store directory, new TCP address).
-//     The segment log rebuilds its index by scanning, the resolver is
-//     repointed, and the file heals with no file-server restart.
+//  2. The machine comes back (same store directory, same endpoint).
+//     The segment log rebuilds its index by scanning, and the file
+//     heals with no file-server restart.
 //  3. The whole file service restarts from nothing but the three store
 //     directories: the §4 recovery scan fans out to every shard, the
 //     file table is rebuilt from the version pages found, and the file
@@ -24,7 +24,8 @@
 // Real deployments get the same topology from the cmd tools: one
 // `afs-block -store=seg -dir=D` per machine (or one process with
 // -shards N for a single-machine stand-in), then
-// `afs-server -blocks=P1@A1,P2@A2,P3@A3`.
+// `afs-server -blocks=P1@A1,P2@A2,P3@A3`. This demo builds it from the
+// same pieces those binaries use (internal/core).
 package main
 
 import (
@@ -33,66 +34,56 @@ import (
 	"os"
 	"path/filepath"
 
-	"repro/internal/block"
 	"repro/internal/capability"
 	"repro/internal/client"
-	"repro/internal/file"
+	"repro/internal/core"
 	"repro/internal/page"
 	"repro/internal/rpc"
-	"repro/internal/segstore"
-	"repro/internal/server"
 	"repro/internal/shard"
-	"repro/internal/version"
 )
 
-// node is one block-server "machine": a durable store behind a TCP
-// listener, plus the fixed service port its clients resolve.
-type node struct {
-	dir   string
-	port  capability.Port
-	store *segstore.Store
-	tcp   *rpc.TCPServer
+// fileService is one afs-server in miniature: the block machines
+// mounted behind the sharded facade, one file server on its own TCP
+// listener, and a client connected to it.
+type fileService struct {
+	facade *shard.Store
+	inst   *core.Instance
+	tcp    *rpc.TCPServer
+	client *client.Client
 }
 
-// start boots (or reboots) the node's store and listener. The service
-// port survives reboots; only the TCP address changes.
-func (n *node) start() error {
-	st, err := segstore.Open(n.dir, segstore.Options{BlockSize: 1024, Capacity: 1 << 12})
+// startFileService mounts the machines and serves; with recover it runs
+// the §4 recovery scan first, as a restarted afs-server does.
+func startFileService(nodes []*core.BlockMachine, recover bool) (*fileService, error) {
+	var mounts [][]core.Endpoint
+	for _, nd := range nodes {
+		mounts = append(mounts, nd.Endpoints)
+	}
+	store, _, err := core.Mount(mounts, core.TCPDialer(nil), nil)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	tcp, err := rpc.NewTCPServer("127.0.0.1:0")
 	if err != nil {
-		st.Close()
-		return err
+		return nil, err
 	}
-	tcp.Register(n.port, block.Serve(st))
-	n.store, n.tcp = st, tcp
-	return nil
-}
-
-// crash kills the machine: listener gone, store file handles dropped
-// with no flush (acknowledged writes are already on disk).
-func (n *node) crash() {
-	n.tcp.Close()
-	n.store.Abandon()
-}
-
-// mountAll dials every node through one resolver (so a rebooted node
-// only needs a resolver update) and returns the facade over them.
-func mountAll(nodes []*node, res *rpc.Resolver) (*shard.Store, error) {
-	backends := make([]block.Store, len(nodes))
-	for i, nd := range nodes {
-		res.Set(nd.port, nd.tcp.Addr())
-		cli := rpc.NewTCPClient(res)
-		cli.SetRetryPolicy(rpc.RetryPolicy{Attempts: 2}) // fail fast on a dead machine
-		remote, err := block.Dial(cli, nd.port)
-		if err != nil {
-			return nil, err
-		}
-		backends[i] = remote
+	inst, err := core.NewInstance(core.Service{
+		Store:    store,
+		Servers:  1,
+		Retain:   4,
+		Recover:  recover,
+		Register: tcp.Register,
+	})
+	if err != nil {
+		return nil, err
 	}
-	return shard.New(backends...)
+	ep := core.Endpoint{Port: inst.Servers()[0].Port(), Addr: tcp.Addr()}
+	return &fileService{
+		facade: store.(*shard.Store),
+		inst:   inst,
+		tcp:    tcp,
+		client: client.New(core.TCPDialer(nil)(ep), ep.Port),
+	}, nil
 }
 
 func main() {
@@ -103,10 +94,12 @@ func main() {
 	defer os.RemoveAll(base)
 
 	// Three block machines, each with its own store directory.
-	var nodes []*node
+	var nodes []*core.BlockMachine
 	for i := 0; i < 3; i++ {
-		nd := &node{dir: filepath.Join(base, fmt.Sprintf("node%d", i)), port: capability.NewPort().Public()}
-		if err := nd.start(); err != nil {
+		nd, err := core.StartBlockMachine(core.Backend{
+			Kind: "seg", Dir: filepath.Join(base, fmt.Sprintf("node%d", i)), Blocks: 1 << 12, BlockSize: 1024,
+		}, "127.0.0.1:0", nil)
+		if err != nil {
 			log.Fatal(err)
 		}
 		nodes = append(nodes, nd)
@@ -114,24 +107,13 @@ func main() {
 	fmt.Printf("3 block machines up (stores under %s)\n", base)
 
 	// The file service mounts all three behind the sharded facade.
-	res := rpc.NewResolver()
-	facade, err := mountAll(nodes, res)
+	fs, err := startFileService(nodes, false)
 	if err != nil {
 		log.Fatal(err)
 	}
-	sh := server.NewShared(facade, 1)
-	fsrv := server.New(sh, nil)
-	fsTCP, err := rpc.NewTCPServer("127.0.0.1:0")
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer fsTCP.Close()
-	fsTCP.Register(fsrv.Port(), fsrv.Handler())
-	cliRes := rpc.NewResolver()
-	cliRes.Set(fsrv.Port(), fsTCP.Addr())
 
 	// A client writes a file of eight pages and commits.
-	c := client.New(rpc.NewTCPClient(cliRes), fsrv.Port())
+	c := fs.client
 	fcap, err := c.CreateFile([]byte("root page"))
 	if err != nil {
 		log.Fatal(err)
@@ -149,51 +131,35 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Println("committed a file of 8 pages through the facade:")
-	for _, st := range facade.ShardStats() {
+	for _, st := range fs.facade.ShardStats() {
 		fmt.Printf("  machine %d: %d blocks in use, %d writes, %d fsyncs\n",
 			st.Shard, st.Usage.InUse, st.Stats.Writes, st.Stats.Syncs)
 	}
 
 	// --- act 1: one machine crashes ---
-	nodes[1].crash()
+	nodes[1].Crash()
 	fmt.Println("\nmachine 1 CRASHES")
 	served, failed := readPages(c, fcap)
 	fmt.Printf("pages on live machines still served: %d of 8 (%d need the dead machine)\n", served, failed)
 
 	// --- act 2: the machine comes back ---
-	if err := nodes[1].start(); err != nil {
+	if err := nodes[1].Restart(); err != nil {
 		log.Fatal(err)
 	}
-	res.Set(nodes[1].port, nodes[1].tcp.Addr()) // same port, new address
-	fmt.Printf("\nmachine 1 REBOOTS at %s (same store directory, index rebuilt by scan)\n", nodes[1].tcp.Addr())
+	fmt.Printf("\nmachine 1 REBOOTS at %s (same store directory, index rebuilt by scan)\n", nodes[1].Endpoints[0].Addr)
 	served, failed = readPages(c, fcap)
 	fmt.Printf("after reboot: %d of 8 pages served, %d failed — healed with no file-server restart\n", served, failed)
 
 	// --- act 3: the whole file service restarts from the directories ---
-	fsTCP.Close()
-	facade2, err := mountAll(nodes, rpc.NewResolver())
+	fs.tcp.Close()
+	fs2, err := startFileService(nodes, true)
 	if err != nil {
 		log.Fatal(err)
 	}
-	sh2 := server.NewShared(facade2, 1)
-	rebuilt, err := versionRebuild(facade2, sh2.Acct)
-	if err != nil {
-		log.Fatal(err)
-	}
-	caps := sh2.AdoptTable(rebuilt)
-	fmt.Printf("\nfile service RESTARTS: recovery scan over 3 shards found %d file(s)\n", len(caps))
-	fsrv2 := server.New(sh2, nil)
-	fsTCP2, err := rpc.NewTCPServer("127.0.0.1:0")
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer fsTCP2.Close()
-	fsTCP2.Register(fsrv2.Port(), fsrv2.Handler())
-	cliRes2 := rpc.NewResolver()
-	cliRes2.Set(fsrv2.Port(), fsTCP2.Addr())
-	c2 := client.New(rpc.NewTCPClient(cliRes2), fsrv2.Port())
-	for _, fc := range caps {
-		data, err := readPage(c2, fc, page.Path{3})
+	defer fs2.tcp.Close()
+	fmt.Printf("\nfile service RESTARTS: recovery scan over 3 shards found %d file(s)\n", len(fs2.inst.Recovered))
+	for _, fc := range fs2.inst.Recovered {
+		data, err := readPage(fs2.client, fc, page.Path{3})
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -201,9 +167,8 @@ func main() {
 	}
 
 	for i, nd := range nodes {
-		fmt.Printf("machine %d final: %d blocks in use\n", i, nd.store.InUse())
-		nd.store.Close()
-		nd.tcp.Close()
+		fmt.Printf("machine %d final: %d blocks in use\n", i, nd.Segs[0].InUse())
+		nd.Close()
 	}
 }
 
@@ -230,9 +195,4 @@ func readPage(c *client.Client, fcap capability.Capability, p page.Path) ([]byte
 	defer v.Abort()
 	data, _, err := v.Read(p)
 	return data, err
-}
-
-// versionRebuild runs the §4 table rebuild over a store.
-func versionRebuild(st block.Store, acct block.Account) (*file.Table, error) {
-	return file.Rebuild(version.NewStore(st, acct))
 }

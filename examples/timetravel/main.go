@@ -138,11 +138,11 @@ func main() {
 		}
 		pair[i] = cap
 	}
-	before := cluster.Internal().Archive.Stats()
+	before := cluster.Internal().Instances[0].Shared.Archive.Stats()
 	if _, err := cluster.Collect(); err != nil {
 		log.Fatal(err)
 	}
-	after := cluster.Internal().Archive.Stats()
+	after := cluster.Internal().Instances[0].Shared.Archive.Stats()
 	if after.DedupHits <= before.DedupHits {
 		log.Fatalf("no dedup hits archiving identical pages (%d -> %d)", before.DedupHits, after.DedupHits)
 	}
@@ -200,7 +200,7 @@ func main() {
 	// Integrity: flip one payload byte of an archived block underneath
 	// the service. The next read of that snapshot must refuse loudly —
 	// the per-block score no longer matches — and name the block.
-	arch := cluster.Internal().Archive
+	arch := cluster.Internal().Instances[0].Shared.Archive
 	entry, ok := arch.Snapshot(object, seqs[0])
 	if !ok {
 		log.Fatalf("snapshot %d vanished", seqs[0])

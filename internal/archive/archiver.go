@@ -3,6 +3,8 @@ package archive
 import (
 	"crypto/sha256"
 	"fmt"
+	"maps"
+	"slices"
 	"sync/atomic"
 
 	"repro/internal/block"
@@ -208,4 +210,28 @@ func verifyTree(st *Store, account block.Account, n block.Num) (Score, error) {
 		children[i] = c
 	}
 	return snapScore(payload, children), nil
+}
+
+// Collect is the archive tier's metrics collector: the
+// content-addressed store's counters and this archiver's demotions.
+func (a *Archiver) Collect(e *metrics.Emitter) {
+	st := a.Store.Stats()
+	e.Counters("afs_archive_ops_total", "Archive-tier content-addressed store events by kind.", "op", map[string]uint64{
+		"put": st.Puts, "stored": st.Stored, "dedup_hit": st.DedupHits,
+		"read": st.Reads, "corrupt_read": st.CorruptReads,
+	})
+	const bytesHelp = "Archive payload bytes; dedup saves logical minus stored."
+	e.Gauge("afs_archive_bytes", bytesHelp, float64(st.BytesLogical), "form", "logical")
+	e.Gauge("afs_archive_bytes", bytesHelp, float64(st.BytesStored), "form", "stored")
+	e.Gauge("afs_archive_snapshots", "Snapshot-log records held.", float64(st.Snapshots))
+	for _, kind := range slices.Sorted(maps.Keys(st.BlocksByKind)) {
+		e.Gauge("afs_archive_blocks", "Archive blocks by kind.", float64(st.BlocksByKind[kind]), "kind", kind)
+	}
+	as := a.Stats()
+	e.Counters("afs_archive_demote_total", "Archiver demotion events by kind.", "event", map[string]uint64{
+		"demoted": as.Demotes, "skipped": as.Skipped, "pages": as.Pages, "page_dedup": as.Deduped,
+	})
+	if a.Ratio != nil {
+		e.Histogram("afs_archive_dedup_ratio", "Per-demote fraction of pages answered by existing archive blocks.", a.Ratio.Snapshot())
+	}
 }

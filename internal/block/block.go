@@ -60,6 +60,7 @@ import (
 	"sync/atomic"
 
 	"repro/internal/disk"
+	"repro/internal/metrics"
 )
 
 // Num is a block number. The paper packs block numbers into 28 bits next
@@ -645,4 +646,26 @@ func WithLock(st Store, account Account, n Num, fn func(data []byte) ([]byte, er
 		return nil
 	}
 	return st.Write(account, n, out)
+}
+
+// Collect returns the metrics collector of a store: its operation
+// counters and allocation headroom, as far as the store reports them
+// (a remote mount asks over the wire on every scrape).
+func Collect(s Store) func(*metrics.Emitter) {
+	return func(e *metrics.Emitter) {
+		if sr, ok := s.(StatsReporter); ok {
+			if st, err := sr.BlockStats(); err == nil {
+				e.Counters("afs_block_ops_total", "Block store operations by kind.", "op", map[string]uint64{
+					"alloc": st.Allocs, "free": st.Frees, "read": st.Reads, "write": st.Writes,
+					"lock": st.Locks, "unlock": st.Unlocks, "lock_conflict": st.LockConflicts, "fsync": st.Syncs,
+				})
+			}
+		}
+		if ur, ok := s.(UsageReporter); ok {
+			if u, err := ur.Usage(); err == nil {
+				e.Gauge("afs_blocks_capacity", "Allocatable blocks.", float64(u.Capacity))
+				e.Gauge("afs_blocks_in_use", "Allocated blocks.", float64(u.InUse))
+			}
+		}
+	}
 }

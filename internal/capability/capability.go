@@ -22,6 +22,7 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
+	"strconv"
 	"sync"
 )
 
@@ -75,6 +76,22 @@ func (p Port) String() string {
 	var b [8]byte
 	binary.BigEndian.PutUint64(b[:], uint64(p))
 	return hex.EncodeToString(b[2:])
+}
+
+// ParsePort parses a port written in hexadecimal: the 12 digits String
+// prints, or up to 16 with leading zeros as the documentation writes
+// them. The whole string must parse — a typo that a lenient scan would
+// silently truncate must not name a different port than the one the
+// other side holds.
+func ParsePort(s string) (Port, error) {
+	if len(s) > 16 {
+		return NilPort, fmt.Errorf("capability: port %q: more than 16 hex digits", s)
+	}
+	v, err := strconv.ParseUint(s, 16, 64)
+	if err != nil {
+		return NilPort, fmt.Errorf("capability: port %q: want hex digits", s)
+	}
+	return Port(v), nil
 }
 
 // Rights is the 8-bit rights mask carried in a capability.

@@ -223,3 +223,25 @@ func TestNilCapability(t *testing.T) {
 		t.Fatal("registered capability is nil")
 	}
 }
+
+func TestParsePortStrict(t *testing.T) {
+	p := NewPort().Public()
+	for _, in := range []string{p.String(), "0000" + p.String()} {
+		got, err := ParsePort(in)
+		if err != nil || got != p {
+			t.Fatalf("ParsePort(%q) = %v, %v; want %v", in, got, err, p)
+		}
+	}
+	for _, in := range []string{
+		"",                    // empty
+		"00000000000000aZ",    // trailing garbage a %x scan would truncate to 0xa
+		"aa bb",               // embedded space
+		"0xaa",                // prefix
+		"+aa",                 // sign
+		"00000000000000000aa", // over-long
+	} {
+		if got, err := ParsePort(in); err == nil {
+			t.Fatalf("ParsePort(%q) = %v, want an error", in, got)
+		}
+	}
+}

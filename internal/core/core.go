@@ -1,8 +1,22 @@
-// Package core assembles complete Amoeba File Service deployments: block
-// storage (optionally the §4 paired stable storage), any number of file
-// server processes on a shared transport, the garbage collector, and
-// clients with failover. It is the harness the examples, the command-line
-// tools and the crash experiments (E8/E9) drive.
+// Package core is the one deployment assembler. Every way this
+// repository brings the file service up — afs-server and afs-block over
+// TCP, the in-proc Cluster behind the public afs package, the examples
+// and the tests — builds the stack from the same three pieces:
+//
+//   - OpenBackend (backend.go): the block storage a process opens
+//     locally — mem or seg, optionally an in-box companion pair, one
+//     store per shard.
+//   - ParseMounts and Mount (mount.go): the strict PORT@ADDR parser and
+//     the one dialer that turns a mount list into a remote store, a §4
+//     companion pair, or the sharded facade over either.
+//   - NewInstance (service.go): one file-service instance — shared
+//     state, archive tier, replicated table and mesh, recovery
+//     adoption, servers, collector and heal loop — parameterised only by
+//     a Register func and one transactor per peer.
+//
+// Cluster composes them in-proc over rpc.Network; daemon.go holds what
+// the two daemons share around them (logging, the debug listener, the
+// run-until-signal helper).
 package core
 
 import (
@@ -13,10 +27,10 @@ import (
 	"repro/internal/block"
 	"repro/internal/capability"
 	"repro/internal/client"
-	"repro/internal/disk"
 	"repro/internal/file"
 	"repro/internal/ftab"
 	"repro/internal/gc"
+	"repro/internal/metrics"
 	"repro/internal/rpc"
 	"repro/internal/server"
 	"repro/internal/stable"
@@ -34,53 +48,30 @@ type Config struct {
 	// tables are kept convergent through the replicated file table
 	// (internal/ftab) over the in-proc network, exactly as
 	// `afs-server -peers` does over TCP. Server i serves instance
-	// i % Peers. Default 1: one Shared for all servers, the
+	// i % Peers. Default 1: one instance for all servers, the
 	// single-machine special case.
 	Peers int
-	// Store, when set, is a pre-built block store backend (e.g. a
-	// durable segstore.Store) used instead of a fresh simulated disk;
-	// DiskBlocks, BlockSize, StablePair and the disk cost fields are
-	// ignored. The caller keeps ownership: closing it after the cluster
-	// is done is the caller's job.
+	// Backend describes the block storage the cluster opens, and closes
+	// with Close. With Backend.Shards > 1 the stores are served behind
+	// block.Serve on the cluster's network and every instance mounts
+	// them behind the sharded facade — the afs-block -shards /
+	// afs-server -blocks topology.
+	Backend Backend
+	// Store, when set, is a pre-built block store used instead of
+	// Backend (a dialled mirror, a surviving store from a previous
+	// cluster). The caller keeps ownership.
 	Store block.Store
-	// MirrorStores, when it names exactly two backends, joins them as a
-	// §4 companion pair and serves the file system from the pair: every
-	// block lives on both backends, reads fall back (and repair) on
-	// corruption, and either backend can die without data loss. Any
-	// block.PairStore works — two durable segstores on different disks,
-	// two remote afs-block mounts, a mix. Overrides Store; StablePair
-	// is the simulated-disk special case of this. Ownership stays with
-	// the caller, as with Store.
-	MirrorStores []block.PairStore
-	// DiskBlocks and BlockSize shape the simulated disks (defaults
-	// 1<<16 x 4096).
-	DiskBlocks int
-	BlockSize  int
-	// StablePair stores every block on two companion block servers (§4).
-	StablePair bool
 	// Retain is the GC's committed-version horizon per file (default 4).
 	Retain int
-	// Archive enables the content-addressed archive tier over a fresh
-	// in-memory backing store: committed versions falling past the
+	// Archive, when set, enables the content-addressed archive tier on
+	// the storage it describes: committed versions falling past the
 	// retention horizon are demoted (rewritten hash-addressed,
 	// deduplicated, logged as snapshots) instead of deleted, and the
-	// servers answer the snapshot commands.
-	Archive bool
-	// ArchiveStore, when set, is a pre-built backing store for the
-	// archive tier (e.g. a durable segstore) and implies Archive. Its
-	// block size must be at least the front tier's plus
-	// archive.FrameOverhead so any demoted page fits its frame.
-	// Ownership stays with the caller, as with Store.
-	ArchiveStore block.Store
+	// servers answer the snapshot commands. Its BlockSize is derived:
+	// the front tier's plus archive.FrameOverhead.
+	Archive *Backend
 	// NetLatency simulates transport delay per message leg.
 	NetLatency time.Duration
-	// ReadCost and WriteCost simulate disk service times.
-	ReadCost  time.Duration
-	WriteCost time.Duration
-	// LockPoll and LockPatience tune the §5.3 waiters (defaults suit
-	// tests; zero keeps the server defaults).
-	LockPoll     time.Duration
-	LockPatience time.Duration
 	// TraceSample, when positive, turns on distributed tracing: clients
 	// made with Client() sample that ratio of operations ([0,1]) into
 	// span trees and report them back to the service, where they land in
@@ -101,12 +92,6 @@ func (c Config) withDefaults() Config {
 	if c.Servers < c.Peers {
 		c.Servers = c.Peers
 	}
-	if c.DiskBlocks <= 0 {
-		c.DiskBlocks = 1 << 16
-	}
-	if c.BlockSize <= 0 {
-		c.BlockSize = 4096
-	}
 	if c.Retain <= 0 {
 		c.Retain = 4
 	}
@@ -117,173 +102,152 @@ func (c Config) withDefaults() Config {
 type Cluster struct {
 	Cfg Config
 	Net *rpc.Network
-	// Shared is the first (or only) service instance's shared state;
-	// Shareds lists every instance when Cfg.Peers > 1.
-	Shared  *server.Shared
-	Shareds []*server.Shared
-	// Tables lists the replicated file tables, one per instance, when
-	// Cfg.Peers > 1 (nil otherwise: the single instance uses the plain
-	// in-process table).
-	Tables  []*ftab.Replicated
+	// Instances lists the service instances (Cfg.Peers of them), each
+	// with its own Shared state and, when there are several, its
+	// replica of the file table.
+	Instances []*Instance
+	// Servers lists every file server in start order; instOf names the
+	// instance each one serves.
 	Servers []*server.Server
-	GC      *gc.Collector
-	// Archive is the content-addressed archive tier (nil when the
-	// cluster runs without one), and Archiver the demote engine the
-	// collector feeds.
-	Archive  *archive.Store
-	Archiver *archive.Archiver
+	// GC is instance 0's collector — the elected sweeper of a mesh.
+	GC *gc.Collector
 	// Tracer is the service-side trace sink (nil unless Cfg.TraceSample
 	// is positive): client-assembled traces reported over CmdTraceReport
 	// land here, for /debug/traces-style inspection.
 	Tracer *trace.Tracer
+	// Metrics holds what the storage and instance 0 register: what that
+	// instance's process would serve on /metrics.
+	Metrics *metrics.Registry
 
-	pair   *stable.Pair
-	nextID int
-	instOf []int // service instance of each server, parallel to Servers
+	wire    wire
+	addrs   []string // listener address of each instance
+	instOf  []int    // service instance of each server, parallel to Servers
+	storage []*Storage
 }
 
-// netRegistry backs a server's update ports with the network, grouped
-// under the server's process group so a crash kills them.
-type netRegistry struct {
-	net   *rpc.Network
-	group string
+// wire is how a cluster's processes reach each other. NewCluster uses
+// the in-proc rpc.Network; the transport-equivalence test substitutes
+// loopback TCP to run the same assembly the daemons run.
+type wire struct {
+	net *rpc.Network // nil over TCP
+	// listen opens one process's listener: register serves a handler on
+	// one of its ports, addr is where dial reaches it.
+	listen func() (register func(capability.Port, rpc.Handler), addr string)
+	dial   Dialer
 }
 
-func (r netRegistry) Register(p capability.Port) {
-	// The handler answers liveness probes; any reply means "alive".
-	_ = r.net.Register(r.group, p, func(req *rpc.Message) *rpc.Message {
-		return req.Reply(rpc.StatusOK)
+// NewCluster builds and starts a cluster on the in-proc network.
+func NewCluster(cfg Config) (*Cluster, error) {
+	net := rpc.NewNetwork()
+	net.SetLatency(cfg.NetLatency)
+	return newCluster(cfg, wire{
+		net: net,
+		listen: func() (func(capability.Port, rpc.Handler), string) {
+			return func(p capability.Port, h rpc.Handler) {
+				// Every port is its own process group, so CrashServer
+				// can kill one server's port without touching its
+				// siblings. Ports are fresh random draws or derive from
+				// the loop-assigned instance IDs: a clash is a bug here.
+				if err := net.Register(p.String(), p, h); err != nil {
+					panic(err)
+				}
+			}, ""
+		},
+		dial: func(...Endpoint) rpc.Transactor { return net },
 	})
 }
 
-func (r netRegistry) Unregister(p capability.Port) { r.net.Unregister(p) }
-func (r netRegistry) Alive(p capability.Port) bool { return r.net.Alive(p) }
-
-// NewCluster builds and starts a cluster.
-func NewCluster(cfg Config) (*Cluster, error) {
+func newCluster(cfg Config, w wire) (_ *Cluster, err error) {
 	cfg = cfg.withDefaults()
-	geo := disk.Geometry{
-		Blocks:    cfg.DiskBlocks,
-		BlockSize: cfg.BlockSize,
-		ReadCost:  cfg.ReadCost,
-		WriteCost: cfg.WriteCost,
-	}
-	var store block.Store
-	var pair *stable.Pair
-	if len(cfg.MirrorStores) > 0 {
-		if len(cfg.MirrorStores) != 2 {
-			return nil, fmt.Errorf("core: MirrorStores needs exactly 2 backends, got %d", len(cfg.MirrorStores))
-		}
-		pair = stable.NewFailoverPair(cfg.MirrorStores[0], cfg.MirrorStores[1])
-		store = pair
-	} else if cfg.Store != nil {
-		store = cfg.Store
-	} else if cfg.StablePair {
-		da, err := disk.New(geo)
+	c := &Cluster{Cfg: cfg, Net: w.net, Metrics: new(metrics.Registry), wire: w}
+	defer func() {
 		if err != nil {
-			return nil, err
+			c.Close()
 		}
-		db, err := disk.New(geo)
-		if err != nil {
-			return nil, err
-		}
-		pair = stable.NewFailoverPair(block.NewServer(da), block.NewServer(db))
-		store = pair
-	} else {
-		d, err := disk.New(geo)
-		if err != nil {
-			return nil, err
-		}
-		store = block.NewServer(d)
-	}
-
-	var arch *archive.Store
-	var archiver *archive.Archiver
-	if cfg.Archive || cfg.ArchiveStore != nil {
-		backing := cfg.ArchiveStore
-		if backing == nil {
-			ad, err := disk.New(disk.Geometry{
-				Blocks:    cfg.DiskBlocks,
-				BlockSize: store.BlockSize() + archive.FrameOverhead,
-				ReadCost:  cfg.ReadCost,
-				WriteCost: cfg.WriteCost,
-			})
-			if err != nil {
-				return nil, err
-			}
-			backing = block.NewServer(ad)
-		}
-		if backing.BlockSize() < store.BlockSize()+archive.FrameOverhead {
-			return nil, fmt.Errorf("core: archive backing block size %d cannot frame front-tier %d-byte pages (need >= %d)",
-				backing.BlockSize(), store.BlockSize(), store.BlockSize()+archive.FrameOverhead)
-		}
-		var err error
-		arch, err = archive.New(backing, 1)
-		if err != nil {
-			return nil, err
-		}
-		archiver = &archive.Archiver{Front: version.NewStore(store, 1), Store: arch, Acct: 1}
-	}
-
-	net := rpc.NewNetwork()
-	net.SetLatency(cfg.NetLatency)
-	c := &Cluster{Cfg: cfg, Net: net, pair: pair, Archive: arch, Archiver: archiver}
+	}()
 	if cfg.TraceSample > 0 {
 		// The sink's own sampling ratio is irrelevant — clients sample;
 		// it only ingests reported traces.
 		c.Tracer = trace.New(0, cfg.TraceSlow, 256)
 	}
-	for i := 0; i < cfg.Peers; i++ {
-		sh := server.NewShared(store, 1)
-		sh.Archive = arch
-		sh.Tracer = c.Tracer
-		c.Shareds = append(c.Shareds, sh)
-	}
-	c.Shared = c.Shareds[0]
-	if cfg.Peers > 1 {
-		// Several service instances over one store, as between real
-		// machines: each instance gets its own object-number band and a
-		// replica of the file table on its well-known ftab port.
-		for i, sh := range c.Shareds {
-			sh.SetID(uint32(i))
-			inst := i
-			rep := ftab.NewReplicated(ftab.Options{
-				ID:        uint32(i),
-				Local:     sh.Table.(*file.Table),
-				Store:     version.NewStore(store, sh.Acct),
-				Ident:     sh.Fact,
-				PortAlive: net.Alive,
-				Live:      func() []block.Num { return c.instanceLive(inst) },
-			})
-			sh.Table = rep
-			c.Tables = append(c.Tables, rep)
+
+	// The block machine: used directly when it is one store, served
+	// one port per shard (and mounted per instance, below) when there
+	// are several.
+	store := cfg.Store
+	var mounts [][]Endpoint
+	if store == nil {
+		st, err := OpenBackend(cfg.Backend)
+		if err != nil {
+			return nil, err
 		}
-		for i, rep := range c.Tables {
-			for j := range c.Tables {
-				if j != i {
-					rep.AddPeer(uint32(j), net)
-				}
+		c.storage = append(c.storage, st)
+		store = st.Stores[0]
+		if len(st.Stores) == 1 {
+			st.Register(c.Metrics, 0)
+		} else {
+			register, addr := w.listen()
+			for _, ep := range st.Serve(register, addr, c.Metrics) {
+				mounts = append(mounts, []Endpoint{ep})
 			}
-			if err := net.Register(c.tableGroup(i), ftab.PortFor(uint32(i)), rep.Handler()); err != nil {
+		}
+	}
+	var archBacking block.Store
+	if cfg.Archive != nil {
+		ab := *cfg.Archive
+		ab.BlockSize = store.BlockSize() + archive.FrameOverhead
+		st, err := OpenBackend(ab)
+		if err != nil {
+			return nil, err
+		}
+		c.storage = append(c.storage, st)
+		archBacking = st.Stores[0]
+	}
+
+	// The service instances boot in ID order, like processes: instance 0
+	// establishes the service identity, every later one pulls it.
+	registers := make([]func(capability.Port, rpc.Handler), cfg.Peers)
+	c.addrs = make([]string, cfg.Peers)
+	for i := range registers {
+		registers[i], c.addrs[i] = w.listen()
+	}
+	for i := 0; i < cfg.Peers; i++ {
+		var reg *metrics.Registry
+		if i == 0 {
+			reg = c.Metrics
+		}
+		spec := Service{
+			ID:       uint32(i),
+			Store:    store,
+			Archive:  archBacking,
+			Retain:   cfg.Retain,
+			Tracer:   c.Tracer,
+			Register: registers[i],
+			Metrics:  reg,
+		}
+		if mounts != nil {
+			if spec.Store, _, err = Mount(mounts, w.dial, reg); err != nil {
 				return nil, err
 			}
 		}
-		for _, rep := range c.Tables {
-			rep.Bootstrap()
+		for j := 0; j < cfg.Peers; j++ {
+			if j != i {
+				spec.Peers = append(spec.Peers, Peer{ID: uint32(j),
+					Via: w.dial(Endpoint{Port: ftab.PortFor(uint32(j)), Addr: c.addrs[j]})})
+			}
 		}
+		in, err := NewInstance(spec)
+		if err != nil {
+			return nil, err
+		}
+		c.Instances = append(c.Instances, in)
 	}
 	for i := 0; i < cfg.Servers; i++ {
 		if _, err := c.AddServerOn(i % cfg.Peers); err != nil {
 			return nil, err
 		}
 	}
-	c.GC = gc.New(version.NewStore(store, c.Shared.Acct), c.Shared.Table, cfg.Retain, c.LiveVersions)
-	if archiver != nil {
-		c.GC.Demote = func(object uint32, root block.Num) error {
-			_, _, err := archiver.Demote(object, root)
-			return err
-		}
-	}
+	c.GC = c.Instances[0].GC
 	return c, nil
 }
 
@@ -296,33 +260,38 @@ func NewCluster(cfg Config) (*Cluster, error) {
 // clusters.
 func (c *Cluster) FlushTables(timeout time.Duration) bool {
 	ok := true
-	for _, rep := range c.Tables {
-		if !rep.Flush(timeout) {
+	for _, in := range c.Instances {
+		if in.Table != nil && !in.Table.Flush(timeout) {
 			ok = false
 		}
 	}
 	return ok
 }
 
-// Close shuts down the replicated tables' push streams, flushing
-// pending updates for at most the given timeout per instance
-// (non-positive waits indefinitely). It reports whether everything
-// drained; on false, peers resync by snapshot on their next heal.
-func (c *Cluster) Close(timeout time.Duration) bool {
-	ok := true
-	for _, rep := range c.Tables {
-		if !rep.Close(timeout) {
-			ok = false
+// Close stops the instances — flushing each table's pending pushes for
+// a bounded time; on a timeout peers resync by snapshot on their next
+// heal — and closes the storage the cluster opened.
+func (c *Cluster) Close() error {
+	for _, in := range c.Instances {
+		in.Close(5 * time.Second)
+	}
+	var first error
+	for _, st := range c.storage {
+		if err := st.Close(); first == nil {
+			first = err
 		}
 	}
-	return ok
+	return first
 }
 
-// group names a server's process group on the network.
-func (c *Cluster) group(id int) string { return fmt.Sprintf("afs-%d", id) }
-
-// tableGroup names an instance's table-replica process group.
-func (c *Cluster) tableGroup(inst int) string { return fmt.Sprintf("ftab-%d", inst) }
+// Abandon simulates a process crash for tests and demos that restart a
+// durable cluster within one process: the storage's file handles are
+// dropped with no flush or shutdown.
+func (c *Cluster) Abandon() {
+	for _, st := range c.storage {
+		st.Abandon()
+	}
+}
 
 // AddServer starts one more file server process on the first service
 // instance and returns its index. Used both for initial bring-up and to
@@ -333,52 +302,22 @@ func (c *Cluster) AddServer() (int, error) { return c.AddServerOn(0) }
 // AddServerOn starts one more file server process on service instance
 // inst and returns the server's index.
 func (c *Cluster) AddServerOn(inst int) (int, error) {
-	if inst < 0 || inst >= len(c.Shareds) {
-		return 0, fmt.Errorf("core: no service instance %d (have %d)", inst, len(c.Shareds))
+	if inst < 0 || inst >= len(c.Instances) {
+		return 0, fmt.Errorf("core: no service instance %d (have %d)", inst, len(c.Instances))
 	}
-	id := c.nextID
-	c.nextID++
-	s := server.New(c.Shareds[inst], c.Net.Alive)
-	s.UsePortRegistry(netRegistry{net: c.Net, group: c.group(id)})
-	if c.Cfg.LockPoll > 0 {
-		s.LockManager().Poll = c.Cfg.LockPoll
-	}
-	if c.Cfg.LockPatience > 0 {
-		s.LockManager().Patience = c.Cfg.LockPatience
-	}
-	if err := c.Net.Register(c.group(id), s.Port(), s.Handler()); err != nil {
-		return 0, err
-	}
-	c.Servers = append(c.Servers, s)
+	c.Servers = append(c.Servers, c.Instances[inst].AddServer())
 	c.instOf = append(c.instOf, inst)
 	return len(c.Servers) - 1, nil
 }
 
-// instanceLive reports the live version roots of instance inst's own
-// servers: what its table replica serves to peers' collectors.
-func (c *Cluster) instanceLive(inst int) []block.Num {
-	var out []block.Num
-	for i, s := range c.Servers {
-		if c.instOf[i] != inst {
-			continue
-		}
-		if c.Net.Alive(s.Port()) {
-			out = append(out, s.LiveVersions()...)
-		}
-	}
-	return out
-}
-
-// CrashServer kills server i: its process state and every port it serves
-// (including its updates' lock ports) die at once.
+// CrashServer kills server i: its process state and the port it serves
+// die at once, and with them its updates' lock ports.
 func (c *Cluster) CrashServer(i int) {
 	if i < 0 || i >= len(c.Servers) {
 		return
 	}
 	c.Servers[i].Crash()
-	// The group index equals the server's creation id as long as
-	// servers are only appended; recompute from position.
-	c.Net.Crash(c.group(i))
+	c.Net.Crash(c.Servers[i].Port().String())
 }
 
 // Ports lists the live servers' ports, preferred order.
@@ -407,7 +346,7 @@ func (c *Cluster) AllPorts() []capability.Port {
 // assembled trace back to the service (fire-and-forget) so cross-layer
 // traces are inspectable in one place.
 func (c *Cluster) Client() *client.Client {
-	cl := client.New(c.Net, c.AllPorts()...)
+	cl := client.New(c.wire.dial(c.endpoints()...), c.AllPorts()...)
 	if c.Cfg.TraceSample > 0 {
 		t := trace.New(c.Cfg.TraceSample, c.Cfg.TraceSlow, 64)
 		t.OnTrace = func(tr *trace.Trace) { go cl.ReportTrace(tr) }
@@ -416,27 +355,25 @@ func (c *Cluster) Client() *client.Client {
 	return cl
 }
 
-// LiveVersions aggregates the live version roots of every live server,
-// for GC pinning.
-func (c *Cluster) LiveVersions() []block.Num {
-	var out []block.Num
-	for _, s := range c.Servers {
-		if c.Net.Alive(s.Port()) {
-			out = append(out, s.LiveVersions()...)
-		}
+// endpoints lists every server's endpoint, in start order.
+func (c *Cluster) endpoints() []Endpoint {
+	eps := make([]Endpoint, len(c.Servers))
+	for i, s := range c.Servers {
+		eps[i] = Endpoint{Port: s.Port(), Addr: c.addrs[c.instOf[i]]}
 	}
-	return out
+	return eps
 }
 
-// Pair returns the stable-storage pair when the cluster uses one.
-func (c *Cluster) Pair() *stable.Pair { return c.pair }
+// Pair returns the stable-storage pair when the cluster's store is one.
+func (c *Cluster) Pair() *stable.Pair {
+	p, _ := c.Instances[0].Shared.Store.(*stable.Pair)
+	return p
+}
 
 // RecoverTable is the process-restart recovery path: rebuild the file
 // table from storage (§4 recovery scan) and adopt it into this
-// cluster's fresh service identity, minting new owner capabilities for
-// the recovered files (the old secrets died with the old process). It
-// returns the new capabilities by object number. Adoption is guarded
-// and idempotent (server.Shared.AdoptTable): instances racing the same
+// cluster's fresh service identity (Instance.Recover). It returns the
+// new capabilities by object number; instances racing the same
 // recovery converge on one set of capabilities.
 func (c *Cluster) RecoverTable() (map[uint32]capability.Capability, error) {
 	return c.RecoverTableOn(0)
@@ -444,31 +381,25 @@ func (c *Cluster) RecoverTable() (map[uint32]capability.Capability, error) {
 
 // RecoverTableOn runs the recovery adoption for service instance inst.
 func (c *Cluster) RecoverTableOn(inst int) (map[uint32]capability.Capability, error) {
-	if inst < 0 || inst >= len(c.Shareds) {
-		return nil, fmt.Errorf("core: no service instance %d (have %d)", inst, len(c.Shareds))
+	if inst < 0 || inst >= len(c.Instances) {
+		return nil, fmt.Errorf("core: no service instance %d (have %d)", inst, len(c.Instances))
 	}
-	sh := c.Shareds[inst]
-	st := version.NewStore(sh.Store, sh.Acct)
-	t, err := file.Rebuild(st)
-	if err != nil {
-		return nil, err
-	}
-	return sh.AdoptTable(t), nil
+	return c.Instances[inst].Recover()
 }
 
 // RebuildTable reconstructs the file table from storage (total-crash
 // recovery, §4): the result replaces the shared table's contents.
 func (c *Cluster) RebuildTable() error {
-	st := version.NewStore(c.Shared.Store, c.Shared.Acct)
-	t, err := file.Rebuild(st)
+	sh := c.Instances[0].Shared
+	t, err := file.Rebuild(version.NewStore(sh.Store, sh.Acct))
 	if err != nil {
 		return err
 	}
-	for _, obj := range c.Shared.Table.Objects() {
-		c.Shared.Table.Remove(obj)
+	for _, obj := range sh.Table.Objects() {
+		sh.Table.Remove(obj)
 	}
 	for obj, e := range t.Entries() {
-		c.Shared.Table.Put(obj, e)
+		sh.Table.Put(obj, e)
 	}
 	return nil
 }

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"testing"
-	"time"
 
 	"repro/internal/client"
 	"repro/internal/page"
@@ -12,12 +11,9 @@ import (
 
 func testConfig() Config {
 	return Config{
-		Servers:      3,
-		DiskBlocks:   1 << 14,
-		BlockSize:    1024,
-		Retain:       2,
-		LockPoll:     50 * time.Microsecond,
-		LockPatience: 200 * time.Millisecond,
+		Servers: 3,
+		Backend: Backend{Blocks: 1 << 14, BlockSize: 1024},
+		Retain:  2,
 	}
 }
 
@@ -123,7 +119,7 @@ func TestClusterReplacementServer(t *testing.T) {
 func TestClusterStablePairSurvivesDiskCrash(t *testing.T) {
 	cfg := testConfig()
 	cfg.Servers = 1
-	cfg.StablePair = true
+	cfg.Backend.Pair = true
 	c, err := NewCluster(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -213,8 +209,8 @@ func TestClusterRebuildTable(t *testing.T) {
 	}
 
 	// Total service loss: wipe the table, rebuild from disk.
-	for _, obj := range c.Shared.Table.Objects() {
-		c.Shared.Table.Remove(obj)
+	for _, obj := range c.Instances[0].Shared.Table.Objects() {
+		c.Instances[0].Shared.Table.Remove(obj)
 	}
 	if err := c.RebuildTable(); err != nil {
 		t.Fatal(err)

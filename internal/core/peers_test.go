@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/client"
 	"repro/internal/ftab"
+	"repro/internal/gc"
 	"repro/internal/occ"
 	"repro/internal/page"
 )
@@ -17,15 +18,15 @@ import (
 // instance 1 — same capability, different machine — and commits from
 // either side must land on one storage chain and one converged table.
 func TestPeersClusterEndToEnd(t *testing.T) {
-	c, err := NewCluster(Config{Peers: 2, Servers: 2, DiskBlocks: 1 << 14, BlockSize: 1024})
+	c, err := NewCluster(Config{Peers: 2, Servers: 2, Backend: Backend{Blocks: 1 << 14, BlockSize: 1024}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(c.Shareds) != 2 || len(c.Tables) != 2 {
-		t.Fatalf("want 2 instances, got %d shareds / %d tables", len(c.Shareds), len(c.Tables))
+	if len(c.Instances) != 2 || c.Instances[0].Table == nil || c.Instances[1].Table == nil {
+		t.Fatalf("want 2 instances with replicated tables, got %d", len(c.Instances))
 	}
 	// The instances agreed on one service identity at bootstrap.
-	if a, b := c.Shareds[0].Fact.Port(), c.Shareds[1].Fact.Port(); a != b {
+	if a, b := c.Instances[0].Shared.Fact.Port(), c.Instances[1].Shared.Fact.Port(); a != b {
 		t.Fatalf("service identities differ: %v vs %v", a, b)
 	}
 
@@ -73,7 +74,7 @@ func TestPeersClusterEndToEnd(t *testing.T) {
 		t.Fatalf("instance 0 read %q", got)
 	}
 	c.FlushTables(30 * time.Second)
-	if a, b := ftab.Fingerprint(c.Shareds[0].Table), ftab.Fingerprint(c.Shareds[1].Table); a != b {
+	if a, b := ftab.Fingerprint(c.Instances[0].Shared.Table), ftab.Fingerprint(c.Instances[1].Shared.Table); a != b {
 		t.Fatalf("tables diverged: %s vs %s", a, b)
 	}
 }
@@ -82,7 +83,7 @@ func TestPeersClusterEndToEnd(t *testing.T) {
 // redone against the surviving instance, signalled by ErrVersionLost
 // (which wraps occ.ErrConflict so existing redo loops just work).
 func TestPeersVersionLostRedo(t *testing.T) {
-	c, err := NewCluster(Config{Peers: 2, Servers: 2, DiskBlocks: 1 << 14, BlockSize: 1024})
+	c, err := NewCluster(Config{Peers: 2, Servers: 2, Backend: Backend{Blocks: 1 << 14, BlockSize: 1024}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,7 +140,7 @@ func TestPeersVersionLostRedo(t *testing.T) {
 // instead of double-minting capabilities.
 func TestAdoptTableIdempotent(t *testing.T) {
 	// A store with one file from a previous life.
-	seedCluster, err := NewCluster(Config{Servers: 1, DiskBlocks: 1 << 14, BlockSize: 1024})
+	seedCluster, err := NewCluster(Config{Servers: 1, Backend: Backend{Blocks: 1 << 14, BlockSize: 1024}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,7 +148,7 @@ func TestAdoptTableIdempotent(t *testing.T) {
 	if _, err := seedCli.CreateFile([]byte("survivor")); err != nil {
 		t.Fatal(err)
 	}
-	store := seedCluster.Shared.Store
+	store := seedCluster.Instances[0].Shared.Store
 
 	// A fresh two-instance service over the same store.
 	c, err := NewCluster(Config{Peers: 2, Servers: 2, Store: store})
@@ -172,7 +173,7 @@ func TestAdoptTableIdempotent(t *testing.T) {
 		t.Fatalf("second adopter minted %d capabilities, want 0 (idempotent adoption)", len(caps1))
 	}
 	c.FlushTables(30 * time.Second)
-	if a, b := ftab.Fingerprint(c.Shareds[0].Table), ftab.Fingerprint(c.Shareds[1].Table); a != b {
+	if a, b := ftab.Fingerprint(c.Instances[0].Shared.Table), ftab.Fingerprint(c.Instances[1].Shared.Table); a != b {
 		t.Fatalf("tables diverged after racing adoption: %s vs %s", a, b)
 	}
 	// Repeating the first adoption is also a no-op.
@@ -182,5 +183,97 @@ func TestAdoptTableIdempotent(t *testing.T) {
 	}
 	if len(caps2) != 0 {
 		t.Fatalf("repeated adoption minted %d capabilities, want 0", len(caps2))
+	}
+}
+
+// TestCollectorElectionAndPeerPins runs the deployed collector wiring
+// in-proc — the sweep-leader gate and the peer-pin callback that only
+// afs-server used to assemble. The non-leader's collector must stand
+// by; the leader's must pin the version a client holds open on the
+// OTHER instance (its uncommitted pages are garbage to any root the
+// leader can see locally), and must skip the cycle outright when that
+// instance cannot be asked.
+func TestCollectorElectionAndPeerPins(t *testing.T) {
+	c, err := NewCluster(Config{Peers: 2, Servers: 2, Retain: 1, Backend: Backend{Blocks: 1 << 14, BlockSize: 1024}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ports := c.AllPorts()
+	cli0 := client.New(c.Net, ports[0])
+	cli1 := client.New(c.Net, ports[1]) // instance 1's server only
+
+	fcap, err := cli0.CreateFile([]byte("v0"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 1; i <= 3; i++ {
+		v, err := cli0.Update(fcap, client.UpdateOpts{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := v.Write(page.RootPath, []byte{byte('0' + i)}); err != nil {
+			t.Fatal(err)
+		}
+		if err := v.Commit(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	c.FlushTables(30 * time.Second)
+
+	// An update open on instance 1, with an uncommitted page of its own.
+	open, err := cli1.Update(fcap, client.UpdateOpts{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := open.Insert(page.RootPath, 0, []byte("held open across two sweeps")); err != nil {
+		t.Fatal(err)
+	}
+
+	// The non-leader stands by: its gate refuses before anything is
+	// scanned, however much garbage there is.
+	rep, err := c.Instances[1].GC.Collect()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Scanned != 0 || rep.Retired != 0 || rep.Freed != 0 {
+		t.Fatalf("non-leader collector ran a cycle: %+v", rep)
+	}
+
+	// The leader sweeps — twice, so condemned blocks are actually freed
+	// — and retires the old versions, with the peer's open version among
+	// its roots.
+	var swept gc.Report
+	for i := 0; i < 2; i++ {
+		if swept, err = c.GC.Collect(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if swept.Scanned == 0 || swept.Freed == 0 {
+		t.Fatalf("leader's collector did not sweep: %+v", swept)
+	}
+	own := len(c.Instances[0].live())
+	if err := open.Commit(); err != nil {
+		t.Fatalf("commit of the version the leader had to pin: %v", err)
+	}
+	c.FlushTables(30 * time.Second)
+	cur, err := cli0.CurrentVersion(fcap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if data, _, err := cli0.ReadCommitted(fcap, cur, page.Path{0}); err != nil || string(data) != "held open across two sweeps" {
+		t.Fatalf("pinned page after two sweeps: %q, %v", data, err)
+	}
+	if own != 0 {
+		t.Fatalf("instance 0 had %d open versions of its own; the pin must have come from the peer", own)
+	}
+
+	// Fail closed: with instance 1's table replica unreachable its open
+	// versions cannot be pinned, so the leader skips the cycle.
+	c.Net.Crash(ftab.PortFor(1).String())
+	if rep, err = c.GC.Collect(); err != nil {
+		t.Fatal(err)
+	}
+	if rep.Scanned != 0 {
+		t.Fatalf("leader swept without the peer's pins: %+v", rep)
 	}
 }

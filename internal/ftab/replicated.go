@@ -1175,3 +1175,20 @@ func (r *Replicated) DownPeers() int {
 var errUnknownOp = errors.New("ftab: unknown update op")
 
 var _ Table = (*Replicated)(nil)
+
+// Collect is the replica's metrics collector: the replication counters,
+// peer liveness, the pending-queue depth and the push-stream histograms.
+func (r *Replicated) Collect(e *metrics.Emitter) {
+	s := r.StatsSnapshot()
+	e.Counters("afs_ftab_total", "Replicated file-table events by kind.", "event", map[string]uint64{
+		"pushes": s.Pushes, "push_failures": s.PushFailures, "applied": s.Applied,
+		"fast_applied": s.FastApplied, "resolved": s.Resolved, "tie_breaks": s.TieBreaks,
+		"resyncs": s.Resyncs, "batches": s.Batches, "coalesced": s.Coalesced,
+		"overflows": s.Overflows,
+	})
+	e.Gauge("afs_ftab_peers", "File-table peers by state.", float64(s.PeersUp), "state", "up")
+	e.Gauge("afs_ftab_peers", "File-table peers by state.", float64(s.PeersDown), "state", "down")
+	e.Gauge("afs_ftab_queue_depth", "Updates pending across the per-peer push streams.", float64(s.QueueDepth))
+	e.Histogram("afs_ftab_batch_size", "Updates carried per replication frame.", r.BatchSizes.Snapshot())
+	e.Histogram("afs_ftab_push_seconds", "Wire round-trip latency per replication frame.", r.PushLatency.Snapshot())
+}

@@ -49,9 +49,9 @@ type Report struct {
 	Demoted   int // retired versions rewritten into the archive tier
 	// DemoteErrors counts demote attempts that failed this cycle; the
 	// versions stay retained (nothing committed is freed unarchived),
-	// so a persistently failing archive shows up here — and through the
-	// Run errs channel — instead of silently halting retirement while
-	// the front tier grows.
+	// so a persistently failing archive shows up here — and in the log
+	// of whoever runs the cycles (core.Instance) — instead of silently
+	// halting retirement while the front tier grows.
 	DemoteErrors int
 	DemoteErr    error // last demote failure, nil when DemoteErrors is 0
 	LiveRoots    int   // root versions marked (retained + uncommitted + pinned bases)
@@ -82,7 +82,7 @@ type Collector struct {
 	// has not touched it) before the table advances past it. A version
 	// the archiver cannot take stays retained for this cycle, so
 	// nothing committed is ever freed unarchived; failures are counted
-	// in Report.DemoteErrors and surfaced through Run's errs channel.
+	// in Report.DemoteErrors and logged by the loop that runs the cycles.
 	// Demotion is idempotent (content-addressed, the snapshot log
 	// refuses duplicates, and the archiver refreshes its index from the
 	// shared backing store first), which also defuses the multi-server
@@ -429,32 +429,4 @@ func (g *Collector) subtreeWrites(pg *page.Page) (bool, error) {
 		}
 	}
 	return false, nil
-}
-
-// Run collects every interval until stop is closed: the paper's collector
-// running "independent of, and in parallel with, the operation of the
-// system". Errors are delivered to errs if non-nil.
-func (g *Collector) Run(interval time.Duration, stop <-chan struct{}, errs chan<- error) {
-	t := time.NewTicker(interval)
-	defer t.Stop()
-	for {
-		select {
-		case <-stop:
-			return
-		case <-t.C:
-			rep, err := g.Collect()
-			if err == nil {
-				// A cycle that completed but could not demote is a
-				// degraded success: retirement is stalled until the
-				// archive recovers, which the operator must hear about.
-				err = rep.DemoteErr
-			}
-			if err != nil && errs != nil {
-				select {
-				case errs <- err:
-				default:
-				}
-			}
-		}
-	}
 }

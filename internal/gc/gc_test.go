@@ -308,8 +308,17 @@ func TestRunBackground(t *testing.T) {
 	stop := make(chan struct{})
 	done := make(chan struct{})
 	go func() {
-		f.col.Run(time.Millisecond, stop, nil)
-		close(done)
+		defer close(done)
+		tick := time.NewTicker(time.Millisecond)
+		defer tick.Stop()
+		for {
+			select {
+			case <-stop:
+				return
+			case <-tick.C:
+				f.col.Collect()
+			}
+		}
 	}()
 	// Work while the collector runs in parallel.
 	for i := 0; i < 20; i++ {

@@ -2,7 +2,6 @@ package rpc
 
 import (
 	"fmt"
-	"io"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -15,8 +14,8 @@ import (
 // RPC wire: afs_rpc_seconds{cmd=...} histograms plus
 // afs_rpc_errors_total{cmd=...,status=...} counters. Install one on a
 // TCPClient or Network (the caller side) with SetMetrics, and wrap
-// server handlers with Instrument (the callee side); the afs-server
-// /metrics endpoint renders both with a side label.
+// server handlers with Instrument (the callee side); both daemons
+// register Collect with a side label.
 //
 // Command numbers are only unique within one service's protocol (the
 // file service, the block service and the replicated table all count
@@ -77,14 +76,10 @@ func (m *Metrics) name(cmd uint32) string {
 	return fmt.Sprintf("%d", cmd)
 }
 
-// Write renders the family in Prometheus text exposition format, with
-// extra labels (typically side="client"/"server") merged into every
-// sample. Help/type headers are the caller's job (several Metrics
-// instances share the two series names).
-func (m *Metrics) Write(w io.Writer, labels map[string]string) {
-	if m == nil {
-		return
-	}
+// Collect emits the family into a metrics.Registry scrape; register it
+// with the constant label side="client" or side="server" (several
+// Metrics instances share the two series names).
+func (m *Metrics) Collect(e *metrics.Emitter) {
 	type row struct {
 		cmd uint32
 		e   *cmdMetrics
@@ -96,32 +91,18 @@ func (m *Metrics) Write(w io.Writer, labels map[string]string) {
 	})
 	sort.Slice(rows, func(i, j int) bool { return rows[i].cmd < rows[j].cmd })
 	for _, r := range rows {
-		l := map[string]string{"cmd": m.name(r.cmd)}
-		for k, v := range labels {
-			l[k] = v
-		}
-		r.e.lat.Snapshot().Write(w, "afs_rpc_seconds", l)
+		cmd := m.name(r.cmd)
+		e.Histogram("afs_rpc_seconds", "Per-command RPC transaction latency.", r.e.lat.Snapshot(), "cmd", cmd)
 		r.e.errs.Range(func(k, v any) bool {
-			st := k.(Status)
-			el := map[string]string{"cmd": m.name(r.cmd)}
-			for lk, lv := range labels {
-				el[lk] = lv
+			status := "transport"
+			if st := k.(Status); st != Status(^uint32(0)) {
+				status = st.String()
 			}
-			if st == Status(^uint32(0)) {
-				el["status"] = "transport"
-			} else {
-				el["status"] = st.String()
-			}
-			metrics.WriteSample(w, "afs_rpc_errors_total", el, float64(v.(*errCount).n.Load()))
+			e.Counter("afs_rpc_errors_total", "Per-command non-OK RPC outcomes by status.",
+				float64(v.(*errCount).n.Load()), "cmd", cmd, "status", status)
 			return true
 		})
 	}
-}
-
-// WriteHeaders emits the # HELP/# TYPE lines for the family once.
-func WriteMetricsHeaders(w io.Writer) {
-	metrics.WriteHelp(w, "afs_rpc_seconds", "histogram", "Per-command RPC transaction latency.")
-	metrics.WriteHelp(w, "afs_rpc_errors_total", "counter", "Per-command non-OK RPC outcomes by status.")
 }
 
 // Instrument wraps a server-side handler so every request it serves is

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"repro/internal/capability"
+	"repro/internal/metrics"
 	"repro/internal/trace"
 )
 
@@ -212,9 +213,10 @@ func TestRPCMetricsRender(t *testing.T) {
 	}
 
 	var b strings.Builder
-	WriteMetricsHeaders(&b)
-	serverM.Write(&b, map[string]string{"side": "server"})
-	clientM.Write(&b, map[string]string{"side": "client"})
+	reg := new(metrics.Registry)
+	reg.Register("rpc", serverM.Collect, "side", "server")
+	reg.Register("rpc", clientM.Collect, "side", "client")
+	reg.WriteProm(&b)
 	out := b.String()
 	for _, want := range []string{
 		`afs_rpc_seconds_count{cmd="echo",side="server"} 2`,

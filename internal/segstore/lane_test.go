@@ -582,11 +582,10 @@ func TestAdaptiveWindowUnderLoad(t *testing.T) {
 		t.Skip("no batch reached the growth threshold on this machine; windowing not exercised")
 	}
 	// The window histogram saw every group-commit decision.
-	h := s.Histograms()
-	if h.Window.Snapshot().Count == 0 {
+	if s.windowHist.Snapshot().Count == 0 {
 		t.Fatal("window histogram empty after group commits")
 	}
-	if h.BatchPages.Snapshot().Count == 0 {
+	if s.batchHist.Snapshot().Count == 0 {
 		t.Fatal("batch-pages histogram empty after group commits")
 	}
 }

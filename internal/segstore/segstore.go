@@ -51,6 +51,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -1212,24 +1213,28 @@ func (s *Store) LaneStats() []LaneStat {
 	return out
 }
 
-// Histograms is the store's always-on instrumentation, in the shape
-// the /metrics endpoint renders.
-type Histograms struct {
-	// Append is the client-visible append latency: submit to
-	// acknowledgement, fsync included.
-	Append *metrics.Histogram
-	// Flush is the duration of each individual fsync.
-	Flush *metrics.Histogram
-	// BatchPages is how many records each group-commit batch carried.
-	BatchPages *metrics.Histogram
-	// Window is the adaptive group-commit window in force at each
-	// batch, in seconds.
-	Window *metrics.Histogram
-}
-
-// Histograms returns the store's instrumentation histograms.
-func (s *Store) Histograms() Histograms {
-	return Histograms{Append: s.appendHist, Flush: s.flushHist, BatchPages: s.batchHist, Window: s.windowHist}
+// Collect is the store's metrics collector: the group-commit and
+// compaction counters, the always-on latency and batching histograms,
+// and each lane's load picture.
+func (s *Store) Collect(e *metrics.Emitter) {
+	st := s.Stats()
+	e.Counters("afs_segstore_total", "Segment-log events by kind.", "event", map[string]uint64{
+		"batches": st.Batches, "batch_records": st.BatchRecords, "fsyncs": st.Syncs,
+		"compactions": st.Compactions, "relocations": st.Relocations, "segments_reclaimed": st.SegmentsReclaimed,
+		"recycles": st.Recycles, "window_grows": st.WindowGrows, "window_shrinks": st.WindowShrinks,
+		"compact_errors": st.CompactErrors, "lanes_recreated": st.LanesRecreated,
+	})
+	e.Histogram("afs_segstore_append_seconds", "Client-visible append latency, submit to durable acknowledgement.", s.appendHist.Snapshot())
+	e.Histogram("afs_segstore_flush_seconds", "Duration of each segment-log fsync.", s.flushHist.Snapshot())
+	e.Histogram("afs_segstore_batch_pages", "Records carried per group-commit batch.", s.batchHist.Snapshot())
+	e.Histogram("afs_segstore_window_seconds", "Adaptive group-commit window in force at each batch.", s.windowHist.Snapshot())
+	for _, ls := range s.LaneStats() {
+		lane := strconv.Itoa(ls.Lane)
+		e.Gauge("afs_segstore_lane_queue_depth", "Request groups waiting per log lane.", float64(ls.QueueDepth), "lane", lane)
+		e.Gauge("afs_segstore_lane_window_seconds", "Current adaptive commit window per log lane.", ls.Window.Seconds(), "lane", lane)
+		e.Gauge("afs_segstore_lane_segments", "Live segment files per log lane.", float64(ls.Segments), "lane", lane)
+		e.Gauge("afs_segstore_lane_pool_free", "Recycled segment files awaiting reuse per log lane.", float64(ls.PoolFree), "lane", lane)
+	}
 }
 
 // Usage implements block.UsageReporter, so a sharding facade (or a

@@ -16,6 +16,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/archive"
@@ -24,6 +25,7 @@ import (
 	"repro/internal/file"
 	"repro/internal/ftab"
 	"repro/internal/lock"
+	"repro/internal/metrics"
 	"repro/internal/occ"
 	"repro/internal/page"
 	"repro/internal/trace"
@@ -43,21 +45,11 @@ var (
 	ErrNoArchive = errors.New("server: no archive tier configured")
 )
 
-// PortRegistry tracks the liveness of update ports: every open update
+// MemRegistry tracks the liveness of update ports: every open update
 // holds its locks under a fresh port registered here, and waiters probe
-// it. The in-memory registry serves single-process clusters; the core
-// package bridges to the rpc network so that a server crash kills all of
-// its update ports at once.
-type PortRegistry interface {
-	// Register announces a live port.
-	Register(p capability.Port)
-	// Unregister removes a port; probes then report it dead.
-	Unregister(p capability.Port)
-	// Alive reports whether the port is registered.
-	Alive(p capability.Port) bool
-}
-
-// MemRegistry is the in-memory PortRegistry.
+// it (across a mesh, through the table replica's port-liveness
+// command). A server crash unregisters all of its updates' ports at
+// once.
 type MemRegistry struct {
 	mu    sync.Mutex
 	ports map[capability.Port]bool
@@ -68,21 +60,21 @@ func NewMemRegistry() *MemRegistry {
 	return &MemRegistry{ports: make(map[capability.Port]bool)}
 }
 
-// Register implements PortRegistry.
+// Register announces a live port.
 func (r *MemRegistry) Register(p capability.Port) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.ports[p] = true
 }
 
-// Unregister implements PortRegistry.
+// Unregister removes a port; probes then report it dead.
 func (r *MemRegistry) Unregister(p capability.Port) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	delete(r.ports, p)
 }
 
-// Alive implements PortRegistry.
+// Alive reports whether the port is registered.
 func (r *MemRegistry) Alive(p capability.Port) bool {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -118,7 +110,7 @@ type Shared struct {
 	// Acct is the service's block account.
 	Acct block.Account
 	// Ports answers lock-holder liveness across all servers.
-	Ports PortRegistry
+	Ports *MemRegistry
 	// Archive is the content-addressed archive tier holding demoted
 	// snapshots; nil when the deployment runs without one, in which
 	// case the snapshot commands answer ErrNoArchive.
@@ -284,10 +276,6 @@ type Server struct {
 	st     *version.Store
 	com    *occ.Committer
 	locks  *lock.Manager
-	// ports tracks this server's update ports; by default the service's
-	// shared registry, replaced by a network-backed registry in
-	// clustered deployments so that a process crash kills the ports.
-	ports PortRegistry
 
 	mu       sync.Mutex
 	versions map[uint32]*verRec
@@ -308,17 +296,10 @@ func New(shared *Shared, probe lock.Prober) *Server {
 		st:       st,
 		com:      occ.NewCommitter(st),
 		locks:    lock.NewManager(st, port, probe),
-		ports:    shared.Ports,
 		versions: make(map[uint32]*verRec),
 	}
 	return s
 }
-
-// UsePortRegistry replaces the server's update-port registry (and should
-// be called before the server serves requests). Clustered deployments
-// back it with the network so that killing the server's process kills
-// its ports.
-func (s *Server) UsePortRegistry(reg PortRegistry) { s.ports = reg }
 
 // closedGrace is how long a closed version record lingers so that
 // follow-up queries (e.g. the commit reply's root lookup) still resolve.
@@ -368,7 +349,7 @@ func (s *Server) Crash() {
 	defer s.mu.Unlock()
 	s.crashed = true
 	for _, rec := range s.versions {
-		s.ports.Unregister(rec.locks.Port)
+		s.shared.Ports.Unregister(rec.locks.Port)
 	}
 	s.versions = make(map[uint32]*verRec)
 }
@@ -436,10 +417,10 @@ func (s *Server) CreateVersion(fcap capability.Capability, opts CreateVersionOpt
 	// Every update holds its locks under a fresh port whose liveness
 	// waiters can probe; the port dies with the update or its server.
 	upPort := capability.NewPort().Public()
-	s.ports.Register(upPort)
+	s.shared.Ports.Register(upPort)
 	mgr := s.locks.As(upPort)
 	if err := mgr.AcquireTop(cur, superDiscipline); err != nil {
-		s.ports.Unregister(upPort)
+		s.shared.Ports.Unregister(upPort)
 		return capability.Nil, err
 	}
 
@@ -447,7 +428,7 @@ func (s *Server) CreateVersion(fcap capability.Capability, opts CreateVersionOpt
 	tr, err := version.CreateVersion(s.st, cur, vcap)
 	if err != nil {
 		mgr.Clear(cur, upPort)
-		s.ports.Unregister(upPort)
+		s.shared.Ports.Unregister(upPort)
 		return capability.Nil, err
 	}
 	rec := &verRec{
@@ -779,7 +760,7 @@ func (s *Server) commitT(tc trace.Context, vcap capability.Capability) error {
 		// rides ftab's asynchronous batched streams, and late or lost
 		// deliveries self-heal through the chase rule.
 		s.shared.Table.CommitCAS(rec.fileObj, rec.topBase, rec.tree.Root)
-		s.ports.Unregister(rec.locks.Port)
+		s.shared.Ports.Unregister(rec.locks.Port)
 		return nil
 	})
 }
@@ -802,7 +783,7 @@ func (s *Server) releaseLocks(rec *verRec) {
 	for _, sub := range rec.crossing {
 		rec.locks.Clear(sub, rec.locks.Port)
 	}
-	s.ports.Unregister(rec.locks.Port)
+	s.shared.Ports.Unregister(rec.locks.Port)
 }
 
 // CurrentVersion returns the root block of the file's current version:
@@ -980,4 +961,35 @@ func (s *Server) VersionBase(vcap capability.Capability) (block.Num, error) {
 		return block.NilNum, err
 	}
 	return rec.topBase, nil
+}
+
+// Collect returns the file-service metrics collector of one service
+// instance: the table size, and the OCC counters and commit latency
+// summed over the instance's servers (identical bucket bounds, so
+// summing the snapshots is exact).
+func Collect(sh *Shared, servers func() []*Server) func(*metrics.Emitter) {
+	return func(e *metrics.Emitter) {
+		e.Gauge("afs_files", "Files in the table.", float64(sh.Table.Len()))
+		events := []string{"commits", "fast_commits", "validations", "conflicts", "pages_compared", "merged_refs", "chain_retries"}
+		total := make(map[string]uint64, len(events))
+		var lat metrics.HistogramSnapshot
+		for i, s := range servers() {
+			st := s.OCCStats()
+			for k, c := range []*atomic.Uint64{&st.Commits, &st.FastCommits, &st.Validations, &st.Conflicts, &st.PagesCompared, &st.Merged, &st.ChainRetries} {
+				total[events[k]] += c.Load()
+			}
+			snap := st.Latency.Snapshot()
+			if i == 0 {
+				lat = snap
+				continue
+			}
+			lat.Count += snap.Count
+			lat.SumSeconds += snap.SumSeconds
+			for j := range lat.Buckets {
+				lat.Buckets[j].Count += snap.Buckets[j].Count
+			}
+		}
+		e.Counters("afs_occ_total", "OCC commit-path events by kind.", "event", total)
+		e.Histogram("afs_commit_seconds", "Commit operation latency (validation, critical section, locks, table CAS).", lat)
+	}
 }

@@ -68,10 +68,12 @@ import (
 	"fmt"
 	"math/rand/v2"
 	"sort"
+	"strconv"
 	"sync"
 	"sync/atomic"
 
 	"repro/internal/block"
+	"repro/internal/metrics"
 	"repro/internal/trace"
 )
 
@@ -717,4 +719,17 @@ func (s *Store) Usage() (block.Usage, error) {
 		total.InUse += u.InUse
 	}
 	return total, nil
+}
+
+// Collect is the facade's metrics collector: every shard's operation
+// counters and headroom (one stats fetch per shard per scrape).
+func (s *Store) Collect(e *metrics.Emitter) {
+	for _, st := range s.ShardStats() {
+		shard := strconv.Itoa(st.Shard)
+		e.Counters("afs_shard_ops_total", "Per-shard operations by kind.", "op", map[string]uint64{
+			"read": st.Stats.Reads, "write": st.Stats.Writes, "alloc": st.Stats.Allocs,
+			"free": st.Stats.Frees, "fsync": st.Stats.Syncs,
+		}, "shard", shard)
+		e.Gauge("afs_shard_blocks_in_use", "Per-shard allocated blocks.", float64(st.Usage.InUse), "shard", shard)
+	}
 }

@@ -60,6 +60,7 @@ import (
 	"sync"
 
 	"repro/internal/block"
+	"repro/internal/metrics"
 	"repro/internal/rpc"
 	"repro/internal/trace"
 )
@@ -1554,3 +1555,23 @@ func (p *Pair) SetEpoch(e uint64) error {
 var _ block.MultiStore = (*Pair)(nil)
 var _ block.PairStore = (*Pair)(nil)
 var _ block.EpochStore = (*Pair)(nil)
+
+// Collect is the pair's metrics collector: each half's liveness and
+// protocol counters, labelled by half. Register it with a constant
+// label naming the pair (afs-server: pair; afs-block: shard).
+func (p *Pair) Collect(e *metrics.Emitter) {
+	for _, h := range []*Half{p.a, p.b} {
+		down := 0.0
+		if h.Down() {
+			down = 1
+		}
+		e.Gauge("afs_mirror_half_down", "1 when the half is down.", down, "half", h.Name())
+		st := h.Stats()
+		e.Counters("afs_mirror_half_events_total", "Pair-protocol events by kind.", "event", map[string]uint64{
+			"companion_write": st.CompanionWrites, "collision": st.Collisions,
+			"corrupt_fallback": st.CorruptFallbacks, "repair": st.Repairs,
+			"intent": st.IntentionsKept, "replayed": st.Replayed,
+			"full_copied": st.FullCopied, "auto_markdown": st.AutoMarkdowns,
+		}, "half", h.Name())
+	}
+}

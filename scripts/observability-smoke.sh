@@ -1,10 +1,13 @@
 #!/bin/sh
 # Observability smoke: boot a real deployment — a 2-shard durable block
-# service and a 2-server file service with tracing on — run a small
-# workload through the CLI, then assert that the debug listener serves
-# per-command RPC metrics on /metrics and that /debug/traces holds a
-# commit trace whose spans cover at least 4 layers (the server dispatch,
-# the OCC commit section, the shard fan-out and the remote block hops).
+# service of mirrored pairs and a 2-server file service with tracing on
+# — run a small workload through the CLI, then assert that the debug
+# listeners serve per-command RPC metrics on /metrics (and, on the block
+# service that owns them, the segment-log and pair-half families per
+# served shard), that /debug/traces holds a commit trace whose spans
+# cover at least 4 layers (the server dispatch, the OCC commit section,
+# the shard fan-out and the remote block hops), and that a plain kill
+# (SIGTERM) takes both daemons down their shutdown path.
 #
 # Run from the repo root: scripts/observability-smoke.sh
 set -eu
@@ -38,7 +41,8 @@ wait_endpoints() {
     head -n 1 "$1"
 }
 
-"$tmp/afs-block" -store=seg -dir="$tmp/blocks" -shards=2 >"$tmp/blocks.out" 2>"$tmp/blocks.err" &
+"$tmp/afs-block" -store=seg -dir="$tmp/blocks" -shards=2 -pair -debug-addr=127.0.0.1:8098 \
+    >"$tmp/blocks.out" 2>"$tmp/blocks.err" &
 block_pid=$!
 blocks=$(wait_endpoints "$tmp/blocks.out")
 
@@ -66,6 +70,18 @@ grep -q 'side="client"' "$tmp/metrics.out" || {
     echo "observability-smoke: /metrics has no client-side (block mount) RPC series" >&2
     exit 1
 }
+
+# The block service owns the segment logs and the pair halves: their
+# families are served there, labelled by served shard.
+curl -fsS 127.0.0.1:8098/metrics >"$tmp/block-metrics.out"
+for series in 'afs_segstore_total{.*shard="1"' 'afs_segstore_append_seconds_bucket{.*shard="0"' \
+    'afs_mirror_half_down{.*shard="0"' 'afs_mirror_half_events_total{.*shard="1"' \
+    'afs_rpc_seconds_bucket{.*side="server"'; do
+    grep -q "$series" "$tmp/block-metrics.out" || {
+        echo "observability-smoke: afs-block /metrics has no series matching $series" >&2
+        exit 1
+    }
+done
 
 curl -fsS 127.0.0.1:8099/debug/traces >"$tmp/traces.out"
 python3 - "$tmp/traces.out" <<'EOF'
@@ -96,5 +112,20 @@ if len(best) < 4:
     sys.exit(f"commit trace covers only {sorted(best)}; want >= 4 layers")
 print(f"commit trace covers {len(best)} layers: {sorted(best)}")
 EOF
+
+# Plain kill is SIGTERM — what systemd and docker send. Both daemons
+# must run their shutdown path (push-stream drain, store close, totals),
+# not die mid-flight.
+kill "$server_pid" && wait "$server_pid" 2>/dev/null || true
+kill "$block_pid" && wait "$block_pid" 2>/dev/null || true
+server_pid="" block_pid=""
+grep -q 'msg="file service down"' "$tmp/server.err" || {
+    echo "observability-smoke: afs-server skipped its shutdown path on SIGTERM" >&2
+    exit 1
+}
+grep -q 'msg="shutting down"' "$tmp/blocks.err" || {
+    echo "observability-smoke: afs-block skipped its shutdown path on SIGTERM" >&2
+    exit 1
+}
 
 echo "observability-smoke: ok"
