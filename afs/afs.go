@@ -408,7 +408,11 @@ func (v *Version) Read(p Path) (data []byte, children int, err error) {
 // data. Returns the number of pages cached.
 func (v *Version) Prefetch(p Path) (int, error) { return v.inner.Prefetch(p) }
 
-// Write replaces the data of the page at p.
+// Write replaces the data of the page at p. The managing server holds a
+// plain file's writes until the update next needs its tree, so only data
+// larger than any page can be is refused here. A bad path, a hole, or
+// data that does not fit beside the page's references is reported by a
+// later call, at the latest by Commit; the update is then aborted.
 func (v *Version) Write(p Path, data []byte) error { return v.inner.Write(p, data) }
 
 // Insert creates a new child page holding data at index idx of the page
@@ -453,6 +457,8 @@ func (v *Version) CreateSubFile(p Path, idx int, data []byte) (Capability, error
 // Commit makes this version the file's current version, or fails with
 // ErrConflict if a concurrent committed update is not serialisable with
 // it. Concurrent updates to disjoint pages are merged, not rejected.
+// Commit also reports a deferred Write error (see Write); the version
+// is then aborted and its locks released.
 func (v *Version) Commit() error { return v.inner.Commit() }
 
 // Abort abandons the update.

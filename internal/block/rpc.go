@@ -4,6 +4,8 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
+	"sort"
 
 	"repro/internal/capability"
 	"repro/internal/rpc"
@@ -200,7 +202,15 @@ func serveFunc(orig Store) func(Store, *rpc.Message) *rpc.Message {
 			if err != nil {
 				return blockErr(req, err)
 			}
+			// One page of the sorted scan: the blocks after n, as many as
+			// fit a frame; Args[0]=1 tells the caller to ask for more.
+			slices.Sort(nums)
+			nums = nums[sort.Search(len(nums), func(i int) bool { return nums[i] > n }):]
 			r := req.Reply(rpc.StatusOK)
+			if len(nums) > recoverPage {
+				nums = nums[:recoverPage]
+				r.Args[0] = 1
+			}
 			r.Data = appendNums(make([]byte, 0, 4*len(nums)), nums)
 			return r
 		case cmdUsage:
@@ -505,13 +515,35 @@ func (r *remoteStore) SetEpoch(e uint64) error {
 	return err
 }
 
-// Recover implements Store.
+// recoverPage is how many block numbers one cmdRecover reply carries.
+const recoverPage = rpc.MaxData / 4
+
+// Recover implements Store. The scan arrives in pages of ascending block
+// numbers, each request naming the last block it has (Args[1]); a reply
+// with Args[0]=1 means more follow. A server that predates paging
+// ignores Args[1] and never sets the flag, so its one reply is the
+// whole scan.
 func (r *remoteStore) Recover(acct Account) ([]Num, error) {
-	resp, err := r.call(r.req(cmdRecover, acct, 0, nil))
-	if err != nil {
-		return nil, err
+	var out []Num
+	after := NilNum
+	for {
+		resp, err := r.call(r.req(cmdRecover, acct, after, nil))
+		if err != nil {
+			return nil, err
+		}
+		nums, err := decodeNums(resp.Data, len(resp.Data)/4)
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, nums...)
+		if resp.Args[0] == 0 {
+			return out, nil
+		}
+		if len(nums) == 0 || nums[len(nums)-1] <= after {
+			return nil, fmt.Errorf("block: recovery scan page after block %d does not advance: %w", after, rpc.ErrMalformed)
+		}
+		after = nums[len(nums)-1]
 	}
-	return decodeNums(resp.Data, len(resp.Data)/4)
 }
 
 // Usage implements UsageReporter over the wire. A server whose store

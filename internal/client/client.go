@@ -425,7 +425,10 @@ func (v *Version) Prefetch(p page.Path) (int, error) {
 	return count, nil
 }
 
-// Write replaces the page at path with data.
+// Write replaces the page at path with data. A plain file's server
+// checks the path only when it applies its buffered writes, so a bad
+// path may be reported by a later call, at the latest by Commit (see
+// server.Server.WritePage).
 func (v *Version) Write(p page.Path, data []byte) error {
 	if v.closed {
 		return errors.New("client: version closed")

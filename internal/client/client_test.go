@@ -1,6 +1,7 @@
 package client
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"testing"
@@ -214,15 +215,26 @@ func TestClientRedoAfterServerCrashMidUpdate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := v.Write(page.RootPath, []byte("lost")); err != nil {
+	lost := []byte("lost with its server")
+	if err := v.Write(page.RootPath, lost); err != nil {
 		t.Fatal(err)
 	}
 	// The managing server dies before commit: the uncommitted version
 	// is gone; the file is consistent; the client redoes the update on
 	// the surviving server. No rollback anywhere.
 	svc.crash(0)
-	if err := v.Commit(); err == nil {
-		t.Fatal("commit of version lost in crash succeeded")
+	if err := v.Commit(); !errors.Is(err, ErrVersionLost) {
+		t.Fatalf("commit of version lost in crash: %v, want ErrVersionLost", err)
+	}
+	// The write waited in the dead server's buffer: no block holds it.
+	nums, err := svc.shared.Store.Recover(svc.shared.Acct)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, n := range nums {
+		if raw, err := svc.shared.Store.Read(svc.shared.Acct, n); err != nil || bytes.Contains(raw, lost) {
+			t.Fatalf("block %d after the crash: holds the lost write or unreadable (%v)", n, err)
+		}
 	}
 	redo, err := c.Update(fcap, UpdateOpts{})
 	if err != nil {

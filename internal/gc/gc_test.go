@@ -7,10 +7,12 @@ import (
 
 	"repro/internal/archive"
 	"repro/internal/block"
+	"repro/internal/capability"
 	"repro/internal/disk"
 	"repro/internal/file"
 	"repro/internal/occ"
 	"repro/internal/page"
+	"repro/internal/rpc"
 	"repro/internal/server"
 	"repro/internal/version"
 )
@@ -685,5 +687,62 @@ func TestReshareKeepsConcurrentCommitRef(t *testing.T) {
 		if string(data) != want {
 			t.Fatalf("page %d = %q, want %q", i, data, want)
 		}
+	}
+}
+
+// TestRecoveryScanPagesOverTCP: a block server holding more blocks than
+// one reply frame can list (rpc.MaxData/4 numbers) still hands every one
+// of them to a remote Recover, and the collector's account scan — a
+// whole Recover each cycle — keeps working over that remote store.
+func TestRecoveryScanPagesOverTCP(t *testing.T) {
+	mem := block.NewServer(disk.MustNew(disk.Geometry{Blocks: 1 << 14, BlockSize: 1024}))
+	tcp, err := rpc.NewTCPServer("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tcp.Close()
+	port := capability.NewPort().Public()
+	tcp.Register(port, block.Serve(mem))
+	res := rpc.NewResolver()
+	res.Set(port, tcp.Addr())
+	cli := rpc.NewTCPClient(res)
+	defer cli.Close()
+	remote, err := block.Dial(cli, port)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	const garbage = rpc.MaxData/4 + 1000
+	datas := make([][]byte, garbage)
+	for i := range datas {
+		datas[i] = []byte{byte(i)}
+	}
+	if _, err := block.AllocMulti(remote, 1, datas); err != nil {
+		t.Fatal(err)
+	}
+	all, err := remote.Recover(1)
+	if err != nil {
+		t.Fatalf("recovery scan: %v", err)
+	}
+	if len(all) != garbage {
+		t.Fatalf("recovery scan listed %d blocks, want %d", len(all), garbage)
+	}
+
+	sh := server.NewShared(remote, 1)
+	srv := server.New(sh, nil)
+	fcap, err := srv.CreateFile([]byte("kept"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	f := &fixture{srv: srv, col: New(srv.Store(), sh.Table, 2, srv.LiveVersions)}
+	if rep := f.collectTwice(t); rep.Freed != garbage {
+		t.Fatalf("collector freed %d blocks, want the %d unreachable ones", rep.Freed, garbage)
+	}
+	cur, err := srv.CurrentVersion(fcap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if data, _, err := srv.ReadCommitted(cur, page.RootPath); err != nil || string(data) != "kept" {
+		t.Fatalf("file after collection: %q, %v", data, err)
 	}
 }

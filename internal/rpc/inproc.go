@@ -139,6 +139,10 @@ func (n *Network) Transact(port capability.Port, req *Message) (*Message, error)
 	if resp == nil {
 		resp = req.Reply(StatusBadCommand)
 	}
+	if len(resp.Data) > MaxData {
+		// What a TCP server sends in place of a reply it cannot frame.
+		resp = req.Errorf(StatusIO, "reply: %v", ErrTooLarge)
+	}
 	met.Observe(req.Command, time.Since(start), resp.Status, false)
 	if latency > 0 {
 		time.Sleep(latency)

@@ -314,6 +314,64 @@ func TestTCPServerClosedConnection(t *testing.T) {
 	}
 }
 
+// TestOversizedReplyIsAnErrorReply: a reply whose data exceeds MaxData
+// fails that one call with a StatusIO reply on both transports. Over TCP
+// the connection survives, so the failure never reads as a dead port.
+func TestOversizedReplyIsAnErrorReply(t *testing.T) {
+	port := capability.NewPort().Public()
+	handler := func(req *Message) *Message {
+		r := req.Reply(StatusOK)
+		if req.Args[0] == 1 {
+			r.Data = make([]byte, MaxData+1)
+		}
+		return r
+	}
+	n := NewNetwork()
+	if err := n.Register("", port, handler); err != nil {
+		t.Fatal(err)
+	}
+	srv, err := NewTCPServer("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	srv.Register(port, handler)
+	res := NewResolver()
+	res.Set(port, srv.Addr())
+	cli := NewTCPClient(res)
+	defer cli.Close()
+	pooled := func() *clientConn {
+		cli.mu.Lock()
+		defer cli.mu.Unlock()
+		return cli.conns[srv.Addr()]
+	}
+
+	for _, tc := range []struct {
+		name string
+		tr   Transactor
+	}{{"inproc", n}, {"tcp", cli}} {
+		if _, err := tc.tr.Transact(port, &Message{Command: 5}); err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		conn := pooled()
+		big := &Message{Command: 5}
+		big.Args[0] = 1
+		resp, err := tc.tr.Transact(port, big)
+		if err != nil {
+			t.Fatalf("%s: oversized reply surfaced as a transport error: %v", tc.name, err)
+		}
+		if resp.Status != StatusIO || string(resp.Data) != "reply: "+ErrTooLarge.Error() {
+			t.Fatalf("%s: oversized reply = %v with %d data bytes, want an i/o error reply", tc.name, resp.Status, len(resp.Data))
+		}
+		if pooled() != conn {
+			t.Fatalf("%s: the oversized reply cost the connection", tc.name)
+		}
+		if _, err := tc.tr.Transact(port, &Message{Command: 5}); err != nil {
+			t.Fatalf("%s: call after the oversized reply: %v", tc.name, err)
+		}
+	}
+}
+
 func TestStatusString(t *testing.T) {
 	if StatusOK.String() != "ok" || StatusConflict.String() != "serialisability conflict" {
 		t.Fatal("status names wrong")

@@ -152,7 +152,14 @@ func (s *TCPServer) serveConn(conn net.Conn) {
 				resp = req.Reply(StatusBadCommand)
 			}
 		}
-		if err := writeFrame(w, port, resp); err != nil {
+		err = writeFrame(w, port, resp)
+		if errors.Is(err, ErrTooLarge) {
+			// writeFrame encodes before it writes, so the stream is
+			// intact: fail this one call, not every call on the
+			// connection (which the caller would take for a dead port).
+			err = writeFrame(w, port, req.Errorf(StatusIO, "reply: %v", ErrTooLarge))
+		}
+		if err != nil {
 			return
 		}
 		if err := w.Flush(); err != nil {

@@ -254,7 +254,50 @@ type verRec struct {
 	crossing []block.Num
 	// closedAt stamps commit/abort for record reaping.
 	closedAt time.Time
+
+	// A plain-file update's page writes wait here until the next flush:
+	// paths in first-write order, a later write to a path replacing its
+	// data. See Server.WritePage.
+	pendPaths []page.Path
+	pendData  [][]byte
+	pendIdx   map[string]int // path.String() → index
+	pendBytes int
 }
+
+// buffer records a pending write of data to p.
+func (rec *verRec) buffer(p page.Path, data []byte) {
+	key := p.String()
+	if i, ok := rec.pendIdx[key]; ok {
+		rec.pendBytes += len(data) - len(rec.pendData[i])
+		rec.pendData[i] = data
+		return
+	}
+	if rec.pendIdx == nil {
+		rec.pendIdx = make(map[string]int)
+	}
+	rec.pendIdx[key] = len(rec.pendPaths)
+	rec.pendPaths = append(rec.pendPaths, p.Clone())
+	rec.pendData = append(rec.pendData, data)
+	rec.pendBytes += len(data)
+}
+
+// pending reports whether a write to p is waiting for a flush.
+func (rec *verRec) pending(p page.Path) bool {
+	if len(rec.pendIdx) == 0 {
+		return false
+	}
+	_, ok := rec.pendIdx[p.String()]
+	return ok
+}
+
+// dropPending empties the write buffer.
+func (rec *verRec) dropPending() {
+	rec.pendPaths, rec.pendData, rec.pendIdx, rec.pendBytes = nil, nil, nil, 0
+}
+
+// flushBytes bounds one version's buffered write data: a write that
+// takes the buffer past it flushes at once.
+const flushBytes = 1 << 20
 
 // CreateVersionOpts selects the §5.3 lock discipline variants.
 type CreateVersionOpts struct {
@@ -341,7 +384,8 @@ func (s *Server) OCCStats() *occ.Stats { return s.com.Stat }
 func (s *Server) LockManager() *lock.Manager { return s.locks }
 
 // Crash simulates a server-process crash: all in-memory version records
-// vanish and their update ports die, so probes by waiters fail. Locks
+// vanish — buffered writes with them, never having reached the block
+// service — and their update ports die, so probes by waiters fail. Locks
 // held on disk remain — exactly the §5.3 situation that waiters recover
 // from.
 func (s *Server) Crash() {
@@ -572,9 +616,70 @@ func (s *Server) withVersion(vcap capability.Capability, need capability.Rights,
 	return fn(rec)
 }
 
-// ReadPage reads the page at path in the version.
+// withFlushed is withVersion for the shape commands: they can renumber
+// paths, so the version's buffered writes are applied first.
+func (s *Server) withFlushed(vcap capability.Capability, need capability.Rights, fn func(rec *verRec) error) error {
+	return s.withVersion(vcap, need, func(rec *verRec) error {
+		if err := s.flush(rec, trace.Context{}); err != nil {
+			return err
+		}
+		return fn(rec)
+	})
+}
+
+// flush applies rec's buffered writes in one batched copy-on-write pass
+// (version.Tree.WritePages) against the block store bound to tc. The
+// writes were acknowledged when buffered, so a flush that fails aborts
+// the version and releases its locks; the client learns of it at the
+// operation that triggered the flush, at the latest at Commit.
+func (s *Server) flush(rec *verRec, tc trace.Context) error {
+	if len(rec.pendPaths) == 0 {
+		return nil
+	}
+	ps, datas := rec.pendPaths, rec.pendData
+	rec.dropPending()
+	tree := &version.Tree{St: version.NewStore(block.BindTrace(s.st.Blocks, tc), s.st.Acct), Root: rec.tree.Root}
+	err := tree.WritePages(ps, datas)
+	if errors.Is(err, version.ErrSubFile) {
+		// The batch enters a sub-file: one created in this version, or
+		// one whose Super mark has not reached this server's table yet.
+		// WritePages refused before writing anything; apply the writes
+		// one by one through resolve, which takes each sub-file's inner
+		// lock (§5.3) — here at flush time, not when the write was
+		// acknowledged.
+		err = s.writeThrough(rec, ps, datas)
+	}
+	if err != nil {
+		s.abort(rec)
+		return fmt.Errorf("server: apply buffered writes: %w", err)
+	}
+	return nil
+}
+
+// writeThrough applies writes one at a time, crossing sub-file
+// boundaries per §5.3.
+func (s *Server) writeThrough(rec *verRec, ps []page.Path, datas [][]byte) error {
+	for i, p := range ps {
+		tree, rest, err := s.resolve(rec, p)
+		if err != nil {
+			return err
+		}
+		if err := tree.WritePage(rest, datas[i]); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// ReadPage reads the page at path in the version. A read of a page with
+// a buffered write flushes the buffer first.
 func (s *Server) ReadPage(vcap capability.Capability, p page.Path) (data []byte, nrefs int, err error) {
 	err = s.withVersion(vcap, capability.RightRead, func(rec *verRec) error {
+		if rec.pending(p) {
+			if err := s.flush(rec, trace.Context{}); err != nil {
+				return err
+			}
+		}
 		tree, rest, err := s.resolve(rec, p)
 		if err != nil {
 			return err
@@ -586,19 +691,37 @@ func (s *Server) ReadPage(vcap capability.Capability, p page.Path) (data []byte,
 }
 
 // WritePage replaces the data of the page at path in the version.
+//
+// A plain-file update buffers the write and sends no block traffic: an
+// uncommitted version is visible to nobody and dies with this server
+// anyway (§5.4.1), so its pages need not reach the block service before
+// Commit. The buffer is flushed before Commit validates, before every
+// shape command, before a read of a buffered page, and once it holds
+// more than flushBytes. Only data no page could hold is refused here; a
+// bad path, a hole, or data too large for its page's references
+// surfaces at the flush and aborts the version.
+//
+// A super-file update writes through: §5.3 takes a sub-file's inner
+// lock the moment the update first writes into it.
 func (s *Server) WritePage(vcap capability.Capability, p page.Path, data []byte) error {
 	return s.withVersion(vcap, capability.RightWrite, func(rec *verRec) error {
-		tree, rest, err := s.resolve(rec, p)
-		if err != nil {
-			return err
+		if max := page.Capacity(s.st.Blocks.BlockSize(), 0, false); len(data) > max {
+			return fmt.Errorf("server: %s: %d bytes, a page holds at most %d: %w", p, len(data), max, page.ErrPageFull)
 		}
-		return tree.WritePage(rest, data)
+		if rec.super {
+			return s.writeThrough(rec, []page.Path{p}, [][]byte{data})
+		}
+		rec.buffer(p, append([]byte(nil), data...))
+		if rec.pendBytes <= flushBytes {
+			return nil
+		}
+		return s.flush(rec, trace.Context{})
 	})
 }
 
 // InsertPage inserts a fresh page at index idx of the page at path.
 func (s *Server) InsertPage(vcap capability.Capability, p page.Path, idx int, data []byte) error {
-	return s.withVersion(vcap, capability.RightWrite, func(rec *verRec) error {
+	return s.withFlushed(vcap, capability.RightWrite, func(rec *verRec) error {
 		tree, rest, err := s.resolve(rec, p)
 		if err != nil {
 			return err
@@ -609,7 +732,7 @@ func (s *Server) InsertPage(vcap capability.Capability, p page.Path, idx int, da
 
 // RemovePage removes the reference at index idx of the page at path.
 func (s *Server) RemovePage(vcap capability.Capability, p page.Path, idx int) error {
-	return s.withVersion(vcap, capability.RightWrite, func(rec *verRec) error {
+	return s.withFlushed(vcap, capability.RightWrite, func(rec *verRec) error {
 		tree, rest, err := s.resolve(rec, p)
 		if err != nil {
 			return err
@@ -623,7 +746,7 @@ func (s *Server) RemovePage(vcap capability.Capability, p page.Path, idx int) er
 
 // MakeHole nils the reference at idx of the page at path.
 func (s *Server) MakeHole(vcap capability.Capability, p page.Path, idx int) error {
-	return s.withVersion(vcap, capability.RightWrite, func(rec *verRec) error {
+	return s.withFlushed(vcap, capability.RightWrite, func(rec *verRec) error {
 		tree, rest, err := s.resolve(rec, p)
 		if err != nil {
 			return err
@@ -634,7 +757,7 @@ func (s *Server) MakeHole(vcap capability.Capability, p page.Path, idx int) erro
 
 // FillHole creates a page in the hole at idx of the page at path.
 func (s *Server) FillHole(vcap capability.Capability, p page.Path, idx int, data []byte) error {
-	return s.withVersion(vcap, capability.RightWrite, func(rec *verRec) error {
+	return s.withFlushed(vcap, capability.RightWrite, func(rec *verRec) error {
 		tree, rest, err := s.resolve(rec, p)
 		if err != nil {
 			return err
@@ -645,7 +768,7 @@ func (s *Server) FillHole(vcap capability.Capability, p page.Path, idx int, data
 
 // RemoveHole removes the hole at idx of the page at path.
 func (s *Server) RemoveHole(vcap capability.Capability, p page.Path, idx int) error {
-	return s.withVersion(vcap, capability.RightWrite, func(rec *verRec) error {
+	return s.withFlushed(vcap, capability.RightWrite, func(rec *verRec) error {
 		tree, rest, err := s.resolve(rec, p)
 		if err != nil {
 			return err
@@ -657,7 +780,7 @@ func (s *Server) RemoveHole(vcap capability.Capability, p page.Path, idx int) er
 // SplitPage splits the page at path, keeping keep data bytes and moving
 // the rest into a new child.
 func (s *Server) SplitPage(vcap capability.Capability, p page.Path, keep int) error {
-	return s.withVersion(vcap, capability.RightWrite, func(rec *verRec) error {
+	return s.withFlushed(vcap, capability.RightWrite, func(rec *verRec) error {
 		tree, rest, err := s.resolve(rec, p)
 		if err != nil {
 			return err
@@ -669,7 +792,7 @@ func (s *Server) SplitPage(vcap capability.Capability, p page.Path, keep int) er
 // MoveSubtree moves a subtree between two holes of the same version (and
 // the same file: moves across sub-file boundaries are not supported).
 func (s *Server) MoveSubtree(vcap capability.Capability, srcPath page.Path, srcIdx int, dstPath page.Path, dstIdx int) error {
-	return s.withVersion(vcap, capability.RightWrite, func(rec *verRec) error {
+	return s.withFlushed(vcap, capability.RightWrite, func(rec *verRec) error {
 		srcTree, srcRest, err := s.resolve(rec, srcPath)
 		if err != nil {
 			return err
@@ -691,7 +814,7 @@ func (s *Server) MoveSubtree(vcap capability.Capability, srcPath page.Path, srcI
 // owner capability.
 func (s *Server) CreateSubFile(vcap capability.Capability, p page.Path, idx int, data []byte) (capability.Capability, error) {
 	var fcap capability.Capability
-	err := s.withVersion(vcap, capability.RightWrite, func(rec *verRec) error {
+	err := s.withFlushed(vcap, capability.RightWrite, func(rec *verRec) error {
 		tree, rest, err := s.resolve(rec, p)
 		if err != nil {
 			return err
@@ -729,14 +852,15 @@ func (s *Server) Commit(vcap capability.Capability) error {
 // so the commit's storage fan-out is visible span by span.
 func (s *Server) commitT(tc trace.Context, vcap capability.Capability) error {
 	return s.withVersion(vcap, capability.RightCommit, func(rec *verRec) error {
+		if err := s.flush(rec, tc); err != nil {
+			return err
+		}
 		defer func(start time.Time) {
 			s.com.Stat.Latency.Observe(time.Since(start))
 		}(time.Now())
 		err := s.com.BindTrace(tc).Commit(rec.tree)
 		if errors.Is(err, occ.ErrConflict) {
-			rec.state = StateAborted
-			rec.closedAt = time.Now()
-			s.releaseLocks(rec)
+			s.abort(rec)
 			return err
 		}
 		if err != nil {
@@ -765,15 +889,22 @@ func (s *Server) commitT(tc trace.Context, vcap capability.Capability) error {
 	})
 }
 
-// Abort abandons the version: its private pages become garbage for the
-// collector, and all locks are released.
+// Abort abandons the version: its buffered writes are dropped, its
+// private pages become garbage for the collector, and all locks are
+// released.
 func (s *Server) Abort(vcap capability.Capability) error {
 	return s.withVersion(vcap, capability.RightCommit, func(rec *verRec) error {
-		rec.state = StateAborted
-		rec.closedAt = time.Now()
-		s.releaseLocks(rec)
+		s.abort(rec)
 		return nil
 	})
+}
+
+// abort closes rec as aborted.
+func (s *Server) abort(rec *verRec) {
+	rec.dropPending()
+	rec.state = StateAborted
+	rec.closedAt = time.Now()
+	s.releaseLocks(rec)
 }
 
 // releaseLocks clears the top lock and any inner locks of an update, then

@@ -12,6 +12,7 @@ import (
 	"repro/internal/file"
 	"repro/internal/occ"
 	"repro/internal/page"
+	"repro/internal/rpc"
 	"repro/internal/version"
 )
 
@@ -593,5 +594,115 @@ func TestOnePageFileFastPath(t *testing.T) {
 	}
 	if s.OCCStats().Validations.Load() != before {
 		t.Fatal("one-page-file commit ran a validation")
+	}
+}
+
+// TestBufferedWriteFollowsRenumbering: a write is buffered, then an
+// insert shifts the written page to a new index before anything reached
+// the block service. The data must land on the page the write named.
+func TestBufferedWriteFollowsRenumbering(t *testing.T) {
+	_, s := newService(t)
+	fcap, _ := s.CreateFile(nil)
+	setup, _ := s.CreateVersion(fcap, CreateVersionOpts{})
+	for i, d := range []string{"a", "b"} {
+		if err := s.InsertPage(setup, page.RootPath, i, []byte(d)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s.Commit(setup); err != nil {
+		t.Fatal(err)
+	}
+
+	v, _ := s.CreateVersion(fcap, CreateVersionOpts{})
+	if err := s.WritePage(v, page.Path{1}, []byte("B")); err != nil {
+		t.Fatal(err)
+	}
+	if data, _, err := s.ReadPage(v, page.Path{1}); err != nil || string(data) != "B" {
+		t.Fatalf("read of the buffered page: %q, %v", data, err)
+	}
+	if err := s.WritePage(v, page.Path{1}, []byte("B2")); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.InsertPage(v, page.RootPath, 0, []byte("new")); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Commit(v); err != nil {
+		t.Fatal(err)
+	}
+	cur, _ := s.CurrentVersion(fcap)
+	for i, want := range []string{"new", "a", "B2"} {
+		data, _, err := s.ReadCommitted(cur, page.Path{i})
+		if err != nil || string(data) != want {
+			t.Fatalf("page /%d = %q, %v; want %q", i, data, err, want)
+		}
+	}
+}
+
+// TestBadBufferedWriteFailsCommit: a write to a path that does not exist
+// is acknowledged, then refused when the buffer is applied at Commit —
+// with StatusBadArgument on the wire — and the version is aborted with
+// its locks released.
+func TestBadBufferedWriteFailsCommit(t *testing.T) {
+	_, s := newService(t)
+	fcap, _ := s.CreateFile([]byte("keep"))
+	v, err := s.CreateVersion(fcap, CreateVersionOpts{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.WritePage(v, page.RootPath, []byte("dropped")); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.WritePage(v, page.Path{4}, []byte("nowhere")); err != nil {
+		t.Fatalf("buffered write refused early: %v", err)
+	}
+	resp := s.Handler()(&rpc.Message{Command: CmdCommit, Caps: []capability.Capability{v}})
+	if resp.Status != rpc.StatusBadArgument {
+		t.Fatalf("commit status = %v (%s), want bad argument", resp.Status, resp.Data)
+	}
+	if err := s.WritePage(v, page.RootPath, []byte("again")); !errors.Is(err, ErrVersionClosed) {
+		t.Fatalf("write after the failed commit: %v, want ErrVersionClosed", err)
+	}
+	// The top-lock hint is gone: a soft-locking update does not wait.
+	s.locks.Patience = 10 * time.Millisecond
+	v2, err := s.CreateVersion(fcap, CreateVersionOpts{RespectTopHint: true})
+	if err != nil {
+		t.Fatalf("update after the aborted one waited for its lock: %v", err)
+	}
+	if data, _, _ := s.ReadPage(v2, page.RootPath); string(data) != "keep" {
+		t.Fatalf("aborted version's write visible: %q", data)
+	}
+}
+
+// TestWriteIntoSubFileCreatedInSameVersion: CreateSubFile, then a write
+// into the new sub-file in the same plain-file update. The buffered
+// batch meets the sub-file boundary and is applied through the §5.3
+// crossing path.
+func TestWriteIntoSubFileCreatedInSameVersion(t *testing.T) {
+	_, s := newService(t)
+	outer, _ := s.CreateFile([]byte("outer"))
+	v, _ := s.CreateVersion(outer, CreateVersionOpts{})
+	sub, err := s.CreateSubFile(v, page.RootPath, 0, []byte("born"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.WritePage(v, page.Path{0}, []byte("rewritten")); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.WritePage(v, page.RootPath, []byte("outer2")); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Commit(v); err != nil {
+		t.Fatal(err)
+	}
+	sv, err := s.CreateVersion(sub, CreateVersionOpts{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if data, _, err := s.ReadPage(sv, page.RootPath); err != nil || string(data) != "rewritten" {
+		t.Fatalf("sub-file reads %q, %v", data, err)
+	}
+	cur, _ := s.CurrentVersion(outer)
+	if data, _, err := s.ReadCommitted(cur, page.RootPath); err != nil || string(data) != "outer2" {
+		t.Fatalf("outer file reads %q, %v", data, err)
 	}
 }

@@ -30,8 +30,9 @@
 // an uncommitted version live only in that version's private pages —
 // committed pages are immutable. Page I/O batches through
 // block.MultiStore: a COW descend allocates its whole shadow chain with
-// one AllocMulti and flushes it with one WriteMulti, which the sharded
-// facade stripes across block servers. A Tree is not safe for
+// one AllocMulti and flushes it with one WriteMulti, and WritePages does
+// the same for the union of many paths' chains; the sharded facade
+// stripes both across block servers. A Tree is not safe for
 // concurrent use; the server serialises operations per version,
 // matching the paper's model of a version owned by a single client.
 package version
@@ -428,23 +429,186 @@ func (t *Tree) PeekPage(p page.Path) (*page.Page, error) {
 }
 
 // WritePage replaces the client data of the page at path, recording the
-// access (W on the page, S on its ancestors). The page must keep fitting
-// in a block alongside its references.
+// access (W on the page, S on its ancestors): WritePages with one entry.
 func (t *Tree) WritePage(p page.Path, data []byte) error {
-	chain, err := t.descend(p, false)
+	return t.WritePages([]page.Path{p}, [][]byte{data})
+}
+
+// wnode is one page on the union of a WritePages batch's root-to-target
+// chains.
+type wnode struct {
+	blk    block.Num
+	pg     *page.Page
+	parent *wnode
+	idx    int // index of this page's reference in parent
+	kids   map[int]*wnode
+	// fresh marks a page first accessed in this version: it is shadowed.
+	fresh bool
+	// written marks a target; dirty a page to rewrite in place.
+	written, dirty bool
+}
+
+// WritePages replaces the client data of the page at each ps[i] with
+// datas[i], exactly as the writes would one after another (a later
+// write of a repeated path wins), in one batched copy-on-write pass:
+//
+//   - the union of the root-to-target chains is read level by level —
+//     the root, then one multi-block read per depth;
+//   - every path is checked before anything is written (ErrBadPath,
+//     ErrHole, ErrSubFile on an embedded version page, and
+//     page.ErrPageFull for data that does not fit beside the page's
+//     references), so a refused batch changes nothing;
+//   - every page first accessed in this version is shadowed, with its
+//     child flags cleared and its base recorded; S is set on every
+//     ancestor and W on every target;
+//   - all shadows go out, with their final data and flags, in one
+//     multi-block alloc, and the parents patched to point at them plus
+//     the changed private pages in one multi-block write.
+//
+// A shadow's references to deeper shadows still name the base's pages
+// until the write patches them, so every allocated block is a valid
+// page at every instant; shadows orphaned by a failed write fall to the
+// garbage collector, like an aborted version's pages.
+func (t *Tree) WritePages(ps []page.Path, datas [][]byte) error {
+	if len(ps) != len(datas) {
+		return fmt.Errorf("version: write %d paths with %d pages: %w", len(ps), len(datas), ErrBadPath)
+	}
+	if len(ps) == 0 {
+		return nil
+	}
+	rootPg, err := t.St.ReadPage(t.Root)
 	if err != nil {
 		return err
 	}
-	target := chain[len(chain)-1]
-	target.pg.Data = append([]byte(nil), data...)
-	if !target.pg.Fits(t.St.Blocks.BlockSize()) {
-		return fmt.Errorf("version: %s: %d bytes with %d refs: %w",
-			p, len(data), len(target.pg.Refs), page.ErrPageFull)
+	root := &wnode{blk: t.Root, pg: rootPg}
+	nodes := []*wnode{root}       // the union, parents before children
+	at := make([]*wnode, len(ps)) // at[i]: the deepest page of ps[i] reached
+	for i := range at {
+		at[i] = root
 	}
-	if err := t.St.WritePage(target.blk, target.pg); err != nil {
-		return err
+	for depth := 0; ; depth++ {
+		var level []*wnode
+		var ns []block.Num
+		var first []int // first[k]: a path through level[k], for errors
+		for i, p := range ps {
+			if depth >= len(p) {
+				continue
+			}
+			parent, idx := at[i], p[depth]
+			if child := parent.kids[idx]; child != nil {
+				at[i] = child
+				continue
+			}
+			if idx < 0 || idx >= len(parent.pg.Refs) {
+				return fmt.Errorf("version: %s index %d of %d at depth %d: %w",
+					p, idx, len(parent.pg.Refs), depth, ErrBadPath)
+			}
+			ref := parent.pg.Refs[idx]
+			if ref.IsNil() {
+				return fmt.Errorf("version: %s at depth %d: %w", p, depth, ErrHole)
+			}
+			// Below a page first accessed here the base's flags are
+			// meaningless (its copy starts with a cleared table), so
+			// every deeper page is a first access too.
+			child := &wnode{blk: ref.Block, parent: parent, idx: idx,
+				fresh: parent.fresh || !ref.Flags.Accessed()}
+			if parent.kids == nil {
+				parent.kids = make(map[int]*wnode)
+			}
+			parent.kids[idx] = child
+			at[i] = child
+			level = append(level, child)
+			ns = append(ns, ref.Block)
+			first = append(first, i)
+		}
+		if len(level) == 0 {
+			break
+		}
+		pgs, err := t.St.ReadPages(ns)
+		if err != nil {
+			return err
+		}
+		for k, n := range level {
+			if pgs[k].IsVersion {
+				return fmt.Errorf("version: %s at depth %d: %w", ps[first[k]], depth, ErrSubFile)
+			}
+			n.pg = pgs[k]
+			if n.fresh {
+				n.pg.Refs = clearRefFlags(n.pg.Refs)
+				n.pg.BaseRef = n.blk
+			}
+		}
+		nodes = append(nodes, level...)
 	}
-	return t.setFlags(p, chain, page.FlagW)
+
+	bs := t.St.Blocks.BlockSize()
+	for i, n := range at {
+		n.pg.Data = datas[i]
+		if !n.pg.Fits(bs) {
+			return fmt.Errorf("version: %s: %d bytes with %d refs: %w",
+				ps[i], len(datas[i]), len(n.pg.Refs), page.ErrPageFull)
+		}
+		n.written = true
+		n.dirty = true
+	}
+	for _, n := range nodes {
+		var bits page.Flags
+		if len(n.kids) > 0 {
+			bits |= page.FlagS
+		}
+		if n.written {
+			bits |= page.FlagW
+		}
+		// A page's flags live in its parent's reference, the root's in
+		// its own header.
+		flags, holder := &n.pg.RootFlags, n
+		if n.parent != nil {
+			flags, holder = &n.parent.pg.Refs[n.idx].Flags, n.parent
+		}
+		if f := flags.Set(bits); f != *flags {
+			*flags = f
+			holder.dirty = true
+		}
+	}
+	var shadows []*wnode
+	var raws [][]byte
+	for _, n := range nodes {
+		if !n.fresh {
+			continue
+		}
+		raw, err := n.pg.Encode(bs)
+		if err != nil {
+			return fmt.Errorf("version: encode shadow of block %d: %w", n.blk, err)
+		}
+		shadows = append(shadows, n)
+		raws = append(raws, raw)
+	}
+	if len(shadows) > 0 {
+		blks, err := block.AllocMulti(t.St.Blocks, t.St.Acct, raws)
+		if err != nil {
+			return fmt.Errorf("version: alloc %d shadow pages: %w", len(shadows), err)
+		}
+		for k, n := range shadows {
+			n.blk = blks[k]
+			n.dirty = false // its contents went out with the alloc
+		}
+		for _, n := range shadows {
+			n.parent.pg.Refs[n.idx].Block = n.blk
+			n.parent.dirty = true
+		}
+	}
+	var ns []block.Num
+	var pgs []*page.Page
+	for _, n := range nodes {
+		if n.dirty {
+			ns = append(ns, n.blk)
+			pgs = append(pgs, n.pg)
+		}
+	}
+	if len(ns) == 0 {
+		return nil
+	}
+	return t.St.WritePages(ns, pgs)
 }
 
 // InsertPage creates a fresh child page holding data and inserts a

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"math/rand"
 	"testing"
 
 	"repro/internal/block"
@@ -570,5 +571,223 @@ func TestDeepTree(t *testing.T) {
 	priv, _ := v2.PrivateBlocks()
 	if len(priv) != 11 { // version page + 10 path pages
 		t.Fatalf("deep write copied %d blocks, want 11", len(priv))
+	}
+}
+
+// countStore counts the vectored calls reaching the in-memory server.
+// It re-binds the scalar adapter to itself, so scalar calls count too.
+type countStore struct {
+	*block.Server
+	block.Scalar
+	reads, allocs, writes int
+}
+
+func newCountStore(srv *block.Server) *countStore {
+	c := &countStore{Server: srv}
+	c.Scalar = block.Scalar{Multi: c}
+	return c
+}
+
+func (c *countStore) ReadMulti(a block.Account, ns []block.Num) ([][]byte, error) {
+	c.reads++
+	return c.Server.ReadMulti(a, ns)
+}
+
+func (c *countStore) AllocMulti(a block.Account, data [][]byte) ([]block.Num, error) {
+	c.allocs++
+	return c.Server.AllocMulti(a, data)
+}
+
+func (c *countStore) WriteMulti(a block.Account, ns []block.Num, data [][]byte) error {
+	c.writes++
+	return c.Server.WriteMulti(a, ns, data)
+}
+
+// refWritePage is the one-path page write WritePages replaced: descend
+// (shadowing the chain), rewrite the target in place, then set W on it
+// and S on its ancestors. The equivalence test holds the batched pass to
+// its result.
+func refWritePage(t *Tree, p page.Path, data []byte) error {
+	chain, err := t.descend(p, false)
+	if err != nil {
+		return err
+	}
+	target := chain[len(chain)-1]
+	target.pg.Data = append([]byte(nil), data...)
+	if err := t.St.WritePage(target.blk, target.pg); err != nil {
+		return err
+	}
+	return t.setFlags(p, chain, page.FlagW)
+}
+
+// buildWide creates a depth-3 file: root → 3 children → 3 each → 2 each.
+func buildWide(t *testing.T, s *Store) *Tree {
+	t.Helper()
+	fc, vc, _ := caps(t)
+	tr, err := CreateFile(s, fc, vc, []byte("root"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var grow func(p page.Path, fanouts []int)
+	grow = func(p page.Path, fanouts []int) {
+		if len(fanouts) == 0 {
+			return
+		}
+		for i := 0; i < fanouts[0]; i++ {
+			if err := tr.InsertPage(p, i, []byte("base"+p.Child(i).String())); err != nil {
+				t.Fatal(err)
+			}
+			grow(p.Child(i), fanouts[1:])
+		}
+	}
+	grow(page.RootPath, []int{3, 3, 2})
+	return tr
+}
+
+// walkRecord is what a page looks like to Walk, minus the block numbers
+// of pages private to one version.
+type walkRecord struct {
+	path    string
+	flags   page.Flags
+	shared  block.Num // the block, when still shared with the base
+	base    block.Num
+	nrefs   int
+	data    string
+	version bool
+}
+
+func walkRecords(t *testing.T, tr *Tree) []walkRecord {
+	t.Helper()
+	var out []walkRecord
+	err := tr.Walk(func(p page.Path, ref page.Ref, pg *page.Page) error {
+		r := walkRecord{path: p.String(), flags: ref.Flags, base: pg.BaseRef,
+			nrefs: len(pg.Refs), data: string(pg.Data), version: pg.IsVersion}
+		if !ref.Flags.Accessed() {
+			r.shared = ref.Block
+		}
+		out = append(out, r)
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+// TestWritePagesMatchesSequentialWrites: a batch with shared prefixes,
+// repeated paths and pages this version already shadowed leaves the same
+// tree — pages, data and flags — as the same writes made one at a time,
+// and costs at most one read per depth plus the root, one alloc and one
+// write.
+func TestWritePagesMatchesSequentialWrites(t *testing.T) {
+	const depth = 3
+	for seed := int64(1); seed <= 20; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		srv := block.NewServer(disk.MustNew(disk.Geometry{Blocks: 4096, BlockSize: 1024}))
+		s := NewStore(srv, testAcct)
+		base := buildWide(t, s)
+		randPath := func(firstChildren int) page.Path {
+			p := page.RootPath
+			for _, fan := range []int{firstChildren, 3, 2}[:rng.Intn(depth+1)] {
+				p = p.Child(rng.Intn(fan))
+			}
+			return p
+		}
+		_, vc1, _ := caps(t)
+		_, vc2, _ := caps(t)
+		seq, err := CreateVersion(s, base.Root, vc1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		bat, err := CreateVersion(s, base.Root, vc2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Shadow part of the tree first, identically in both versions:
+		// reads and writes under the root's children 0 and 1 only, so
+		// child 2's subtree is still shared when the batch arrives.
+		for i := 0; i < 4; i++ {
+			p, data, read := randPath(2), []byte(fmt.Sprintf("pre%d-%d", seed, i)), rng.Intn(2) == 0
+			for _, tr := range []*Tree{seq, bat} {
+				if read {
+					if _, _, err := tr.ReadPage(p); err != nil {
+						t.Fatal(err)
+					}
+				} else if err := refWritePage(tr, p, data); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		var ps []page.Path
+		var datas [][]byte
+		for i := 0; i < 12; i++ {
+			p := randPath(3)
+			if i > 0 && rng.Intn(4) == 0 {
+				p = ps[rng.Intn(len(ps))] // a repeated path: the later write wins
+			}
+			ps = append(ps, p)
+			datas = append(datas, []byte(fmt.Sprintf("w%d-%d", seed, i)))
+		}
+		ps = append(ps, page.Path{2, 1, 0}) // at least one page first touched here
+		datas = append(datas, []byte("fresh"))
+		for i, p := range ps {
+			if err := refWritePage(seq, p, datas[i]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		cs := newCountStore(srv)
+		counted := &Tree{St: NewStore(cs, testAcct), Root: bat.Root}
+		if err := counted.WritePages(ps, datas); err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		if cs.reads > depth+1 || cs.allocs != 1 || cs.writes > 1 {
+			t.Fatalf("seed %d: batch of %d cost %d reads, %d allocs, %d writes; want <= %d, 1, <= 1",
+				seed, len(ps), cs.reads, cs.allocs, cs.writes, depth+1)
+		}
+		want, got := walkRecords(t, seq), walkRecords(t, bat)
+		if len(want) != len(got) {
+			t.Fatalf("seed %d: %d pages after the batch, %d after sequential writes", seed, len(got), len(want))
+		}
+		for i := range want {
+			if want[i] != got[i] {
+				t.Fatalf("seed %d: page %s: batch %+v, sequential %+v", seed, want[i].path, got[i], want[i])
+			}
+		}
+	}
+}
+
+// TestWritePagesRefusesBeforeWriting: a batch with one bad entry —
+// a bad path, a hole, or data too large for its page — fails with that
+// entry's error and writes nothing at all.
+func TestWritePagesRefusesBeforeWriting(t *testing.T) {
+	srv := block.NewServer(disk.MustNew(disk.Geometry{Blocks: 4096, BlockSize: 1024}))
+	base := buildFile(t, NewStore(srv, testAcct))
+	if err := base.MakeHole(page.RootPath, 2); err != nil {
+		t.Fatal(err)
+	}
+	_, vc, _ := caps(t)
+	v, err := CreateVersion(NewStore(srv, testAcct), base.Root, vc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cs := newCountStore(srv)
+	tr := &Tree{St: NewStore(cs, testAcct), Root: v.Root}
+	good := []byte("fine")
+	for _, c := range []struct {
+		bad  page.Path
+		data []byte
+		want error
+	}{
+		{page.Path{1, 7}, good, ErrBadPath},
+		{page.Path{2}, good, ErrHole},
+		{page.Path{1, 1}, bytes.Repeat([]byte{1}, 2000), page.ErrPageFull},
+	} {
+		err := tr.WritePages([]page.Path{{0}, {1, 0}, c.bad}, [][]byte{good, good, c.data})
+		if !errors.Is(err, c.want) {
+			t.Fatalf("%s: err = %v, want %v", c.bad, err, c.want)
+		}
+		if cs.allocs != 0 || cs.writes != 0 {
+			t.Fatalf("%s: refused batch made %d allocs and %d writes", c.bad, cs.allocs, cs.writes)
+		}
 	}
 }
