@@ -403,11 +403,6 @@ func (v *Version) Read(p Path) (data []byte, children int, err error) {
 	return v.inner.Read(p)
 }
 
-// Prefetch warms the client cache with the page at p and its subtree in
-// one round trip; subsequent Reads of those pages move flags only, no
-// data. Returns the number of pages cached.
-func (v *Version) Prefetch(p Path) (int, error) { return v.inner.Prefetch(p) }
-
 // Write replaces the data of the page at p. The managing server holds a
 // plain file's writes until the update next needs its tree, so only data
 // larger than any page can be is refused here. A bad path, a hole, or

@@ -170,9 +170,10 @@ func (t *Txn) Write(id FileID, pg int, data []byte) error {
 		t.s.stats.LateWrites++
 		t.s.stats.Aborts++
 		t.aborted = true
-		t.s.mu.Unlock()
-		return fmt.Errorf("page %d/%d readTS=%d writeTS=%d ts=%d: %w",
+		err := fmt.Errorf("page %d/%d readTS=%d writeTS=%d ts=%d: %w",
 			id, pg, ps.readTS, last.writeTS, t.ts, ErrLateWrite)
+		t.s.mu.Unlock()
+		return err
 	}
 	t.s.mu.Unlock()
 	t.writes[[2]int{int(id), pg}] = append([]byte(nil), data...)

@@ -378,53 +378,6 @@ func (v *Version) Read(p page.Path) ([]byte, int, error) {
 	return resp.Data, int(resp.Args[0]), nil
 }
 
-// Prefetch pulls the page at p together with its whole subtree (as far
-// as one reply frame reaches) from the version's base into the client
-// cache, in a single round trip. Prefetched pages are served exactly
-// like previously read ones: the first real Read still runs the
-// flags-only confirmation, so read-ahead never adds pages to the
-// update's read set and cannot cause spurious conflicts. Returns the
-// number of pages cached.
-func (v *Version) Prefetch(p page.Path) (int, error) {
-	if v.closed {
-		return 0, errors.New("client: version closed")
-	}
-	req, err := v.pathReq(server.CmdPrefetch, p, nil)
-	if err != nil {
-		return 0, err
-	}
-	req.Caps = []capability.Capability{v.fcap}
-	req.Args[0] = uint64(v.base)
-	resp, err := v.c.call(req)
-	if err != nil {
-		return 0, err
-	}
-	count := int(resp.Args[0])
-	rest := resp.Data
-	for i := 0; i < count; i++ {
-		var pp page.Path
-		pp, rest, err = page.DecodePath(rest)
-		if err != nil {
-			return i, fmt.Errorf("client: bad prefetch reply: %w", err)
-		}
-		if len(rest) < 8 {
-			return i, errors.New("client: bad prefetch reply: truncated entry")
-		}
-		nrefs := int(uint32(rest[0])<<24 | uint32(rest[1])<<16 | uint32(rest[2])<<8 | uint32(rest[3]))
-		dlen := int(uint32(rest[4])<<24 | uint32(rest[5])<<16 | uint32(rest[6])<<8 | uint32(rest[7]))
-		rest = rest[8:]
-		if dlen < 0 || len(rest) < dlen {
-			return i, errors.New("client: bad prefetch reply: truncated data")
-		}
-		v.c.mu.Lock()
-		v.c.stats.BytesFetched += uint64(dlen)
-		v.c.mu.Unlock()
-		v.c.Cache.Put(v.fcap.Object, v.base, pp, cache.Entry{Data: rest[:dlen:dlen], NRefs: nrefs})
-		rest = rest[dlen:]
-	}
-	return count, nil
-}
-
 // Write replaces the page at path with data. A plain file's server
 // checks the path only when it applies its buffered writes, so a bad
 // path may be reported by a later call, at the latest by Commit (see

@@ -445,83 +445,3 @@ func TestClientPing(t *testing.T) {
 		t.Fatalf("err = %v", err)
 	}
 }
-
-func TestPrefetchWarmsCacheInOneRoundTrip(t *testing.T) {
-	_, c := newTestService(t, 1)
-	fcap, err := c.CreateFile([]byte("root page"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Build a small tree: root with three children, one grandchild.
-	v, err := c.Update(fcap, UpdateOpts{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 3; i++ {
-		if err := v.Insert(page.RootPath, i, []byte(fmt.Sprintf("child-%d", i))); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := v.Insert(page.Path{1}, 0, []byte("grandchild")); err != nil {
-		t.Fatal(err)
-	}
-	if err := v.Commit(); err != nil {
-		t.Fatal(err)
-	}
-
-	// A fresh update prefetches the whole subtree with one transaction.
-	v2, err := c.Update(fcap, UpdateOpts{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	before := c.Stats().Transactions
-	n, err := v2.Prefetch(page.RootPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := c.Stats().Transactions - before; got != 1 {
-		t.Fatalf("prefetch took %d transactions", got)
-	}
-	if n != 5 {
-		t.Fatalf("prefetched %d pages, want 5 (root + 3 children + grandchild)", n)
-	}
-
-	// Reads of prefetched pages move flags only: bytes come from the
-	// cache, not the wire.
-	fetchedBefore := c.Stats().BytesFetched
-	data, _, err := v2.Read(page.Path{1, 0})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(data) != "grandchild" {
-		t.Fatalf("read %q", data)
-	}
-	data, _, err = v2.Read(page.Path{2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(data) != "child-2" {
-		t.Fatalf("read %q", data)
-	}
-	if got := c.Stats().BytesFetched - fetchedBefore; got != 0 {
-		t.Fatalf("%d bytes moved for prefetched reads, want 0", got)
-	}
-	if saved := c.Stats().BytesSaved; saved == 0 {
-		t.Fatal("no bytes accounted as cache-saved")
-	}
-	// The reads were still recorded server-side: a concurrent writer to
-	// those pages must now conflict with this update.
-	v3, err := c.Update(fcap, UpdateOpts{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := v3.Write(page.Path{2}, []byte("overwrite")); err != nil {
-		t.Fatal(err)
-	}
-	if err := v3.Commit(); err != nil {
-		t.Fatal(err)
-	}
-	if err := v2.Commit(); !errors.Is(err, ErrConflict) {
-		t.Fatalf("commit after conflicting write = %v, want ErrConflict", err)
-	}
-}

@@ -167,15 +167,11 @@ func TestRebuildDetectsSuperFiles(t *testing.T) {
 	st := newStore(t)
 	f := capability.NewFactory(capability.NewPort().Public())
 
-	sub, err := version.CreateFile(st, f.Register(30), f.Register(31), []byte("sub"))
-	if err != nil {
-		t.Fatal(err)
-	}
 	super, err := version.CreateFile(st, f.Register(40), f.Register(41), []byte("super"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := super.InsertSubFile(page.RootPath, 0, sub.Root); err != nil {
+	if _, err := super.InsertSubFile(page.RootPath, 0, f.Register(30), f.Register(31), []byte("sub")); err != nil {
 		t.Fatal(err)
 	}
 
@@ -213,11 +209,7 @@ func TestHasSubFilesDeep(t *testing.T) {
 	if err := super.InsertPage(page.Path{0}, 0, []byte("l2")); err != nil {
 		t.Fatal(err)
 	}
-	sub, err := version.CreateFile(st, f.Register(3), f.Register(4), []byte("deep"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := super.InsertSubFile(page.Path{0, 0}, 0, sub.Root); err != nil {
+	if _, err := super.InsertSubFile(page.Path{0, 0}, 0, f.Register(3), f.Register(4), []byte("deep")); err != nil {
 		t.Fatal(err)
 	}
 	found, err := HasSubFiles(st, super.Root)

@@ -23,7 +23,11 @@
 // Safety against concurrent operation comes from two-cycle condemnation:
 // a block is freed only if it was unreachable in two consecutive
 // collections, giving in-flight descents and just-allocated-but-not-yet-
-// linked pages a full cycle of grace.
+// linked pages a full cycle of grace. That grace holds because a cycle
+// samples its pins — the open versions and their bases — before it reads
+// the file table: a block allocated after one cycle's pin sample is
+// reachable from the next cycle's roots, through an open version or, once
+// that version commits, through the table.
 package gc
 
 import (
@@ -66,7 +70,9 @@ type Collector struct {
 	// each file keeps; minimum 1.
 	Retain int
 	// Live reports the root blocks of versions currently managed by
-	// servers (uncommitted updates); they and their pages are pinned.
+	// servers (uncommitted updates); they and their pages are pinned. It
+	// is required: a collector without pins frees pages under running
+	// updates.
 	Live func() []block.Num
 	// Gate, when set, is consulted at the start of every collection; a
 	// false return skips the cycle entirely. Multi-server deployments
@@ -103,8 +109,11 @@ type Collector struct {
 }
 
 // New creates a collector with resharing enabled and a retention of
-// keep committed versions per file.
+// keep committed versions per file. live must not be nil.
 func New(st *version.Store, table ftab.Table, keep int, live func() []block.Num) *Collector {
+	if live == nil {
+		panic("gc: New without a Live function")
+	}
 	if keep < 1 {
 		keep = 1
 	}
@@ -126,9 +135,27 @@ func (g *Collector) Collect() (Report, error) {
 		return rep, nil
 	}
 
-	// Roots: retained committed versions per file, advancing the table
-	// entry to the oldest retained version.
-	var roots []block.Num
+	// Pins first: the live uncommitted versions and their bases. A
+	// version that commits after this sample is reached from the table
+	// read below (occ.History chases commit references forward), so it is
+	// in one root set or the other; sampled the other way round, it could
+	// fall between the two.
+	live := g.Live()
+	roots := append([]block.Num(nil), live...)
+	// Pin each live uncommitted version's base as well. Retirement
+	// follows only the committed chain from the table entry, so an old
+	// base kept alive solely by an in-flight update would otherwise be
+	// retired and swept under it — and a crash-recovery Rebuild relies on
+	// "an uncommitted version's base survives" to tell abandoned orphans
+	// from committed survivors.
+	for _, n := range live {
+		if pg, err := g.St.ReadPage(n); err == nil && pg.BaseRef != block.NilNum {
+			roots = append(roots, pg.BaseRef)
+		}
+	}
+
+	// Retained committed versions per file, advancing the table entry to
+	// the oldest retained version.
 	for _, obj := range g.Table.Objects() {
 		e, err := g.Table.Get(obj)
 		if err != nil {
@@ -186,21 +213,6 @@ func (g *Collector) Collect() (Report, error) {
 			}
 		}
 		roots = append(roots, retained...)
-	}
-	if g.Live != nil {
-		live := g.Live()
-		roots = append(roots, live...)
-		// Pin each live uncommitted version's base as well. Retirement
-		// follows only the committed chain from the table entry, so an
-		// old base kept alive solely by an in-flight update would
-		// otherwise be retired and swept under it — and a crash-recovery
-		// Rebuild relies on "an uncommitted version's base survives" to
-		// tell abandoned orphans from committed survivors.
-		for _, n := range live {
-			if pg, err := g.St.ReadPage(n); err == nil && pg.BaseRef != block.NilNum {
-				roots = append(roots, pg.BaseRef)
-			}
-		}
 	}
 	rep.LiveRoots = len(roots)
 

@@ -31,7 +31,7 @@ func newFixture(t *testing.T, retain int) *fixture {
 	bs := block.NewServer(d)
 	sh := server.NewShared(bs, 1)
 	srv := server.New(sh, nil)
-	col := New(srv.Store(), sh.Table, retain, nil)
+	col := New(srv.Store(), sh.Table, retain, srv.LiveVersions)
 	return &fixture{srv: srv, bs: bs, col: col}
 }
 
@@ -592,7 +592,7 @@ func TestReshareKeepsConcurrentCommitRef(t *testing.T) {
 	hs.Scalar = block.Scalar{Multi: hs}
 	sh := server.NewShared(hs, 1)
 	srv := server.New(sh, nil)
-	col := New(srv.Store(), sh.Table, 8, nil)
+	col := New(srv.Store(), sh.Table, 8, srv.LiveVersions)
 
 	fcap, _ := srv.CreateFile(nil)
 	setup, _ := srv.CreateVersion(fcap, server.CreateVersionOpts{})
@@ -744,5 +744,150 @@ func TestRecoveryScanPagesOverTCP(t *testing.T) {
 	}
 	if data, _, err := srv.ReadCommitted(cur, page.RootPath); err != nil || string(data) != "kept" {
 		t.Fatalf("file after collection: %q, %v", data, err)
+	}
+}
+
+// cycleStore is the in-memory block server with two hooks for staging a
+// collection cycle against an update: one runs before the collector's
+// account scan (after its mark), one after an alloc returns. Each hook
+// fires once.
+type cycleStore struct {
+	*block.Server
+	block.Scalar
+	beforeRecover func()
+	afterAlloc    func()
+}
+
+func (c *cycleStore) Recover(a block.Account) ([]block.Num, error) {
+	if h := c.beforeRecover; h != nil {
+		c.beforeRecover = nil
+		h()
+	}
+	return c.Server.Recover(a)
+}
+
+func (c *cycleStore) AllocMulti(a block.Account, data [][]byte) ([]block.Num, error) {
+	ns, err := c.Server.AllocMulti(a, data)
+	if h := c.afterAlloc; h != nil && err == nil {
+		c.afterAlloc = nil
+		h()
+	}
+	return ns, err
+}
+
+func newCycleFixture(t *testing.T) (*cycleStore, *server.Server, *Collector) {
+	t.Helper()
+	cs := &cycleStore{Server: block.NewServer(disk.MustNew(disk.Geometry{Blocks: 1 << 12, BlockSize: 1024}))}
+	cs.Scalar = block.Scalar{Multi: cs}
+	sh := server.NewShared(cs, 1)
+	srv := server.New(sh, nil)
+	return cs, srv, New(srv.Store(), sh.Table, 1, srv.LiveVersions)
+}
+
+// TestCommitBetweenPinAndTableSamples: a cycle samples the open versions
+// and the file table; an update that commits between the two samples
+// must be in one of them. The staging: cycle 1 marks while the update is
+// open, and the update flushes a shadow page before the cycle's account
+// scan, so cycle 1 condemns the shadow (allocated after the mark). Cycle
+// 2 lets the update commit between its two samples. Sampling the table
+// first misses the commit in both — and frees the shadow of an
+// acknowledged commit.
+func TestCommitBetweenPinAndTableSamples(t *testing.T) {
+	cs, srv, col := newCycleFixture(t)
+	fcap, _ := srv.CreateFile([]byte("root"))
+	setup, _ := srv.CreateVersion(fcap, server.CreateVersionOpts{})
+	if err := srv.InsertPage(setup, page.RootPath, 0, []byte("old")); err != nil {
+		t.Fatal(err)
+	}
+	if err := srv.Commit(setup); err != nil {
+		t.Fatal(err)
+	}
+	v, _ := srv.CreateVersion(fcap, server.CreateVersionOpts{})
+	if err := srv.WritePage(v, page.Path{0}, []byte("new")); err != nil {
+		t.Fatal(err)
+	}
+	cs.beforeRecover = func() {
+		// Flush the buffered write: the shadow of /0 is allocated now.
+		if _, _, err := srv.ReadPage(v, page.Path{0}); err != nil {
+			t.Errorf("flush: %v", err)
+		}
+	}
+	if _, err := col.Collect(); err != nil {
+		t.Fatal(err)
+	}
+	committed := false
+	col.Live = func() []block.Num {
+		if !committed {
+			committed = true
+			if err := srv.Commit(v); err != nil {
+				t.Errorf("commit: %v", err)
+			}
+		}
+		return srv.LiveVersions()
+	}
+	if _, err := col.Collect(); err != nil {
+		t.Fatal(err)
+	}
+	cur, err := srv.CurrentVersion(fcap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if data, _, err := srv.ReadCommitted(cur, page.Path{0}); err != nil || string(data) != "new" {
+		t.Fatalf("acknowledged commit reads %q, %v after two cycles", data, err)
+	}
+}
+
+// TestPinSampleWaitsForVersionCreation: a version's root is allocated
+// before its record is registered. Two whole cycles staged in that gap
+// must not free the root: the pin sample waits for the creation in
+// flight to register.
+func TestPinSampleWaitsForVersionCreation(t *testing.T) {
+	cs, srv, col := newCycleFixture(t)
+	fcap, _ := srv.CreateFile([]byte("root"))
+	allocated, release := make(chan struct{}), make(chan struct{})
+	cs.afterAlloc = func() { // the new version's root: its first alloc
+		close(allocated)
+		<-release
+	}
+	type created struct {
+		v   capability.Capability
+		err error
+	}
+	res := make(chan created, 1)
+	go func() {
+		v, err := srv.CreateVersion(fcap, server.CreateVersionOpts{})
+		res <- created{v, err}
+	}()
+	<-allocated
+	cycles := make(chan error, 1)
+	go func() {
+		_, err := col.Collect()
+		if err == nil {
+			_, err = col.Collect()
+		}
+		cycles <- err
+	}()
+	// Without the fence both cycles finish inside the gap; with it the
+	// first blocks in its pin sample until the creation registers.
+	var err error
+	select {
+	case err = <-cycles:
+		close(release)
+	case <-time.After(200 * time.Millisecond):
+		close(release)
+		err = <-cycles
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := <-res
+	if r.err != nil {
+		t.Fatal(r.err)
+	}
+	if data, _, err := srv.ReadPage(r.v, page.RootPath); err != nil || string(data) != "root" {
+		t.Fatalf("version created across two cycles reads %q, %v", data, err)
+	}
+	if err := srv.Commit(r.v); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -26,9 +26,10 @@
 // data written and references modified, and the version layer maintains
 // them as pages are shadowed — so validation needs no separate logs,
 // and its cost is proportional to the intersection of the accessed
-// sets, not the file size. Anything that fills caches without setting
-// flags (the client's Prefetch) is invisible to validation by
-// construction and can never cause a spurious conflict.
+// sets, not the file size. Anything that reads without setting flags
+// (the server's ReadCommitted and PeekPage inspections of immutable
+// committed pages) is invisible to validation by construction and can
+// never cause a spurious conflict.
 //
 // The whole commit path has exactly one critical section:
 // TestAndSetCommitRef locks, reads, tests, sets and writes one version

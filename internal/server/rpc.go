@@ -64,13 +64,10 @@ const (
 	// CmdValidateCache validates a cache entry from version root
 	// Args[0]; the reply lists paths to discard.
 	CmdValidateCache
-	// CmdPrefetch reads the page at path Data in committed version root
-	// Args[0] plus as much of its subtree as fits one reply: the
-	// client-cache read-ahead. Reply Args[0] counts entries; each entry
-	// is path || nrefs(4) || dlen(4) || data. Records no accesses (the
-	// client's flags-only confirm on first real use does that), so
-	// read-ahead never inflates an update's read set.
-	CmdPrefetch
+	// Reserved: the number of the retired client-cache read-ahead
+	// command, kept so the later command numbers stay put on the wire.
+	// A request carrying it is answered as an unknown command.
+	_
 	// CmdSnapshots lists the file's archived snapshots, oldest first.
 	// Reply Data holds one 44-byte record per snapshot:
 	// seq(8) || archive root block(4) || snapshot score(32).
@@ -129,8 +126,6 @@ func CmdName(cmd uint32) string {
 		return "readCommitted"
 	case CmdValidateCache:
 		return "validateCache"
-	case CmdPrefetch:
-		return "prefetch"
 	case CmdSnapshots:
 		return "snapshots"
 	case CmdOpenAt:
@@ -493,34 +488,6 @@ func (s *Server) dispatch(req *rpc.Message, tc trace.Context) (*rpc.Message, err
 		r := req.Reply(rpc.StatusOK)
 		r.Args[0] = uint64(nrefs)
 		r.Data = data
-		return r, nil
-
-	case CmdPrefetch:
-		if _, err := reqCap(req); err != nil {
-			return nil, err
-		}
-		p, _, err := reqPath(req)
-		if err != nil {
-			return nil, err
-		}
-		// Budget below the frame limit so paths, entry headers and the
-		// reply envelope always fit.
-		entries, err := s.Prefetch(block.Num(req.Args[0]), p, rpc.MaxData-512)
-		if err != nil {
-			return nil, err
-		}
-		r := req.Reply(rpc.StatusOK)
-		r.Args[0] = uint64(len(entries))
-		for _, e := range entries {
-			r.Data, err = e.Path.Encode(r.Data)
-			if err != nil {
-				return nil, err
-			}
-			n, d := uint32(e.NRefs), uint32(len(e.Data))
-			r.Data = append(r.Data, byte(n>>24), byte(n>>16), byte(n>>8), byte(n))
-			r.Data = append(r.Data, byte(d>>24), byte(d>>16), byte(d>>8), byte(d))
-			r.Data = append(r.Data, e.Data...)
-		}
 		return r, nil
 
 	case CmdValidateCache:

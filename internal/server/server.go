@@ -323,6 +323,47 @@ type Server struct {
 	mu       sync.Mutex
 	versions map[uint32]*verRec
 	crashed  bool
+	// creating fences version creation against the collector's pin
+	// sample: CreateVersion is inside it from choosing its base until its
+	// record is in versions, and LiveVersions waits out the creations
+	// inside it before it samples, so no base is chosen and no version
+	// root allocated before a sample and registered after it.
+	creating fence
+}
+
+// fence lets a waiter wait out the operations in flight when it arrives
+// without holding back the ones that start after it: a creation waiting
+// for a §5.3 lock (up to lock.Manager.Patience) delays the pin sample,
+// not every other creation on the server.
+type fence struct {
+	mu      sync.Mutex
+	passing sync.Mutex      // one waiter at a time
+	group   *sync.WaitGroup // the operations in flight since the last pass
+}
+
+// enter joins the operations in flight; call the returned func on leaving.
+func (f *fence) enter() (leave func()) {
+	f.mu.Lock()
+	if f.group == nil {
+		f.group = new(sync.WaitGroup)
+	}
+	g := f.group
+	g.Add(1)
+	f.mu.Unlock()
+	return g.Done
+}
+
+// pass returns once every operation that entered before it has left.
+func (f *fence) pass() {
+	f.passing.Lock()
+	defer f.passing.Unlock()
+	f.mu.Lock()
+	g := f.group
+	f.group = nil
+	f.mu.Unlock()
+	if g != nil {
+		g.Wait()
+	}
 }
 
 // New creates a server process with its own port. probe answers lock
@@ -349,9 +390,11 @@ func New(shared *Shared, probe lock.Prober) *Server {
 const closedGrace = time.Second
 
 // LiveVersions returns the root blocks of the open versions this server
-// manages; the garbage collector pins them. Closed records past their
-// grace period are reaped on the way.
+// manages; the garbage collector pins them. A version creation in
+// progress finishes first, so its root is in the sample. Closed records
+// past their grace period are reaped on the way.
 func (s *Server) LiveVersions() []block.Num {
+	s.creating.pass()
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	out := make([]block.Num, 0, len(s.versions))
@@ -450,6 +493,7 @@ func (s *Server) CreateVersion(fcap capability.Capability, opts CreateVersionOpt
 	if err := s.shared.Fact.Verify(fcap, capability.RightCreate); err != nil {
 		return capability.Nil, err
 	}
+	defer s.creating.enter()()
 	cur, entry, err := s.currentOf(fcap.Object)
 	if err != nil {
 		return capability.Nil, err
@@ -507,57 +551,53 @@ func (s *Server) lookup(vcap capability.Capability, need capability.Rights) (*ve
 	return rec, nil
 }
 
-// resolve walks the path from the version's root, crossing sub-file
-// boundaries per §5.3: each first crossing inner-locks the sub-file's
-// current version and creates a new version of it inside this update.
-// It returns the innermost tree and the residual path within it.
-func (s *Server) resolve(rec *verRec, p page.Path) (*version.Tree, page.Path, error) {
-	tree := rec.tree
-	rest := p
+// resolve runs op on the page at p in the version, crossing sub-file
+// boundaries per §5.3. op runs first on the version's own tree; a
+// boundary on the way stops it (version.SubFileError) before it writes
+// anything. resolve then crosses: a reference already accessed in this
+// update names the sub-version it created; a first crossing inner-locks
+// the sub-file's current version, creates a new version of it inside
+// this update and links it in. op then reruns on the sub-version's tree
+// with the rest of the path.
+func (s *Server) resolve(rec *verRec, p page.Path, op func(tree *version.Tree, rest page.Path) error) error {
+	tree, rest := rec.tree, p
 	for {
-		boundary, subBlk, accessed, err := findBoundary(s.st, tree, rest)
-		if err != nil {
-			return nil, nil, err
+		err := op(tree, rest)
+		var sub *version.SubFileError
+		if !errors.As(err, &sub) {
+			return err
 		}
-		if boundary < 0 {
-			return tree, rest, nil
-		}
-		var subRoot block.Num
-		if accessed {
-			// Already crossed during this update: the ref points at
-			// the sub-version we created.
-			subRoot = subBlk
-		} else {
+		subRoot := sub.Block
+		if !sub.Accessed {
 			// First crossing: lock and fork the sub-file's current
 			// version. The sub-file may have been updated since the
 			// super-file's tree last changed, so chase to current.
-			subCur, err := occ.Current(s.st, subBlk)
+			subCur, err := occ.Current(s.st, sub.Block)
 			if err != nil {
-				return nil, nil, err
+				return err
 			}
 			if err := rec.locks.AcquireInner(subCur); err != nil {
-				return nil, nil, err
+				return err
 			}
 			_, subVCap := s.shared.newObject()
 			subTree, err := version.CreateVersion(s.st, subCur, subVCap)
 			if err != nil {
 				rec.locks.Clear(subCur, rec.locks.Port)
-				return nil, nil, err
+				return err
 			}
 			// Parent reference: ascend to the enclosing version page.
 			if err := s.setParentRef(subTree.Root, tree.Root); err != nil {
-				return nil, nil, err
+				return err
 			}
-			parentPath := rest[:boundary]
-			if err := tree.LinkSubVersion(parentPath, rest[boundary], subTree.Root); err != nil {
-				return nil, nil, err
+			if err := tree.LinkSubVersion(rest[:sub.Depth], rest[sub.Depth], subTree.Root); err != nil {
+				return err
 			}
 			rec.crossing = append(rec.crossing, subCur)
 			subRoot = subTree.Root
 			s.shared.Table.MarkSuper(rec.fileObj)
 		}
 		tree = &version.Tree{St: s.st, Root: subRoot}
-		rest = rest[boundary+1:]
+		rest = rest[sub.Depth+1:]
 	}
 }
 
@@ -570,36 +610,6 @@ func (s *Server) setParentRef(sub, parent block.Num) error {
 	}
 	vp.ParentRef = parent
 	return s.st.WritePage(sub, vp)
-}
-
-// findBoundary peeks along rest in tree and returns the depth of the
-// first reference that points at a version page (a sub-file root), the
-// referenced block, and whether the reference was already accessed in
-// this version. Depth -1 means the path stays inside this file.
-func findBoundary(st *version.Store, tree *version.Tree, rest page.Path) (int, block.Num, bool, error) {
-	cur, err := st.ReadPage(tree.Root)
-	if err != nil {
-		return 0, 0, false, err
-	}
-	for depth, idx := range rest {
-		if idx < 0 || idx >= len(cur.Refs) {
-			return 0, 0, false, fmt.Errorf("server: %s index %d of %d: %w",
-				rest, idx, len(cur.Refs), version.ErrBadPath)
-		}
-		ref := cur.Refs[idx]
-		if ref.IsNil() {
-			return 0, 0, false, fmt.Errorf("server: %s depth %d: %w", rest, depth, version.ErrHole)
-		}
-		child, err := st.ReadPage(ref.Block)
-		if err != nil {
-			return 0, 0, false, err
-		}
-		if child.IsVersion {
-			return depth, ref.Block, ref.Flags.Accessed(), nil
-		}
-		cur = child
-	}
-	return -1, 0, false, nil
 }
 
 // withVersion runs fn on an open version under its record lock.
@@ -660,11 +670,10 @@ func (s *Server) flush(rec *verRec, tc trace.Context) error {
 // boundaries per §5.3.
 func (s *Server) writeThrough(rec *verRec, ps []page.Path, datas [][]byte) error {
 	for i, p := range ps {
-		tree, rest, err := s.resolve(rec, p)
+		err := s.resolve(rec, p, func(tree *version.Tree, rest page.Path) error {
+			return tree.WritePage(rest, datas[i])
+		})
 		if err != nil {
-			return err
-		}
-		if err := tree.WritePage(rest, datas[i]); err != nil {
 			return err
 		}
 	}
@@ -680,12 +689,10 @@ func (s *Server) ReadPage(vcap capability.Capability, p page.Path) (data []byte,
 				return err
 			}
 		}
-		tree, rest, err := s.resolve(rec, p)
-		if err != nil {
+		return s.resolve(rec, p, func(tree *version.Tree, rest page.Path) (err error) {
+			data, nrefs, err = tree.ReadPage(rest)
 			return err
-		}
-		data, nrefs, err = tree.ReadPage(rest)
-		return err
+		})
 	})
 	return data, nrefs, err
 }
@@ -722,22 +729,18 @@ func (s *Server) WritePage(vcap capability.Capability, p page.Path, data []byte)
 // InsertPage inserts a fresh page at index idx of the page at path.
 func (s *Server) InsertPage(vcap capability.Capability, p page.Path, idx int, data []byte) error {
 	return s.withFlushed(vcap, capability.RightWrite, func(rec *verRec) error {
-		tree, rest, err := s.resolve(rec, p)
-		if err != nil {
-			return err
-		}
-		return tree.InsertPage(rest, idx, data)
+		return s.resolve(rec, p, func(tree *version.Tree, rest page.Path) error {
+			return tree.InsertPage(rest, idx, data)
+		})
 	})
 }
 
 // RemovePage removes the reference at index idx of the page at path.
 func (s *Server) RemovePage(vcap capability.Capability, p page.Path, idx int) error {
 	return s.withFlushed(vcap, capability.RightWrite, func(rec *verRec) error {
-		tree, rest, err := s.resolve(rec, p)
-		if err != nil {
-			return err
-		}
-		return tree.RemovePage(rest, idx)
+		return s.resolve(rec, p, func(tree *version.Tree, rest page.Path) error {
+			return tree.RemovePage(rest, idx)
+		})
 	})
 }
 
@@ -747,33 +750,27 @@ func (s *Server) RemovePage(vcap capability.Capability, p page.Path, idx int) er
 // MakeHole nils the reference at idx of the page at path.
 func (s *Server) MakeHole(vcap capability.Capability, p page.Path, idx int) error {
 	return s.withFlushed(vcap, capability.RightWrite, func(rec *verRec) error {
-		tree, rest, err := s.resolve(rec, p)
-		if err != nil {
-			return err
-		}
-		return tree.MakeHole(rest, idx)
+		return s.resolve(rec, p, func(tree *version.Tree, rest page.Path) error {
+			return tree.MakeHole(rest, idx)
+		})
 	})
 }
 
 // FillHole creates a page in the hole at idx of the page at path.
 func (s *Server) FillHole(vcap capability.Capability, p page.Path, idx int, data []byte) error {
 	return s.withFlushed(vcap, capability.RightWrite, func(rec *verRec) error {
-		tree, rest, err := s.resolve(rec, p)
-		if err != nil {
-			return err
-		}
-		return tree.FillHole(rest, idx, data)
+		return s.resolve(rec, p, func(tree *version.Tree, rest page.Path) error {
+			return tree.FillHole(rest, idx, data)
+		})
 	})
 }
 
 // RemoveHole removes the hole at idx of the page at path.
 func (s *Server) RemoveHole(vcap capability.Capability, p page.Path, idx int) error {
 	return s.withFlushed(vcap, capability.RightWrite, func(rec *verRec) error {
-		tree, rest, err := s.resolve(rec, p)
-		if err != nil {
-			return err
-		}
-		return tree.RemoveHole(rest, idx)
+		return s.resolve(rec, p, func(tree *version.Tree, rest page.Path) error {
+			return tree.RemoveHole(rest, idx)
+		})
 	})
 }
 
@@ -781,30 +778,25 @@ func (s *Server) RemoveHole(vcap capability.Capability, p page.Path, idx int) er
 // the rest into a new child.
 func (s *Server) SplitPage(vcap capability.Capability, p page.Path, keep int) error {
 	return s.withFlushed(vcap, capability.RightWrite, func(rec *verRec) error {
-		tree, rest, err := s.resolve(rec, p)
-		if err != nil {
-			return err
-		}
-		return tree.SplitPage(rest, keep)
+		return s.resolve(rec, p, func(tree *version.Tree, rest page.Path) error {
+			return tree.SplitPage(rest, keep)
+		})
 	})
 }
 
 // MoveSubtree moves a subtree between two holes of the same version (and
-// the same file: moves across sub-file boundaries are not supported).
+// the same file: moves across sub-file boundaries are not supported). The
+// move resolves along the source path; the destination must cross the
+// same boundaries, which Tree.MoveSubtree checks at each boundary.
 func (s *Server) MoveSubtree(vcap capability.Capability, srcPath page.Path, srcIdx int, dstPath page.Path, dstIdx int) error {
 	return s.withFlushed(vcap, capability.RightWrite, func(rec *verRec) error {
-		srcTree, srcRest, err := s.resolve(rec, srcPath)
-		if err != nil {
-			return err
-		}
-		dstTree, dstRest, err := s.resolve(rec, dstPath)
-		if err != nil {
-			return err
-		}
-		if srcTree.Root != dstTree.Root {
-			return fmt.Errorf("server: move crosses a sub-file boundary: %w", version.ErrSubFile)
-		}
-		return srcTree.MoveSubtree(srcRest, srcIdx, dstRest, dstIdx)
+		return s.resolve(rec, srcPath, func(tree *version.Tree, rest page.Path) error {
+			crossed := len(srcPath) - len(rest)
+			if !dstPath.HasPrefix(srcPath[:crossed]) {
+				return fmt.Errorf("server: move crosses a sub-file boundary: %w", version.ErrSubFile)
+			}
+			return tree.MoveSubtree(rest, srcIdx, dstPath[crossed:], dstIdx)
+		})
 	})
 }
 
@@ -815,23 +807,17 @@ func (s *Server) MoveSubtree(vcap capability.Capability, srcPath page.Path, srcI
 func (s *Server) CreateSubFile(vcap capability.Capability, p page.Path, idx int, data []byte) (capability.Capability, error) {
 	var fcap capability.Capability
 	err := s.withFlushed(vcap, capability.RightWrite, func(rec *verRec) error {
-		tree, rest, err := s.resolve(rec, p)
-		if err != nil {
-			return err
-		}
 		obj, fc := s.shared.newObject()
 		_, vc := s.shared.newObject()
-		sub, err := version.CreateFile(s.st, fc, vc, data)
+		var subRoot block.Num
+		err := s.resolve(rec, p, func(tree *version.Tree, rest page.Path) (err error) {
+			subRoot, err = tree.InsertSubFile(rest, idx, fc, vc, data)
+			return err
+		})
 		if err != nil {
 			return err
 		}
-		if err := s.setParentRef(sub.Root, tree.Root); err != nil {
-			return err
-		}
-		if err := tree.InsertSubFile(rest, idx, sub.Root); err != nil {
-			return err
-		}
-		s.shared.Table.Put(obj, file.Entry{Cap: fc, Entry: sub.Root})
+		s.shared.Table.Put(obj, file.Entry{Cap: fc, Entry: subRoot})
 		s.shared.Table.MarkSuper(rec.fileObj)
 		fcap = fc
 		return nil
@@ -875,8 +861,7 @@ func (s *Server) commitT(tc trace.Context, vcap capability.Capability) error {
 		}
 		rec.locks.Clear(rec.topBase, rec.locks.Port)
 		rec.locks.Clear(rec.tree.Root, rec.locks.Port)
-		rec.state = StateCommitted
-		rec.closedAt = time.Now()
+		s.close(rec, StateCommitted)
 		// The §5.4.1 table update: one CAS on the file's entry. This is
 		// the client's ack point — the commit is already durable through
 		// the storage-level commit reference set above, so the CAS only
@@ -902,9 +887,18 @@ func (s *Server) Abort(vcap capability.Capability) error {
 // abort closes rec as aborted.
 func (s *Server) abort(rec *verRec) {
 	rec.dropPending()
-	rec.state = StateAborted
-	rec.closedAt = time.Now()
+	s.close(rec, StateAborted)
 	s.releaseLocks(rec)
+}
+
+// close stamps rec's final state. LiveVersions reads both fields under
+// s.mu, so they are written under it too (and under rec.mu, which the
+// caller holds).
+func (s *Server) close(rec *verRec, state VersionState) {
+	s.mu.Lock()
+	rec.state = state
+	rec.closedAt = time.Now()
+	s.mu.Unlock()
 }
 
 // releaseLocks clears the top lock and any inner locks of an update, then
@@ -1003,76 +997,6 @@ func (s *Server) ReadSnapshot(fcap capability.Capability, seq uint64, p page.Pat
 		return nil, 0, err
 	}
 	return append([]byte(nil), pg.Data...), len(pg.Refs), nil
-}
-
-// PrefetchEntry is one page returned by Prefetch.
-type PrefetchEntry struct {
-	Path  page.Path
-	NRefs int
-	Data  []byte
-}
-
-// Prefetch reads the page at path in the committed version rooted at
-// root together with as much of its subtree (breadth-first, fetched
-// with multi-block reads) as fits in budget bytes of reply entries.
-// Like ReadCommitted it records no accesses — committed versions are
-// immutable — so a client can warm its cache for a whole subtree in one
-// round trip without inflating any update's read set. Sub-file
-// boundaries are not crossed. A partial result (the budget ran out, or
-// a page vanished under a concurrent collector) is not an error.
-func (s *Server) Prefetch(root block.Num, p page.Path, budget int) ([]PrefetchEntry, error) {
-	if err := s.checkAlive(); err != nil {
-		return nil, err
-	}
-	tree := &version.Tree{St: s.st, Root: root}
-	start, err := tree.PeekPage(p)
-	if err != nil {
-		return nil, err
-	}
-	type node struct {
-		path page.Path
-		pg   *page.Page
-	}
-	frontier := []node{{p, start}}
-	var out []PrefetchEntry
-	used := 0
-	for len(frontier) > 0 {
-		n := frontier[0]
-		frontier = frontier[1:]
-		enc, err := n.path.Encode(nil)
-		if err != nil {
-			return nil, err
-		}
-		cost := len(enc) + 8 + len(n.pg.Data)
-		if used+cost > budget {
-			break
-		}
-		out = append(out, PrefetchEntry{Path: n.path, NRefs: len(n.pg.Refs), Data: n.pg.Data})
-		used += cost
-		var idxs []int
-		var ns []block.Num
-		for i, r := range n.pg.Refs {
-			if r.IsNil() {
-				continue
-			}
-			idxs = append(idxs, i)
-			ns = append(ns, r.Block)
-		}
-		if len(ns) == 0 {
-			continue
-		}
-		children, err := s.st.ReadPages(ns)
-		if err != nil {
-			break // partial prefetch is still useful
-		}
-		for k, c := range children {
-			if c.IsVersion {
-				continue // do not cross into sub-files
-			}
-			frontier = append(frontier, node{n.path.Child(idxs[k]), c})
-		}
-	}
-	return out, nil
 }
 
 // VersionRoot exposes an open version's root block (cache layer).

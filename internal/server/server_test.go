@@ -3,6 +3,7 @@ package server
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"testing"
 	"time"
 
@@ -705,4 +706,283 @@ func TestWriteIntoSubFileCreatedInSameVersion(t *testing.T) {
 	if data, _, err := s.ReadCommitted(cur, page.RootPath); err != nil || string(data) != "outer2" {
 		t.Fatalf("outer file reads %q, %v", data, err)
 	}
+}
+
+// countStore counts the vectored calls reaching the in-memory block
+// server, and the reads of each block. It re-binds the scalar adapter to
+// itself, so scalar calls count too.
+type countStore struct {
+	*block.Server
+	block.Scalar
+	reads, allocs, writes int
+	readOf                map[block.Num]int
+}
+
+func newCountService(t *testing.T) (*countStore, *Server) {
+	t.Helper()
+	cs := &countStore{Server: block.NewServer(disk.MustNew(disk.Geometry{Blocks: 1 << 14, BlockSize: 1024}))}
+	cs.Scalar = block.Scalar{Multi: cs}
+	s := New(NewShared(cs, 1), nil)
+	s.locks.Poll = 50 * time.Microsecond
+	s.locks.Patience = 200 * time.Millisecond
+	return cs, s
+}
+
+func (c *countStore) reset() {
+	c.reads, c.allocs, c.writes, c.readOf = 0, 0, 0, make(map[block.Num]int)
+}
+
+func (c *countStore) ReadMulti(a block.Account, ns []block.Num) ([][]byte, error) {
+	c.reads++
+	if c.readOf != nil {
+		for _, n := range ns {
+			c.readOf[n]++
+		}
+	}
+	return c.Server.ReadMulti(a, ns)
+}
+
+func (c *countStore) AllocMulti(a block.Account, data [][]byte) ([]block.Num, error) {
+	c.allocs++
+	return c.Server.AllocMulti(a, data)
+}
+
+func (c *countStore) WriteMulti(a block.Account, ns []block.Num, data [][]byte) error {
+	c.writes++
+	return c.Server.WriteMulti(a, ns, data)
+}
+
+// TestPageOperationCallBudget pins what one page operation costs the
+// block service: a single copy-on-write pass reads the path's chain once
+// — the root, then one multi-block read per depth — and writes with at
+// most one alloc and one write.
+func TestPageOperationCallBudget(t *testing.T) {
+	cs, s := newCountService(t)
+	fcap, err := s.CreateFile([]byte("root"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	v, err := s.CreateVersion(fcap, CreateVersionOpts{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range []page.Path{page.RootPath, {0}, {0, 0}} {
+		if err := s.InsertPage(v, p, 0, []byte("page"+p.String())); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s.Commit(v); err != nil {
+		t.Fatal(err)
+	}
+	budget := func(what string, reads, allocs, writes int) {
+		t.Helper()
+		if cs.reads > reads || cs.allocs != allocs || cs.writes != writes {
+			t.Fatalf("%s: %d reads, %d allocs, %d writes; want <= %d, %d, %d",
+				what, cs.reads, cs.allocs, cs.writes, reads, allocs, writes)
+		}
+	}
+
+	v, err = s.CreateVersion(fcap, CreateVersionOpts{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cs.reset()
+	if _, _, err := s.ReadPage(v, page.Path{0, 0, 0}); err != nil {
+		t.Fatal(err)
+	}
+	budget("depth-3 read in a fresh version", 4, 1, 1)
+	cs.reset()
+	if _, _, err := s.ReadPage(v, page.Path{0, 0, 0}); err != nil {
+		t.Fatal(err)
+	}
+	budget("re-read of the same page", 4, 0, 0)
+
+	v, err = s.CreateVersion(fcap, CreateVersionOpts{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cs.reset()
+	if err := s.InsertPage(v, page.Path{0, 0}, 0, []byte("new")); err != nil {
+		t.Fatal(err)
+	}
+	budget("depth-2 insert in a fresh version", 3, 1, 1)
+}
+
+// TestCrossedSubFileReadsOuterChainOnce: once an update has crossed into
+// a sub-file, a read through that boundary walks the outer file's chain
+// once — the pass on the outer tree stops at the boundary and the read
+// reruns inside the sub-file from there, not from the outer root.
+func TestCrossedSubFileReadsOuterChainOnce(t *testing.T) {
+	cs, s := newCountService(t)
+	superCap, _ := buildDeepSuper(t, s, "sub")
+	v, err := s.CreateVersion(superCap, CreateVersionOpts{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := s.ReadPage(v, page.Path{0, 1}); err != nil { // the first crossing forks
+		t.Fatal(err)
+	}
+	root, err := s.VersionRoot(v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	vp, err := s.st.ReadPage(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mid := vp.Refs[0].Block
+	cs.reset()
+	data, _, err := s.ReadPage(v, page.Path{0, 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(data) != "sub" {
+		t.Fatalf("read %q through the boundary", data)
+	}
+	for _, n := range []block.Num{root, mid} {
+		if got := cs.readOf[n]; got != 1 {
+			t.Fatalf("outer chain block %d read %d times, want once", n, got)
+		}
+	}
+	if cs.allocs != 0 || cs.writes != 0 {
+		t.Fatalf("re-read across a crossed boundary made %d allocs and %d writes", cs.allocs, cs.writes)
+	}
+}
+
+// buildDeepSuper creates a super-file whose sub-file sits one level down,
+// at /0/1 (/0/0 is a plain page), and commits it.
+func buildDeepSuper(t *testing.T, s *Server, subData string) (superCap, subCap capability.Capability) {
+	t.Helper()
+	superCap, err := s.CreateFile([]byte("super-root"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	v, err := s.CreateVersion(superCap, CreateVersionOpts{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.InsertPage(v, page.RootPath, 0, []byte("mid")); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.InsertPage(v, page.Path{0}, 0, []byte("plain")); err != nil {
+		t.Fatal(err)
+	}
+	subCap, err = s.CreateSubFile(v, page.Path{0}, 1, []byte(subData))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Commit(v); err != nil {
+		t.Fatal(err)
+	}
+	return superCap, subCap
+}
+
+// TestSecondUpdateForksDeepSubFile: a sub-file below the super-file's
+// root is crossed afresh by every update. The reference to it that a
+// committed update marked accessed lives in a page the next update still
+// shares with its base; following it as if this update had made it would
+// write into the committed sub-version in place. An aborted write must
+// leave every committed version as it was.
+func TestSecondUpdateForksDeepSubFile(t *testing.T) {
+	_, s := newService(t)
+	superCap, subCap := buildDeepSuper(t, s, "sub0")
+	for i, data := range []string{"sub1", "scratch"} {
+		v, err := s.CreateVersion(superCap, CreateVersionOpts{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := s.WritePage(v, page.Path{0, 1}, []byte(data)); err != nil {
+			t.Fatal(err)
+		}
+		if i == 0 {
+			err = s.Commit(v)
+		} else {
+			err = s.Abort(v)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	cur, err := s.CurrentVersion(superCap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if data, _, err := s.ReadCommitted(cur, page.Path{0, 1}); err != nil || string(data) != "sub1" {
+		t.Fatalf("super-file's current version reads %q, %v; want sub1", data, err)
+	}
+	sv, err := s.CreateVersion(subCap, CreateVersionOpts{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if data, _, err := s.ReadPage(sv, page.RootPath); err != nil || string(data) != "sub1" {
+		t.Fatalf("sub-file reads %q, %v; want sub1", data, err)
+	}
+}
+
+// TestMoveInsideSubFileButNotAcross: a move whose two paths cross the
+// same sub-file boundary happens inside the sub-file; a move from one
+// file of a super-file into another is refused, in either direction.
+func TestMoveInsideSubFileButNotAcross(t *testing.T) {
+	_, s := newService(t)
+	superCap, _ := buildSuper(t, s, "sub") // /0 plain, /1 the sub-file
+	v, err := s.CreateVersion(superCap, CreateVersionOpts{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, d := range []string{"a", "b"} {
+		if err := s.InsertPage(v, page.Path{1}, i, []byte(d)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s.MakeHole(v, page.Path{1}, 1); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.MoveSubtree(v, page.Path{1}, 0, page.Path{1}, 1); err != nil {
+		t.Fatal(err)
+	}
+	if data, _, err := s.ReadPage(v, page.Path{1, 1}); err != nil || string(data) != "a" {
+		t.Fatalf("moved page reads %q, %v", data, err)
+	}
+	if err := s.MakeHole(v, page.RootPath, 0); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.MoveSubtree(v, page.Path{1}, 1, page.RootPath, 0); !errors.Is(err, version.ErrSubFile) {
+		t.Fatalf("move out of the sub-file: err = %v, want ErrSubFile", err)
+	}
+	if err := s.InsertPage(v, page.RootPath, 2, []byte("c")); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.MoveSubtree(v, page.RootPath, 2, page.Path{1}, 0); !errors.Is(err, version.ErrSubFile) {
+		t.Fatalf("move into the sub-file: err = %v, want ErrSubFile", err)
+	}
+	if err := s.Commit(v); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestFenceWaitsOnlyForEarlierEntries: a pass waits for the operations
+// that entered before it, and an operation entering while a pass waits
+// goes ahead at once — a version creation stuck on a §5.3 lock delays
+// the collector's pin sample, not the server's other creations.
+func TestFenceWaitsOnlyForEarlierEntries(t *testing.T) {
+	var f fence
+	leaveEarly := f.enter()
+	passed := make(chan struct{})
+	go func() {
+		f.pass()
+		close(passed)
+	}()
+	for waiting := false; !waiting; runtime.Gosched() {
+		f.mu.Lock()
+		waiting = f.group == nil // the pass took the group in flight
+		f.mu.Unlock()
+	}
+	f.enter()() // enters and leaves without waiting for the pass
+	select {
+	case <-passed:
+		t.Fatal("the pass returned before the earlier operation left")
+	default:
+	}
+	leaveEarly()
+	<-passed
 }

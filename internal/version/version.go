@@ -28,13 +28,23 @@
 // occ consumes them at commit): R/S record what the update read, W/M
 // what it wrote, and the shadow-copy discipline guarantees the flags of
 // an uncommitted version live only in that version's private pages —
-// committed pages are immutable. Page I/O batches through
-// block.MultiStore: a COW descend allocates its whole shadow chain with
-// one AllocMulti and flushes it with one WriteMulti, and WritePages does
-// the same for the union of many paths' chains; the sharded facade
-// stripes both across block servers. A Tree is not safe for
-// concurrent use; the server serialises operations per version,
-// matching the paper's model of a version owned by a single client.
+// committed pages are immutable.
+//
+// Every page operation — a read, a write or a batch of writes, each
+// shape command, a sub-file link — is one copy-on-write pass over the
+// union of the paths it touches. The pass reads that union one level at a
+// time (the root, then one multi-block read per depth), checks every
+// step, shadows in memory each page first accessed in this version, lets
+// the operation edit its targets, sets the flags, and then writes: every
+// new page — shadows and pages the operation creates — in one AllocMulti,
+// every changed private page in one WriteMulti. An operation on a path of
+// depth d therefore costs at most d+1 reads, one alloc and one write, and
+// one that refuses has written nothing. A path that reaches an embedded
+// sub-file's version page stops the pass with a *SubFileError; the
+// server crosses the boundary under the §5.3 locks and reruns the
+// operation inside the sub-file. A Tree is not safe for concurrent use;
+// the server serialises operations per version, matching the paper's
+// model of a version owned by a single client.
 package version
 
 import (
@@ -231,176 +241,238 @@ func clearRefFlags(refs []page.Ref) []page.Ref {
 // VersionPage reads the tree's root (version) page.
 func (t *Tree) VersionPage() (*page.Page, error) { return t.St.ReadPage(t.Root) }
 
-// chainEntry is one step of a root-to-target descent.
-type chainEntry struct {
-	blk block.Num
-	pg  *page.Page
+// SubFileError reports a path that reached an embedded sub-file version
+// page: the reference at index Depth of the path points at Block, the
+// sub-file's version page. Accessed tells whether this version already
+// accessed that reference — then it names a sub-version this update
+// created — or still shares it with the base. The server's locking layer
+// crosses the boundary (§5.3) and reruns the operation inside the
+// sub-file. It satisfies errors.Is(err, ErrSubFile).
+type SubFileError struct {
+	Depth    int
+	Block    block.Num
+	Accessed bool
+	path     page.Path
 }
 
-// descend walks from the root to the page at path, copying every page on
-// the way into this version (the shadowing rule) and returning the chain
-// of private pages. On return chain[i] is the page at path[:i]; all pages
-// in the chain are private to this version and may be written in place.
-// crossSubFiles controls whether descent may pass through embedded
-// version pages; the plain file operations refuse, the server's
-// super-file update path (which holds locks) allows it.
-//
-// The copy-on-write write-out is batched: the walk only reads, noting
-// which pages are first accessed in this version; the shadow copies are
-// then allocated with a single multi-block alloc and flushed — final
-// contents, patched parent references — with a single multi-block
-// write, so a depth-D shadowing costs two block operations instead of
-// 2D.
-func (t *Tree) descend(p page.Path, crossSubFiles bool) ([]chainEntry, error) {
-	cur, err := t.St.ReadPage(t.Root)
+// Error names the path and the depth of the boundary.
+func (e *SubFileError) Error() string {
+	return fmt.Sprintf("version: %s at depth %d: %v", e.path, e.Depth, ErrSubFile)
+}
+
+// Unwrap makes errors.Is(err, ErrSubFile) hold.
+func (e *SubFileError) Unwrap() error { return ErrSubFile }
+
+// node is one page on the union of a pass's root-to-target chains, or a
+// page the pass creates.
+type node struct {
+	blk    block.Num // NilNum for a created page until the write
+	pg     *page.Page
+	parent *node
+	idx    int // index of this page's reference in parent
+	kids   map[int]*node
+	// fresh marks a page this version did not own before the pass: a
+	// shadow of a shared page, or a created one. Fresh pages go out in
+	// the pass's one multi-block alloc.
+	fresh bool
+	// bits are the flags the operation records on this page; dirty marks
+	// a private page to rewrite in place.
+	bits  page.Flags
+	dirty bool
+}
+
+// pass is one copy-on-write operation: the §5.1 shadowing rule applied to
+// the union of the paths the operation touches, in two phases. begin
+// reads and checks; the operation then edits its targets in memory; write
+// sets the flags and writes everything out. Nothing reaches the block
+// store before write, so an operation that refuses changes no block.
+type pass struct {
+	t     *Tree
+	nodes []*node // parents before children
+	at    []*node // at[i]: the page at the operation's i-th path
+}
+
+// begin reads the union of the root-to-target chains of ps level by level
+// — the root, then one multi-block read per depth — and checks every
+// step: ErrBadPath for an index outside a table, ErrHole for a nil
+// reference, a *SubFileError for an embedded version page. Every page
+// first accessed in this version becomes its own shadow in memory: the
+// decoded copy, its child flags cleared and its base recorded.
+func (t *Tree) begin(ps []page.Path) (*pass, error) {
+	rootPg, err := t.St.ReadPage(t.Root)
 	if err != nil {
 		return nil, err
 	}
-	chain := make([]chainEntry, 0, len(p)+1)
-	chain = append(chain, chainEntry{t.Root, cur})
-	var toCopy []int // chain indices of pages first accessed in this version
-	copying := false // everything below a first access is also a first access
-	for depth, idx := range p {
-		if idx < 0 || idx >= len(cur.Refs) {
-			return nil, fmt.Errorf("version: %s index %d of %d at depth %d: %w",
-				p, idx, len(cur.Refs), depth, ErrBadPath)
+	root := &node{blk: t.Root, pg: rootPg}
+	x := &pass{t: t, nodes: []*node{root}, at: make([]*node, len(ps))}
+	for i := range x.at {
+		x.at[i] = root
+	}
+	for depth := 0; ; depth++ {
+		var level []*node
+		var ns []block.Num
+		var first []int // first[k]: a path through level[k], for errors
+		for i, p := range ps {
+			if depth >= len(p) {
+				continue
+			}
+			parent, idx := x.at[i], p[depth]
+			if child := parent.kids[idx]; child != nil {
+				x.at[i] = child
+				continue
+			}
+			if idx < 0 || idx >= len(parent.pg.Refs) {
+				return nil, fmt.Errorf("version: %s index %d of %d at depth %d: %w",
+					p, idx, len(parent.pg.Refs), depth, ErrBadPath)
+			}
+			ref := parent.pg.Refs[idx]
+			if ref.IsNil() {
+				return nil, fmt.Errorf("version: %s at depth %d: %w", p, depth, ErrHole)
+			}
+			// Below a page first accessed here the base's flags are
+			// meaningless (its copy starts with a cleared table), so
+			// every deeper page is a first access too.
+			child := &node{blk: ref.Block, parent: parent, idx: idx,
+				fresh: parent.fresh || !ref.Flags.Accessed()}
+			if parent.kids == nil {
+				parent.kids = make(map[int]*node)
+			}
+			parent.kids[idx] = child
+			x.at[i] = child
+			level = append(level, child)
+			ns = append(ns, ref.Block)
+			first = append(first, i)
 		}
-		ref := cur.Refs[idx]
-		if ref.IsNil() {
-			return nil, fmt.Errorf("version: %s at depth %d: %w", p, depth, ErrHole)
+		if len(level) == 0 {
+			return x, nil
 		}
-		child, err := t.St.ReadPage(ref.Block)
+		pgs, err := t.St.ReadPages(ns)
 		if err != nil {
 			return nil, err
 		}
-		if child.IsVersion && !crossSubFiles {
-			return nil, fmt.Errorf("version: %s at depth %d: %w", p, depth, ErrSubFile)
+		for k, n := range level {
+			if pgs[k].IsVersion {
+				return nil, &SubFileError{Depth: depth, Block: n.blk, Accessed: !n.fresh, path: ps[first[k]]}
+			}
+			n.pg = pgs[k]
+			if n.fresh {
+				n.pg.Refs = clearRefFlags(n.pg.Refs)
+				n.pg.BaseRef = n.blk
+			}
 		}
-		// Below a page copied in this pass the base's flags are
-		// meaningless (a fresh copy starts with a cleared table), so
-		// every deeper page is a first access too.
-		if copying || !ref.Flags.Accessed() {
-			copying = true
-			toCopy = append(toCopy, depth+1)
-		}
-		chain = append(chain, chainEntry{ref.Block, child})
-		cur = child
+		x.nodes = append(x.nodes, level...)
 	}
-	if len(toCopy) == 0 {
-		return chain, nil
-	}
-	// Build every shadow copy first — the page cloned with its child
-	// flags cleared (flag initialisation) and its base recorded — and
-	// allocate them all, full contents, in one multi-block alloc
-	// (all-or-nothing). A shadow's own references still point at the
-	// base's children until a deeper shadow patches it below, so every
-	// allocated block is a valid page at every instant: no failure in
-	// the flush can leave a reference to a block that was never
-	// written. Shadows orphaned by a mid-flush failure fall to the
-	// garbage collector, the same fate as an aborted version's pages.
-	clones := make([]*page.Page, len(toCopy))
-	raws := make([][]byte, len(toCopy))
-	for k, ci := range toCopy {
-		orig := chain[ci]
-		cp := orig.pg.Clone()
-		cp.Refs = clearRefFlags(orig.pg.Refs)
-		cp.BaseRef = orig.blk
-		clones[k] = cp
-		raw, err := cp.Encode(t.St.Blocks.BlockSize())
-		if err != nil {
-			return nil, fmt.Errorf("version: encode shadow of block %d: %w", orig.blk, err)
-		}
-		raws[k] = raw
-	}
-	newBlks, err := block.AllocMulti(t.St.Blocks, t.St.Acct, raws)
-	if err != nil {
-		return nil, fmt.Errorf("version: alloc %d shadow pages: %w", len(toCopy), err)
-	}
-	// Point each (private: root, already-copied, or shadowed just
-	// above) parent at its copy; only the patched parents need the
-	// flush, the shadows' own contents are already durable.
-	dirty := make([]bool, len(chain))
-	for k, ci := range toCopy {
-		chain[ci] = chainEntry{newBlks[k], clones[k]}
-		parent := chain[ci-1].pg
-		idx := p[ci-1]
-		parent.Refs[idx] = page.Ref{Block: newBlks[k], Flags: parent.Refs[idx].Flags.Set(page.FlagC)}
-		dirty[ci-1] = true
-	}
-	var ns []block.Num
-	var pgs []*page.Page
-	for i, d := range dirty {
-		if d {
-			ns = append(ns, chain[i].blk)
-			pgs = append(pgs, chain[i].pg)
-		}
-	}
-	if err := t.St.WritePages(ns, pgs); err != nil {
-		return nil, err
-	}
-	return chain, nil
 }
 
-// setFlags records an access: every page on the path above the target is
-// marked searched (S), and the target receives finalBits. Dirty pages are
-// written back in place. chain must come from descend(p).
-func (t *Tree) setFlags(p page.Path, chain []chainEntry, finalBits page.Flags) error {
-	// dirty[i] marks chain[i] needing a write-back.
-	dirty := make([]bool, len(chain))
+// create adds pg as a page the pass creates, referenced from index idx of
+// parent's table. The caller puts a reference with the right flags there;
+// write fills in its block.
+func (x *pass) create(parent *node, idx int, pg *page.Page) *node {
+	n := &node{pg: pg, parent: parent, idx: idx, fresh: true}
+	x.nodes = append(x.nodes, n)
+	return n
+}
 
-	// setOn ORs bits into the flags of chain[i], which live in the
-	// parent's reference (or the root's header flags).
-	setOn := func(i int, bits page.Flags) {
-		if i == 0 {
-			rf := chain[0].pg.RootFlags.Set(bits)
-			if rf != chain[0].pg.RootFlags {
-				chain[0].pg.RootFlags = rf
-				dirty[0] = true
-			}
-			return
+// write records the accesses — S on every page above a target, each
+// page's own bits — and writes the pass out: every fresh page, with its
+// final contents and flags, in one multi-block alloc, then every changed
+// private page, the parents patched to point at fresh pages included, in
+// one multi-block write. A shadow's references to deeper fresh pages
+// still name the base's pages (or nothing) until the write patches them,
+// so every allocated block is a valid page at every instant; fresh pages
+// orphaned by a failed write fall to the garbage collector, like an
+// aborted version's pages.
+func (x *pass) write() error {
+	for _, n := range x.nodes {
+		bits := n.bits
+		if len(n.kids) > 0 {
+			bits |= page.FlagS
 		}
-		parent := chain[i-1].pg
-		idx := p[i-1]
-		nf := parent.Refs[idx].Flags.Set(bits)
-		if nf != parent.Refs[idx].Flags {
-			parent.Refs[idx].Flags = nf
-			dirty[i-1] = true
+		// A page's flags live in its parent's reference, the root's in
+		// its own header.
+		flags, holder := &n.pg.RootFlags, n
+		if n.parent != nil {
+			flags, holder = &n.parent.pg.Refs[n.idx].Flags, n.parent
+		}
+		if f := flags.Set(bits); f != *flags {
+			*flags = f
+			holder.dirty = true
 		}
 	}
-
-	for i := 0; i < len(chain)-1; i++ {
-		setOn(i, page.FlagS)
-	}
-	setOn(len(chain)-1, finalBits)
-
-	// One multi-block write for every dirtied page of the chain.
-	var ns []block.Num
-	var pgs []*page.Page
-	for i, d := range dirty {
-		if !d {
+	bs := x.t.St.Blocks.BlockSize()
+	var fresh []*node
+	var raws [][]byte
+	for _, n := range x.nodes {
+		if !n.fresh {
 			continue
 		}
-		ns = append(ns, chain[i].blk)
-		pgs = append(pgs, chain[i].pg)
+		raw, err := n.pg.Encode(bs)
+		if err != nil {
+			return fmt.Errorf("version: encode a page of the pass: %w", err)
+		}
+		fresh = append(fresh, n)
+		raws = append(raws, raw)
+	}
+	if len(fresh) > 0 {
+		blks, err := block.AllocMulti(x.t.St.Blocks, x.t.St.Acct, raws)
+		if err != nil {
+			return fmt.Errorf("version: alloc %d pages: %w", len(fresh), err)
+		}
+		for k, n := range fresh {
+			n.blk = blks[k]
+			n.dirty = false // its contents went out with the alloc
+		}
+		for _, n := range fresh {
+			n.parent.pg.Refs[n.idx].Block = n.blk
+			n.parent.dirty = true
+		}
+	}
+	var ns []block.Num
+	var pgs []*page.Page
+	for _, n := range x.nodes {
+		if n.dirty {
+			ns = append(ns, n.blk)
+			pgs = append(pgs, n.pg)
+		}
 	}
 	if len(ns) == 0 {
 		return nil
 	}
-	return t.St.WritePages(ns, pgs)
+	return x.t.St.WritePages(ns, pgs)
+}
+
+// edit is the pass of a one-path operation that changes the page at p:
+// fn edits it in memory (and may refuse, writing nothing), the page must
+// still fit its block, and bits are recorded on it.
+func (t *Tree) edit(p page.Path, bits page.Flags, fn func(x *pass, tg *node) error) error {
+	x, err := t.begin([]page.Path{p})
+	if err != nil {
+		return err
+	}
+	tg := x.at[0]
+	if err := fn(x, tg); err != nil {
+		return err
+	}
+	if !tg.pg.Fits(t.St.Blocks.BlockSize()) {
+		return fmt.Errorf("version: %s: %d bytes with %d refs: %w", p, len(tg.pg.Data), len(tg.pg.Refs), page.ErrPageFull)
+	}
+	tg.bits, tg.dirty = bits, true
+	return x.write()
 }
 
 // ReadPage returns the client data and reference count of the page at
 // path, recording the access (R on the page, S on its ancestors).
 func (t *Tree) ReadPage(p page.Path) (data []byte, nrefs int, err error) {
-	chain, err := t.descend(p, false)
+	x, err := t.begin([]page.Path{p})
 	if err != nil {
 		return nil, 0, err
 	}
-	if err := t.setFlags(p, chain, page.FlagR); err != nil {
+	tg := x.at[0]
+	tg.bits = page.FlagR
+	if err := x.write(); err != nil {
 		return nil, 0, err
 	}
-	last := chain[len(chain)-1].pg
-	return append([]byte(nil), last.Data...), len(last.Refs), nil
+	return append([]byte(nil), tg.pg.Data...), len(tg.pg.Refs), nil
 }
 
 // PeekPage returns data and shape without recording any access and
@@ -434,41 +506,11 @@ func (t *Tree) WritePage(p page.Path, data []byte) error {
 	return t.WritePages([]page.Path{p}, [][]byte{data})
 }
 
-// wnode is one page on the union of a WritePages batch's root-to-target
-// chains.
-type wnode struct {
-	blk    block.Num
-	pg     *page.Page
-	parent *wnode
-	idx    int // index of this page's reference in parent
-	kids   map[int]*wnode
-	// fresh marks a page first accessed in this version: it is shadowed.
-	fresh bool
-	// written marks a target; dirty a page to rewrite in place.
-	written, dirty bool
-}
-
 // WritePages replaces the client data of the page at each ps[i] with
-// datas[i], exactly as the writes would one after another (a later
-// write of a repeated path wins), in one batched copy-on-write pass:
-//
-//   - the union of the root-to-target chains is read level by level —
-//     the root, then one multi-block read per depth;
-//   - every path is checked before anything is written (ErrBadPath,
-//     ErrHole, ErrSubFile on an embedded version page, and
-//     page.ErrPageFull for data that does not fit beside the page's
-//     references), so a refused batch changes nothing;
-//   - every page first accessed in this version is shadowed, with its
-//     child flags cleared and its base recorded; S is set on every
-//     ancestor and W on every target;
-//   - all shadows go out, with their final data and flags, in one
-//     multi-block alloc, and the parents patched to point at them plus
-//     the changed private pages in one multi-block write.
-//
-// A shadow's references to deeper shadows still name the base's pages
-// until the write patches them, so every allocated block is a valid
-// page at every instant; shadows orphaned by a failed write fall to the
-// garbage collector, like an aborted version's pages.
+// datas[i], exactly as the writes would one after another (a later write
+// of a repeated path wins), in one pass: every path is checked — data too
+// large for its page's references fails with page.ErrPageFull — before
+// anything is written, so a refused batch changes nothing.
 func (t *Tree) WritePages(ps []page.Path, datas [][]byte) error {
 	if len(ps) != len(datas) {
 		return fmt.Errorf("version: write %d paths with %d pages: %w", len(ps), len(datas), ErrBadPath)
@@ -476,335 +518,148 @@ func (t *Tree) WritePages(ps []page.Path, datas [][]byte) error {
 	if len(ps) == 0 {
 		return nil
 	}
-	rootPg, err := t.St.ReadPage(t.Root)
+	x, err := t.begin(ps)
 	if err != nil {
 		return err
 	}
-	root := &wnode{blk: t.Root, pg: rootPg}
-	nodes := []*wnode{root}       // the union, parents before children
-	at := make([]*wnode, len(ps)) // at[i]: the deepest page of ps[i] reached
-	for i := range at {
-		at[i] = root
-	}
-	for depth := 0; ; depth++ {
-		var level []*wnode
-		var ns []block.Num
-		var first []int // first[k]: a path through level[k], for errors
-		for i, p := range ps {
-			if depth >= len(p) {
-				continue
-			}
-			parent, idx := at[i], p[depth]
-			if child := parent.kids[idx]; child != nil {
-				at[i] = child
-				continue
-			}
-			if idx < 0 || idx >= len(parent.pg.Refs) {
-				return fmt.Errorf("version: %s index %d of %d at depth %d: %w",
-					p, idx, len(parent.pg.Refs), depth, ErrBadPath)
-			}
-			ref := parent.pg.Refs[idx]
-			if ref.IsNil() {
-				return fmt.Errorf("version: %s at depth %d: %w", p, depth, ErrHole)
-			}
-			// Below a page first accessed here the base's flags are
-			// meaningless (its copy starts with a cleared table), so
-			// every deeper page is a first access too.
-			child := &wnode{blk: ref.Block, parent: parent, idx: idx,
-				fresh: parent.fresh || !ref.Flags.Accessed()}
-			if parent.kids == nil {
-				parent.kids = make(map[int]*wnode)
-			}
-			parent.kids[idx] = child
-			at[i] = child
-			level = append(level, child)
-			ns = append(ns, ref.Block)
-			first = append(first, i)
-		}
-		if len(level) == 0 {
-			break
-		}
-		pgs, err := t.St.ReadPages(ns)
-		if err != nil {
-			return err
-		}
-		for k, n := range level {
-			if pgs[k].IsVersion {
-				return fmt.Errorf("version: %s at depth %d: %w", ps[first[k]], depth, ErrSubFile)
-			}
-			n.pg = pgs[k]
-			if n.fresh {
-				n.pg.Refs = clearRefFlags(n.pg.Refs)
-				n.pg.BaseRef = n.blk
-			}
-		}
-		nodes = append(nodes, level...)
-	}
-
 	bs := t.St.Blocks.BlockSize()
-	for i, n := range at {
+	for i, n := range x.at {
 		n.pg.Data = datas[i]
 		if !n.pg.Fits(bs) {
 			return fmt.Errorf("version: %s: %d bytes with %d refs: %w",
 				ps[i], len(datas[i]), len(n.pg.Refs), page.ErrPageFull)
 		}
-		n.written = true
-		n.dirty = true
+		n.bits, n.dirty = page.FlagW, true
 	}
-	for _, n := range nodes {
-		var bits page.Flags
-		if len(n.kids) > 0 {
-			bits |= page.FlagS
-		}
-		if n.written {
-			bits |= page.FlagW
-		}
-		// A page's flags live in its parent's reference, the root's in
-		// its own header.
-		flags, holder := &n.pg.RootFlags, n
-		if n.parent != nil {
-			flags, holder = &n.parent.pg.Refs[n.idx].Flags, n.parent
-		}
-		if f := flags.Set(bits); f != *flags {
-			*flags = f
-			holder.dirty = true
-		}
-	}
-	var shadows []*wnode
-	var raws [][]byte
-	for _, n := range nodes {
-		if !n.fresh {
-			continue
-		}
-		raw, err := n.pg.Encode(bs)
-		if err != nil {
-			return fmt.Errorf("version: encode shadow of block %d: %w", n.blk, err)
-		}
-		shadows = append(shadows, n)
-		raws = append(raws, raw)
-	}
-	if len(shadows) > 0 {
-		blks, err := block.AllocMulti(t.St.Blocks, t.St.Acct, raws)
-		if err != nil {
-			return fmt.Errorf("version: alloc %d shadow pages: %w", len(shadows), err)
-		}
-		for k, n := range shadows {
-			n.blk = blks[k]
-			n.dirty = false // its contents went out with the alloc
-		}
-		for _, n := range shadows {
-			n.parent.pg.Refs[n.idx].Block = n.blk
-			n.parent.dirty = true
-		}
-	}
-	var ns []block.Num
-	var pgs []*page.Page
-	for _, n := range nodes {
-		if n.dirty {
-			ns = append(ns, n.blk)
-			pgs = append(pgs, n.pg)
-		}
-	}
-	if len(ns) == 0 {
-		return nil
-	}
-	return t.St.WritePages(ns, pgs)
+	return x.write()
 }
+
+// newRef is the reference to a page created in this version: created and
+// written here (C|W).
+var newRef = page.Ref{Flags: page.Flags(0).Set(page.FlagW)}
 
 // InsertPage creates a fresh child page holding data and inserts a
 // reference to it at index idx of the page at path. This modifies the
 // parent's references (M, which implies S). The new page is born private
 // to this version (C|W: created and written here).
 func (t *Tree) InsertPage(p page.Path, idx int, data []byte) error {
-	chain, err := t.descend(p, false)
-	if err != nil {
-		return err
-	}
-	target := chain[len(chain)-1]
-	child := &page.Page{Data: append([]byte(nil), data...)}
-	childBlk, err := t.St.AllocPage(child)
-	if err != nil {
-		return err
-	}
-	ref := page.Ref{Block: childBlk, Flags: page.Flags(0).Set(page.FlagW)}
-	if err := target.pg.InsertRef(idx, ref); err != nil {
-		return err
-	}
-	if !target.pg.Fits(t.St.Blocks.BlockSize()) {
-		return fmt.Errorf("version: %s: reference table full: %w", p, page.ErrPageFull)
-	}
-	if err := t.St.WritePage(target.blk, target.pg); err != nil {
-		return err
-	}
-	return t.setFlags(p, chain, page.FlagM)
+	return t.edit(p, page.FlagM, func(x *pass, tg *node) error {
+		x.create(tg, idx, &page.Page{Data: append([]byte(nil), data...)})
+		return tg.pg.InsertRef(idx, newRef)
+	})
 }
 
 // RemovePage removes the reference at index idx of the page at path. The
 // detached subtree is not freed here: it may be shared with other
 // versions, so reclamation is the garbage collector's job (§1).
 func (t *Tree) RemovePage(p page.Path, idx int) error {
-	chain, err := t.descend(p, false)
-	if err != nil {
-		return err
-	}
-	target := chain[len(chain)-1]
-	if err := target.pg.RemoveRef(idx); err != nil {
-		return err
-	}
-	if err := t.St.WritePage(target.blk, target.pg); err != nil {
-		return err
-	}
-	return t.setFlags(p, chain, page.FlagM)
+	return t.edit(p, page.FlagM, func(_ *pass, tg *node) error {
+		return tg.pg.RemoveRef(idx)
+	})
 }
 
 // MakeHole replaces the reference at index idx of the page at path with a
 // hole (nil reference), keeping the table's shape.
 func (t *Tree) MakeHole(p page.Path, idx int) error {
-	chain, err := t.descend(p, false)
-	if err != nil {
-		return err
-	}
-	target := chain[len(chain)-1]
-	if idx < 0 || idx >= len(target.pg.Refs) {
-		return fmt.Errorf("version: %s index %d: %w", p, idx, page.ErrBadIndex)
-	}
-	target.pg.Refs[idx] = page.Ref{}
-	if err := t.St.WritePage(target.blk, target.pg); err != nil {
-		return err
-	}
-	return t.setFlags(p, chain, page.FlagM)
+	return t.edit(p, page.FlagM, func(_ *pass, tg *node) error {
+		return tg.pg.SetRef(idx, page.Ref{})
+	})
 }
 
 // FillHole creates a fresh page holding data in the hole at index idx of
 // the page at path.
 func (t *Tree) FillHole(p page.Path, idx int, data []byte) error {
-	chain, err := t.descend(p, false)
-	if err != nil {
-		return err
-	}
-	target := chain[len(chain)-1]
-	if idx < 0 || idx >= len(target.pg.Refs) {
-		return fmt.Errorf("version: %s index %d: %w", p, idx, page.ErrBadIndex)
-	}
-	if !target.pg.Refs[idx].IsNil() {
-		return fmt.Errorf("version: %s index %d: %w", p, idx, ErrNotHole)
-	}
-	child := &page.Page{Data: append([]byte(nil), data...)}
-	childBlk, err := t.St.AllocPage(child)
-	if err != nil {
-		return err
-	}
-	target.pg.Refs[idx] = page.Ref{Block: childBlk, Flags: page.Flags(0).Set(page.FlagW)}
-	if err := t.St.WritePage(target.blk, target.pg); err != nil {
-		return err
-	}
-	return t.setFlags(p, chain, page.FlagM)
+	return t.edit(p, page.FlagM, func(x *pass, tg *node) error {
+		if err := hole(tg.pg, idx); err != nil {
+			return fmt.Errorf("version: %s: %w", p, err)
+		}
+		x.create(tg, idx, &page.Page{Data: append([]byte(nil), data...)})
+		tg.pg.Refs[idx] = newRef
+		return nil
+	})
 }
 
 // RemoveHole deletes the hole at index idx of the page at path, shrinking
 // the table. It refuses to delete a live reference.
 func (t *Tree) RemoveHole(p page.Path, idx int) error {
-	chain, err := t.descend(p, false)
-	if err != nil {
-		return err
-	}
-	target := chain[len(chain)-1]
-	r, err := target.pg.Ref(idx)
+	return t.edit(p, page.FlagM, func(_ *pass, tg *node) error {
+		if err := hole(tg.pg, idx); err != nil {
+			return fmt.Errorf("version: %s: %w", p, err)
+		}
+		return tg.pg.RemoveRef(idx)
+	})
+}
+
+// hole checks that index idx of pg's table is a hole.
+func hole(pg *page.Page, idx int) error {
+	r, err := pg.Ref(idx)
 	if err != nil {
 		return err
 	}
 	if !r.IsNil() {
-		return fmt.Errorf("version: %s index %d: %w", p, idx, ErrNotHole)
+		return fmt.Errorf("index %d: %w", idx, ErrNotHole)
 	}
-	if err := target.pg.RemoveRef(idx); err != nil {
-		return err
-	}
-	if err := t.St.WritePage(target.blk, target.pg); err != nil {
-		return err
-	}
-	return t.setFlags(p, chain, page.FlagM)
+	return nil
 }
 
 // MoveSubtree detaches the reference at srcIdx of the page at srcPath and
 // re-attaches it into the hole at dstIdx of the page at dstPath, within
-// the same version. This is the §5 "move subtrees to another part of the
-// tree" shape operation. Both touched pages are marked modified. Moving a
-// subtree into itself is refused.
+// the same version, in one pass over both paths. This is the §5 "move
+// subtrees to another part of the tree" shape operation. Both touched
+// pages are marked modified. Moving a subtree into itself is refused, and
+// so is a move whose paths do not cross the same sub-file boundaries.
 func (t *Tree) MoveSubtree(srcPath page.Path, srcIdx int, dstPath page.Path, dstIdx int) error {
 	full := srcPath.Child(srcIdx)
 	if dstPath.HasPrefix(full) {
 		return fmt.Errorf("version: cannot move %s under itself (%s): %w", full, dstPath, ErrBadPath)
 	}
-	// Copy both parents into the version first so the detach/attach is
-	// on private pages.
-	srcChain, err := t.descend(srcPath, false)
+	x, err := t.begin([]page.Path{srcPath, dstPath})
+	var sub *SubFileError
+	if errors.As(err, &sub) {
+		// Both paths must enter the same sub-file, or the move would
+		// leave it.
+		d := sub.Depth
+		if len(srcPath) <= d || len(dstPath) <= d || !srcPath[:d+1].Equal(dstPath[:d+1]) {
+			return fmt.Errorf("version: move %s to %s crosses a sub-file boundary: %w", srcPath, dstPath, ErrSubFile)
+		}
+	}
 	if err != nil {
 		return err
 	}
-	src := srcChain[len(srcChain)-1]
+	src, dst := x.at[0], x.at[1]
 	moved, err := src.pg.Ref(srcIdx)
 	if err != nil {
-		return err
+		return fmt.Errorf("version: source %s: %w", srcPath, err)
 	}
 	if moved.IsNil() {
 		return fmt.Errorf("version: source %s index %d: %w", srcPath, srcIdx, ErrHole)
 	}
-	// Detach.
 	src.pg.Refs[srcIdx] = page.Ref{}
-	if err := t.St.WritePage(src.blk, src.pg); err != nil {
-		return err
-	}
-	if err := t.setFlags(srcPath, srcChain, page.FlagM); err != nil {
-		return err
-	}
-	// Attach: re-descend (the source write may have restructured the
-	// path to the destination's copy).
-	dstChain, err := t.descend(dstPath, false)
-	if err != nil {
-		return err
-	}
-	dst := dstChain[len(dstChain)-1]
-	if dstIdx < 0 || dstIdx >= len(dst.pg.Refs) {
-		return fmt.Errorf("version: destination %s index %d: %w", dstPath, dstIdx, page.ErrBadIndex)
-	}
-	if !dst.pg.Refs[dstIdx].IsNil() {
-		return fmt.Errorf("version: destination %s index %d: %w", dstPath, dstIdx, ErrNotHole)
+	if err := hole(dst.pg, dstIdx); err != nil {
+		return fmt.Errorf("version: destination %s: %w", dstPath, err)
 	}
 	dst.pg.Refs[dstIdx] = moved
-	if err := t.St.WritePage(dst.blk, dst.pg); err != nil {
-		return err
+	for _, n := range x.at {
+		n.bits, n.dirty = page.FlagM, true
 	}
-	return t.setFlags(dstPath, dstChain, page.FlagM)
+	return x.write()
 }
 
 // SplitPage moves the tail of the data of the page at path into a fresh
 // child page appended to its reference table: the §5 "split pages in two"
-// shape command, used to grow a one-page file into a tree.
+// shape command, used to grow a one-page file into a tree. A split both
+// rewrites the data and modifies the references (W|M).
 func (t *Tree) SplitPage(p page.Path, keep int) error {
-	chain, err := t.descend(p, false)
-	if err != nil {
-		return err
-	}
-	target := chain[len(chain)-1]
-	if keep < 0 || keep > len(target.pg.Data) {
-		return fmt.Errorf("version: split %s at %d of %d bytes: %w",
-			p, keep, len(target.pg.Data), ErrBadPath)
-	}
-	tail := append([]byte(nil), target.pg.Data[keep:]...)
-	child := &page.Page{Data: tail}
-	childBlk, err := t.St.AllocPage(child)
-	if err != nil {
-		return err
-	}
-	target.pg.Data = target.pg.Data[:keep]
-	target.pg.Refs = append(target.pg.Refs, page.Ref{
-		Block: childBlk, Flags: page.Flags(0).Set(page.FlagW),
+	return t.edit(p, page.FlagW|page.FlagM, func(x *pass, tg *node) error {
+		if keep < 0 || keep > len(tg.pg.Data) {
+			return fmt.Errorf("version: split %s at %d of %d bytes: %w",
+				p, keep, len(tg.pg.Data), ErrBadPath)
+		}
+		x.create(tg, len(tg.pg.Refs), &page.Page{Data: append([]byte(nil), tg.pg.Data[keep:]...)})
+		tg.pg.Data = tg.pg.Data[:keep]
+		tg.pg.Refs = append(tg.pg.Refs, newRef)
+		return nil
 	})
-	if err := t.St.WritePage(target.blk, target.pg); err != nil {
-		return err
-	}
-	// A split both rewrites the data and modifies the references.
-	return t.setFlags(p, chain, page.FlagW|page.FlagM)
 }
 
 // LinkSubVersion replaces the reference at index idx of the page at path
@@ -814,44 +669,39 @@ func (t *Tree) SplitPage(p page.Path, keep int) error {
 // The server's super-file update path (§5.3) calls this after
 // inner-locking the sub-file.
 func (t *Tree) LinkSubVersion(p page.Path, idx int, newRoot block.Num) error {
-	chain, err := t.descend(p, false)
-	if err != nil {
-		return err
-	}
-	target := chain[len(chain)-1]
-	old, err := target.pg.Ref(idx)
-	if err != nil {
-		return err
-	}
-	if err := target.pg.SetRef(idx, page.Ref{Block: newRoot, Flags: old.Flags.Set(page.FlagC)}); err != nil {
-		return err
-	}
-	if err := t.St.WritePage(target.blk, target.pg); err != nil {
-		return err
-	}
-	return t.setFlags(p, chain, page.FlagS)
+	return t.edit(p, page.FlagS, func(_ *pass, tg *node) error {
+		old, err := tg.pg.Ref(idx)
+		if err != nil {
+			return err
+		}
+		tg.pg.Refs[idx] = page.Ref{Block: newRoot, Flags: old.Flags.Set(page.FlagC)}
+		return nil
+	})
 }
 
-// InsertSubFile inserts a reference to a freshly created sub-file version
-// page at index idx of the page at path, modifying the table (M). The
-// new sub-file is private to this version until commit.
-func (t *Tree) InsertSubFile(p page.Path, idx int, subRoot block.Num) error {
-	chain, err := t.descend(p, false)
+// InsertSubFile creates the birth version page of a new sub-file — file
+// and version capabilities fileCap and verCap, client data data, parent
+// reference this tree's root — and inserts a reference to it at index idx
+// of the page at path, modifying the table (M). The new sub-file is
+// private to this version until commit. It returns the sub-file's root
+// block.
+func (t *Tree) InsertSubFile(p page.Path, idx int, fileCap, verCap capability.Capability, data []byte) (block.Num, error) {
+	var sub *node
+	err := t.edit(p, page.FlagM, func(x *pass, tg *node) error {
+		sub = x.create(tg, idx, &page.Page{
+			IsVersion:  true,
+			FileCap:    fileCap,
+			VersionCap: verCap,
+			ParentRef:  t.Root,
+			RootFlags:  page.Flags(0).Set(page.FlagW),
+			Data:       append([]byte(nil), data...),
+		})
+		return tg.pg.InsertRef(idx, newRef)
+	})
 	if err != nil {
-		return err
+		return block.NilNum, err
 	}
-	target := chain[len(chain)-1]
-	ref := page.Ref{Block: subRoot, Flags: page.Flags(0).Set(page.FlagW)}
-	if err := target.pg.InsertRef(idx, ref); err != nil {
-		return err
-	}
-	if !target.pg.Fits(t.St.Blocks.BlockSize()) {
-		return fmt.Errorf("version: %s: reference table full: %w", p, page.ErrPageFull)
-	}
-	if err := t.St.WritePage(target.blk, target.pg); err != nil {
-		return err
-	}
-	return t.setFlags(p, chain, page.FlagM)
+	return sub.blk, nil
 }
 
 // Walk calls fn for every page reachable in this version's tree in

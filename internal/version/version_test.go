@@ -603,21 +603,252 @@ func (c *countStore) WriteMulti(a block.Account, ns []block.Num, data [][]byte) 
 	return c.Server.WriteMulti(a, ns, data)
 }
 
-// refWritePage is the one-path page write WritePages replaced: descend
-// (shadowing the chain), rewrite the target in place, then set W on it
-// and S on its ancestors. The equivalence test holds the batched pass to
-// its result.
-func refWritePage(t *Tree, p page.Path, data []byte) error {
-	chain, err := t.descend(p, false)
+// The reference copy-on-write engine: the descend + setFlags pair and the
+// per-operation bodies that the single pass replaced, kept here so the
+// equivalence test can hold the pass to their result. They run only on
+// operations the pass accepted, so they leave out the refusal checks.
+
+// refEntry is one step of a root-to-target descent.
+type refEntry struct {
+	blk block.Num
+	pg  *page.Page
+}
+
+// refDescend walks from the root to the page at path, shadowing every
+// page first accessed in this version (one alloc for the shadows, one
+// write for their patched parents) and returning the chain of private
+// pages: chain[i] is the page at path[:i].
+func refDescend(t *Tree, p page.Path) ([]refEntry, error) {
+	cur, err := t.St.ReadPage(t.Root)
+	if err != nil {
+		return nil, err
+	}
+	chain := make([]refEntry, 0, len(p)+1)
+	chain = append(chain, refEntry{t.Root, cur})
+	var toCopy []int // chain indices of pages first accessed in this version
+	copying := false // everything below a first access is also a first access
+	for depth, idx := range p {
+		if idx < 0 || idx >= len(cur.Refs) {
+			return nil, fmt.Errorf("version: %s index %d of %d at depth %d: %w",
+				p, idx, len(cur.Refs), depth, ErrBadPath)
+		}
+		ref := cur.Refs[idx]
+		if ref.IsNil() {
+			return nil, fmt.Errorf("version: %s at depth %d: %w", p, depth, ErrHole)
+		}
+		child, err := t.St.ReadPage(ref.Block)
+		if err != nil {
+			return nil, err
+		}
+		if child.IsVersion {
+			return nil, fmt.Errorf("version: %s at depth %d: %w", p, depth, ErrSubFile)
+		}
+		if copying || !ref.Flags.Accessed() {
+			copying = true
+			toCopy = append(toCopy, depth+1)
+		}
+		chain = append(chain, refEntry{ref.Block, child})
+		cur = child
+	}
+	if len(toCopy) == 0 {
+		return chain, nil
+	}
+	clones := make([]*page.Page, len(toCopy))
+	raws := make([][]byte, len(toCopy))
+	for k, ci := range toCopy {
+		orig := chain[ci]
+		cp := orig.pg.Clone()
+		cp.Refs = clearRefFlags(orig.pg.Refs)
+		cp.BaseRef = orig.blk
+		clones[k] = cp
+		raw, err := cp.Encode(t.St.Blocks.BlockSize())
+		if err != nil {
+			return nil, err
+		}
+		raws[k] = raw
+	}
+	newBlks, err := block.AllocMulti(t.St.Blocks, t.St.Acct, raws)
+	if err != nil {
+		return nil, err
+	}
+	dirty := make([]bool, len(chain))
+	for k, ci := range toCopy {
+		chain[ci] = refEntry{newBlks[k], clones[k]}
+		parent := chain[ci-1].pg
+		idx := p[ci-1]
+		parent.Refs[idx] = page.Ref{Block: newBlks[k], Flags: parent.Refs[idx].Flags.Set(page.FlagC)}
+		dirty[ci-1] = true
+	}
+	var ns []block.Num
+	var pgs []*page.Page
+	for i, d := range dirty {
+		if d {
+			ns = append(ns, chain[i].blk)
+			pgs = append(pgs, chain[i].pg)
+		}
+	}
+	if err := t.St.WritePages(ns, pgs); err != nil {
+		return nil, err
+	}
+	return chain, nil
+}
+
+// refSetFlags marks every page above the target searched (S), gives the
+// target finalBits, and writes the changed pages back in place.
+func refSetFlags(t *Tree, p page.Path, chain []refEntry, finalBits page.Flags) error {
+	dirty := make([]bool, len(chain))
+	setOn := func(i int, bits page.Flags) {
+		if i == 0 {
+			rf := chain[0].pg.RootFlags.Set(bits)
+			if rf != chain[0].pg.RootFlags {
+				chain[0].pg.RootFlags = rf
+				dirty[0] = true
+			}
+			return
+		}
+		parent := chain[i-1].pg
+		idx := p[i-1]
+		nf := parent.Refs[idx].Flags.Set(bits)
+		if nf != parent.Refs[idx].Flags {
+			parent.Refs[idx].Flags = nf
+			dirty[i-1] = true
+		}
+	}
+	for i := 0; i < len(chain)-1; i++ {
+		setOn(i, page.FlagS)
+	}
+	setOn(len(chain)-1, finalBits)
+	var ns []block.Num
+	var pgs []*page.Page
+	for i, d := range dirty {
+		if d {
+			ns = append(ns, chain[i].blk)
+			pgs = append(pgs, chain[i].pg)
+		}
+	}
+	if len(ns) == 0 {
+		return nil
+	}
+	return t.St.WritePages(ns, pgs)
+}
+
+// refEdit is the reference body of a one-path operation: descend, edit
+// the target and write it in place, then set the flags.
+func refEdit(t *Tree, p page.Path, bits page.Flags, fn func(target *page.Page) error) error {
+	chain, err := refDescend(t, p)
 	if err != nil {
 		return err
 	}
 	target := chain[len(chain)-1]
-	target.pg.Data = append([]byte(nil), data...)
+	if err := fn(target.pg); err != nil {
+		return err
+	}
 	if err := t.St.WritePage(target.blk, target.pg); err != nil {
 		return err
 	}
-	return t.setFlags(p, chain, page.FlagW)
+	return refSetFlags(t, p, chain, bits)
+}
+
+// refNewChild allocates a fresh page holding data and returns the
+// reference to it (C|W).
+func refNewChild(t *Tree, data []byte) (page.Ref, error) {
+	blk, err := t.St.AllocPage(&page.Page{Data: append([]byte(nil), data...)})
+	return page.Ref{Block: blk, Flags: page.Flags(0).Set(page.FlagW)}, err
+}
+
+// refWritePage is the one-path page write: descend, rewrite the target
+// in place, then set W on it and S on its ancestors.
+func refWritePage(t *Tree, p page.Path, data []byte) error {
+	return refEdit(t, p, page.FlagW, func(pg *page.Page) error {
+		pg.Data = append([]byte(nil), data...)
+		return nil
+	})
+}
+
+func refReadPage(t *Tree, p page.Path) ([]byte, int, error) {
+	chain, err := refDescend(t, p)
+	if err != nil {
+		return nil, 0, err
+	}
+	if err := refSetFlags(t, p, chain, page.FlagR); err != nil {
+		return nil, 0, err
+	}
+	last := chain[len(chain)-1].pg
+	return append([]byte(nil), last.Data...), len(last.Refs), nil
+}
+
+func refInsertPage(t *Tree, p page.Path, idx int, data []byte) error {
+	return refEdit(t, p, page.FlagM, func(pg *page.Page) error {
+		ref, err := refNewChild(t, data)
+		if err != nil {
+			return err
+		}
+		return pg.InsertRef(idx, ref)
+	})
+}
+
+func refRemovePage(t *Tree, p page.Path, idx int) error {
+	return refEdit(t, p, page.FlagM, func(pg *page.Page) error { return pg.RemoveRef(idx) })
+}
+
+func refMakeHole(t *Tree, p page.Path, idx int) error {
+	return refEdit(t, p, page.FlagM, func(pg *page.Page) error { return pg.SetRef(idx, page.Ref{}) })
+}
+
+func refFillHole(t *Tree, p page.Path, idx int, data []byte) error {
+	return refEdit(t, p, page.FlagM, func(pg *page.Page) error {
+		ref, err := refNewChild(t, data)
+		if err != nil {
+			return err
+		}
+		pg.Refs[idx] = ref
+		return nil
+	})
+}
+
+func refRemoveHole(t *Tree, p page.Path, idx int) error {
+	return refEdit(t, p, page.FlagM, func(pg *page.Page) error { return pg.RemoveRef(idx) })
+}
+
+func refSplitPage(t *Tree, p page.Path, keep int) error {
+	return refEdit(t, p, page.FlagW|page.FlagM, func(pg *page.Page) error {
+		ref, err := refNewChild(t, pg.Data[keep:])
+		if err != nil {
+			return err
+		}
+		pg.Data = pg.Data[:keep]
+		pg.Refs = append(pg.Refs, ref)
+		return nil
+	})
+}
+
+// refMoveSubtree detaches at the source, then re-descends to attach at
+// the destination.
+func refMoveSubtree(t *Tree, srcPath page.Path, srcIdx int, dstPath page.Path, dstIdx int) error {
+	var moved page.Ref
+	if err := refEdit(t, srcPath, page.FlagM, func(pg *page.Page) error {
+		moved = pg.Refs[srcIdx]
+		pg.Refs[srcIdx] = page.Ref{}
+		return nil
+	}); err != nil {
+		return err
+	}
+	return refEdit(t, dstPath, page.FlagM, func(pg *page.Page) error {
+		pg.Refs[dstIdx] = moved
+		return nil
+	})
+}
+
+func refLinkSubVersion(t *Tree, p page.Path, idx int, newRoot block.Num) error {
+	return refEdit(t, p, page.FlagS, func(pg *page.Page) error {
+		return pg.SetRef(idx, page.Ref{Block: newRoot, Flags: pg.Refs[idx].Flags.Set(page.FlagC)})
+	})
+}
+
+func refInsertSubFile(t *Tree, p page.Path, idx int, subRoot block.Num) error {
+	return refEdit(t, p, page.FlagM, func(pg *page.Page) error {
+		return pg.InsertRef(idx, page.Ref{Block: subRoot, Flags: page.Flags(0).Set(page.FlagW)})
+	})
 }
 
 // buildWide creates a depth-3 file: root → 3 children → 3 each → 2 each.
@@ -753,6 +984,166 @@ func TestWritePagesMatchesSequentialWrites(t *testing.T) {
 				t.Fatalf("seed %d: page %s: batch %+v, sequential %+v", seed, want[i].path, got[i], want[i])
 			}
 		}
+		// Then a seeded mix of reads, writes and every shape command, each
+		// through the pass on bat and through the reference on seq.
+		mixOps(t, rng, s, seq, bat, cs, fmt.Sprintf("seed %d", seed))
+	}
+}
+
+// mixOps applies 60 random operations — reads, writes, every shape
+// command, sub-file inserts and links, on paths that may be bad — to got
+// through the single pass (over cs, which counts its block calls) and,
+// when the pass accepts one, to want through the reference engine. After
+// every operation the two trees must match; each pass stays within its
+// budget of one read per depth plus the root, one alloc and one write;
+// and a refused operation makes no mutating call at all.
+func mixOps(t *testing.T, rng *rand.Rand, s *Store, want, got *Tree, cs *countStore, what string) {
+	t.Helper()
+	fc, vc, f := caps(t)
+	ext, err := CreateFile(s, fc, vc, []byte("ext")) // a version page to link
+	if err != nil {
+		t.Fatal(err)
+	}
+	counted := &Tree{St: NewStore(cs, testAcct), Root: got.Root}
+	cs.reads, cs.allocs, cs.writes = 0, 0, 0
+	shape := func(p page.Path) (n, hole int, data []byte) {
+		pg, err := want.PeekPage(p)
+		if err != nil {
+			return 3, -1, nil
+		}
+		hole = -1
+		for i, r := range pg.Refs {
+			if r.IsNil() {
+				hole = i
+			}
+		}
+		return len(pg.Refs), hole, pg.Data
+	}
+	// randPath walks want's tree and may step past a table's end or
+	// through a hole or a sub-file.
+	randPath := func() page.Path {
+		p := page.RootPath
+		for len(p) < 4 && rng.Intn(3) > 0 {
+			n, _, _ := shape(p)
+			p = p.Child(rng.Intn(n + 1))
+		}
+		return p
+	}
+	randIdx := func(p page.Path, preferHole bool) int {
+		n, hole, _ := shape(p)
+		if preferHole && hole >= 0 && rng.Intn(4) > 0 {
+			return hole
+		}
+		return rng.Intn(n+2) - 1
+	}
+	for i := 0; i < 60; i++ {
+		p := randPath()
+		data := []byte(fmt.Sprintf("%s op %d", what, i))
+		var name string
+		var gotErr error
+		var wantOp func() error
+		maxDepth := len(p)
+		switch rng.Intn(20) {
+		case 0, 1, 2:
+			name = "read"
+			gd, gn, err := counted.ReadPage(p)
+			gotErr = err
+			wantOp = func() error {
+				wd, wn, err := refReadPage(want, p)
+				if err == nil && (!bytes.Equal(gd, wd) || gn != wn) {
+					err = fmt.Errorf("pass read %q/%d, reference %q/%d", gd, gn, wd, wn)
+				}
+				return err
+			}
+		case 3, 4, 5:
+			name = "write"
+			gotErr = counted.WritePage(p, data)
+			wantOp = func() error { return refWritePage(want, p, data) }
+		case 6, 7:
+			name = "insert"
+			idx := randIdx(p, false)
+			gotErr = counted.InsertPage(p, idx, data)
+			wantOp = func() error { return refInsertPage(want, p, idx, data) }
+		case 8:
+			name = "remove"
+			idx := randIdx(p, false)
+			gotErr = counted.RemovePage(p, idx)
+			wantOp = func() error { return refRemovePage(want, p, idx) }
+		case 9, 10:
+			name = "makeHole"
+			idx := randIdx(p, false)
+			gotErr = counted.MakeHole(p, idx)
+			wantOp = func() error { return refMakeHole(want, p, idx) }
+		case 11:
+			name = "fillHole"
+			idx := randIdx(p, true)
+			gotErr = counted.FillHole(p, idx, data)
+			wantOp = func() error { return refFillHole(want, p, idx, data) }
+		case 12:
+			name = "removeHole"
+			idx := randIdx(p, true)
+			gotErr = counted.RemoveHole(p, idx)
+			wantOp = func() error { return refRemoveHole(want, p, idx) }
+		case 13:
+			_, _, cur := shape(p)
+			name = "split"
+			keep := rng.Intn(len(cur) + 2)
+			gotErr = counted.SplitPage(p, keep)
+			wantOp = func() error { return refSplitPage(want, p, keep) }
+		case 14, 15, 16:
+			srcIdx, dst := randIdx(p, false), randPath()
+			for k := 0; k < 4; k++ { // look for a hole to move into
+				if _, hole, _ := shape(dst); hole >= 0 {
+					break
+				}
+				dst = randPath()
+			}
+			dstIdx := randIdx(dst, true)
+			name = fmt.Sprintf("move to %s/%d", dst, dstIdx)
+			if len(dst) > maxDepth {
+				maxDepth = len(dst)
+			}
+			gotErr = counted.MoveSubtree(p, srcIdx, dst, dstIdx)
+			wantOp = func() error { return refMoveSubtree(want, p, srcIdx, dst, dstIdx) }
+		case 17:
+			name = "insertSubFile"
+			idx := randIdx(p, false)
+			obj := uint32(100 + i)
+			_, gotErr = counted.InsertSubFile(p, idx, f.Register(obj), f.Register(obj+1000), data)
+			wantOp = func() error {
+				sub, err := CreateFile(s, f.Register(obj), f.Register(obj+1000), data)
+				if err != nil {
+					return err
+				}
+				return refInsertSubFile(want, p, idx, sub.Root)
+			}
+		default:
+			name = "link"
+			idx := randIdx(p, false)
+			gotErr = counted.LinkSubVersion(p, idx, ext.Root)
+			wantOp = func() error { return refLinkSubVersion(want, p, idx, ext.Root) }
+		}
+		if cs.reads > maxDepth+1 || cs.allocs > 1 || cs.writes > 1 {
+			t.Fatalf("%s: %s %s cost %d reads, %d allocs, %d writes; want <= %d, 1, 1",
+				what, name, p, cs.reads, cs.allocs, cs.writes, maxDepth+1)
+		}
+		if gotErr != nil {
+			if cs.allocs != 0 || cs.writes != 0 {
+				t.Fatalf("%s: refused %s %s (%v) made %d allocs and %d writes", what, name, p, gotErr, cs.allocs, cs.writes)
+			}
+		} else if err := wantOp(); err != nil {
+			t.Fatalf("%s: %s %s: the pass accepted it, the reference: %v", what, name, p, err)
+		}
+		cs.reads, cs.allocs, cs.writes = 0, 0, 0
+		w, g := walkRecords(t, want), walkRecords(t, got)
+		if len(w) != len(g) {
+			t.Fatalf("%s: after %s %s: %d pages through the pass, %d through the reference", what, name, p, len(g), len(w))
+		}
+		for k := range w {
+			if w[k] != g[k] {
+				t.Fatalf("%s: after %s %s: page %s: pass %+v, reference %+v", what, name, p, w[k].path, g[k], w[k])
+			}
+		}
 	}
 }
 
@@ -790,4 +1181,57 @@ func TestWritePagesRefusesBeforeWriting(t *testing.T) {
 			t.Fatalf("%s: refused batch made %d allocs and %d writes", c.bad, cs.allocs, cs.writes)
 		}
 	}
+}
+
+// TestShapeCommandsRefuseBeforeWriting: a shape command that fails — on
+// a full reference table, a bad index below a valid prefix, a destination
+// that is not a hole — fails with its error and makes no mutating block
+// call, so the version is exactly as before.
+func TestShapeCommandsRefuseBeforeWriting(t *testing.T) {
+	srv := block.NewServer(disk.MustNew(disk.Geometry{Blocks: 4096, BlockSize: 1024}))
+	base := buildFile(t, NewStore(srv, testAcct))
+	if err := base.MakeHole(page.RootPath, 2); err != nil {
+		t.Fatal(err)
+	}
+	_, vc, f := caps(t)
+	v, err := CreateVersion(NewStore(srv, testAcct), base.Root, vc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cs := newCountStore(srv)
+	tr := &Tree{St: NewStore(cs, testAcct), Root: v.Root}
+	refuses := func(what string, want error, err error) {
+		t.Helper()
+		if !errors.Is(err, want) {
+			t.Fatalf("%s: err = %v, want %v", what, err, want)
+		}
+		if cs.allocs != 0 || cs.writes != 0 {
+			t.Fatalf("%s: refused command made %d allocs and %d writes", what, cs.allocs, cs.writes)
+		}
+	}
+	refuses("remove below a bad index", ErrBadPath, tr.RemovePage(page.Path{1, 7}, 0))
+	refuses("insert at a bad index", page.ErrBadIndex, tr.InsertPage(page.Path{1}, 9, nil))
+	refuses("fill a live reference", ErrNotHole, tr.FillHole(page.Path{1}, 0, nil))
+	refuses("remove a live reference as a hole", ErrNotHole, tr.RemoveHole(page.RootPath, 0))
+	refuses("split past the end", ErrBadPath, tr.SplitPage(page.Path{0}, 99))
+	refuses("link at a bad index", page.ErrBadIndex, tr.LinkSubVersion(page.Path{1}, 5, v.Root))
+	refuses("move onto a live reference", ErrNotHole, tr.MoveSubtree(page.Path{1}, 0, page.RootPath, 0))
+	refuses("move from a hole", ErrHole, tr.MoveSubtree(page.RootPath, 2, page.Path{1}, 0))
+
+	// Fill /1's table, one pass per insert, until it cannot take another
+	// reference: the refused insert and sub-file insert write nothing.
+	for i := 0; ; i++ {
+		cs.allocs, cs.writes = 0, 0
+		err := tr.InsertPage(page.Path{1}, 0, nil)
+		if errors.Is(err, page.ErrPageFull) {
+			refuses("insert into a full table", page.ErrPageFull, err)
+			break
+		}
+		if err != nil || i > 1024 {
+			t.Fatalf("insert %d: %v", i, err)
+		}
+	}
+	cs.allocs, cs.writes = 0, 0
+	_, err = tr.InsertSubFile(page.Path{1}, 0, f.Register(7), f.Register(8), nil)
+	refuses("sub-file into a full table", page.ErrPageFull, err)
 }
