@@ -301,30 +301,10 @@ func Rebuild(st *version.Store) (*Table, error) {
 
 // HasSubFiles reports whether the version tree rooted at root directly
 // contains sub-file version pages, i.e. whether the file is a super-file
-// in the §5.3 sense.
+// in the §5.3 sense. A sub-file found anywhere answers true even when
+// some other page cannot be read.
 func HasSubFiles(st *version.Store, root block.Num) (bool, error) {
-	vp, err := st.ReadPage(root)
-	if err != nil {
-		return false, err
-	}
-	var rec func(pg *page.Page) (bool, error)
-	rec = func(pg *page.Page) (bool, error) {
-		for _, r := range pg.Refs {
-			if r.IsNil() {
-				continue
-			}
-			child, err := st.ReadPage(r.Block)
-			if err != nil {
-				return false, err
-			}
-			if child.IsVersion {
-				return true, nil
-			}
-			if found, err := rec(child); err != nil || found {
-				return found, err
-			}
-		}
-		return false, nil
-	}
-	return rec(vp)
+	return st.Any([]block.Num{root}, version.All, func(n *version.Node) bool {
+		return n.Parent != nil && n.Page.IsVersion
+	})
 }

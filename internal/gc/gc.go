@@ -80,8 +80,6 @@ type Collector struct {
 	// pinned (the peer is unreachable): sweeping without those pins
 	// could free pages under a sibling server's in-flight update.
 	Gate func() bool
-	// Reshare enables the §5.1 reshare optimisation.
-	Reshare bool
 	// Demote, when set, turns retirement into demote-instead-of-delete:
 	// every committed version about to fall past the retention horizon
 	// is handed to the archive tier (still fully readable — the sweep
@@ -108,8 +106,8 @@ type Collector struct {
 	condemned map[block.Num]bool
 }
 
-// New creates a collector with resharing enabled and a retention of
-// keep committed versions per file. live must not be nil.
+// New creates a collector with a retention of keep committed versions
+// per file. live must not be nil.
 func New(st *version.Store, table ftab.Table, keep int, live func() []block.Num) *Collector {
 	if live == nil {
 		panic("gc: New without a Live function")
@@ -122,7 +120,6 @@ func New(st *version.Store, table ftab.Table, keep int, live func() []block.Num)
 		Table:     table,
 		Retain:    keep,
 		Live:      live,
-		Reshare:   true,
 		condemned: make(map[block.Num]bool),
 	}
 }
@@ -147,12 +144,13 @@ func (g *Collector) Collect() (Report, error) {
 	// base kept alive solely by an in-flight update would otherwise be
 	// retired and swept under it — and a crash-recovery Rebuild relies on
 	// "an uncommitted version's base survives" to tell abandoned orphans
-	// from committed survivors.
-	for _, n := range live {
-		if pg, err := g.St.ReadPage(n); err == nil && pg.BaseRef != block.NilNum {
-			roots = append(roots, pg.BaseRef)
+	// from committed survivors. The version pages come in one read.
+	g.St.Visit(live, func(n *version.Node) (version.Follow, error) {
+		if n.Err == nil && n.Page.BaseRef != block.NilNum {
+			roots = append(roots, n.Page.BaseRef)
 		}
-	}
+		return nil, nil
+	})
 
 	// Retained committed versions per file, advancing the table entry to
 	// the oldest retained version.
@@ -201,28 +199,19 @@ func (g *Collector) Collect() (Report, error) {
 			g.Table.Retire(obj, chain[keepFrom])
 		}
 		retained := chain[keepFrom:]
-		if g.Reshare {
-			// Reshare every retained version against its base —
-			// skipping the oldest retained one, whose base is about
-			// to be condemned.
-			for _, root := range retained[1:] {
-				n, err := g.reshareVersion(root)
-				if err == nil {
-					rep.Reshared += n
-				}
+		// Reshare every retained version against its base — skipping
+		// the oldest retained one, whose base is about to be condemned.
+		for _, root := range retained[1:] {
+			n, err := g.reshareVersion(root)
+			if err == nil {
+				rep.Reshared += n
 			}
 		}
 		roots = append(roots, retained...)
 	}
 	rep.LiveRoots = len(roots)
 
-	// Mark.
-	marked := make(map[block.Num]bool)
-	for _, root := range roots {
-		if err := g.mark(root, marked); err != nil {
-			return rep, fmt.Errorf("gc: mark from %d: %w", root, err)
-		}
-	}
+	marked := g.mark(roots)
 	rep.Marked = len(marked)
 
 	// Sweep with two-cycle condemnation.
@@ -269,131 +258,102 @@ func (g *Collector) Collect() (Report, error) {
 	return rep, nil
 }
 
-// mark adds every block reachable from root to marked, following all
+// mark returns every block reachable from roots, following all
 // references (including sub-file version pages and, from them, their
 // committed chains' retained parts — sub-files are files in the table,
 // so their chains are rooted independently; here we only follow the
-// tree). The traversal is breadth-first so each level is fetched with
-// one multi-block read instead of a round trip per page.
-func (g *Collector) mark(root block.Num, marked map[block.Num]bool) error {
-	frontier := []block.Num{root}
-	for len(frontier) > 0 {
-		var batch []block.Num
-		for _, n := range frontier {
-			if n == block.NilNum || marked[n] {
-				continue
-			}
+// tree). One visit covers every root, so a cycle reads each level of
+// the whole store once, and a block reached twice is read once. A page
+// that cannot be read (e.g. a crashed server's version freed earlier)
+// is marked and marks nothing further.
+func (g *Collector) mark(roots []block.Num) map[block.Num]bool {
+	marked := make(map[block.Num]bool)
+	var start []block.Num
+	for _, n := range roots {
+		if !marked[n] {
 			marked[n] = true
-			batch = append(batch, n)
-		}
-		if len(batch) == 0 {
-			return nil
-		}
-		frontier = frontier[:0]
-		for _, pg := range g.readTolerant(batch) {
-			if pg == nil {
-				// A page that vanished (e.g. a crashed server's version
-				// freed earlier) marks nothing further.
-				continue
-			}
-			for _, r := range pg.Refs {
-				if !r.IsNil() {
-					frontier = append(frontier, r.Block)
-				}
-			}
+			start = append(start, n)
 		}
 	}
-	return nil
-}
-
-// readTolerant reads a batch of pages, nil for any that cannot be read:
-// the mark phase must survive pages vanishing under it.
-func (g *Collector) readTolerant(ns []block.Num) []*page.Page {
-	pgs, err := g.St.ReadPages(ns)
-	if err == nil {
-		return pgs
-	}
-	// The batched read is all-or-nothing; on failure fall back to
-	// per-page reads so one vanished block doesn't hide its siblings.
-	out := make([]*page.Page, len(ns))
-	for i, n := range ns {
-		if pg, err := g.St.ReadPage(n); err == nil {
-			out[i] = pg
+	unmarked := func(r page.Ref) bool {
+		if marked[r.Block] {
+			return false
 		}
+		marked[r.Block] = true
+		return true
 	}
-	return out
+	g.St.Visit(start, func(*version.Node) (version.Follow, error) {
+		return unmarked, nil
+	})
+	return marked
 }
 
 // reshareVersion applies the §5.1 optimisation to one committed version:
 // copies whose whole subtree carries no W or M are replaced by the base's
-// corresponding page. Returns the number of reshared references.
+// corresponding page. It reads the version's accessed region with one
+// visit (sub-file version pages have their own chains and are not
+// entered), finds bottom-up which copies have a write below them, and
+// patches the parents of the others. A page that cannot be read, or a
+// sub-file boundary, counts as a write: the copies above it stay.
+// Returns the number of reshared references.
 func (g *Collector) reshareVersion(root block.Num) (int, error) {
-	vp, err := g.St.ReadPage(root)
+	var nodes []*version.Node
+	err := g.St.Visit([]block.Num{root}, func(n *version.Node) (version.Follow, error) {
+		if n.Parent == nil && n.Err != nil {
+			return nil, n.Err
+		}
+		nodes = append(nodes, n)
+		if n.Err != nil || n.Parent != nil && n.Page.IsVersion ||
+			n.Parent == nil && n.Page.BaseRef == block.NilNum {
+			return nil, nil
+		}
+		return version.Accessed, nil
+	})
 	if err != nil {
 		return 0, err
 	}
-	if vp.BaseRef == block.NilNum {
-		return 0, nil
+	// Bottom-up: a page is kept when it was written or modified, cannot
+	// be read, is a sub-file, or has a kept page below it.
+	kept := make(map[*version.Node]bool)
+	for i := len(nodes) - 1; i > 0; i-- {
+		n := nodes[i]
+		if n.Err != nil || n.Page.IsVersion || n.Ref.Flags.InWriteSet() {
+			kept[n] = true
+		}
+		if kept[n] {
+			kept[n.Parent] = true
+		}
 	}
-	return g.resharePage(root, vp)
-}
-
-// resharePage rewrites the references of one private page, resharing
-// read-only copies, and recurses into written subtrees.
-func (g *Collector) resharePage(blk block.Num, pg *page.Page) (int, error) {
+	// Every copy that is not kept, under the root or a kept page, and has
+	// a base is replaced by a reference to the base's page; the orphaned
+	// copy (and its descendants) fall to the sweep. Below a copy that is
+	// not kept nothing is patched: the copy itself goes.
+	vp := nodes[0]
 	reshared := 0
-	var patched []int // indices of pg.Refs reshared here
-	for i, r := range pg.Refs {
-		if r.IsNil() || !r.Flags.Accessed() {
-			continue
+	patched := make(map[*version.Node][]int)
+	for _, n := range nodes[1:] {
+		if (n.Parent == vp || kept[n.Parent]) && !kept[n] && n.Page.BaseRef != block.NilNum {
+			n.Parent.Page.Refs[n.Index] = page.Ref{Block: n.Page.BaseRef}
+			patched[n.Parent] = append(patched[n.Parent], n.Index)
+			reshared++
 		}
-		child, err := g.St.ReadPage(r.Block)
-		if err != nil {
-			continue
-		}
-		if child.IsVersion {
-			continue // sub-file versions have their own chains
-		}
-		if r.Flags.InWriteSet() {
-			// The page itself was written/modified: keep the copy but
-			// look deeper for reshareable descendants.
-			n, err := g.resharePage(r.Block, child)
-			if err != nil {
-				return reshared, err
-			}
-			reshared += n
-			continue
-		}
-		// Copied but not written here; if nothing below is written
-		// either, the copy is equivalent to its base page.
-		below, err := g.subtreeWrites(child)
-		if err != nil {
-			return reshared, err
-		}
-		if below {
-			n, err := g.resharePage(r.Block, child)
-			if err != nil {
-				return reshared, err
-			}
-			reshared += n
-			continue
-		}
-		if child.BaseRef == block.NilNum {
-			continue // created fresh; nothing to reshare with
-		}
-		pg.Refs[i] = page.Ref{Block: child.BaseRef}
-		patched = append(patched, i)
-		reshared++
-		// The orphaned copy (and its non-written descendants) become
-		// unreachable and fall to the sweep.
 	}
-	switch {
-	case len(patched) == 0:
+	// Interior pages of a committed version are immutable: nobody else
+	// writes them, so the copies read above are still current and go
+	// back in one multi-block write.
+	var ns []block.Num
+	var pgs []*page.Page
+	for _, n := range nodes[1:] {
+		if patched[n] != nil {
+			ns = append(ns, n.Ref.Block)
+			pgs = append(pgs, n.Page)
+		}
+	}
+	if err := g.St.WritePages(ns, pgs); err != nil {
+		return 0, err
+	}
+	if patched[vp] == nil {
 		return reshared, nil
-	case !pg.IsVersion:
-		// Interior pages of a committed version are immutable: nobody
-		// else writes them, so the copy read above is still current.
-		return reshared, g.St.WritePage(blk, pg)
 	}
 	// The version page is the one page of a committed version that is
 	// still written in place — its commit reference is set by a
@@ -405,40 +365,15 @@ func (g *Collector) resharePage(blk block.Num, pg *page.Page) (int, error) {
 	// as it is now; its references never change once it is committed.
 	// A held lock (block.ErrLocked) skips the write-back: the next cycle
 	// reshares again.
-	err := block.WithLock(g.St.Blocks, g.St.Acct, blk, func(raw []byte) ([]byte, error) {
+	err = block.WithLock(g.St.Blocks, g.St.Acct, root, func(raw []byte) ([]byte, error) {
 		fresh, err := page.Decode(raw)
 		if err != nil {
-			return nil, fmt.Errorf("gc: version page %d: %w", blk, err)
+			return nil, fmt.Errorf("gc: version page %d: %w", root, err)
 		}
-		for _, i := range patched {
-			fresh.Refs[i] = pg.Refs[i]
+		for _, i := range patched[vp] {
+			fresh.Refs[i] = vp.Page.Refs[i]
 		}
 		return fresh.Encode(g.St.Blocks.BlockSize())
 	})
 	return reshared, err
-}
-
-// subtreeWrites reports whether any accessed reference below pg carries W
-// or M.
-func (g *Collector) subtreeWrites(pg *page.Page) (bool, error) {
-	for _, r := range pg.Refs {
-		if r.IsNil() || !r.Flags.Accessed() {
-			continue
-		}
-		if r.Flags.InWriteSet() {
-			return true, nil
-		}
-		child, err := g.St.ReadPage(r.Block)
-		if err != nil {
-			return false, err
-		}
-		if child.IsVersion {
-			return true, nil // play safe at sub-file boundaries
-		}
-		has, err := g.subtreeWrites(child)
-		if err != nil || has {
-			return has, err
-		}
-	}
-	return false, nil
 }

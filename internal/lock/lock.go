@@ -339,133 +339,107 @@ func (m *Manager) recoverInner(blk block.Num, dead capability.Port) error {
 	}
 }
 
-// clearInnerLocks walks the committed tree under the version page in blk
-// and clears inner (and top) locks held by the dead port on current
-// sub-file version pages.
+// clearInnerLocks clears the locks the dead port holds on the current
+// version pages of the sub-files directly inside the committed tree
+// under the version page in blk, and of the sub-files directly inside
+// those.
 func (m *Manager) clearInnerLocks(blk block.Num, dead capability.Port) error {
-	vp, err := m.St.ReadPage(blk)
+	subs, err := m.subVersions([]block.Num{blk})
 	if err != nil {
 		return err
 	}
-	return m.walkSubVersions(vp, func(subCur block.Num) error {
-		if err := m.Clear(subCur, dead); err != nil {
-			return err
-		}
-		cvp, err := m.St.ReadPage(subCur)
-		if err != nil {
-			return err
-		}
-		return m.walkSubVersions(cvp, func(b block.Num) error {
-			return m.Clear(b, dead)
-		})
-	})
-}
-
-// walkSubVersions calls fn for every sub-file found directly inside vp's
-// page tree, passing the *current* version page of the sub-file (the
-// tree may reference a stale committed version; commit references are
-// chased, since "locks only have meaning in the current version").
-// It does not recurse into the sub-files themselves.
-func (m *Manager) walkSubVersions(vp *page.Page, fn func(subCurrent block.Num) error) error {
-	var rec func(pg *page.Page) error
-	rec = func(pg *page.Page) error {
-		for _, r := range pg.Refs {
-			if r.IsNil() {
-				continue
-			}
-			child, err := m.St.ReadPage(r.Block)
-			if err != nil {
-				return err
-			}
-			if child.IsVersion {
-				cur, err := occ.Current(m.St, r.Block)
-				if err != nil {
-					return err
-				}
-				if err := fn(cur); err != nil {
-					return err
-				}
-				continue // do not descend into the sub-file
-			}
-			if err := rec(child); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	return rec(vp)
-}
-
-// CommitSubFiles finishes a super-file commit: it descends the freshly
-// committed version tree rooted at newRoot (following only references the
-// update actually touched) and, for every sub-file version created during
-// the update, sets the base's commit reference and clears the holder's
-// locks. The operation is idempotent, so a waiter can safely re-run it
-// for a crashed server.
-func (m *Manager) CommitSubFiles(newRoot block.Num, holder capability.Port) error {
-	vp, err := m.St.ReadPage(newRoot)
+	inner, err := m.subVersions(subs)
 	if err != nil {
 		return err
 	}
-	if err := m.commitSubsIn(vp, holder); err != nil {
-		return err
-	}
-	// The new current version must come up unlocked.
-	return m.Clear(newRoot, holder)
-}
-
-// commitSubsIn scans one page tree (accessed references only) for new
-// sub-file version pages.
-func (m *Manager) commitSubsIn(pg *page.Page, holder capability.Port) error {
-	for _, r := range pg.Refs {
-		if r.IsNil() || !r.Flags.Accessed() {
-			continue
-		}
-		child, err := m.St.ReadPage(r.Block)
-		if err != nil {
-			return err
-		}
-		if child.IsVersion {
-			if err := m.commitOneSub(r.Block, child, holder); err != nil {
-				return err
-			}
-			continue
-		}
-		if err := m.commitSubsIn(child, holder); err != nil {
+	for _, b := range append(subs, inner...) {
+		if err := m.Clear(b, dead); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// commitOneSub commits one new sub-file version (newBlk) over its base.
-func (m *Manager) commitOneSub(newBlk block.Num, newVP *page.Page, holder capability.Port) error {
-	base := newVP.BaseRef
-	if base != block.NilNum {
-		// Set base.CommitRef = newBlk; under the locks this "always
-		// succeeds", and re-running it after a crash finds it set.
-		err := m.mutate(base, func(bvp *page.Page) (bool, error) {
-			if bvp.CommitRef == block.NilNum {
-				bvp.CommitRef = block.Num(newBlk)
-				return true, nil
-			}
-			if bvp.CommitRef != newBlk {
-				return false, fmt.Errorf("lock: sub-file commit clash at block %d: %d vs %d",
-					base, bvp.CommitRef, newBlk)
-			}
-			return false, nil
-		})
-		if err != nil {
-			return err
+// subVersions returns, for every sub-file found directly inside the page
+// trees of the version pages in roots, the sub-file's *current* version
+// page (the tree may reference a stale committed version; commit
+// references are chased, since "locks only have meaning in the current
+// version"). It does not enter the sub-files themselves.
+func (m *Manager) subVersions(roots []block.Num) ([]block.Num, error) {
+	var out []block.Num
+	err := m.St.Visit(roots, func(n *version.Node) (version.Follow, error) {
+		switch {
+		case n.Err != nil:
+			return nil, n.Err
+		case n.Parent == nil || !n.Page.IsVersion:
+			return version.All, nil
 		}
-		if err := m.Clear(base, holder); err != nil {
-			return err
+		cur, err := occ.Current(m.St, n.Ref.Block)
+		if err == nil {
+			out = append(out, cur)
 		}
-	}
-	// Recurse: the sub-file may itself contain sub-sub-file versions.
-	if err := m.commitSubsIn(newVP, holder); err != nil {
+		return nil, err
+	})
+	return out, err
+}
+
+// CommitSubFiles finishes a super-file commit: it visits the freshly
+// committed version tree rooted at newRoot (following only references
+// the update actually touched, into the sub-files too) and, for every
+// sub-file version created during the update, sets the base's commit
+// reference and clears the holder's locks — outer sub-files before the
+// sub-files inside them, whose new versions are unlocked first. The
+// operation is idempotent, so a waiter can safely re-run it for a
+// crashed server.
+func (m *Manager) CommitSubFiles(newRoot block.Num, holder capability.Port) error {
+	var subs []*version.Node
+	err := m.St.Visit([]block.Num{newRoot}, func(n *version.Node) (version.Follow, error) {
+		if n.Err != nil {
+			return nil, n.Err
+		}
+		if n.Parent != nil && n.Page.IsVersion {
+			subs = append(subs, n)
+		}
+		return version.Accessed, nil
+	})
+	if err != nil {
 		return err
 	}
-	// New sub-version becomes current; leave it unlocked.
-	return m.Clear(newBlk, holder)
+	for _, n := range subs {
+		if err := m.commitOneSub(n.Ref.Block, n.Page.BaseRef, holder); err != nil {
+			return err
+		}
+	}
+	// New sub-versions become current; leave them unlocked, and the new
+	// current version of the super-file too.
+	for i := len(subs) - 1; i >= 0; i-- {
+		if err := m.Clear(subs[i].Ref.Block, holder); err != nil {
+			return err
+		}
+	}
+	return m.Clear(newRoot, holder)
+}
+
+// commitOneSub commits one new sub-file version (newBlk) over its base:
+// under the locks setting base.CommitRef "always succeeds", and re-running
+// it after a crash finds it set.
+func (m *Manager) commitOneSub(newBlk, base block.Num, holder capability.Port) error {
+	if base == block.NilNum {
+		return nil
+	}
+	err := m.mutate(base, func(bvp *page.Page) (bool, error) {
+		if bvp.CommitRef == block.NilNum {
+			bvp.CommitRef = newBlk
+			return true, nil
+		}
+		if bvp.CommitRef != newBlk {
+			return false, fmt.Errorf("lock: sub-file commit clash at block %d: %d vs %d",
+				base, bvp.CommitRef, newBlk)
+		}
+		return false, nil
+	})
+	if err != nil {
+		return err
+	}
+	return m.Clear(base, holder)
 }

@@ -9,6 +9,7 @@ import (
 	"repro/internal/capability"
 	"repro/internal/disk"
 	"repro/internal/page"
+	"repro/internal/treetest"
 	"repro/internal/version"
 )
 
@@ -411,5 +412,74 @@ func TestConcurrentTopAcquisitionExactlyOneWins(t *testing.T) {
 	}
 	if won != 1 {
 		t.Fatalf("%d managers acquired the top lock, want exactly 1", won)
+	}
+}
+
+// TestCommitSubFilesReadBudget: committing a super-file update that
+// crossed k sub-files at depth d reads the new tree one level per call —
+// at most d+1 calls down to the sub-files' version pages, whatever k is —
+// besides the reads inside the block lock of each version page it
+// commits or unlocks.
+func TestCommitSubFilesReadBudget(t *testing.T) {
+	fs := treetest.NewStore()
+	st := version.NewStore(fs, acct)
+	c := capability.Capability{Object: 1}
+	outer, err := version.CreateFile(st, c, c, []byte("outer"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := outer.InsertPage(page.RootPath, 0, []byte("mid")); err != nil {
+		t.Fatal(err)
+	}
+	const k = 3 // sub-files at /0/0, /0/1, /0/2: depth 2
+	for i := 0; i < k; i++ {
+		if _, err := outer.InsertSubFile(page.Path{0}, i, c, c, []byte("sub")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	v, err := version.CreateVersion(st, outer.Root, c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	holder := capability.NewPort()
+	m := NewManager(st, holder, nil)
+	var bases, forks []block.Num
+	for i := 0; i < k; i++ {
+		pg, err := v.PeekPage(page.Path{0})
+		if err != nil {
+			t.Fatal(err)
+		}
+		base := pg.Refs[i].Block
+		if err := m.AcquireInner(base); err != nil {
+			t.Fatal(err)
+		}
+		fork, err := version.CreateVersion(st, base, c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := v.LinkSubVersion(page.Path{0}, i, fork.Root); err != nil {
+			t.Fatal(err)
+		}
+		bases, forks = append(bases, base), append(forks, fork.Root)
+	}
+	fs.Count()
+	if err := m.CommitSubFiles(v.Root, holder); err != nil {
+		t.Fatal(err)
+	}
+	reads, locked := fs.Count()
+	if reads > 3 {
+		t.Fatalf("%d sub-files at depth 2: %d read calls outside the block lock, want <= 3", k, reads)
+	}
+	if want := 3*k + 1; locked > want {
+		t.Fatalf("%d reads inside the block lock, want <= %d (commit, unlock base, unlock fork; unlock root)", locked, want)
+	}
+	for i, b := range bases {
+		vp, err := st.ReadPage(b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if vp.CommitRef != forks[i] || !vp.InnerLock.IsNil() {
+			t.Fatalf("sub-file %d: commit ref %d, inner lock %v; want %d, none", i, vp.CommitRef, vp.InnerLock, forks[i])
+		}
 	}
 }

@@ -423,29 +423,33 @@ func adoptRefs(refs []page.Ref) []page.Ref {
 
 // subtreeHasWrites reports whether any reference reachable from pg (in
 // the committed version's private region) carries W or M: used to decide
-// whether a restructure in b can stand against c's subtree.
+// whether a restructure in b can stand against c's subtree. A write found
+// anywhere answers true even when some other page cannot be read.
 func (c *Committer) subtreeHasWrites(pg *page.Page) (bool, error) {
+	if hasWrite(pg) {
+		return true, nil
+	}
+	var roots []block.Num
 	for _, r := range pg.Refs {
-		if r.IsNil() {
-			continue
-		}
-		if r.Flags.InWriteSet() {
-			return true, nil
-		}
-		if !r.Flags.Accessed() || r.Flags&page.FlagS == 0 {
-			continue
-		}
-		child, err := c.St.ReadPage(r.Block)
-		if err != nil {
-			return false, err
-		}
-		has, err := c.subtreeHasWrites(child)
-		if err != nil || has {
-			return has, err
+		if !r.IsNil() && searched(r) {
+			roots = append(roots, r.Block)
 		}
 	}
-	return false, nil
+	return c.St.Any(roots, searched, func(n *version.Node) bool { return hasWrite(n.Page) })
 }
+
+// hasWrite reports whether a reference of pg carries W or M.
+func hasWrite(pg *page.Page) bool {
+	for _, r := range pg.Refs {
+		if !r.IsNil() && r.Flags.InWriteSet() {
+			return true
+		}
+	}
+	return false
+}
+
+// searched reports a reference the committed version descended through.
+func searched(r page.Ref) bool { return r.Flags.Accessed() && r.Flags&page.FlagS != 0 }
 
 // Current follows commit references from any committed version of a file
 // to the current version, returning its root block. This is how both

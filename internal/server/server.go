@@ -210,21 +210,27 @@ func (sh *Shared) syncObjects() {
 	}
 }
 
+// ErrObjectsExhausted reports a server whose band of object numbers holds
+// a registered secret for every number.
+var ErrObjectsExhausted = errors.New("server: no free object number in this server's band")
+
 // newObject reserves a fresh object number in this server's band and
-// mints its owner capability. Numbers whose secrets are already present
-// (adopted from a peer snapshot minted by this server's previous life)
-// are skipped.
-func (sh *Shared) newObject() (uint32, capability.Capability) {
-	for {
+// mints its owner capability. Numbers whose secrets are present — live
+// files and versions, and objects adopted from a peer snapshot minted by
+// this server's previous life — are skipped; a version's number comes
+// free again once its record is reaped (Server.LiveVersions). After one
+// lap of the band without a free number it gives up.
+func (sh *Shared) newObject() (uint32, capability.Capability, error) {
+	for range 1 << objBandShift {
 		sh.mu.Lock()
 		sh.nextObj++
 		obj := sh.id<<objBandShift | sh.nextObj&(1<<objBandShift-1)
 		sh.mu.Unlock()
-		if _, taken := sh.Fact.Secret(obj); taken {
-			continue
+		if _, taken := sh.Fact.Secret(obj); !taken {
+			return obj, sh.Fact.Register(obj), nil
 		}
-		return obj, sh.Fact.Register(obj)
 	}
+	return 0, capability.Nil, ErrObjectsExhausted
 }
 
 // VersionState is the lifecycle of a version record.
@@ -254,6 +260,11 @@ type verRec struct {
 	crossing []block.Num
 	// closedAt stamps commit/abort for record reaping.
 	closedAt time.Time
+	// minted lists the version objects this update created besides its
+	// own: sub-file forks and sub-file birth versions. Their capabilities
+	// go to no client, and no stored VersionCap is ever verified, so the
+	// reaper forgets them with the record's own object.
+	minted []uint32
 
 	// A plain-file update's page writes wait here until the next flush:
 	// paths in first-write order, a later write to a path replacing its
@@ -406,6 +417,9 @@ func (s *Server) LiveVersions() []block.Num {
 		}
 		if !rec.closedAt.IsZero() && now.Sub(rec.closedAt) > closedGrace {
 			delete(s.versions, obj)
+			for _, o := range append(rec.minted, obj) {
+				s.shared.Fact.Forget(o)
+			}
 		}
 	}
 	return out
@@ -457,8 +471,14 @@ func (s *Server) CreateFile(data []byte) (capability.Capability, error) {
 	if err := s.checkAlive(); err != nil {
 		return capability.Nil, err
 	}
-	obj, fcap := s.shared.newObject()
-	_, vcap := s.shared.newObject()
+	obj, fcap, err := s.shared.newObject()
+	if err != nil {
+		return capability.Nil, err
+	}
+	_, vcap, err := s.shared.newObject()
+	if err != nil {
+		return capability.Nil, err
+	}
 	tr, err := version.CreateFile(s.st, fcap, vcap, data)
 	if err != nil {
 		return capability.Nil, err
@@ -512,8 +532,13 @@ func (s *Server) CreateVersion(fcap capability.Capability, opts CreateVersionOpt
 		return capability.Nil, err
 	}
 
-	obj, vcap := s.shared.newObject()
-	tr, err := version.CreateVersion(s.st, cur, vcap)
+	obj, vcap, err := s.shared.newObject()
+	var tr *version.Tree
+	if err == nil {
+		if tr, err = version.CreateVersion(s.st, cur, vcap); err != nil {
+			s.shared.Fact.Forget(obj)
+		}
+	}
 	if err != nil {
 		mgr.Clear(cur, upPort)
 		s.shared.Ports.Unregister(upPort)
@@ -579,8 +604,12 @@ func (s *Server) resolve(rec *verRec, p page.Path, op func(tree *version.Tree, r
 			if err := rec.locks.AcquireInner(subCur); err != nil {
 				return err
 			}
-			_, subVCap := s.shared.newObject()
-			subTree, err := version.CreateVersion(s.st, subCur, subVCap)
+			subObj, subVCap, err := s.shared.newObject()
+			var subTree *version.Tree
+			if err == nil {
+				rec.minted = append(rec.minted, subObj)
+				subTree, err = version.CreateVersion(s.st, subCur, subVCap)
+			}
 			if err != nil {
 				rec.locks.Clear(subCur, rec.locks.Port)
 				return err
@@ -807,10 +836,17 @@ func (s *Server) MoveSubtree(vcap capability.Capability, srcPath page.Path, srcI
 func (s *Server) CreateSubFile(vcap capability.Capability, p page.Path, idx int, data []byte) (capability.Capability, error) {
 	var fcap capability.Capability
 	err := s.withFlushed(vcap, capability.RightWrite, func(rec *verRec) error {
-		obj, fc := s.shared.newObject()
-		_, vc := s.shared.newObject()
+		obj, fc, err := s.shared.newObject()
+		if err != nil {
+			return err
+		}
+		vobj, vc, err := s.shared.newObject()
+		if err != nil {
+			return err
+		}
+		rec.minted = append(rec.minted, vobj)
 		var subRoot block.Num
-		err := s.resolve(rec, p, func(tree *version.Tree, rest page.Path) (err error) {
+		err = s.resolve(rec, p, func(tree *version.Tree, rest page.Path) (err error) {
 			subRoot, err = tree.InsertSubFile(rest, idx, fc, vc, data)
 			return err
 		})

@@ -3,6 +3,7 @@ package server
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"runtime"
 	"testing"
 	"time"
@@ -985,4 +986,141 @@ func TestFenceWaitsOnlyForEarlierEntries(t *testing.T) {
 	}
 	leaveEarly()
 	<-passed
+}
+
+// TestValidateCacheReadBudget: validating a cache one committed version
+// behind, whose write set lies at depth d on three branches, reads the
+// version's tree one level per call — d+1 calls — on top of the two
+// version pages that place the cached version on the chain (the current
+// version through the table, the cached one).
+func TestValidateCacheReadBudget(t *testing.T) {
+	cs, s := newCountService(t)
+	fcap, err := s.CreateFile([]byte("root"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	v, _ := s.CreateVersion(fcap, CreateVersionOpts{})
+	for i := 0; i < 3; i++ { // depth 2: root → 3 pages → 2 each
+		s.InsertPage(v, page.RootPath, i, []byte("mid"))
+		for j := 0; j < 2; j++ {
+			s.InsertPage(v, page.Path{i}, j, []byte("leaf"))
+		}
+	}
+	if err := s.Commit(v); err != nil {
+		t.Fatal(err)
+	}
+	cached, _ := s.CurrentVersion(fcap)
+	v, _ = s.CreateVersion(fcap, CreateVersionOpts{})
+	written := []page.Path{{0, 0}, {1, 1}, {2, 0}}
+	for _, p := range written {
+		s.WritePage(v, p, []byte("new"))
+	}
+	if err := s.Commit(v); err != nil {
+		t.Fatal(err)
+	}
+	cur, _ := s.CurrentVersion(fcap)
+	cs.reset()
+	got, iv, err := s.ValidateCache(fcap, cached)
+	if err != nil || got != cur {
+		t.Fatalf("ValidateCache = %d, %v; want %d", got, err, cur)
+	}
+	if cs.reads > 2+3 {
+		t.Fatalf("write set at depth 2: %d read calls, want <= 5 (2 to find the chain, 3 for the walk)", cs.reads)
+	}
+	if iv.All || len(iv.Prefixes) != 0 || !maps.Equal(pathSet(iv.Exact), pathSet(written)) {
+		t.Fatalf("invalidation %+v, want exactly %v", iv, written)
+	}
+	cs.reset()
+	collectWriteSet(s.st, []block.Num{cur})
+	if cs.reads > 3 {
+		t.Fatalf("the write-set walk: %d read calls, want <= 3", cs.reads)
+	}
+}
+
+// TestObjectNumbersComeBack: a reaped version record gives its object
+// number back — the band wraps and creation goes on with the numbers of
+// closed versions, whose old capabilities no longer verify — and a band
+// with no free number refuses a creation instead of spinning.
+func TestObjectNumbersComeBack(t *testing.T) {
+	sh, s := newService(t)
+	fcap, err := s.CreateFile([]byte("x"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const band = 1 << objBandShift
+	// Every number of the band taken but two, the counter near its end.
+	free := map[uint32]bool{7: true, band - 1: true}
+	for n := uint32(0); n < band; n++ {
+		if _, ok := sh.Fact.Secret(n); !ok && !free[n] {
+			sh.Fact.Adopt(n, 1)
+		}
+	}
+	sh.nextObj = band - 3
+	reap := func() {
+		s.mu.Lock()
+		for _, rec := range s.versions {
+			if !rec.closedAt.IsZero() {
+				rec.closedAt = time.Now().Add(-2 * closedGrace)
+			}
+		}
+		s.mu.Unlock()
+		s.LiveVersions()
+	}
+	var first capability.Capability
+	reused := 0
+	for i := 0; i < 6; i++ {
+		v, err := s.CreateVersion(fcap, CreateVersionOpts{})
+		if err != nil {
+			t.Fatalf("creation %d: %v", i, err)
+		}
+		if !free[v.Object] {
+			t.Fatalf("creation %d took object %d, not one of the free %v", i, v.Object, free)
+		}
+		if i == 0 {
+			first = v
+		} else if v.Object == first.Object {
+			reused++
+			if err := sh.Fact.Verify(first, 0); !errors.Is(err, capability.ErrBadCheck) {
+				t.Fatalf("the reaped version's capability on its reused number: Verify = %v, want ErrBadCheck", err)
+			}
+		}
+		if err := s.WritePage(v, page.RootPath, []byte(fmt.Sprint(i))); err != nil {
+			t.Fatal(err)
+		}
+		if i%2 == 0 {
+			err = s.Commit(v)
+		} else {
+			err = s.Abort(v)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		reap()
+	}
+	if reused == 0 {
+		t.Fatal("the first version's number never came back")
+	}
+	open1, err := s.CreateVersion(fcap, CreateVersionOpts{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.CreateVersion(fcap, CreateVersionOpts{}); err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan error, 1)
+	go func() {
+		_, err := s.CreateVersion(fcap, CreateVersionOpts{})
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if !errors.Is(err, ErrObjectsExhausted) {
+			t.Fatalf("creation in a full band: %v, want ErrObjectsExhausted", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("creation in a full band did not return")
+	}
+	if err := s.Abort(open1); err != nil {
+		t.Fatal(err)
+	}
 }

@@ -52,55 +52,62 @@ func (s *Server) ValidateCache(fcap capability.Capability, cachedRoot block.Num)
 		return cur, Invalidation{}, nil
 	}
 
-	var iv Invalidation
-	// Walk the committed chain strictly after the cached version.
+	// The committed chain strictly after the cached version, up to the
+	// current one.
 	vp, err := s.st.ReadPage(cachedRoot)
 	if err != nil || !vp.IsVersion {
 		return cur, Invalidation{All: true}, nil
 	}
+	var chain []block.Num
 	for next := vp.CommitRef; next != block.NilNum; {
+		chain = append(chain, next)
+		if next == cur {
+			break
+		}
 		nvp, err := s.st.ReadPage(next)
 		if err != nil || !nvp.IsVersion {
 			return cur, Invalidation{All: true}, nil
 		}
-		collectWriteSet(s.st, nvp, page.RootPath, nvp.RootFlags, &iv)
 		next = nvp.CommitRef
 	}
-	return cur, iv, nil
+	return cur, collectWriteSet(s.st, chain), nil
 }
 
-// collectWriteSet gathers the write set of one committed version from its
-// access flags: W on a page invalidates that path; M invalidates the
-// subtree. Only accessed (copied) references are descended — unaccessed
-// subtrees were untouched by the update.
-func collectWriteSet(st *version.Store, pg *page.Page, at page.Path, flags page.Flags, iv *Invalidation) {
-	if flags&page.FlagW != 0 {
-		iv.Exact = append(iv.Exact, at.Clone())
-	}
-	if flags&page.FlagM != 0 {
-		iv.Prefixes = append(iv.Prefixes, at.Clone())
-		// Structure below changed wholesale; no need for finer grain.
-		return
-	}
-	if flags&page.FlagS == 0 {
-		return // never descended: children untouched
-	}
-	for i, r := range pg.Refs {
-		if r.IsNil() || !r.Flags.Accessed() {
-			continue
+// collectWriteSet gathers the write sets of committed versions from their
+// access flags, in one visit of all their trees: W on a page invalidates
+// that path; M invalidates the subtree. Only accessed (copied) references
+// are followed — unaccessed subtrees were untouched by the update — and
+// only below a page the update searched (S). A sub-file's version page
+// carries its own page's flags in its header. An unreadable page
+// invalidates its subtree; an unreadable version page, everything.
+func collectWriteSet(st *version.Store, roots []block.Num) Invalidation {
+	var iv Invalidation
+	st.Visit(roots, func(n *version.Node) (version.Follow, error) {
+		at := n.Path()
+		switch {
+		case n.Parent == nil && (n.Err != nil || !n.Page.IsVersion):
+			iv = Invalidation{All: true}
+			return nil, version.ErrStop
+		case n.Err != nil:
+			iv.Prefixes = append(iv.Prefixes, at)
+			return nil, nil
 		}
-		child, err := st.ReadPage(r.Block)
-		if err != nil {
-			// Unreadable child: be safe, kill the subtree.
-			iv.Prefixes = append(iv.Prefixes, at.Child(i))
-			continue
+		flags := n.Ref.Flags
+		if n.Page.IsVersion {
+			flags = n.Page.RootFlags
 		}
-		if child.IsVersion {
-			// Sub-file boundary: the sub-update's writes are recorded
-			// inside the sub-version.
-			collectWriteSet(st, child, at.Child(i), child.RootFlags, iv)
-			continue
+		if flags&page.FlagW != 0 {
+			iv.Exact = append(iv.Exact, at)
 		}
-		collectWriteSet(st, child, at.Child(i), r.Flags, iv)
-	}
+		if flags&page.FlagM != 0 {
+			// Structure below changed wholesale; no need for finer grain.
+			iv.Prefixes = append(iv.Prefixes, at)
+			return nil, nil
+		}
+		if flags&page.FlagS == 0 {
+			return nil, nil // never descended: children untouched
+		}
+		return version.Accessed, nil
+	})
+	return iv
 }

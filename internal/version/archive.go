@@ -1,6 +1,9 @@
 package version
 
 import (
+	"cmp"
+	"slices"
+
 	"repro/internal/block"
 	"repro/internal/page"
 )
@@ -17,47 +20,64 @@ import (
 // assigned to this page. WalkArchive returns the root's number.
 //
 // Committed versions are immutable, so the walk needs no access
-// tracking; like Walk it is depth-first but fetches breadth-batched
-// through one multi-block read per page.
+// tracking: one Visit reads the tree a level at a time. The pages are
+// then emitted depth-first, children in index order before their parent
+// — the order the archive's numbers, and so the pointer pages' bytes
+// and the snapshot score, depend on.
 func (t *Tree) WalkArchive(emit func(p page.Path, canonical *page.Page) (block.Num, error)) (block.Num, error) {
-	root, err := t.St.ReadPage(t.Root)
+	var nodes []*Node
+	var paths []page.Path
+	err := t.St.Visit([]block.Num{t.Root}, func(n *Node) (Follow, error) {
+		if n.Err != nil {
+			return nil, n.Err
+		}
+		nodes = append(nodes, n)
+		paths = append(paths, n.Path())
+		return All, nil
+	})
 	if err != nil {
 		return block.NilNum, err
 	}
-	return t.walkArchive(page.RootPath, root, emit)
-}
-
-func (t *Tree) walkArchive(p page.Path, pg *page.Page, emit func(page.Path, *page.Page) (block.Num, error)) (block.Num, error) {
-	canon := pg.Clone()
-	canon.CommitRef = block.NilNum
-	canon.TopLock = 0
-	canon.InnerLock = 0
-	canon.ParentRef = block.NilNum
-	canon.RootFlags = 0
-	canon.BaseRef = block.NilNum
-	var idxs []int
-	var ns []block.Num
-	for i, r := range pg.Refs {
-		canon.Refs[i] = page.Ref{}
-		if r.IsNil() {
-			continue
-		}
-		idxs = append(idxs, i)
-		ns = append(ns, r.Block)
+	order := make([]int, len(nodes))
+	for i := range order {
+		order[i] = i
 	}
-	if len(ns) > 0 {
-		children, err := t.St.ReadPages(ns)
-		if err != nil {
+	slices.SortFunc(order, func(i, j int) int { return postOrder(paths[i], paths[j]) })
+	var num block.Num
+	for _, i := range order {
+		n := nodes[i]
+		// The page is this walk's own decoded copy, and its children,
+		// emitted already, have put their numbers in its table.
+		canon := n.Page
+		canon.CommitRef = block.NilNum
+		canon.TopLock = 0
+		canon.InnerLock = 0
+		canon.ParentRef = block.NilNum
+		canon.RootFlags = 0
+		canon.BaseRef = block.NilNum
+		for j, r := range canon.Refs {
+			if r.IsNil() {
+				canon.Refs[j] = page.Ref{}
+			}
+		}
+		if num, err = emit(paths[i], canon); err != nil {
 			return block.NilNum, err
 		}
-		for k, child := range children {
-			i := idxs[k]
-			n, err := t.walkArchive(p.Child(i), child, emit)
-			if err != nil {
-				return block.NilNum, err
-			}
-			canon.Refs[i] = page.Ref{Block: n}
+		if n.Parent != nil {
+			n.Parent.Page.Refs[n.Index] = page.Ref{Block: num}
 		}
 	}
-	return emit(p, canon)
+	return num, nil
+}
+
+// postOrder compares two paths of one tree in depth-first post-order:
+// by the first index where they differ, and a page after its
+// descendants.
+func postOrder(a, b page.Path) int {
+	for i := 0; i < len(a) && i < len(b); i++ {
+		if a[i] != b[i] {
+			return cmp.Compare(a[i], b[i])
+		}
+	}
+	return cmp.Compare(len(b), len(a))
 }

@@ -42,9 +42,11 @@
 // one that refuses has written nothing. A path that reaches an embedded
 // sub-file's version page stops the pass with a *SubFileError; the
 // server crosses the boundary under the §5.3 locks and reruns the
-// operation inside the sub-file. A Tree is not safe for concurrent use;
-// the server serialises operations per version, matching the paper's
-// model of a version owned by a single client.
+// operation inside the sub-file. Whole-tree walks — the collector's, the
+// validators', the recovery paths' — are Store.Visit, which reads a level
+// of any number of trees with one multi-block read. A Tree is not safe
+// for concurrent use; the server serialises operations per version,
+// matching the paper's model of a version owned by a single client.
 package version
 
 import (
@@ -702,101 +704,4 @@ func (t *Tree) InsertSubFile(p page.Path, idx int, fileCap, verCap capability.Ca
 		return block.NilNum, err
 	}
 	return sub.blk, nil
-}
-
-// Walk calls fn for every page reachable in this version's tree in
-// depth-first order, with its path and the reference that points at it
-// (a synthetic reference carrying RootFlags for the root). Holes are
-// skipped. Walk does not record accesses; it is a server-side tool used
-// by the garbage collector and the family-tree printer.
-func (t *Tree) Walk(fn func(p page.Path, ref page.Ref, pg *page.Page) error) error {
-	root, err := t.St.ReadPage(t.Root)
-	if err != nil {
-		return err
-	}
-	return t.walk(page.RootPath, page.Ref{Block: t.Root, Flags: root.RootFlags}, root, fn)
-}
-
-func (t *Tree) walk(p page.Path, ref page.Ref, pg *page.Page, fn func(page.Path, page.Ref, *page.Page) error) error {
-	if err := fn(p, ref, pg); err != nil {
-		return err
-	}
-	// Read all children of this page in one multi-block operation: the
-	// walk is depth-first but fetches breadth-batched.
-	var idxs []int
-	var ns []block.Num
-	for i, r := range pg.Refs {
-		if r.IsNil() {
-			continue
-		}
-		idxs = append(idxs, i)
-		ns = append(ns, r.Block)
-	}
-	if len(ns) == 0 {
-		return nil
-	}
-	children, err := t.St.ReadPages(ns)
-	if err != nil {
-		return err
-	}
-	for k, child := range children {
-		i := idxs[k]
-		if err := t.walk(p.Child(i), pg.Refs[i], child, fn); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// Blocks returns the set of blocks reachable from this version's root,
-// including the root itself.
-func (t *Tree) Blocks() (map[block.Num]bool, error) {
-	out := make(map[block.Num]bool)
-	err := t.Walk(func(_ page.Path, ref page.Ref, _ *page.Page) error {
-		out[ref.Block] = true
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// PrivateBlocks returns the blocks this version copied or created (C set
-// on their references, or created fresh), i.e. the blocks not shared with
-// the base version. The root is always private.
-func (t *Tree) PrivateBlocks() (map[block.Num]bool, error) {
-	out := map[block.Num]bool{t.Root: true}
-	root, err := t.St.ReadPage(t.Root)
-	if err != nil {
-		return nil, err
-	}
-	var rec func(pg *page.Page) error
-	rec = func(pg *page.Page) error {
-		var ns []block.Num
-		for _, r := range pg.Refs {
-			if r.IsNil() || !r.Flags.Accessed() {
-				continue
-			}
-			out[r.Block] = true
-			ns = append(ns, r.Block)
-		}
-		if len(ns) == 0 {
-			return nil
-		}
-		children, err := t.St.ReadPages(ns)
-		if err != nil {
-			return err
-		}
-		for _, child := range children {
-			if err := rec(child); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	if err := rec(root); err != nil {
-		return nil, err
-	}
-	return out, nil
 }

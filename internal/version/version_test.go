@@ -474,7 +474,7 @@ func TestWalkVisitsAllPages(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := []string{"/", "/0", "/1", "/1/0", "/1/1", "/2"}
+	want := []string{"/", "/0", "/1", "/2", "/1/0", "/1/1"} // level order
 	if len(paths) != len(want) {
 		t.Fatalf("walk visited %v, want %v", paths, want)
 	}
@@ -1234,4 +1234,131 @@ func TestShapeCommandsRefuseBeforeWriting(t *testing.T) {
 	cs.allocs, cs.writes = 0, 0
 	_, err = tr.InsertSubFile(page.Path{1}, 0, f.Register(7), f.Register(8), nil)
 	refuses("sub-file into a full table", page.ErrPageFull, err)
+}
+
+// TestVisitReadsOneLevelPerCall: a visit over k roots of depth at most d
+// makes at most d+1 read calls, one per level across all the roots, and
+// so do Blocks, PrivateBlocks and WalkArchive on one tree.
+func TestVisitReadsOneLevelPerCall(t *testing.T) {
+	cs := newCountStore(block.NewServer(disk.MustNew(disk.Geometry{Blocks: 4096, BlockSize: 1024})))
+	s := NewStore(cs, testAcct)
+	wide := buildWide(t, s) // depth 3
+	narrow := buildFile(t, s)
+	_, vc, _ := caps(t)
+	v2, err := CreateVersion(s, wide.Root, vc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range []page.Path{{0, 0, 0}, {1, 2, 1}, {2, 1}} {
+		if err := v2.WritePage(p, []byte("new")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	budget := func(what string, want int, run func() error) {
+		t.Helper()
+		cs.reads = 0
+		if err := run(); err != nil {
+			t.Fatal(err)
+		}
+		if cs.reads > want {
+			t.Fatalf("%s: %d read calls, want <= %d", what, cs.reads, want)
+		}
+	}
+	pages := 0
+	budget("visit over 3 roots of depth <= 3", 4, func() error {
+		return s.Visit([]block.Num{wide.Root, narrow.Root, v2.Root}, func(*Node) (Follow, error) {
+			pages++
+			return All, nil
+		})
+	})
+	if want := 1 + 3 + 9 + 18 + 6 + 1 + 3 + 9 + 18; pages != want {
+		t.Fatalf("visited %d pages, want %d", pages, want)
+	}
+	budget("Blocks of a depth-3 tree", 4, func() error { _, err := v2.Blocks(); return err })
+	budget("PrivateBlocks of a depth-3 tree", 4, func() error { _, err := v2.PrivateBlocks(); return err })
+	budget("WalkArchive of a depth-3 tree", 4, func() error {
+		_, err := wide.WalkArchive(func(page.Path, *page.Page) (block.Num, error) { return 1, nil })
+		return err
+	})
+}
+
+// failStore fails reads of the blocks in bad; with anon it fails them
+// without naming the block.
+type failStore struct {
+	*countStore
+	block.Scalar
+	bad  map[block.Num]bool
+	anon bool
+}
+
+func (f *failStore) ReadMulti(a block.Account, ns []block.Num) ([][]byte, error) {
+	for i, n := range ns {
+		if f.bad[n] {
+			f.reads++
+			if f.anon {
+				return nil, errors.New("store down")
+			}
+			return nil, &block.MultiError{Op: "read", Index: i, N: len(ns), Err: block.ErrNotAllocated}
+		}
+	}
+	return f.countStore.ReadMulti(a, ns)
+}
+
+// TestVisitIsolatesUnreadablePage: a page that cannot be read reaches
+// the callback with its error and hides none of its level; its level is
+// read again without it. A failure that names no block fails the level.
+func TestVisitIsolatesUnreadablePage(t *testing.T) {
+	cs := newCountStore(block.NewServer(disk.MustNew(disk.Geometry{Blocks: 4096, BlockSize: 1024})))
+	fs := &failStore{countStore: cs}
+	fs.Scalar = block.Scalar{Multi: fs}
+	tr := buildFile(t, NewStore(cs, testAcct))
+	root, _ := tr.VersionPage()
+	fs.bad = map[block.Num]bool{root.Refs[1].Block: true}
+	s := NewStore(fs, testAcct)
+	visit := func() (ok, failed []string) {
+		cs.reads = 0
+		err := s.Visit([]block.Num{tr.Root}, func(n *Node) (Follow, error) {
+			if n.Err != nil {
+				failed = append(failed, n.Path().String())
+				return All, nil // no page: nothing to follow
+			}
+			ok = append(ok, n.Path().String())
+			return All, nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ok, failed
+	}
+	ok, failed := visit()
+	if fmt.Sprint(ok) != "[/ /0 /2]" || fmt.Sprint(failed) != "[/1]" || cs.reads != 3 {
+		t.Fatalf("visited %v, failed %v in %d reads; want [/ /0 /2], [/1] in 3", ok, failed, cs.reads)
+	}
+	fs.anon = true
+	ok, failed = visit()
+	if fmt.Sprint(ok) != "[/]" || fmt.Sprint(failed) != "[/0 /1 /2]" {
+		t.Fatalf("visited %v, failed %v; want [/] and the whole level failed", ok, failed)
+	}
+}
+
+// TestVisitStops: ErrStop ends the walk without an error, and any other
+// callback error ends it with that error.
+func TestVisitStops(t *testing.T) {
+	s := newStore(t)
+	tr := buildFile(t, s)
+	seen := 0
+	err := s.Visit([]block.Num{tr.Root}, func(n *Node) (Follow, error) {
+		seen++
+		if n.Path().Equal(page.Path{1}) {
+			return nil, ErrStop
+		}
+		return All, nil
+	})
+	if err != nil || seen != 3 {
+		t.Fatalf("stopped visit: err %v after %d pages, want nil after 3", err, seen)
+	}
+	boom := errors.New("boom")
+	if err := s.Visit([]block.Num{tr.Root}, func(*Node) (Follow, error) { return All, boom }); !errors.Is(err, boom) {
+		t.Fatalf("visit err = %v, want boom", err)
+	}
 }
