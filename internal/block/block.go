@@ -55,7 +55,8 @@ package block
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"maps"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -171,40 +172,23 @@ type PairStore interface {
 	ClearLocks()
 }
 
-// numShards is the lock-stripe count. Block state is sharded by number
-// so multi-block operations and concurrent single operations on
-// different blocks never serialise on one mutex; 64 stripes keeps the
-// per-stripe footprint trivial while making collisions rare even at
-// high fan-in. Must be a power of two.
-const numShards = 64
-
-// shard holds the allocation and lock state for the block numbers that
-// hash to it.
-type shard struct {
-	mu     sync.Mutex
-	owner  map[Num]Account
-	locked map[Num]bool
-}
-
 // Server is a single block server backed by one simulated disk. Block
-// state (owner, lock bit) is striped across numShards independently
-// locked shards; allocation scans serialise only on allocMu, never on
-// readers or writers of existing blocks.
+// state (owner, lock bit) lives in two maps under one mutex, which is
+// held for map state only — never across a disk read or write.
 type Server struct {
 	d *disk.Disk
 
 	// Scalar derives Alloc/Free/Read/Write from the vectored operations.
 	Scalar
 
-	shards [numShards]shard
-
 	// epoch backs EpochStore for the process lifetime (the RAM server
 	// has no persistence to tie it to).
 	epoch atomic.Uint64
 
-	// allocMu serialises allocation scans and the hint; the scan still
-	// takes each probed shard's lock to claim the number.
-	allocMu sync.Mutex
+	// mu guards owner, locked and nextHint.
+	mu     sync.Mutex
+	owner  map[Num]Account
+	locked map[Num]bool
 	// nextHint speeds allocation scans; correctness does not depend on it.
 	nextHint Num
 
@@ -280,19 +264,10 @@ type counters struct {
 	lockConflicts                                atomic.Uint64
 }
 
-// shardOf returns the shard owning block n.
-func (s *Server) shardOf(n Num) *shard {
-	return &s.shards[n&(numShards-1)]
-}
-
 // NewServer creates a block server on d. Block 0 is reserved as NilNum.
 func NewServer(d *disk.Disk) *Server {
-	s := &Server{d: d, nextHint: 1}
+	s := &Server{d: d, owner: make(map[Num]Account), locked: make(map[Num]bool), nextHint: 1}
 	s.Scalar = Scalar{Multi: s}
-	for i := range s.shards {
-		s.shards[i].owner = make(map[Num]Account)
-		s.shards[i].locked = make(map[Num]bool)
-	}
 	return s
 }
 
@@ -304,14 +279,9 @@ func (s *Server) Capacity() int { return s.d.Geometry().Blocks - 1 }
 
 // InUse returns the number of currently allocated blocks.
 func (s *Server) InUse() int {
-	total := 0
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.Lock()
-		total += len(sh.owner)
-		sh.mu.Unlock()
-	}
-	return total
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return len(s.owner)
 }
 
 // Stats returns a snapshot of the operation counters.
@@ -348,8 +318,7 @@ func (s *Server) SetEpoch(e uint64) error {
 // failure-mode benchmarks.
 func (s *Server) Disk() *disk.Disk { return s.d }
 
-// allocNum reserves the next free block number, claiming it in its
-// shard. Caller holds s.allocMu.
+// allocNum reserves the next free block number. Caller holds s.mu.
 func (s *Server) allocNum(account Account) (Num, error) {
 	total := Num(s.d.Geometry().Blocks)
 	if total > MaxNum {
@@ -360,14 +329,8 @@ func (s *Server) allocNum(account Account) (Num, error) {
 		if n == NilNum {
 			continue
 		}
-		sh := s.shardOf(n)
-		sh.mu.Lock()
-		_, used := sh.owner[n]
-		if !used {
-			sh.owner[n] = account
-		}
-		sh.mu.Unlock()
-		if !used {
+		if _, used := s.owner[n]; !used {
+			s.owner[n] = account
 			s.nextHint = n + 1
 			return n, nil
 		}
@@ -375,9 +338,9 @@ func (s *Server) allocNum(account Account) (Num, error) {
 	return NilNum, ErrNoSpace
 }
 
-// checkOwner verifies account owns n in sh. Caller holds sh.mu.
-func (sh *shard) checkOwner(account Account, n Num) error {
-	own, ok := sh.owner[n]
+// checkOwner verifies account owns n. Caller holds s.mu.
+func (s *Server) checkOwner(account Account, n Num) error {
+	own, ok := s.owner[n]
 	if !ok {
 		return fmt.Errorf("block %d: %w", n, ErrNotAllocated)
 	}
@@ -387,30 +350,30 @@ func (sh *shard) checkOwner(account Account, n Num) error {
 	return nil
 }
 
-// unclaim releases a number reserved by allocNum whose data write
-// failed.
-func (s *Server) unclaim(n Num) {
-	sh := s.shardOf(n)
-	sh.mu.Lock()
-	delete(sh.owner, n)
-	sh.mu.Unlock()
+// owns is checkOwner under the mutex.
+func (s *Server) owns(account Account, n Num) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.checkOwner(account, n)
 }
 
 // Claim allocates a *specific* block number for account, failing if it is
 // already taken. The stable-storage companion protocol uses Claim to
 // mirror its partner's allocation choice; a failed Claim is exactly the
-// paper's §4 "allocate collision".
+// paper's §4 "allocate collision". The server has no native ClaimMulti:
+// a claim here costs no I/O, so block.ClaimMulti's per-number loop is
+// as cheap, and a type that embeds *Server to count or fault its Claim
+// and WriteMulti keeps seeing the mirror leg through those methods.
 func (s *Server) Claim(account Account, n Num) error {
 	if n == NilNum || int(n) >= s.d.Geometry().Blocks {
 		return fmt.Errorf("block %d: %w", n, disk.ErrBadBlock)
 	}
-	sh := s.shardOf(n)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if _, used := sh.owner[n]; used {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if _, used := s.owner[n]; used {
 		return fmt.Errorf("block %d: already allocated", n)
 	}
-	sh.owner[n] = account
+	s.owner[n] = account
 	s.stats.allocs.Add(1)
 	return nil
 }
@@ -427,33 +390,31 @@ func diskErr(err error) error {
 // Lock implements Store. A failed Lock is the §5.2 signal that another
 // server is inside the commit critical section for this version page.
 func (s *Server) Lock(account Account, n Num) error {
-	sh := s.shardOf(n)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if err := sh.checkOwner(account, n); err != nil {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if err := s.checkOwner(account, n); err != nil {
 		return err
 	}
-	if sh.locked[n] {
+	if s.locked[n] {
 		s.stats.lockConflicts.Add(1)
 		return fmt.Errorf("block %d: %w", n, ErrLocked)
 	}
-	sh.locked[n] = true
+	s.locked[n] = true
 	s.stats.locks.Add(1)
 	return nil
 }
 
 // Unlock implements Store.
 func (s *Server) Unlock(account Account, n Num) error {
-	sh := s.shardOf(n)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if err := sh.checkOwner(account, n); err != nil {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if err := s.checkOwner(account, n); err != nil {
 		return err
 	}
-	if !sh.locked[n] {
+	if !s.locked[n] {
 		return fmt.Errorf("block %d: %w", n, ErrNotLocked)
 	}
-	delete(sh.locked, n)
+	delete(s.locked, n)
 	s.stats.unlocks.Add(1)
 	return nil
 }
@@ -461,29 +422,23 @@ func (s *Server) Unlock(account Account, n Num) error {
 // Recover implements Store: the §4 recovery scan.
 func (s *Server) Recover(account Account) ([]Num, error) {
 	var out []Num
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.Lock()
-		for n, a := range sh.owner {
-			if a == account {
-				out = append(out, n)
-			}
+	s.mu.Lock()
+	for n, a := range s.owner {
+		if a == account {
+			out = append(out, n)
 		}
-		sh.mu.Unlock()
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	s.mu.Unlock()
+	slices.Sort(out)
 	return out, nil
 }
 
 // ClearLocks drops every lock bit; used when a file server restarts after
 // a crash (lock bits are volatile commit-section state, not file state).
 func (s *Server) ClearLocks() {
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.Lock()
-		sh.locked = make(map[Num]bool)
-		sh.mu.Unlock()
-	}
+	s.mu.Lock()
+	s.locked = make(map[Num]bool)
+	s.mu.Unlock()
 }
 
 var _ Store = (*Server)(nil)
@@ -495,11 +450,7 @@ var _ EpochStore = (*Server)(nil)
 func (s *Server) ReadMulti(account Account, ns []Num) ([][]byte, error) {
 	out := make([][]byte, len(ns))
 	for i, n := range ns {
-		sh := s.shardOf(n)
-		sh.mu.Lock()
-		err := sh.checkOwner(account, n)
-		sh.mu.Unlock()
-		if err != nil {
+		if err := s.owns(account, n); err != nil {
 			return nil, multiErr("read", i, len(ns), err)
 		}
 		data, err := s.d.Read(int(n))
@@ -520,10 +471,7 @@ func (s *Server) WriteMulti(account Account, ns []Num, data [][]byte) error {
 	}
 	var first error
 	for i, n := range ns {
-		sh := s.shardOf(n)
-		sh.mu.Lock()
-		err := sh.checkOwner(account, n)
-		sh.mu.Unlock()
+		err := s.owns(account, n)
 		if err == nil {
 			s.stats.writes.Add(1)
 			err = s.d.Write(int(n), data[i])
@@ -536,29 +484,31 @@ func (s *Server) WriteMulti(account Account, ns []Num, data [][]byte) error {
 }
 
 // AllocMulti implements MultiStore (all-or-nothing: a failure frees the
-// blocks allocated so far).
+// blocks allocated so far). One trip through the allocator for all
+// numbers, then the data writes outside the lock.
 func (s *Server) AllocMulti(account Account, data [][]byte) ([]Num, error) {
-	// One trip through the allocator for all numbers, then the data
-	// writes outside any lock.
 	out := make([]Num, 0, len(data))
-	s.allocMu.Lock()
+	unclaim := func() {
+		s.mu.Lock()
+		for _, n := range out {
+			delete(s.owner, n)
+		}
+		s.mu.Unlock()
+	}
+	s.mu.Lock()
 	for range data {
 		n, err := s.allocNum(account)
 		if err != nil {
-			s.allocMu.Unlock()
-			for _, got := range out {
-				s.unclaim(got)
-			}
+			s.mu.Unlock()
+			unclaim()
 			return nil, multiErr("alloc", len(out), len(data), err)
 		}
 		out = append(out, n)
 	}
-	s.allocMu.Unlock()
+	s.mu.Unlock()
 	for i, n := range out {
 		if err := s.d.Write(int(n), data[i]); err != nil {
-			for _, got := range out {
-				s.unclaim(got)
-			}
+			unclaim()
 			return nil, multiErr("alloc", i, len(data), fmt.Errorf("block %d: %w", n, err))
 		}
 	}
@@ -570,20 +520,19 @@ func (s *Server) AllocMulti(account Account, data [][]byte) ([]Num, error) {
 // returned).
 func (s *Server) FreeMulti(account Account, ns []Num) error {
 	var first error
+	s.mu.Lock()
 	for i, n := range ns {
-		sh := s.shardOf(n)
-		sh.mu.Lock()
-		err := sh.checkOwner(account, n)
+		err := s.checkOwner(account, n)
 		if err == nil {
-			delete(sh.owner, n)
-			delete(sh.locked, n)
+			delete(s.owner, n)
+			delete(s.locked, n)
 			s.stats.frees.Add(1)
 		}
-		sh.mu.Unlock()
 		if err != nil && first == nil {
 			first = multiErr("free", i, len(ns), err)
 		}
 	}
+	s.mu.Unlock()
 	return first
 }
 
@@ -591,33 +540,20 @@ func (s *Server) FreeMulti(account Account, ns []Num) error {
 // server does after a crash from its companion's notes plus client
 // redundancy data. Existing state is replaced.
 func (s *Server) Restore(owner map[Num]Account) {
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.Lock()
-		sh.owner = make(map[Num]Account)
-		sh.locked = make(map[Num]bool)
-		sh.mu.Unlock()
+	s.mu.Lock()
+	s.owner = maps.Clone(owner)
+	if s.owner == nil {
+		s.owner = make(map[Num]Account)
 	}
-	for n, a := range owner {
-		sh := s.shardOf(n)
-		sh.mu.Lock()
-		sh.owner[n] = a
-		sh.mu.Unlock()
-	}
+	s.locked = make(map[Num]bool)
+	s.mu.Unlock()
 }
 
 // Owners returns a copy of the allocation table, for companion recovery.
 func (s *Server) Owners() map[Num]Account {
-	out := make(map[Num]Account)
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.Lock()
-		for n, a := range sh.owner {
-			out[n] = a
-		}
-		sh.mu.Unlock()
-	}
-	return out
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return maps.Clone(s.owner)
 }
 
 // WithLock runs fn while holding the lock on block n, implementing the

@@ -56,6 +56,23 @@ type MultiStore interface {
 // ErrMultiShape reports mismatched argument slices.
 var errMultiShape = fmt.Errorf("block: multi op with mismatched slice lengths")
 
+// ClaimMultiStore is the optional native form of a §4 companion's
+// mirror leg: claim the partner's chosen block numbers and store their
+// payloads in one operation, so a durable backend commits the whole
+// vector as one group (one fsync per log lane) instead of one claim
+// record per number. It sits beside Claimer rather than in PairStore,
+// so a PairStore that only claims one number at a time still qualifies;
+// callers go through the ClaimMulti adapter, which falls back for it.
+type ClaimMultiStore interface {
+	// ClaimMulti allocates the listed numbers for account and writes
+	// data[i] into ns[i], all or nothing: a number that is taken or out
+	// of range refuses the whole call — nothing stays claimed — and is
+	// reported as a MultiError at its index. A nil data claims without
+	// writing; the blocks read as zeroes or as the backend's stale
+	// content until written.
+	ClaimMulti(account Account, ns []Num, data [][]byte) error
+}
+
 // MultiError reports the first failure of a multi-block operation: the
 // position in the caller's argument order that failed, and why. Every
 // native MultiStore implementation and the loop adapters return their
@@ -65,7 +82,8 @@ var errMultiShape = fmt.Errorf("block: multi op with mismatched slice lengths")
 // space — can attribute a failure to a block without parsing error
 // text. errors.Is still reaches the sentinel underneath via Unwrap.
 type MultiError struct {
-	// Op names the operation: "read", "write", "alloc" or "free".
+	// Op names the operation: "read", "write", "alloc", "claim" or
+	// "free".
 	Op string
 	// Index is the failing position in the caller's argument slices.
 	Index int
@@ -234,4 +252,47 @@ func FreeMulti(st Store, account Account, ns []Num) error {
 		}
 	}
 	return first
+}
+
+// errNoClaim reports a store that cannot claim a caller-chosen number.
+var errNoClaim = errors.New("block: store does not support claim")
+
+// ClaimMulti claims ns for account on st and writes their payloads per
+// the ClaimMultiStore contract (all-or-nothing). A store without the
+// native call but with Claimer gets one Claim per number, then one
+// WriteMulti: a refused number rolls back the claims made before it
+// and is reported at its index, and a failed write releases them all.
+func ClaimMulti(st Store, account Account, ns []Num, data [][]byte) error {
+	if data != nil && len(data) != len(ns) {
+		return errMultiShape
+	}
+	if len(ns) == 0 {
+		return nil
+	}
+	if cs, ok := st.(ClaimMultiStore); ok {
+		return cs.ClaimMulti(account, ns, data)
+	}
+	cl, ok := st.(Claimer)
+	if !ok {
+		return multiErr("claim", 0, len(ns), errNoClaim)
+	}
+	return claimEach(st, cl, account, ns, data)
+}
+
+// claimEach is ClaimMulti for a store that claims one number at a time.
+func claimEach(st Store, cl Claimer, account Account, ns []Num, data [][]byte) error {
+	for i, n := range ns {
+		if err := cl.Claim(account, n); err != nil {
+			_ = FreeMulti(st, account, ns[:i]) // best-effort rollback
+			return multiErr("claim", i, len(ns), err)
+		}
+	}
+	if data == nil {
+		return nil
+	}
+	if err := WriteMulti(st, account, ns, data); err != nil {
+		_ = FreeMulti(st, account, ns) // best-effort rollback
+		return multiErr("claim", MultiIndex(err, 0), len(ns), scalarErr(err))
+	}
+	return nil
 }

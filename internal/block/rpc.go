@@ -52,6 +52,12 @@ const (
 	// halves too.
 	cmdEpoch
 	cmdSetEpoch
+	// cmdClaimMulti is a companion's whole mirror leg in one command:
+	// claim the partner's numbers and store their payloads, all or
+	// nothing (ClaimMultiStore). A server that predates it answers
+	// StatusBadCommand and the proxy falls back to cmdClaim per number
+	// plus cmdWriteMulti.
+	cmdClaimMulti
 )
 
 // Status codes specific to the block service.
@@ -68,7 +74,8 @@ const (
 
 // Claimer is the optional companion-pair operation: backends that can
 // allocate a caller-chosen block number (block.Server, segstore.Store)
-// expose it; Serve answers cmdClaim only for stores that have it.
+// expose it; Serve answers cmdClaim and cmdClaimMulti only for stores
+// that have it.
 type Claimer interface {
 	Claim(account Account, n Num) error
 }
@@ -112,6 +119,8 @@ func CmdName(cmd uint32) string {
 		return "epoch"
 	case cmdSetEpoch:
 		return "setEpoch"
+	case cmdClaimMulti:
+		return "claimMulti"
 	default:
 		return ""
 	}
@@ -195,6 +204,18 @@ func serveFunc(orig Store) func(Store, *rpc.Message) *rpc.Message {
 			}
 			if err := cl.Claim(acct, n); err != nil {
 				return blockErr(req, err)
+			}
+			return req.Reply(rpc.StatusOK)
+		case cmdClaimMulti:
+			if _, ok := orig.(Claimer); !ok {
+				return req.Errorf(rpc.StatusBadCommand, "block: store does not support claim")
+			}
+			ns, datas, err := decodeNumPayloads(req.Data, int(req.Args[1]))
+			if err != nil {
+				return req.Errorf(rpc.StatusBadArgument, "block: %v", err)
+			}
+			if err := ClaimMulti(orig, acct, ns, datas); err != nil {
+				return multiBlockErr(req, err)
 			}
 			return req.Reply(rpc.StatusOK)
 		case cmdRecover:
@@ -601,6 +622,7 @@ func decodeStats(data []byte) (Stats, error) {
 //	cmdAllocMulti req:  count × (dlen(4) || payload)
 //	              rep:  count × num(4)
 //	cmdFreeMulti  req:  count × num(4)
+//	cmdClaimMulti req:  count × (num(4) || dlen(4) || payload)
 //
 // The client packs greedily up to rpc.MaxData per frame and issues as
 // many frames as the batch needs; a payload too large to share a frame
@@ -823,6 +845,50 @@ func (r *remoteStore) AllocMulti(acct Account, data [][]byte) ([]Num, error) {
 	return out, nil
 }
 
+// ClaimMulti implements ClaimMultiStore over the wire, packed like
+// WriteMulti and all-or-nothing across frames like AllocMulti: a
+// refused frame (already rolled back server-side) frees the frames that
+// claimed. A nil data travels as empty payloads. A server that does not
+// know cmdClaimMulti answers the first frame with StatusBadCommand, and
+// the call falls back to one cmdClaim per number plus one WriteMulti.
+func (r *remoteStore) ClaimMulti(acct Account, ns []Num, data [][]byte) error {
+	if data != nil && len(data) != len(ns) {
+		return errMultiShape
+	}
+	payloads := data
+	if payloads == nil {
+		payloads = make([][]byte, len(ns))
+	}
+	for i := 0; i < len(ns); {
+		end, size := chunkEnd(payloads, i, 8)
+		var err error
+		if end == i {
+			err = multiErr("claim", i, len(ns), rpc.ErrTooLarge)
+		} else {
+			buf := make([]byte, 0, size)
+			for j := i; j < end; j++ {
+				buf = appendPayload(appendNums(buf, ns[j:j+1]), payloads[j])
+			}
+			req := &rpc.Message{Command: cmdClaimMulti, Data: buf}
+			req.Args[0] = uint64(acct)
+			req.Args[1] = uint64(end - i)
+			_, err = r.multiCall("claim", req, i, end-i, len(ns))
+		}
+		if err != nil {
+			var se *rpc.StatusError
+			if i == 0 && errors.As(err, &se) && se.Status == rpc.StatusBadCommand {
+				return claimEach(r, r, acct, ns, data)
+			}
+			if i > 0 {
+				_ = r.FreeMulti(acct, ns[:i]) // best-effort rollback
+			}
+			return err
+		}
+		i = end
+	}
+	return nil
+}
+
 // FreeMulti implements MultiStore over the wire.
 func (r *remoteStore) FreeMulti(acct Account, ns []Num) error {
 	perChunk := rpc.MaxData / 4
@@ -846,6 +912,7 @@ func (r *remoteStore) FreeMulti(acct Account, ns []Num) error {
 var _ Store = (*remoteStore)(nil)
 var _ MultiStore = (*remoteStore)(nil)
 var _ PairStore = (*remoteStore)(nil)
+var _ ClaimMultiStore = (*remoteStore)(nil)
 var _ UsageReporter = (*remoteStore)(nil)
 var _ StatsReporter = (*remoteStore)(nil)
 var _ EpochStore = (*remoteStore)(nil)

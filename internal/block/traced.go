@@ -119,6 +119,28 @@ func (t *traced) AllocMulti(account Account, data [][]byte) ([]Num, error) {
 	return ns, err
 }
 
+// Claim forwards the scalar companion claim, unspanned, so a bound view
+// still serves a composition that claims number by number: a sharded
+// facade's view, whose backends are these wrappers, under a mirror
+// half's claim leg.
+func (t *traced) Claim(account Account, n Num) error {
+	cl, ok := t.inner.(Claimer)
+	if !ok {
+		return errNoClaim
+	}
+	return cl.Claim(account, n)
+}
+
+// ClaimMulti forwards the companion mirror leg, so a sampled request
+// still reaches the native call below (one durable group) instead of
+// the per-number adapter.
+func (t *traced) ClaimMulti(account Account, ns []Num, data [][]byte) error {
+	sp, st := t.span("claimMulti")
+	err := ClaimMulti(st, account, ns, data)
+	sp.End(err)
+	return err
+}
+
 func (t *traced) FreeMulti(account Account, ns []Num) error {
 	sp, st := t.span("freeMulti")
 	err := FreeMulti(st, account, ns)
@@ -128,3 +150,5 @@ func (t *traced) FreeMulti(account Account, ns []Num) error {
 
 var _ Store = (*traced)(nil)
 var _ MultiStore = (*traced)(nil)
+var _ Claimer = (*traced)(nil)
+var _ ClaimMultiStore = (*traced)(nil)

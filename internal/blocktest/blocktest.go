@@ -653,3 +653,135 @@ func TraceBound(t *testing.T, st block.Store) block.MultiStore {
 	}
 	return bound
 }
+
+// ClaimOpts adapts ClaimSuite to one backend.
+type ClaimOpts struct {
+	// Capacity is the store's highest block number (numbers run
+	// 1..Capacity); the suite claims free numbers from the top down.
+	Capacity int
+	// Big is the length of a vector of full-block payloads claimed in
+	// one call (0 skips the step). Over the wire, pick it so the vector
+	// overflows one rpc.MaxData frame.
+	Big int
+	// Syncs, when set, reads the fsync counter that the Big claim may
+	// move by at most MaxSyncs: proof that the call reached the native
+	// one-group path rather than one durable claim per number.
+	Syncs    func() uint64
+	MaxSyncs uint64
+}
+
+// ClaimSuite checks the block.ClaimMulti contract on st: claimed blocks
+// read back their payloads and belong to the claimer; a vector with a
+// number that is taken, out of range or listed twice is refused whole —
+// nothing stays claimed, a taken block keeps its owner and data — and
+// the refusal is reported at that number's index.
+func ClaimSuite(t *testing.T, name string, st block.Store, o ClaimOpts) {
+	t.Helper()
+	held, err := st.Alloc(2, []byte("held"))
+	if err != nil {
+		t.Fatalf("%s: alloc: %v", name, err)
+	}
+	used := map[block.Num]bool{}
+	for _, acct := range []block.Account{1, 2} {
+		ns, err := st.Recover(acct)
+		if err != nil {
+			t.Fatalf("%s: recover: %v", name, err)
+		}
+		for _, n := range ns {
+			used[n] = true
+		}
+	}
+	var free []block.Num
+	for n := block.Num(o.Capacity); n > block.NilNum && len(free) < 3+o.Big; n-- {
+		if !used[n] {
+			free = append(free, n)
+		}
+	}
+	if len(free) < 3+o.Big {
+		t.Fatalf("%s: %d free numbers, the suite needs %d", name, len(free), 3+o.Big)
+	}
+	some := free[:3]
+	data := [][]byte{[]byte("claim-0"), []byte("claim-1"), []byte("claim-2")}
+	unclaimed := func(what string, ns ...block.Num) {
+		t.Helper()
+		for _, n := range ns {
+			if _, err := st.Read(1, n); !errors.Is(err, block.ErrNotAllocated) {
+				t.Fatalf("%s: %s: block %d is claimed after the refusal (read err %v)", name, what, n, err)
+			}
+		}
+	}
+	for _, c := range []struct {
+		what string
+		ns   []block.Num
+	}{
+		{"taken number", []block.Num{some[0], held, some[1]}},
+		{"out-of-range number", []block.Num{some[0], block.Num(o.Capacity + 1), some[1]}},
+		{"number listed twice", []block.Num{some[0], some[0], some[1]}},
+	} {
+		err := block.ClaimMulti(st, 1, c.ns, data)
+		if err == nil {
+			t.Fatalf("%s: claim of a vector with a %s succeeded", name, c.what)
+		}
+		if at := block.MultiIndex(err, -1); at != 1 {
+			t.Fatalf("%s: %s: refusal at index %d, want 1 (%v)", name, c.what, at, err)
+		}
+		unclaimed(c.what, some[0], some[1])
+	}
+	if got, err := st.Read(2, held); err != nil || !bytes.HasPrefix(got, []byte("held")) {
+		t.Fatalf("%s: the taken block after the refusals: %q, %v", name, got, err)
+	}
+
+	if err := block.ClaimMulti(st, 1, some, data); err != nil {
+		t.Fatalf("%s: claim: %v", name, err)
+	}
+	got, err := block.ReadMulti(st, 1, some)
+	if err != nil {
+		t.Fatalf("%s: read claimed: %v", name, err)
+	}
+	for i := range some {
+		if !bytes.HasPrefix(got[i], data[i]) {
+			t.Fatalf("%s: claimed block %d reads %q, want %q", name, some[i], got[i], data[i])
+		}
+	}
+	if _, err := st.Read(2, some[0]); !errors.Is(err, block.ErrNotOwner) {
+		t.Fatalf("%s: claimed block read by another account: err %v, want ErrNotOwner", name, err)
+	}
+
+	if o.Big > 0 {
+		big := free[3 : 3+o.Big]
+		payloads := make([][]byte, len(big))
+		for i := range payloads {
+			payloads[i] = bytes.Repeat([]byte{byte(i + 1)}, st.BlockSize())
+		}
+		var before uint64
+		if o.Syncs != nil {
+			before = o.Syncs()
+		}
+		if err := block.ClaimMulti(st, 1, big, payloads); err != nil {
+			t.Fatalf("%s: claim of %d full blocks: %v", name, len(big), err)
+		}
+		if o.Syncs != nil {
+			if moved := o.Syncs() - before; moved > o.MaxSyncs {
+				t.Fatalf("%s: claim of %d blocks made %d fsyncs, want <= %d", name, len(big), moved, o.MaxSyncs)
+			}
+		}
+		got, err := block.ReadMulti(st, 1, big)
+		if err != nil {
+			t.Fatalf("%s: read %d claimed blocks: %v", name, len(big), err)
+		}
+		for i := range big {
+			if !bytes.Equal(got[i], payloads[i]) {
+				t.Fatalf("%s: claimed block %d of %d does not read back its payload", name, i, len(big))
+			}
+		}
+		if err := block.FreeMulti(st, 1, big); err != nil {
+			t.Fatalf("%s: free: %v", name, err)
+		}
+	}
+	if err := block.FreeMulti(st, 1, some); err != nil {
+		t.Fatalf("%s: free: %v", name, err)
+	}
+	if err := st.Free(2, held); err != nil {
+		t.Fatalf("%s: free: %v", name, err)
+	}
+}

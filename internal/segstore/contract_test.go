@@ -147,6 +147,31 @@ func TestContractScalars(t *testing.T) {
 	})
 }
 
+// TestContractClaimMulti runs the claim suite at every lane count, on
+// the store and on its trace-bound view. A 65-block claim must cost at
+// most one fsync per lane either way: the bound view forwards ClaimMulti
+// to the native one-group path instead of claiming number by number.
+func TestContractClaimMulti(t *testing.T) {
+	forEachShardCount(t, func(t *testing.T, shards int) {
+		for _, bound := range []bool{false, true} {
+			seg, err := Open(t.TempDir(), Options{BlockSize: 256, Capacity: 128, SegmentRecords: 1024, LogShards: shards})
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { seg.Close() })
+			var st block.Store = seg
+			if bound {
+				st = blocktest.TraceBound(t, seg)
+			}
+			blocktest.ClaimSuite(t, fmt.Sprintf("seg/bound=%v", bound), st, blocktest.ClaimOpts{
+				Capacity: 128, Big: 65,
+				Syncs:    func() uint64 { return seg.Stats().Syncs },
+				MaxSyncs: uint64(seg.Lanes()),
+			})
+		}
+	})
+}
+
 // FuzzContract feeds random operation scripts to both backends, at
 // every contract lane count. The seed corpus runs under plain
 // `go test`; `go test -fuzz=FuzzContract` explores further.

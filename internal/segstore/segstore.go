@@ -891,29 +891,32 @@ func (s *Store) BindTrace(tc trace.Context) block.Store {
 func (s *Store) BlockSize() int { return s.opt.BlockSize }
 
 // Claim allocates a specific block number, failing if it is taken — the
-// same companion-pair operation block.Server has. Durable: a claim
-// appends an empty data record.
+// same companion-pair operation block.Server has: ClaimMulti of one
+// block with no data. Durable: a claim appends an empty data record.
 func (s *Store) Claim(account block.Account, n block.Num) error {
-	if n == block.NilNum || int(n) > s.opt.Capacity {
-		return fmt.Errorf("segstore: block %d out of range 1..%d", n, s.opt.Capacity)
+	err := s.ClaimMulti(account, []block.Num{n}, nil)
+	if me, ok := err.(*block.MultiError); ok {
+		return me.Err
 	}
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return ErrClosed
+	return err
+}
+
+// ClaimMulti implements block.ClaimMultiStore: a companion half's whole
+// mirror leg. Every number is reserved under one lock acquisition — one
+// that is taken or out of range refuses them all — and the payloads go
+// to the lanes as one alloc-flagged request group per lane, so the leg
+// costs at most one fsync per lane however many blocks it carries.
+func (s *Store) ClaimMulti(account block.Account, ns []block.Num, data [][]byte) error {
+	if data != nil && len(data) != len(ns) {
+		return fmt.Errorf("segstore: multi claim with %d blocks, %d payloads", len(ns), len(data))
 	}
-	if err := s.idx.reserve(account, n); err != nil {
-		s.mu.Unlock()
-		return err
-	}
-	s.mu.Unlock()
-	r := getReq()
-	r.kind, r.num, r.account = recData, n, account
-	_, err := s.submitMany([]*writeReq{r})
-	putReq(r)
-	if err != nil {
-		s.dropReservation(n)
-	}
+	_, err := s.reserveAndAppend("claim", account, len(ns), data, func(i int) (block.Num, error) {
+		n := ns[i]
+		if n == block.NilNum || int(n) > s.opt.Capacity {
+			return n, fmt.Errorf("segstore: block %d out of range 1..%d", n, s.opt.Capacity)
+		}
+		return n, s.idx.reserve(account, n)
+	})
 	return err
 }
 
@@ -987,6 +990,7 @@ func (s *Store) Recover(account block.Account) ([]block.Num, error) {
 
 var _ block.Store = (*Store)(nil)
 var _ block.MultiStore = (*Store)(nil)
+var _ block.ClaimMultiStore = (*Store)(nil)
 var _ block.EpochStore = (*Store)(nil)
 
 // --- block.MultiStore ---
@@ -1054,10 +1058,22 @@ func (s *Store) WriteMulti(account block.Account, ns []block.Num, data [][]byte)
 
 // AllocMulti implements block.MultiStore: all-or-nothing — on any
 // failure the blocks that were allocated are freed again before the
-// error returns. All the numbers are reserved under one lock
-// acquisition, then routed to their lanes.
+// error returns. The store chooses the numbers; the rest is ClaimMulti's
+// body.
 func (s *Store) AllocMulti(account block.Account, data [][]byte) ([]block.Num, error) {
-	reqs := make([]*writeReq, len(data))
+	return s.reserveAndAppend("alloc", account, len(data), data, func(int) (block.Num, error) {
+		return s.idx.allocNum(account, s.opt.Capacity)
+	})
+}
+
+// reserveAndAppend is the one body of AllocMulti and ClaimMulti. Under
+// one s.mu acquisition it takes count numbers from pick (called with
+// the lock held; a failure drops the reservations made so far and is
+// reported at its index), then appends the payloads (nil: empty
+// records) as alloc-flagged requests, one group per lane. A pipeline
+// failure frees whatever did land, so nothing stays allocated.
+func (s *Store) reserveAndAppend(op string, account block.Account, count int, data [][]byte, pick func(i int) (block.Num, error)) ([]block.Num, error) {
+	reqs := make([]*writeReq, count)
 	s.mu.Lock()
 	err := s.failed
 	if s.closed {
@@ -1065,20 +1081,23 @@ func (s *Store) AllocMulti(account block.Account, data [][]byte) ([]block.Num, e
 	}
 	if err != nil {
 		s.mu.Unlock()
-		return nil, &block.MultiError{Op: "alloc", Index: 0, N: len(data), Err: err}
+		return nil, &block.MultiError{Op: op, Index: 0, N: count, Err: err}
 	}
-	for i := range data {
-		n, err := s.idx.allocNum(account, s.opt.Capacity)
+	for i := range reqs {
+		n, err := pick(i)
 		if err != nil {
 			for _, r := range reqs[:i] {
 				s.idx.drop(r.num)
 				putReq(r)
 			}
 			s.mu.Unlock()
-			return nil, &block.MultiError{Op: "alloc", Index: i, N: len(data), Err: err}
+			return nil, &block.MultiError{Op: op, Index: i, N: count, Err: err}
 		}
 		r := getReq()
-		r.kind, r.alloc, r.num, r.account, r.data = recData, true, n, account, data[i]
+		r.kind, r.alloc, r.num, r.account = recData, true, n, account
+		if data != nil {
+			r.data = data[i]
+		}
 		reqs[i] = r
 	}
 	s.mu.Unlock()
@@ -1095,9 +1114,9 @@ func (s *Store) AllocMulti(account block.Account, data [][]byte) ([]block.Num, e
 		if len(got) > 0 {
 			_ = s.FreeMulti(account, got) // best-effort rollback
 		}
-		return nil, &block.MultiError{Op: "alloc", Index: idx, N: len(data), Err: err}
+		return nil, &block.MultiError{Op: op, Index: idx, N: count, Err: err}
 	}
-	out := make([]block.Num, len(reqs))
+	out := make([]block.Num, count)
 	for i, r := range reqs {
 		out[i] = r.num
 		putReq(r)

@@ -475,12 +475,17 @@ func (s *Server) CreateFile(data []byte) (capability.Capability, error) {
 	if err != nil {
 		return capability.Nil, err
 	}
-	_, vcap, err := s.shared.newObject()
+	vobj, vcap, err := s.shared.newObject()
 	if err != nil {
+		s.shared.Fact.Forget(obj)
 		return capability.Nil, err
 	}
 	tr, err := version.CreateFile(s.st, fcap, vcap, data)
+	// The birth version is committed at once and no record holds it;
+	// no stored VersionCap is ever verified, so its secret goes now.
+	s.shared.Fact.Forget(vobj)
 	if err != nil {
+		s.shared.Fact.Forget(obj)
 		return capability.Nil, err
 	}
 	s.shared.Table.Put(obj, file.Entry{Cap: fcap, Entry: tr.Root})

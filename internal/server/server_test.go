@@ -1124,3 +1124,39 @@ func TestObjectNumbersComeBack(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestCreateFileForgetsBirthVersion: a birth version is committed at
+// once and no record holds it, so CreateFile forgets its object's
+// secret — N files leave N registered secrets, not 2N — while every
+// file capability still verifies.
+func TestCreateFileForgetsBirthVersion(t *testing.T) {
+	sh, s := newService(t)
+	const files = 100
+	caps := make([]capability.Capability, files)
+	for i := range caps {
+		fc, err := s.CreateFile([]byte(fmt.Sprint("file ", i)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		caps[i] = fc
+	}
+	for i, fc := range caps {
+		if err := sh.Fact.Verify(fc, capability.RightRead); err != nil {
+			t.Fatalf("file %d: capability does not verify: %v", i, err)
+		}
+		e, err := sh.Table.Get(fc.Object)
+		if err != nil {
+			t.Fatal(err)
+		}
+		vp, err := s.st.ReadPage(e.Entry)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if vp.VersionCap.Object == fc.Object {
+			t.Fatalf("file %d: birth version shares the file's object %d", i, fc.Object)
+		}
+		if _, ok := sh.Fact.Secret(vp.VersionCap.Object); ok {
+			t.Fatalf("file %d: birth version object %d still has a registered secret", i, vp.VersionCap.Object)
+		}
+	}
+}

@@ -545,7 +545,8 @@ func (h *Half) Rejoin() error {
 
 // replay applies the companion's outage intentions to this half's
 // backend in chronological order, batching adjacent writes and frees of
-// the same account into single multi-block calls. Per-block semantic
+// the same account into single multi-block calls, and each run of
+// allocations into one claim of their numbers and data. Per-block semantic
 // refusals are tolerated — an intent can have been applied on this half
 // already (the transport died after the companion call landed), or
 // record an operation that failed per-block on the survivor too — while
@@ -590,7 +591,8 @@ func (h *Half) replay(comp *Half, intentions []intent) error {
 		return flushFrees()
 	}
 
-	for _, it := range intentions {
+	for i := 0; i < len(intentions); i++ {
+		it := intentions[i]
 		if haveAcct && it.account != acct {
 			if err := flush(); err != nil {
 				return err
@@ -599,21 +601,28 @@ func (h *Half) replay(comp *Half, intentions []intent) error {
 		acct, haveAcct = it.account, true
 		switch it.op {
 		case 'a':
-			// An allocation made during the outage: mirror the number
-			// choice, then the data rides the next write batch.
+			// A run of allocations made during the outage: mirror the
+			// number choices and their data with one claim.
 			if err := flushFrees(); err != nil {
 				return err
 			}
-			if err := h.st.Claim(it.account, it.n); err != nil {
-				// Already claimed here? Then the outage hit after this
-				// half had applied the companion call; the write below
-				// re-converges the contents. Anything else is fatal.
-				if _, rerr := h.st.Read(it.account, it.n); rerr != nil {
-					return fmt.Errorf("stable: replay claim block %d: %w", it.n, err)
-				}
+			j := i + 1
+			for j < len(intentions) && intentions[j].op == 'a' && intentions[j].account == acct {
+				j++
 			}
-			wNs = append(wNs, it.n)
-			wData = append(wData, it.data)
+			ns := make([]block.Num, 0, j-i)
+			data := make([][]byte, 0, j-i)
+			for _, a := range intentions[i:j] {
+				ns = append(ns, a.n)
+				data = append(data, a.data)
+			}
+			if err := h.mirrorClaims(acct, ns, data); err != nil {
+				return fmt.Errorf("stable: replay %w", err)
+			}
+			comp.mu.Lock()
+			comp.stats.Replayed += uint64(len(ns))
+			comp.mu.Unlock()
+			i = j - 1
 		case 'w':
 			if err := flushFrees(); err != nil {
 				return err
@@ -632,8 +641,9 @@ func (h *Half) replay(comp *Half, intentions []intent) error {
 
 // fullCopy restores this half's backend from the companion wholesale:
 // for every tracked account, blocks the companion lacks are freed,
-// blocks it alone holds are claimed, and every companion block's
-// contents are copied over in batched reads and writes.
+// blocks it alone holds are claimed with their contents, and every
+// other companion block's contents are copied over, in batched reads
+// and claims or writes.
 //
 // With no accounts tracked yet a full copy would vacuously "succeed"
 // and mark a possibly stale half up without restoring anything, so it
@@ -661,8 +671,9 @@ func (h *Half) fullCopy(comp *Half, accounts []block.Account) error {
 }
 
 // copyAccount reconciles one account's blocks from the companion: one
-// recovery scan each side, stale blocks freed, missing blocks claimed,
-// contents copied in batched reads and writes. A per-block refusal
+// recovery scan each side, stale blocks freed, missing blocks claimed
+// with their contents, the others' contents copied, all in batched
+// reads and claims or writes. A per-block refusal
 // (concurrent churn invalidated the snapshot) is returned for the
 // caller to retry with a fresh scan.
 func (h *Half) copyAccount(comp *Half, acct block.Account) error {
@@ -689,33 +700,64 @@ func (h *Half) copyAccount(comp *Half, acct block.Account) error {
 	if err := block.FreeMulti(h.st, acct, stale); err != nil && !isPerBlock(err) {
 		return fmt.Errorf("stable: full-copy free: %w", err)
 	}
+	// Blocks this half lacks are claimed together with their contents,
+	// the rest rewritten, in bounded batches so a large store never
+	// materializes whole in memory (the wire layer re-chunks to frames
+	// underneath).
+	var missing, present []block.Num
 	for _, n := range theirs {
-		if !ours[n] {
-			if err := h.st.Claim(acct, n); err != nil {
-				// Tolerate a claim already applied (an earlier attempt
-				// got this far before retrying).
-				if _, rerr := h.st.Read(acct, n); rerr != nil {
-					return fmt.Errorf("stable: full-copy claim block %d: %w", n, err)
-				}
+		if ours[n] {
+			present = append(present, n)
+		} else {
+			missing = append(missing, n)
+		}
+	}
+	const copyBatch = 512
+	for _, set := range []struct {
+		ns    []block.Num
+		claim bool
+	}{{missing, true}, {present, false}} {
+		for start := 0; start < len(set.ns); start += copyBatch {
+			chunk := set.ns[start:min(start+copyBatch, len(set.ns))]
+			datas, err := block.ReadMulti(comp.st, acct, chunk)
+			if err != nil {
+				return fmt.Errorf("stable: full-copy read: %w", err)
+			}
+			if set.claim {
+				err = h.mirrorClaims(acct, chunk, datas)
+			} else if werr := block.WriteMulti(h.st, acct, chunk, datas); werr != nil && !isPerBlock(werr) {
+				err = fmt.Errorf("write: %w", werr)
+			}
+			if err != nil {
+				return fmt.Errorf("stable: full-copy %w", err)
+			}
+			h.mu.Lock()
+			h.stats.FullCopied += uint64(len(chunk))
+			h.mu.Unlock()
+		}
+	}
+	return nil
+}
+
+// mirrorClaims claims ns on this half's backend with their data — one
+// block.ClaimMulti, one durable group per log lane. A refused vector
+// drops to one claim per number: a number this half already holds (an
+// earlier attempt, or a companion call that landed before the outage
+// was noticed, got this far) is tolerated, and the data is rewritten
+// over all of them. Any other refusal fails.
+func (h *Half) mirrorClaims(acct block.Account, ns []block.Num, data [][]byte) error {
+	if block.ClaimMulti(h.st, acct, ns, data) == nil {
+		return nil
+	}
+	for _, n := range ns {
+		if err := h.st.Claim(acct, n); err != nil {
+			if _, rerr := h.st.Read(acct, n); rerr != nil {
+				return fmt.Errorf("claim block %d: %w", n, err)
 			}
 		}
 	}
-	// Copy in bounded batches so a large store never materializes
-	// whole in memory (the wire layer re-chunks to frames underneath).
-	const copyBatch = 512
-	for start := 0; start < len(theirs); start += copyBatch {
-		end := min(start+copyBatch, len(theirs))
-		chunk := theirs[start:end]
-		datas, err := block.ReadMulti(comp.st, acct, chunk)
-		if err != nil {
-			return fmt.Errorf("stable: full-copy read: %w", err)
-		}
-		if err := block.WriteMulti(h.st, acct, chunk, datas); err != nil && !isPerBlock(err) {
-			return fmt.Errorf("stable: full-copy write: %w", err)
-		}
-		h.mu.Lock()
-		h.stats.FullCopied += uint64(len(chunk))
-		h.mu.Unlock()
+	if err := block.WriteMulti(h.st, acct, ns, data); err != nil && !isPerBlock(err) {
+		return fmt.Errorf("write: %w", err)
 	}
 	return nil
 }
@@ -1098,8 +1140,8 @@ func (h *Half) acceptCompanionWriteMulti(account block.Account, ns []block.Num, 
 
 // AllocMulti implements block.MultiStore with the §4 allocate-and-write
 // protocol: the local backend chooses all numbers with one batched
-// allocation, the companion mirrors them (claims, then one batched
-// write). All-or-nothing per the contract; a claim refused at the
+// allocation, the companion mirrors them (one claim of every number
+// with its payload). All-or-nothing per the contract; a claim refused at the
 // companion rolls everything back and reports ErrCollision for the pair
 // front to retry. The loop covers the races around outage transitions:
 // a companion dying mid-call falls back to the intentions list, and a
@@ -1139,30 +1181,29 @@ func (h *Half) AllocMulti(account block.Account, data [][]byte) ([]block.Num, er
 	}
 }
 
-// acceptCompanionAllocMulti mirrors a batch of allocations: claim every
-// number (all or nothing), then write the payloads with one call.
+// acceptCompanionAllocMulti mirrors a batch of allocations with one
+// block.ClaimMulti — every number claimed and its payload stored, all or
+// nothing, one durable group per log lane on a segstore. A refused
+// number is the paper's allocate collision, reported at its index with
+// nothing left claimed here.
 func (h *Half) acceptCompanionAllocMulti(account block.Account, ns []block.Num, data [][]byte) error {
 	if h.Down() {
 		return h.downErr()
 	}
 	h.note(account)
-	for i, n := range ns {
-		if err := h.st.Claim(account, n); err != nil {
-			if unreachable(err) {
-				return err
-			}
-			_ = block.FreeMulti(h.st, account, ns[:i])
-			return &block.MultiError{Op: "alloc", Index: i, N: len(ns),
-				Err: fmt.Errorf("block %d: %v: %w", n, err, ErrCollision)}
-		}
-	}
-	sp, st := h.legStore("mirror-allocMulti")
-	err := block.WriteMulti(st, account, ns, data)
+	sp, st := h.legStore("mirror-claimMulti")
+	err := block.ClaimMulti(st, account, ns, data)
 	sp.End(err)
-	if err != nil && !unreachable(err) {
-		_ = block.FreeMulti(h.st, account, ns)
+	if err == nil || unreachable(err) {
+		return err
 	}
-	return err
+	at, cause := 0, err
+	var me *block.MultiError
+	if errors.As(err, &me) && me.Index < len(ns) {
+		at, cause = me.Index, me.Err
+	}
+	return &block.MultiError{Op: "alloc", Index: at, N: len(ns),
+		Err: fmt.Errorf("block %d: %v: %w", ns[at], cause, ErrCollision)}
 }
 
 // FreeMulti implements block.MultiStore: one batched free per half,
