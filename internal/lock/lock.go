@@ -188,52 +188,58 @@ func (m *Manager) AcquireTop(blk block.Num, super bool) error {
 	}
 }
 
-// TryAcquireInner attempts to set the inner lock on a sub-file's current
-// version page during a super-file update. It fails if another server
-// holds either lock ("If an update, while descending the page tree,
-// discovers a top lock, it must wait").
-func (m *Manager) TryAcquireInner(blk block.Num) (Holder, error) {
-	var h Holder
-	err := m.mutate(blk, func(vp *page.Page) (bool, error) {
-		h = Holder{}
-		if !vp.TopLock.IsNil() && vp.TopLock != m.Port {
-			h.Top = vp.TopLock
-			return false, nil
-		}
-		if !vp.InnerLock.IsNil() && vp.InnerLock != m.Port {
-			h.Inner = vp.InnerLock
-			return false, nil
-		}
-		vp.InnerLock = m.Port
-		return true, nil
-	})
-	return h, err
-}
-
-// AcquireInner waits until TryAcquireInner succeeds, recovering from
-// crashed holders.
-func (m *Manager) AcquireInner(blk block.Num) error {
+// AcquireInner sets the inner lock on the current version page of the
+// sub-file whose version page is in blk, during a super-file update. It
+// checks currency under each page's block lock: a page whose commit
+// reference is set has been superseded, so it stays unlocked and the
+// acquisition moves on to its successor ("locks only have meaning in the
+// current version"). It waits while another update holds either lock on
+// the current page ("If an update, while descending the page tree,
+// discovers a top lock, it must wait"), recovering from crashed holders.
+// It returns the block it locked and that page as it locked it.
+func (m *Manager) AcquireInner(blk block.Num) (block.Num, *page.Page, error) {
 	deadline := time.Now().Add(m.Patience)
 	for {
-		h, err := m.TryAcquireInner(blk)
-		if err != nil {
-			return err
-		}
-		if !h.blocked() {
-			return nil
+		var h Holder
+		var locked *page.Page
+		next := block.NilNum
+		err := m.mutate(blk, func(vp *page.Page) (bool, error) {
+			h, next, locked = Holder{}, vp.CommitRef, nil
+			switch {
+			case next != block.NilNum:
+				return false, nil
+			case !vp.TopLock.IsNil() && vp.TopLock != m.Port:
+				h.Top = vp.TopLock
+				return false, nil
+			case !vp.InnerLock.IsNil() && vp.InnerLock != m.Port:
+				h.Inner = vp.InnerLock
+				return false, nil
+			}
+			vp.InnerLock, locked = m.Port, vp
+			return true, nil
+		})
+		switch {
+		case err != nil:
+			return block.NilNum, nil, err
+		case next != block.NilNum:
+			blk = next
+			continue
+		case !h.blocked():
+			return blk, locked, nil
 		}
 		if !m.alive(h.port()) {
 			if !h.Top.IsNil() {
-				if err := m.RecoverCrashed(blk, h.Top); err != nil {
-					return err
-				}
-			} else if err := m.recoverInner(blk, h.Inner); err != nil {
-				return err
+				err = m.RecoverCrashed(blk, h.Top)
+			} else {
+				err = m.recoverInner(blk, h.Inner)
+			}
+			if err != nil {
+				return block.NilNum, nil, err
 			}
 			continue
 		}
 		if time.Now().After(deadline) {
-			return fmt.Errorf("version page %d held by %v: %w", blk, h.port(), ErrLockTimeout)
+			return block.NilNum, nil, fmt.Errorf("version page %d held by %v: %w", blk, h.port(), ErrLockTimeout)
 		}
 		time.Sleep(m.Poll)
 	}
@@ -286,7 +292,7 @@ func (m *Manager) RecoverCrashed(blk block.Num, dead capability.Port) error {
 	if vp.CommitRef != block.NilNum {
 		// The crashed server got as far as committing the super-file:
 		// finish its sub-file commits, which also clears inner locks.
-		if err := m.CommitSubFiles(vp.CommitRef, dead); err != nil {
+		if _, err := m.CommitSubFiles(vp.CommitRef, dead); err != nil {
 			return err
 		}
 	} else {
@@ -388,10 +394,10 @@ func (m *Manager) subVersions(roots []block.Num) ([]block.Num, error) {
 // the update actually touched, into the sub-files too) and, for every
 // sub-file version created during the update, sets the base's commit
 // reference and clears the holder's locks — outer sub-files before the
-// sub-files inside them, whose new versions are unlocked first. The
-// operation is idempotent, so a waiter can safely re-run it for a
-// crashed server.
-func (m *Manager) CommitSubFiles(newRoot block.Num, holder capability.Port) error {
+// sub-files inside them, whose new versions are unlocked first. It
+// returns the bases whose locks it cleared. The operation is idempotent,
+// so a waiter can safely re-run it for a crashed server.
+func (m *Manager) CommitSubFiles(newRoot block.Num, holder capability.Port) ([]block.Num, error) {
 	var subs []*version.Node
 	err := m.St.Visit([]block.Num{newRoot}, func(n *version.Node) (version.Follow, error) {
 		if n.Err != nil {
@@ -403,30 +409,31 @@ func (m *Manager) CommitSubFiles(newRoot block.Num, holder capability.Port) erro
 		return version.Accessed, nil
 	})
 	if err != nil {
-		return err
+		return nil, err
 	}
+	var bases []block.Num
 	for _, n := range subs {
-		if err := m.commitOneSub(n.Ref.Block, n.Page.BaseRef, holder); err != nil {
-			return err
+		if base := n.Page.BaseRef; base != block.NilNum {
+			if err := m.commitOneSub(n.Ref.Block, base, holder); err != nil {
+				return nil, err
+			}
+			bases = append(bases, base)
 		}
 	}
 	// New sub-versions become current; leave them unlocked, and the new
 	// current version of the super-file too.
 	for i := len(subs) - 1; i >= 0; i-- {
 		if err := m.Clear(subs[i].Ref.Block, holder); err != nil {
-			return err
+			return nil, err
 		}
 	}
-	return m.Clear(newRoot, holder)
+	return bases, m.Clear(newRoot, holder)
 }
 
 // commitOneSub commits one new sub-file version (newBlk) over its base:
 // under the locks setting base.CommitRef "always succeeds", and re-running
 // it after a crash finds it set.
 func (m *Manager) commitOneSub(newBlk, base block.Num, holder capability.Port) error {
-	if base == block.NilNum {
-		return nil
-	}
 	err := m.mutate(base, func(bvp *page.Page) (bool, error) {
 		if bvp.CommitRef == block.NilNum {
 			bvp.CommitRef = newBlk

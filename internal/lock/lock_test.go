@@ -297,11 +297,11 @@ func TestCommitSubFilesIdempotent(t *testing.T) {
 	_, pNew, q, qNew := buildSuperCommitScene(t, f, dead)
 	m := f.manager(capability.NewPort())
 
-	if err := m.CommitSubFiles(pNew, dead); err != nil {
+	if _, err := m.CommitSubFiles(pNew, dead); err != nil {
 		t.Fatal(err)
 	}
 	// Re-running (e.g. a second waiter racing the first) must succeed.
-	if err := m.CommitSubFiles(pNew, dead); err != nil {
+	if _, err := m.CommitSubFiles(pNew, dead); err != nil {
 		t.Fatalf("second run: %v", err)
 	}
 	qvp, _ := f.st.ReadPage(q)
@@ -329,12 +329,38 @@ func TestAcquireInnerWaitsAndRecovers(t *testing.T) {
 	}
 
 	m := f.manager(capability.NewPort())
-	if err := m.AcquireInner(q); err != nil {
-		t.Fatal(err)
+	if got, _, err := m.AcquireInner(q); err != nil || got != q {
+		t.Fatalf("AcquireInner = %d, %v; want %d", got, err, q)
 	}
 	_, inner, _ := m.Locks(q)
 	if inner != m.Port {
 		t.Fatalf("inner = %v, want %v", inner, m.Port)
+	}
+}
+
+// TestAcquireInnerChasesCommitRef: a version page whose commit reference
+// is set is no longer current, whatever lock it still carries; the inner
+// lock goes on the current version at the end of the chain, and the
+// acquisition returns that block and the page it locked.
+func TestAcquireInnerChasesCommitRef(t *testing.T) {
+	f := newFixture(t)
+	other := f.manager(capability.NewPort())
+	c := f.versionPage(t, func(vp *page.Page) { vp.Data = []byte("current") })
+	b := f.versionPage(t, func(vp *page.Page) { vp.CommitRef = c })
+	a := f.versionPage(t, func(vp *page.Page) { vp.CommitRef, vp.TopLock = b, other.Port })
+	m := f.manager(capability.NewPort())
+	m.Patience = 5 * time.Millisecond
+	got, vp, err := m.AcquireInner(a)
+	if err != nil || got != c || string(vp.Data) != "current" || vp.InnerLock != m.Port {
+		t.Fatalf("AcquireInner = %d, %+v, %v; want %d, the current page locked", got, vp, err, c)
+	}
+	for _, blk := range []block.Num{a, b} {
+		if _, inner, _ := m.Locks(blk); !inner.IsNil() {
+			t.Fatalf("superseded page %d got inner lock %v", blk, inner)
+		}
+	}
+	if _, inner, _ := m.Locks(c); inner != m.Port {
+		t.Fatalf("current page inner lock %v, want %v", inner, m.Port)
 	}
 }
 
@@ -347,7 +373,7 @@ func TestAcquireInnerBlockedByLiveTop(t *testing.T) {
 	if _, err := m1.TryAcquireTop(blk, true); err != nil {
 		t.Fatal(err)
 	}
-	if err := m2.AcquireInner(blk); !errors.Is(err, ErrLockTimeout) {
+	if _, _, err := m2.AcquireInner(blk); !errors.Is(err, ErrLockTimeout) {
 		t.Fatalf("err = %v, want ErrLockTimeout", err)
 	}
 }
@@ -443,27 +469,33 @@ func TestCommitSubFilesReadBudget(t *testing.T) {
 	}
 	holder := capability.NewPort()
 	m := NewManager(st, holder, nil)
-	var bases, forks []block.Num
-	for i := 0; i < k; i++ {
-		pg, err := v.PeekPage(page.Path{0})
+	var bases []block.Num
+	v.Cross = func(blk block.Num, _ *page.Page) (*page.Page, error) {
+		cur, vp, err := m.AcquireInner(blk)
 		if err != nil {
-			t.Fatal(err)
+			return nil, err
 		}
-		base := pg.Refs[i].Block
-		if err := m.AcquireInner(base); err != nil {
-			t.Fatal(err)
-		}
-		fork, err := version.CreateVersion(st, base, c)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := v.LinkSubVersion(page.Path{0}, i, fork.Root); err != nil {
-			t.Fatal(err)
-		}
-		bases, forks = append(bases, base), append(forks, fork.Root)
+		bases = append(bases, cur)
+		return version.Fork(cur, vp, c)
+	}
+	ps := make([]page.Path, k)
+	datas := make([][]byte, k)
+	for i := range ps {
+		ps[i], datas[i] = page.Path{0, i}, []byte("new")
+	}
+	if err := v.WritePages(ps, datas); err != nil {
+		t.Fatal(err)
+	}
+	mid, err := v.PeekPage(page.Path{0})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var forks []block.Num
+	for _, r := range mid.Refs {
+		forks = append(forks, r.Block)
 	}
 	fs.Count()
-	if err := m.CommitSubFiles(v.Root, holder); err != nil {
+	if _, err := m.CommitSubFiles(v.Root, holder); err != nil {
 		t.Fatal(err)
 	}
 	reads, locked := fs.Count()

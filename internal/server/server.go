@@ -15,6 +15,7 @@ package server
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -254,10 +255,13 @@ type verRec struct {
 	// locks acts under this update's own lock port.
 	locks *lock.Manager
 	// super update bookkeeping: the base version page whose top lock we
-	// hold, and the current sub-file version pages we inner-locked.
+	// hold, and the current sub-file version pages we inner-locked, each
+	// with the version capability of its fork (nil until minted). A pass
+	// refused after its crossing forks that page again under the same
+	// capability when it is retried.
 	super    bool
 	topBase  block.Num
-	crossing []block.Num
+	crossing map[block.Num]capability.Capability
 	// closedAt stamps commit/abort for record reaping.
 	closedAt time.Time
 	// minted lists the version objects this update created besides its
@@ -557,6 +561,7 @@ func (s *Server) CreateVersion(fcap capability.Capability, opts CreateVersionOpt
 		super:   entry.Super,
 		topBase: cur,
 	}
+	tr.Cross = s.cross(rec)
 	s.mu.Lock()
 	s.versions[obj] = rec
 	s.mu.Unlock()
@@ -581,69 +586,34 @@ func (s *Server) lookup(vcap capability.Capability, need capability.Rights) (*ve
 	return rec, nil
 }
 
-// resolve runs op on the page at p in the version, crossing sub-file
-// boundaries per §5.3. op runs first on the version's own tree; a
-// boundary on the way stops it (version.SubFileError) before it writes
-// anything. resolve then crosses: a reference already accessed in this
-// update names the sub-version it created; a first crossing inner-locks
-// the sub-file's current version, creates a new version of it inside
-// this update and links it in. op then reruns on the sub-version's tree
-// with the rest of the path.
-func (s *Server) resolve(rec *verRec, p page.Path, op func(tree *version.Tree, rest page.Path) error) error {
-	tree, rest := rec.tree, p
-	for {
-		err := op(tree, rest)
-		var sub *version.SubFileError
-		if !errors.As(err, &sub) {
-			return err
+// cross is the §5.3 step of rec's copy-on-write passes, called the first
+// time the update enters a sub-file: it inner-locks the sub-file's
+// current version — lock.AcquireInner chases past versions committed
+// since the super-file's tree named blk — records the lock at once, and
+// forks the locked version inside the update under a version object the
+// record forgets when it is reaped; a retried crossing reuses it.
+func (s *Server) cross(rec *verRec) func(block.Num, *page.Page) (*page.Page, error) {
+	return func(blk block.Num, _ *page.Page) (*page.Page, error) {
+		cur, vp, err := rec.locks.AcquireInner(blk)
+		if err != nil {
+			return nil, err
 		}
-		subRoot := sub.Block
-		if !sub.Accessed {
-			// First crossing: lock and fork the sub-file's current
-			// version. The sub-file may have been updated since the
-			// super-file's tree last changed, so chase to current.
-			subCur, err := occ.Current(s.st, sub.Block)
-			if err != nil {
-				return err
-			}
-			if err := rec.locks.AcquireInner(subCur); err != nil {
-				return err
-			}
-			subObj, subVCap, err := s.shared.newObject()
-			var subTree *version.Tree
-			if err == nil {
-				rec.minted = append(rec.minted, subObj)
-				subTree, err = version.CreateVersion(s.st, subCur, subVCap)
-			}
-			if err != nil {
-				rec.locks.Clear(subCur, rec.locks.Port)
-				return err
-			}
-			// Parent reference: ascend to the enclosing version page.
-			if err := s.setParentRef(subTree.Root, tree.Root); err != nil {
-				return err
-			}
-			if err := tree.LinkSubVersion(rest[:sub.Depth], rest[sub.Depth], subTree.Root); err != nil {
-				return err
-			}
-			rec.crossing = append(rec.crossing, subCur)
-			subRoot = subTree.Root
-			s.shared.Table.MarkSuper(rec.fileObj)
+		if rec.crossing == nil {
+			rec.crossing = make(map[block.Num]capability.Capability)
 		}
-		tree = &version.Tree{St: s.st, Root: subRoot}
-		rest = rest[sub.Depth+1:]
+		vcap := rec.crossing[cur]
+		if vcap.IsNil() {
+			var obj uint32
+			obj, vcap, err = s.shared.newObject()
+			rec.crossing[cur] = vcap // the lock is recorded even if this failed
+			if err != nil {
+				return nil, err
+			}
+			rec.minted = append(rec.minted, obj)
+		}
+		s.shared.Table.MarkSuper(rec.fileObj)
+		return version.Fork(cur, vp, vcap)
 	}
-}
-
-// setParentRef points a sub-version's parent reference at the enclosing
-// version page.
-func (s *Server) setParentRef(sub, parent block.Num) error {
-	vp, err := s.st.ReadPage(sub)
-	if err != nil {
-		return err
-	}
-	vp.ParentRef = parent
-	return s.st.WritePage(sub, vp)
 }
 
 // withVersion runs fn on an open version under its record lock.
@@ -672,44 +642,25 @@ func (s *Server) withFlushed(vcap capability.Capability, need capability.Rights,
 }
 
 // flush applies rec's buffered writes in one batched copy-on-write pass
-// (version.Tree.WritePages) against the block store bound to tc. The
-// writes were acknowledged when buffered, so a flush that fails aborts
-// the version and releases its locks; the client learns of it at the
-// operation that triggered the flush, at the latest at Commit.
+// (version.Tree.WritePages) against the block store bound to tc; a batch
+// that enters a sub-file — one created in this version, or one whose
+// Super mark has not reached this server's table yet — crosses into it in
+// the same pass, taking its inner lock (§5.3) here at flush time, not
+// when the write was acknowledged. The writes were acknowledged when
+// buffered, so a flush that fails aborts the version and releases its
+// locks; the client learns of it at the operation that triggered the
+// flush, at the latest at Commit.
 func (s *Server) flush(rec *verRec, tc trace.Context) error {
 	if len(rec.pendPaths) == 0 {
 		return nil
 	}
 	ps, datas := rec.pendPaths, rec.pendData
 	rec.dropPending()
-	tree := &version.Tree{St: version.NewStore(block.BindTrace(s.st.Blocks, tc), s.st.Acct), Root: rec.tree.Root}
-	err := tree.WritePages(ps, datas)
-	if errors.Is(err, version.ErrSubFile) {
-		// The batch enters a sub-file: one created in this version, or
-		// one whose Super mark has not reached this server's table yet.
-		// WritePages refused before writing anything; apply the writes
-		// one by one through resolve, which takes each sub-file's inner
-		// lock (§5.3) — here at flush time, not when the write was
-		// acknowledged.
-		err = s.writeThrough(rec, ps, datas)
-	}
-	if err != nil {
+	tree := *rec.tree
+	tree.St = version.NewStore(block.BindTrace(s.st.Blocks, tc), s.st.Acct)
+	if err := tree.WritePages(ps, datas); err != nil {
 		s.abort(rec)
 		return fmt.Errorf("server: apply buffered writes: %w", err)
-	}
-	return nil
-}
-
-// writeThrough applies writes one at a time, crossing sub-file
-// boundaries per §5.3.
-func (s *Server) writeThrough(rec *verRec, ps []page.Path, datas [][]byte) error {
-	for i, p := range ps {
-		err := s.resolve(rec, p, func(tree *version.Tree, rest page.Path) error {
-			return tree.WritePage(rest, datas[i])
-		})
-		if err != nil {
-			return err
-		}
 	}
 	return nil
 }
@@ -723,10 +674,8 @@ func (s *Server) ReadPage(vcap capability.Capability, p page.Path) (data []byte,
 				return err
 			}
 		}
-		return s.resolve(rec, p, func(tree *version.Tree, rest page.Path) (err error) {
-			data, nrefs, err = tree.ReadPage(rest)
-			return err
-		})
+		data, nrefs, err = rec.tree.ReadPage(p)
+		return err
 	})
 	return data, nrefs, err
 }
@@ -742,15 +691,16 @@ func (s *Server) ReadPage(vcap capability.Capability, p page.Path) (data []byte,
 // bad path, a hole, or data too large for its page's references
 // surfaces at the flush and aborts the version.
 //
-// A super-file update writes through: §5.3 takes a sub-file's inner
-// lock the moment the update first writes into it.
+// A super-file update writes through, in one pass that crosses any
+// sub-file boundary on the path: §5.3 takes a sub-file's inner lock the
+// moment the update first writes into it.
 func (s *Server) WritePage(vcap capability.Capability, p page.Path, data []byte) error {
 	return s.withVersion(vcap, capability.RightWrite, func(rec *verRec) error {
 		if max := page.Capacity(s.st.Blocks.BlockSize(), 0, false); len(data) > max {
 			return fmt.Errorf("server: %s: %d bytes, a page holds at most %d: %w", p, len(data), max, page.ErrPageFull)
 		}
 		if rec.super {
-			return s.writeThrough(rec, []page.Path{p}, [][]byte{data})
+			return rec.tree.WritePage(p, data)
 		}
 		rec.buffer(p, append([]byte(nil), data...))
 		if rec.pendBytes <= flushBytes {
@@ -763,18 +713,14 @@ func (s *Server) WritePage(vcap capability.Capability, p page.Path, data []byte)
 // InsertPage inserts a fresh page at index idx of the page at path.
 func (s *Server) InsertPage(vcap capability.Capability, p page.Path, idx int, data []byte) error {
 	return s.withFlushed(vcap, capability.RightWrite, func(rec *verRec) error {
-		return s.resolve(rec, p, func(tree *version.Tree, rest page.Path) error {
-			return tree.InsertPage(rest, idx, data)
-		})
+		return rec.tree.InsertPage(p, idx, data)
 	})
 }
 
 // RemovePage removes the reference at index idx of the page at path.
 func (s *Server) RemovePage(vcap capability.Capability, p page.Path, idx int) error {
 	return s.withFlushed(vcap, capability.RightWrite, func(rec *verRec) error {
-		return s.resolve(rec, p, func(tree *version.Tree, rest page.Path) error {
-			return tree.RemovePage(rest, idx)
-		})
+		return rec.tree.RemovePage(p, idx)
 	})
 }
 
@@ -784,27 +730,21 @@ func (s *Server) RemovePage(vcap capability.Capability, p page.Path, idx int) er
 // MakeHole nils the reference at idx of the page at path.
 func (s *Server) MakeHole(vcap capability.Capability, p page.Path, idx int) error {
 	return s.withFlushed(vcap, capability.RightWrite, func(rec *verRec) error {
-		return s.resolve(rec, p, func(tree *version.Tree, rest page.Path) error {
-			return tree.MakeHole(rest, idx)
-		})
+		return rec.tree.MakeHole(p, idx)
 	})
 }
 
 // FillHole creates a page in the hole at idx of the page at path.
 func (s *Server) FillHole(vcap capability.Capability, p page.Path, idx int, data []byte) error {
 	return s.withFlushed(vcap, capability.RightWrite, func(rec *verRec) error {
-		return s.resolve(rec, p, func(tree *version.Tree, rest page.Path) error {
-			return tree.FillHole(rest, idx, data)
-		})
+		return rec.tree.FillHole(p, idx, data)
 	})
 }
 
 // RemoveHole removes the hole at idx of the page at path.
 func (s *Server) RemoveHole(vcap capability.Capability, p page.Path, idx int) error {
 	return s.withFlushed(vcap, capability.RightWrite, func(rec *verRec) error {
-		return s.resolve(rec, p, func(tree *version.Tree, rest page.Path) error {
-			return tree.RemoveHole(rest, idx)
-		})
+		return rec.tree.RemoveHole(p, idx)
 	})
 }
 
@@ -812,25 +752,16 @@ func (s *Server) RemoveHole(vcap capability.Capability, p page.Path, idx int) er
 // the rest into a new child.
 func (s *Server) SplitPage(vcap capability.Capability, p page.Path, keep int) error {
 	return s.withFlushed(vcap, capability.RightWrite, func(rec *verRec) error {
-		return s.resolve(rec, p, func(tree *version.Tree, rest page.Path) error {
-			return tree.SplitPage(rest, keep)
-		})
+		return rec.tree.SplitPage(p, keep)
 	})
 }
 
-// MoveSubtree moves a subtree between two holes of the same version (and
-// the same file: moves across sub-file boundaries are not supported). The
-// move resolves along the source path; the destination must cross the
-// same boundaries, which Tree.MoveSubtree checks at each boundary.
+// MoveSubtree moves a subtree between two holes of the same version and
+// the same file: a move across a sub-file boundary is refused
+// (version.ErrSubFile).
 func (s *Server) MoveSubtree(vcap capability.Capability, srcPath page.Path, srcIdx int, dstPath page.Path, dstIdx int) error {
 	return s.withFlushed(vcap, capability.RightWrite, func(rec *verRec) error {
-		return s.resolve(rec, srcPath, func(tree *version.Tree, rest page.Path) error {
-			crossed := len(srcPath) - len(rest)
-			if !dstPath.HasPrefix(srcPath[:crossed]) {
-				return fmt.Errorf("server: move crosses a sub-file boundary: %w", version.ErrSubFile)
-			}
-			return tree.MoveSubtree(rest, srcIdx, dstPath[crossed:], dstIdx)
-		})
+		return rec.tree.MoveSubtree(srcPath, srcIdx, dstPath, dstIdx)
 	})
 }
 
@@ -847,17 +778,16 @@ func (s *Server) CreateSubFile(vcap capability.Capability, p page.Path, idx int,
 		}
 		vobj, vc, err := s.shared.newObject()
 		if err != nil {
+			s.shared.Fact.Forget(obj)
+			return err
+		}
+		subRoot, err := rec.tree.InsertSubFile(p, idx, fc, vc, data)
+		if err != nil {
+			s.shared.Fact.Forget(obj)
+			s.shared.Fact.Forget(vobj)
 			return err
 		}
 		rec.minted = append(rec.minted, vobj)
-		var subRoot block.Num
-		err = s.resolve(rec, p, func(tree *version.Tree, rest page.Path) (err error) {
-			subRoot, err = tree.InsertSubFile(rest, idx, fc, vc, data)
-			return err
-		})
-		if err != nil {
-			return err
-		}
 		s.shared.Table.Put(obj, file.Entry{Cap: fc, Entry: subRoot})
 		s.shared.Table.MarkSuper(rec.fileObj)
 		fcap = fc
@@ -894,11 +824,15 @@ func (s *Server) commitT(tc trace.Context, vcap capability.Capability) error {
 			return err
 		}
 		// Commit the sub-file versions created during this update and
-		// clear every lock we hold in the affected region.
+		// clear every lock we hold in the affected region, the inner
+		// locks of crossings whose pass was refused before it wrote a
+		// fork included.
 		if len(rec.crossing) > 0 || rec.super {
-			if err := rec.locks.CommitSubFiles(rec.tree.Root, rec.locks.Port); err != nil {
+			committed, err := rec.locks.CommitSubFiles(rec.tree.Root, rec.locks.Port)
+			if err != nil {
 				return err
 			}
+			s.clearCrossings(rec, committed)
 		}
 		rec.locks.Clear(rec.topBase, rec.locks.Port)
 		rec.locks.Clear(rec.tree.Root, rec.locks.Port)
@@ -946,10 +880,18 @@ func (s *Server) close(rec *verRec, state VersionState) {
 // retires its lock port.
 func (s *Server) releaseLocks(rec *verRec) {
 	rec.locks.Clear(rec.topBase, rec.locks.Port)
-	for _, sub := range rec.crossing {
-		rec.locks.Clear(sub, rec.locks.Port)
-	}
+	s.clearCrossings(rec, nil)
 	s.shared.Ports.Unregister(rec.locks.Port)
+}
+
+// clearCrossings clears the inner locks rec took on entering sub-files,
+// except on the pages in done, whose locks are already cleared.
+func (s *Server) clearCrossings(rec *verRec, done []block.Num) {
+	for sub := range rec.crossing {
+		if !slices.Contains(done, sub) {
+			rec.locks.Clear(sub, rec.locks.Port)
+		}
+	}
 }
 
 // CurrentVersion returns the root block of the file's current version:

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"maps"
 	"runtime"
+	"sync"
 	"testing"
 	"time"
 
@@ -15,6 +16,7 @@ import (
 	"repro/internal/occ"
 	"repro/internal/page"
 	"repro/internal/rpc"
+	"repro/internal/trace"
 	"repro/internal/version"
 )
 
@@ -807,6 +809,337 @@ func TestPageOperationCallBudget(t *testing.T) {
 		t.Fatal(err)
 	}
 	budget("depth-2 insert in a fresh version", 3, 1, 1)
+}
+
+// TestFirstCrossingCallBudget: the first read through a sub-file
+// boundary in a fresh super-file version is one copy-on-write pass that
+// forks the sub-file on the way. The sub-file's version page is read
+// twice — by the pass, then under the block lock that sets its inner
+// lock — and the outer root once; the pass allocates the fork and the
+// shadows in one AllocMulti, and besides the lock's one WriteMulti there
+// is one more, the pass's. (The hand-made crossing it replaced cost 10
+// reads, 2 allocs and 4 writes, reading the sub-file's version page four
+// times.)
+func TestFirstCrossingCallBudget(t *testing.T) {
+	cs, s := newCountService(t)
+	superCap, subCap := buildDeepSuper(t, s, "sub")
+	sub, err := s.CurrentVersion(subCap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	v, err := s.CreateVersion(superCap, CreateVersionOpts{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	root, err := s.VersionRoot(v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cs.reset()
+	if data, _, err := s.ReadPage(v, page.Path{0, 1}); err != nil || string(data) != "sub" {
+		t.Fatalf("read through the boundary: %q, %v", data, err)
+	}
+	if cs.reads > 4 || cs.readOf[sub] > 2 || cs.readOf[root] != 1 || cs.allocs != 1 || cs.writes != 2 {
+		t.Fatalf("first crossing: %d reads (sub-file version page %d, outer root %d), %d allocs, %d writes; want <= 4 (<= 2, 1), 1, 2",
+			cs.reads, cs.readOf[sub], cs.readOf[root], cs.allocs, cs.writes)
+	}
+}
+
+// buildTwinSuper creates a super-file with two sub-files, at /0 and /1,
+// of four pages each, and commits it.
+func buildTwinSuper(t *testing.T, s *Server) capability.Capability {
+	t.Helper()
+	superCap, err := s.CreateFile([]byte("super-root"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	v, err := s.CreateVersion(superCap, CreateVersionOpts{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 2; i++ {
+		if _, err := s.CreateSubFile(v, page.RootPath, i, []byte(fmt.Sprint("sub ", i))); err != nil {
+			t.Fatal(err)
+		}
+		for j := 0; j < 4; j++ {
+			if err := s.InsertPage(v, page.Path{i}, j, []byte("old")); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if err := s.Commit(v); err != nil {
+		t.Fatal(err)
+	}
+	return superCap
+}
+
+// twinPaths are the eight pages of buildTwinSuper's two sub-files.
+var twinPaths = []page.Path{{0, 0}, {0, 1}, {0, 2}, {0, 3}, {1, 0}, {1, 1}, {1, 2}, {1, 3}}
+
+// TestSuperFileWritesCallBudget: a super-file update writes through, one
+// crossing pass per write. Eight writes over two sub-files cost three
+// reads, one alloc and one write each, and each sub-file's first one a
+// lock read and write more: 26 reads, 8 allocs, 10 writes. (With the
+// hand-made crossing: 42 reads, 10 allocs, 14 writes.) The commit then
+// clears each inner lock once, inside CommitSubFiles: 14 reads, no
+// alloc, 6 writes (a second clear of every crossing would add a read
+// per sub-file).
+func TestSuperFileWritesCallBudget(t *testing.T) {
+	cs, s := newCountService(t)
+	superCap := buildTwinSuper(t, s)
+	v, err := s.CreateVersion(superCap, CreateVersionOpts{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cs.reset()
+	for _, p := range twinPaths {
+		if err := s.WritePage(v, p, []byte("new"+p.String())); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if cs.reads != 26 || cs.allocs != 8 || cs.writes != 10 {
+		t.Fatalf("8 writes over 2 sub-files: %d reads, %d allocs, %d writes; want 26, 8, 10", cs.reads, cs.allocs, cs.writes)
+	}
+	cs.reset()
+	if err := s.Commit(v); err != nil {
+		t.Fatal(err)
+	}
+	if cs.reads != 14 || cs.allocs != 0 || cs.writes != 6 {
+		t.Fatalf("commit: %d reads, %d allocs, %d writes; want 14, 0, 6", cs.reads, cs.allocs, cs.writes)
+	}
+	cur, _ := s.CurrentVersion(superCap)
+	for _, p := range twinPaths {
+		if data, _, err := s.ReadCommitted(cur, p); err != nil || string(data) != "new"+p.String() {
+			t.Fatalf("page %s = %q, %v", p, data, err)
+		}
+	}
+}
+
+// TestBufferedBatchCrossesAtFlush: a plain-file update whose buffered
+// batch enters sub-files — here two not yet accessed, under a Super mark
+// this server has not seen — flushes in one pass: one AllocMulti and one
+// pass WriteMulti, plus one lock read and write per sub-file.
+func TestBufferedBatchCrossesAtFlush(t *testing.T) {
+	cs, s := newCountService(t)
+	superCap := buildTwinSuper(t, s)
+	v, err := s.CreateVersion(superCap, CreateVersionOpts{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.mu.Lock()
+	rec := s.versions[v.Object]
+	s.mu.Unlock()
+	rec.super = false // the mark has not replicated to this server
+	for _, p := range twinPaths {
+		if err := s.WritePage(v, p, []byte("new"+p.String())); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cs.reset()
+	rec.mu.Lock()
+	err = s.flush(rec, trace.Context{})
+	rec.mu.Unlock()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cs.reads > 3+2 || cs.allocs != 1 || cs.writes != 1+2 {
+		t.Fatalf("a batch of 8 over 2 sub-files: %d reads, %d allocs, %d writes; want <= 5, 1, 3", cs.reads, cs.allocs, cs.writes)
+	}
+	if len(rec.crossing) != 2 {
+		t.Fatalf("crossing records %v, want both sub-files", rec.crossing)
+	}
+	if err := s.Commit(v); err != nil {
+		t.Fatal(err)
+	}
+	cur, _ := s.CurrentVersion(superCap)
+	for _, p := range twinPaths {
+		if data, _, err := s.ReadCommitted(cur, p); err != nil || string(data) != "new"+p.String() {
+			t.Fatalf("page %s = %q, %v", p, data, err)
+		}
+	}
+}
+
+// TestCrossingForksTheSubFilesCurrentVersion forces the interleaving in
+// which the sub-file changes while a super-file update waits to cross
+// into it: a small update of the sub-file holds its top hint, the
+// crossing waits on it (the probe of the holder's liveness stops it
+// there), the small update commits, and only then does the crossing go
+// on. It must lock and fork the version the small update committed, not
+// the one the super-file's tree names, so that the super-file commit
+// lands in the sub-file's chain after the small update.
+func TestCrossingForksTheSubFilesCurrentVersion(t *testing.T) {
+	sh := NewShared(block.NewServer(disk.MustNew(disk.Geometry{Blocks: 1 << 14, BlockSize: 1024})), 1)
+	waiting, release := make(chan struct{}), make(chan struct{})
+	var once sync.Once
+	s := New(sh, func(capability.Port) bool {
+		once.Do(func() {
+			close(waiting)
+			<-release
+		})
+		return true
+	})
+	s.locks.Poll = 50 * time.Microsecond
+	superCap, subCap := buildSuper(t, s, "sub")
+	small, err := s.CreateVersion(subCap, CreateVersionOpts{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.WritePage(small, page.RootPath, []byte("small")); err != nil {
+		t.Fatal(err)
+	}
+	sv, err := s.CreateVersion(superCap, CreateVersionOpts{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	crossed := make(chan error, 1)
+	go func() { crossed <- s.WritePage(sv, page.Path{1}, []byte("super")) }()
+	<-waiting
+	if err := s.Commit(small); err != nil {
+		t.Fatal(err)
+	}
+	smallRoot, err := s.CurrentVersion(subCap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	close(release)
+	if err := <-crossed; err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Commit(sv); err != nil {
+		t.Fatalf("super-file commit: %v", err)
+	}
+	nv, err := s.CreateVersion(subCap, CreateVersionOpts{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if data, _, err := s.ReadPage(nv, page.RootPath); err != nil || string(data) != "super" {
+		t.Fatalf("sub-file reads %q, %v; want super", data, err)
+	}
+	hist, err := s.History(subCap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(hist) != 3 || hist[1] != smallRoot {
+		t.Fatalf("sub-file history %v, want birth, the small update's %d, the super-file's", hist, smallRoot)
+	}
+}
+
+// TestRefusedCrossingHoldsLockUntilCommit: a pass that takes a
+// sub-file's inner lock and is then refused further down writes no fork,
+// so the commit finds nothing to commit in that sub-file; it must still
+// clear the lock. Retrying the refused pass forks under the version
+// object the first crossing minted rather than minting another.
+func TestRefusedCrossingHoldsLockUntilCommit(t *testing.T) {
+	sh, s := newService(t)
+	superCap, subCap := buildSuper(t, s, "sub") // the sub-file at /1 has no pages
+	v, err := s.CreateVersion(superCap, CreateVersionOpts{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := registered(sh)
+	for i := 0; i < 3; i++ {
+		if err := s.WritePage(v, page.Path{1, 0}, []byte("nowhere")); !errors.Is(err, version.ErrBadPath) {
+			t.Fatalf("write %d below the sub-file's last page: %v, want ErrBadPath", i, err)
+		}
+	}
+	if n := registered(sh) - before; n != 1 {
+		t.Fatalf("3 refused crossings registered %d version objects, want 1", n)
+	}
+	sub, err := s.CurrentVersion(subCap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, inner, _ := s.locks.Locks(sub); inner.IsNil() {
+		t.Fatal("the refused pass took no inner lock")
+	}
+	if err := s.Commit(v); err != nil {
+		t.Fatal(err)
+	}
+	if top, inner, err := s.locks.Locks(sub); err != nil || !top.IsNil() || !inner.IsNil() {
+		t.Fatalf("sub-file locks after the commit: %v/%v, %v; want none", top, inner, err)
+	}
+}
+
+// TestRefusedMoveTakesNoLock: a move into or out of a sub-file the update
+// has not entered is refused before the pass crosses the boundary — no
+// inner lock, no version object, no crossing recorded — so it holds up
+// no small update of the sub-file.
+func TestRefusedMoveTakesNoLock(t *testing.T) {
+	sh, s := newService(t)
+	superCap, subCap := buildSuper(t, s, "sub") // /0 plain, /1 the sub-file
+	v, err := s.CreateVersion(superCap, CreateVersionOpts{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.MakeHole(v, page.RootPath, 0); err != nil {
+		t.Fatal(err)
+	}
+	before := registered(sh)
+	if err := s.MoveSubtree(v, page.Path{1}, 0, page.RootPath, 0); !errors.Is(err, version.ErrSubFile) {
+		t.Fatalf("move out of the sub-file: err = %v, want ErrSubFile", err)
+	}
+	if err := s.MoveSubtree(v, page.RootPath, 0, page.Path{1}, 0); !errors.Is(err, version.ErrSubFile) {
+		t.Fatalf("move into the sub-file: err = %v, want ErrSubFile", err)
+	}
+	sub, err := s.CurrentVersion(subCap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if top, inner, err := s.locks.Locks(sub); err != nil || !top.IsNil() || !inner.IsNil() {
+		t.Fatalf("sub-file locks after the refused moves: %v/%v, %v; want none", top, inner, err)
+	}
+	s.mu.Lock()
+	rec := s.versions[v.Object]
+	s.mu.Unlock()
+	if n := registered(sh) - before; n != 0 || len(rec.crossing) != 0 {
+		t.Fatalf("refused moves registered %d objects and recorded crossings %v", n, rec.crossing)
+	}
+	small, err := s.CreateVersion(subCap, CreateVersionOpts{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.WritePage(small, page.RootPath, []byte("small")); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Commit(small); err != nil {
+		t.Fatalf("small update of the sub-file after the refused moves: %v", err)
+	}
+}
+
+// registered counts the objects of server ID 0's band with a registered
+// secret.
+func registered(sh *Shared) int {
+	n := 0
+	for obj := uint32(0); obj < 1<<objBandShift; obj++ {
+		if _, ok := sh.Fact.Secret(obj); ok {
+			n++
+		}
+	}
+	return n
+}
+
+// TestCreateSubFileForgetsRefusedObjects: a CreateSubFile the version
+// refuses leaves no object behind — neither the sub-file's nor its birth
+// version's secret stays registered.
+func TestCreateSubFileForgetsRefusedObjects(t *testing.T) {
+	sh, s := newService(t)
+	fcap, err := s.CreateFile([]byte("outer"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	v, err := s.CreateVersion(fcap, CreateVersionOpts{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := registered(sh)
+	for i := 0; i < 10; i++ {
+		if _, err := s.CreateSubFile(v, page.Path{5}, 0, []byte("lost")); !errors.Is(err, version.ErrBadPath) {
+			t.Fatalf("create %d on a bad path: %v, want ErrBadPath", i, err)
+		}
+	}
+	if after := registered(sh); after != before {
+		t.Fatalf("10 refused CreateSubFile calls left %d more registered secrets", after-before)
+	}
 }
 
 // TestCrossedSubFileReadsOuterChainOnce: once an update has crossed into

@@ -149,6 +149,11 @@ func Update(st *version.Store, rng *rand.Rand, base block.Num, grow bool) (*vers
 	if err != nil {
 		return nil, err
 	}
+	// The pass forks each sub-file it first enters, as the server's does,
+	// without the §5.3 locks.
+	t.Cross = func(blk block.Num, pg *page.Page) (*page.Page, error) {
+		return version.Fork(blk, pg, capOf(4))
+	}
 	ops := 3 + rng.Intn(6)
 	if grow {
 		ops = 40
@@ -161,33 +166,26 @@ func Update(st *version.Store, rng *rand.Rand, base block.Num, grow bool) (*vers
 			kind = 9 // insert
 		}
 		data := []byte{byte(i), byte(rng.Intn(256))}
-		var op func(t *version.Tree, rest page.Path) error
 		switch kind {
 		case 0, 1, 2:
-			op = func(t *version.Tree, rest page.Path) error { _, _, err := t.ReadPage(rest); return err }
+			_, _, err = t.ReadPage(p)
 		case 3, 4:
-			op = func(t *version.Tree, rest page.Path) error { return t.WritePage(rest, data) }
+			err = t.WritePage(p, data)
 		case 5:
-			idx := rng.Intn(nrefs + 1)
-			op = func(t *version.Tree, rest page.Path) error { return t.MakeHole(rest, idx) }
+			err = t.MakeHole(p, rng.Intn(nrefs+1))
 		case 6:
-			idx := rng.Intn(nrefs + 1)
-			op = func(t *version.Tree, rest page.Path) error { return t.FillHole(rest, idx, data) }
+			err = t.FillHole(p, rng.Intn(nrefs+1), data)
 		case 7:
 			if len(p) == 0 {
 				continue // a sub-file below the root only
 			}
 			idx := rng.Intn(nrefs + 1)
 			obj := uint32(100 + rng.Intn(1000))
-			op = func(t *version.Tree, rest page.Path) error {
-				_, err := t.InsertSubFile(rest, idx, capOf(obj), capOf(obj+1), data)
-				return err
-			}
+			_, err = t.InsertSubFile(p, idx, capOf(obj), capOf(obj+1), data)
 		default:
-			idx := rng.Intn(nrefs + 1)
-			op = func(t *version.Tree, rest page.Path) error { return t.InsertPage(rest, idx, data) }
+			err = t.InsertPage(p, rng.Intn(nrefs+1), data)
 		}
-		if err := resolve(st, t, p, op); err != nil && !refused(err) {
+		if err != nil && !refused(err) {
 			return nil, err
 		}
 	}
@@ -200,31 +198,6 @@ func refused(err error) bool {
 	return errors.Is(err, version.ErrBadPath) || errors.Is(err, version.ErrHole) ||
 		errors.Is(err, version.ErrNotHole) || errors.Is(err, page.ErrBadIndex) ||
 		errors.Is(err, page.ErrPageFull)
-}
-
-// resolve runs op at p in t, crossing sub-file boundaries the way the
-// server does (without its locks): a first crossing forks the sub-file's
-// version inside this update and links the fork in.
-func resolve(st *version.Store, t *version.Tree, p page.Path, op func(*version.Tree, page.Path) error) error {
-	for {
-		err := op(t, p)
-		var sub *version.SubFileError
-		if !errors.As(err, &sub) {
-			return err
-		}
-		root := sub.Block
-		if !sub.Accessed {
-			fork, err := version.CreateVersion(st, sub.Block, capOf(4))
-			if err != nil {
-				return err
-			}
-			if err := t.LinkSubVersion(p[:sub.Depth], p[sub.Depth], fork.Root); err != nil {
-				return err
-			}
-			root = fork.Root
-		}
-		t, p = &version.Tree{St: st, Root: root}, p[sub.Depth+1:]
-	}
 }
 
 // randomPath picks a page of t, sub-files included, and returns its path

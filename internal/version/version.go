@@ -31,18 +31,19 @@
 // committed pages are immutable.
 //
 // Every page operation — a read, a write or a batch of writes, each
-// shape command, a sub-file link — is one copy-on-write pass over the
-// union of the paths it touches. The pass reads that union one level at a
-// time (the root, then one multi-block read per depth), checks every
-// step, shadows in memory each page first accessed in this version, lets
-// the operation edit its targets, sets the flags, and then writes: every
-// new page — shadows and pages the operation creates — in one AllocMulti,
-// every changed private page in one WriteMulti. An operation on a path of
-// depth d therefore costs at most d+1 reads, one alloc and one write, and
-// one that refuses has written nothing. A path that reaches an embedded
-// sub-file's version page stops the pass with a *SubFileError; the
-// server crosses the boundary under the §5.3 locks and reruns the
-// operation inside the sub-file. Whole-tree walks — the collector's, the
+// shape command — is one copy-on-write pass over the union of the paths
+// it touches. The pass reads that union one level at a time (the root,
+// then one multi-block read per depth), checks every step, shadows in
+// memory each page first accessed in this version, lets the operation
+// edit its targets, sets the flags, and then writes: every new page —
+// shadows and pages the operation creates — in one AllocMulti, every
+// changed private page in one WriteMulti. An operation on a path of depth
+// d therefore costs at most d+1 reads, one alloc and one write, and one
+// that refuses has written nothing. The pass crosses sub-file boundaries
+// itself: a path that reaches the version page of an embedded sub-file
+// this version has not entered calls the tree's Cross hook, which takes
+// the §5.3 inner lock and forks the sub-file, and the fork joins the pass
+// as a page created in it. Whole-tree walks — the collector's, the
 // validators', the recovery paths' — are Store.Visit, which reads a level
 // of any number of trees with one multi-block read. A Tree is not safe
 // for concurrent use; the server serialises operations per version,
@@ -52,6 +53,7 @@ package version
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"repro/internal/block"
 	"repro/internal/capability"
@@ -67,8 +69,8 @@ var (
 	// ErrBadPath reports a path that does not name a page in the tree.
 	ErrBadPath = errors.New("version: bad path")
 	// ErrSubFile reports an operation that tried to cross into an
-	// embedded sub-file version page; the server's locking layer must
-	// mediate those (§5.3).
+	// embedded sub-file version page with no Cross hook to mediate it
+	// (§5.3), or a move between two files of a super-file.
 	ErrSubFile = errors.New("version: path crosses a sub-file boundary")
 )
 
@@ -179,6 +181,12 @@ func (s *Store) Capacity(nrefs int, isVersion bool) int {
 type Tree struct {
 	St   *Store
 	Root block.Num
+	// Cross is the §5.3 step of a pass that reaches the version page of
+	// an embedded sub-file this version has not accessed: blk is the
+	// block the reference names and pg the page read there. It returns
+	// the version page of the sub-file's new version inside this one,
+	// built by Fork. Nil refuses such a pass with ErrSubFile.
+	Cross func(blk block.Num, pg *page.Page) (*page.Page, error)
 }
 
 // CreateFile creates the very first version of a new file: a single
@@ -201,19 +209,34 @@ func CreateFile(s *Store, fileCap, verCap capability.Capability, data []byte) (*
 }
 
 // CreateVersion creates a new uncommitted version based on the committed
-// version whose version page is in block base. The new version page
-// shares the base's page tree: same reference table with all access flags
-// cleared, same data. "When a new version is created, it behaves as if it
-// were a copy of the current version."
+// version whose version page is in block base: it reads the base, forks
+// it and allocates the fork.
 func CreateVersion(s *Store, base block.Num, verCap capability.Capability) (*Tree, error) {
 	bp, err := s.ReadPage(base)
 	if err != nil {
 		return nil, err
 	}
+	vp, err := Fork(base, bp, verCap)
+	if err != nil {
+		return nil, err
+	}
+	root, err := s.AllocPage(vp)
+	if err != nil {
+		return nil, err
+	}
+	return &Tree{St: s, Root: root}, nil
+}
+
+// Fork builds in memory the version page of a new version based on bp,
+// the committed version page in block base. The new version shares the
+// base's page tree: same reference table with all access flags cleared,
+// same data. "When a new version is created, it behaves as if it were a
+// copy of the current version."
+func Fork(base block.Num, bp *page.Page, verCap capability.Capability) (*page.Page, error) {
 	if !bp.IsVersion {
 		return nil, fmt.Errorf("version: block %d is not a version page: %w", base, ErrBadPath)
 	}
-	vp := &page.Page{
+	return &page.Page{
 		IsVersion:  true,
 		FileCap:    bp.FileCap,
 		VersionCap: verCap,
@@ -222,12 +245,7 @@ func CreateVersion(s *Store, base block.Num, verCap capability.Capability) (*Tre
 		RootFlags:  page.FlagC, // the root is always copied
 		Refs:       clearRefFlags(bp.Refs),
 		Data:       append([]byte(nil), bp.Data...),
-	}
-	root, err := s.AllocPage(vp)
-	if err != nil {
-		return nil, err
-	}
-	return &Tree{St: s, Root: root}, nil
+	}, nil
 }
 
 // clearRefFlags copies a reference table with all access flags zeroed:
@@ -242,28 +260,6 @@ func clearRefFlags(refs []page.Ref) []page.Ref {
 
 // VersionPage reads the tree's root (version) page.
 func (t *Tree) VersionPage() (*page.Page, error) { return t.St.ReadPage(t.Root) }
-
-// SubFileError reports a path that reached an embedded sub-file version
-// page: the reference at index Depth of the path points at Block, the
-// sub-file's version page. Accessed tells whether this version already
-// accessed that reference — then it names a sub-version this update
-// created — or still shares it with the base. The server's locking layer
-// crosses the boundary (§5.3) and reruns the operation inside the
-// sub-file. It satisfies errors.Is(err, ErrSubFile).
-type SubFileError struct {
-	Depth    int
-	Block    block.Num
-	Accessed bool
-	path     page.Path
-}
-
-// Error names the path and the depth of the boundary.
-func (e *SubFileError) Error() string {
-	return fmt.Sprintf("version: %s at depth %d: %v", e.path, e.Depth, ErrSubFile)
-}
-
-// Unwrap makes errors.Is(err, ErrSubFile) hold.
-func (e *SubFileError) Unwrap() error { return ErrSubFile }
 
 // node is one page on the union of a pass's root-to-target chains, or a
 // page the pass creates.
@@ -283,6 +279,15 @@ type node struct {
 	dirty bool
 }
 
+// home is the version page n belongs to: n itself if it is one, else the
+// nearest one above it.
+func (n *node) home() *node {
+	for n.parent != nil && !n.pg.IsVersion {
+		n = n.parent
+	}
+	return n
+}
+
 // pass is one copy-on-write operation: the §5.1 shadowing rule applied to
 // the union of the paths the operation touches, in two phases. begin
 // reads and checks; the operation then edits its targets in memory; write
@@ -297,10 +302,15 @@ type pass struct {
 // begin reads the union of the root-to-target chains of ps level by level
 // — the root, then one multi-block read per depth — and checks every
 // step: ErrBadPath for an index outside a table, ErrHole for a nil
-// reference, a *SubFileError for an embedded version page. Every page
-// first accessed in this version becomes its own shadow in memory: the
-// decoded copy, its child flags cleared and its base recorded.
-func (t *Tree) begin(ps []page.Path) (*pass, error) {
+// reference. Every page first accessed in this version becomes its own
+// shadow in memory: the decoded copy, its child flags cleared and its
+// base recorded. A sub-file's version page first accessed here is
+// replaced by the fork the Cross hook returns instead, and the reference
+// to it marked copied (C); the enclosing pages record only a search.
+// With oneFile set, a version page that not every path reaches refuses
+// the pass with ErrSubFile before the hook runs, so every target belongs
+// to one file and a refused operation has taken no lock.
+func (t *Tree) begin(ps []page.Path, oneFile bool) (*pass, error) {
 	rootPg, err := t.St.ReadPage(t.Root)
 	if err != nil {
 		return nil, err
@@ -353,13 +363,23 @@ func (t *Tree) begin(ps []page.Path) (*pass, error) {
 			return nil, err
 		}
 		for k, n := range level {
-			if pgs[k].IsVersion {
-				return nil, &SubFileError{Depth: depth, Block: n.blk, Accessed: !n.fresh, path: ps[first[k]]}
-			}
 			n.pg = pgs[k]
-			if n.fresh {
+			if oneFile && n.pg.IsVersion && slices.ContainsFunc(x.at, func(a *node) bool { return a != n }) {
+				return nil, fmt.Errorf("version: paths %v do not all enter the sub-file at depth %d: %w", ps, depth, ErrSubFile)
+			}
+			switch {
+			case !n.fresh:
+			case !n.pg.IsVersion:
 				n.pg.Refs = clearRefFlags(n.pg.Refs)
 				n.pg.BaseRef = n.blk
+			case t.Cross == nil:
+				return nil, fmt.Errorf("version: %s at depth %d: %w", ps[first[k]], depth, ErrSubFile)
+			default:
+				if n.pg, err = t.Cross(n.blk, n.pg); err != nil {
+					return nil, err
+				}
+				ref := &n.parent.pg.Refs[n.idx]
+				ref.Flags = ref.Flags.Set(page.FlagC)
 			}
 		}
 		x.nodes = append(x.nodes, level...)
@@ -379,21 +399,23 @@ func (x *pass) create(parent *node, idx int, pg *page.Page) *node {
 // page's own bits — and writes the pass out: every fresh page, with its
 // final contents and flags, in one multi-block alloc, then every changed
 // private page, the parents patched to point at fresh pages included, in
-// one multi-block write. A shadow's references to deeper fresh pages
-// still name the base's pages (or nothing) until the write patches them,
-// so every allocated block is a valid page at every instant; fresh pages
-// orphaned by a failed write fall to the garbage collector, like an
-// aborted version's pages.
+// one multi-block write. A fresh version page gets its enclosing version
+// page as parent reference, patched like a reference when that page is
+// fresh too. A shadow's references to deeper fresh pages still name the
+// base's pages (or nothing) until the write patches them, so every
+// allocated block is a valid page at every instant; fresh pages orphaned
+// by a failed write fall to the garbage collector, like an aborted
+// version's pages.
 func (x *pass) write() error {
 	for _, n := range x.nodes {
 		bits := n.bits
 		if len(n.kids) > 0 {
 			bits |= page.FlagS
 		}
-		// A page's flags live in its parent's reference, the root's in
-		// its own header.
+		// A page's flags live in its parent's reference; a version page's
+		// — the root's or a sub-file's — in its own header.
 		flags, holder := &n.pg.RootFlags, n
-		if n.parent != nil {
+		if n.parent != nil && !n.pg.IsVersion {
 			flags, holder = &n.parent.pg.Refs[n.idx].Flags, n.parent
 		}
 		if f := flags.Set(bits); f != *flags {
@@ -407,6 +429,11 @@ func (x *pass) write() error {
 	for _, n := range x.nodes {
 		if !n.fresh {
 			continue
+		}
+		if n.pg.IsVersion {
+			if h := n.parent.home(); !h.fresh {
+				n.pg.ParentRef = h.blk
+			}
 		}
 		raw, err := n.pg.Encode(bs)
 		if err != nil {
@@ -427,6 +454,11 @@ func (x *pass) write() error {
 		for _, n := range fresh {
 			n.parent.pg.Refs[n.idx].Block = n.blk
 			n.parent.dirty = true
+			if n.pg.IsVersion {
+				if h := n.parent.home(); h.fresh {
+					n.pg.ParentRef, n.dirty = h.blk, true
+				}
+			}
 		}
 	}
 	var ns []block.Num
@@ -447,7 +479,7 @@ func (x *pass) write() error {
 // fn edits it in memory (and may refuse, writing nothing), the page must
 // still fit its block, and bits are recorded on it.
 func (t *Tree) edit(p page.Path, bits page.Flags, fn func(x *pass, tg *node) error) error {
-	x, err := t.begin([]page.Path{p})
+	x, err := t.begin([]page.Path{p}, false)
 	if err != nil {
 		return err
 	}
@@ -465,7 +497,7 @@ func (t *Tree) edit(p page.Path, bits page.Flags, fn func(x *pass, tg *node) err
 // ReadPage returns the client data and reference count of the page at
 // path, recording the access (R on the page, S on its ancestors).
 func (t *Tree) ReadPage(p page.Path) (data []byte, nrefs int, err error) {
-	x, err := t.begin([]page.Path{p})
+	x, err := t.begin([]page.Path{p}, false)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -520,7 +552,7 @@ func (t *Tree) WritePages(ps []page.Path, datas [][]byte) error {
 	if len(ps) == 0 {
 		return nil
 	}
-	x, err := t.begin(ps)
+	x, err := t.begin(ps, false)
 	if err != nil {
 		return err
 	}
@@ -609,22 +641,14 @@ func hole(pg *page.Page, idx int) error {
 // the same version, in one pass over both paths. This is the §5 "move
 // subtrees to another part of the tree" shape operation. Both touched
 // pages are marked modified. Moving a subtree into itself is refused, and
-// so is a move whose paths do not cross the same sub-file boundaries.
+// so is a move between two files of a super-file: both pages must belong
+// to the same version page.
 func (t *Tree) MoveSubtree(srcPath page.Path, srcIdx int, dstPath page.Path, dstIdx int) error {
 	full := srcPath.Child(srcIdx)
 	if dstPath.HasPrefix(full) {
 		return fmt.Errorf("version: cannot move %s under itself (%s): %w", full, dstPath, ErrBadPath)
 	}
-	x, err := t.begin([]page.Path{srcPath, dstPath})
-	var sub *SubFileError
-	if errors.As(err, &sub) {
-		// Both paths must enter the same sub-file, or the move would
-		// leave it.
-		d := sub.Depth
-		if len(srcPath) <= d || len(dstPath) <= d || !srcPath[:d+1].Equal(dstPath[:d+1]) {
-			return fmt.Errorf("version: move %s to %s crosses a sub-file boundary: %w", srcPath, dstPath, ErrSubFile)
-		}
-	}
+	x, err := t.begin([]page.Path{srcPath, dstPath}, true)
 	if err != nil {
 		return err
 	}
@@ -664,26 +688,9 @@ func (t *Tree) SplitPage(p page.Path, keep int) error {
 	})
 }
 
-// LinkSubVersion replaces the reference at index idx of the page at path
-// with newRoot, the root of a sub-file version created for this update,
-// and marks the boundary copied (C). The enclosing pages record only a
-// search: the sub-file's own access tracking lives inside its version.
-// The server's super-file update path (§5.3) calls this after
-// inner-locking the sub-file.
-func (t *Tree) LinkSubVersion(p page.Path, idx int, newRoot block.Num) error {
-	return t.edit(p, page.FlagS, func(_ *pass, tg *node) error {
-		old, err := tg.pg.Ref(idx)
-		if err != nil {
-			return err
-		}
-		tg.pg.Refs[idx] = page.Ref{Block: newRoot, Flags: old.Flags.Set(page.FlagC)}
-		return nil
-	})
-}
-
 // InsertSubFile creates the birth version page of a new sub-file — file
 // and version capabilities fileCap and verCap, client data data, parent
-// reference this tree's root — and inserts a reference to it at index idx
+// reference the version page enclosing the page at path — and inserts a reference to it at index idx
 // of the page at path, modifying the table (M). The new sub-file is
 // private to this version until commit. It returns the sub-file's root
 // block.
@@ -694,7 +701,6 @@ func (t *Tree) InsertSubFile(p page.Path, idx int, fileCap, verCap capability.Ca
 			IsVersion:  true,
 			FileCap:    fileCap,
 			VersionCap: verCap,
-			ParentRef:  t.Root,
 			RootFlags:  page.Flags(0).Set(page.FlagW),
 			Data:       append([]byte(nil), data...),
 		})

@@ -845,10 +845,144 @@ func refLinkSubVersion(t *Tree, p page.Path, idx int, newRoot block.Num) error {
 	})
 }
 
-func refInsertSubFile(t *Tree, p page.Path, idx int, subRoot block.Num) error {
+// refInsertSubFile allocates the birth version page of a sub-file, its
+// parent reference t's root, and inserts a reference to it (C|W).
+func refInsertSubFile(t *Tree, p page.Path, idx int, fileCap, verCap capability.Capability, data []byte) error {
+	subRoot, err := t.St.AllocPage(&page.Page{IsVersion: true, FileCap: fileCap, VersionCap: verCap,
+		ParentRef: t.Root, RootFlags: page.Flags(0).Set(page.FlagW), Data: append([]byte(nil), data...)})
+	if err != nil {
+		return err
+	}
 	return refEdit(t, p, page.FlagM, func(pg *page.Page) error {
 		return pg.InsertRef(idx, page.Ref{Block: subRoot, Flags: page.Flags(0).Set(page.FlagW)})
 	})
+}
+
+// forkCap is the version capability of every sub-file fork the tests
+// make, through the pass's hook and through the reference alike.
+var forkCap = capability.Capability{Object: 77, Rights: capability.RightsAll}
+
+// forkHook is a Cross hook without the §5.3 locks: it forks the page the
+// pass read.
+func forkHook(blk block.Num, pg *page.Page) (*page.Page, error) { return Fork(blk, pg, forkCap) }
+
+// refBoundary finds the first embedded version page on p in t: the depth
+// of the reference to it, its block, and whether this version accessed
+// that reference and every one above it. The depth is -1 when p reaches
+// no sub-file before its end, a hole or a bad index.
+func refBoundary(t *Tree, p page.Path) (int, block.Num, bool, error) {
+	cur, err := t.St.ReadPage(t.Root)
+	if err != nil {
+		return -1, block.NilNum, false, err
+	}
+	accessed := true
+	for depth, idx := range p {
+		if idx < 0 || idx >= len(cur.Refs) || cur.Refs[idx].IsNil() {
+			break
+		}
+		ref := cur.Refs[idx]
+		accessed = accessed && ref.Flags.Accessed()
+		if cur, err = t.St.ReadPage(ref.Block); err != nil {
+			return -1, block.NilNum, false, err
+		}
+		if cur.IsVersion {
+			return depth, ref.Block, accessed, nil
+		}
+	}
+	return -1, block.NilNum, false, nil
+}
+
+// refCross is the reference for a pass that crosses sub-file boundaries:
+// the link-then-rerun sequence the server ran before the pass crossed
+// them itself. At the first sub-file on p that this version has not
+// accessed it forks the sub-file (CreateVersion), points the fork's
+// parent reference at t's root and links the fork in (refLinkSubVersion);
+// then it reruns op inside the sub-file with the rest of the path.
+func refCross(t *Tree, p page.Path, op func(t *Tree, rest page.Path) error) error {
+	for {
+		d, sub, accessed, err := refBoundary(t, p)
+		if err != nil {
+			return err
+		}
+		if d < 0 {
+			return op(t, p)
+		}
+		if !accessed {
+			fork, err := CreateVersion(t.St, sub, forkCap)
+			if err != nil {
+				return err
+			}
+			vp, err := t.St.ReadPage(fork.Root)
+			if err != nil {
+				return err
+			}
+			vp.ParentRef = t.Root
+			if err := t.St.WritePage(fork.Root, vp); err != nil {
+				return err
+			}
+			if err := refLinkSubVersion(t, p[:d], p[d], fork.Root); err != nil {
+				return err
+			}
+			sub = fork.Root
+		}
+		t, p = &Tree{St: t.St, Root: sub}, p[d+1:]
+	}
+}
+
+// sameTrees reports the first difference between the trees under want
+// and got: shape, data, flags, capabilities, lock fields, and commit,
+// base and parent references, with the blocks private to each tree
+// mapped onto each other. Both trees are versions of one base, so a
+// reference neither version accessed must name the same shared block in
+// both, and a block both trees name needs no comparing; the roots'
+// version capabilities are their own.
+func sameTrees(st *Store, want, got block.Num) error {
+	m := make(map[block.Num]block.Num)
+	mapped := func(b block.Num) block.Num {
+		if w, ok := m[b]; ok {
+			return w
+		}
+		return b
+	}
+	var cmp func(p page.Path, w, g block.Num) error
+	cmp = func(p page.Path, w, g block.Num) error {
+		m[g] = w
+		if w == g {
+			return nil
+		}
+		wp, err := st.ReadPage(w)
+		if err != nil {
+			return err
+		}
+		gp, err := st.ReadPage(g)
+		if err != nil {
+			return err
+		}
+		if gp.IsVersion != wp.IsVersion || !bytes.Equal(gp.Data, wp.Data) || gp.RootFlags != wp.RootFlags ||
+			gp.FileCap != wp.FileCap || (len(p) > 0 && gp.VersionCap != wp.VersionCap) ||
+			gp.TopLock != wp.TopLock || gp.InnerLock != wp.InnerLock || mapped(gp.CommitRef) != wp.CommitRef ||
+			mapped(gp.BaseRef) != wp.BaseRef || mapped(gp.ParentRef) != wp.ParentRef || len(gp.Refs) != len(wp.Refs) {
+			return fmt.Errorf("page %s: pass %+v, reference %+v", p, gp, wp)
+		}
+		for i, wr := range wp.Refs {
+			gr := gp.Refs[i]
+			if gr.Flags != wr.Flags || gr.IsNil() != wr.IsNil() {
+				return fmt.Errorf("page %s: reference %d is %v/%v through the pass, %v/%v through the reference",
+					p, i, gr.Flags, gr.IsNil(), wr.Flags, wr.IsNil())
+			}
+			if !wr.IsNil() && !wr.Flags.Accessed() && gr.Block != wr.Block {
+				return fmt.Errorf("page %s: unaccessed reference %d names block %d through the pass, %d through the reference",
+					p, i, gr.Block, wr.Block)
+			}
+			if !wr.IsNil() {
+				if err := cmp(p.Child(i), wr.Block, gr.Block); err != nil {
+					return err
+				}
+			}
+		}
+		return nil
+	}
+	return cmp(page.RootPath, want, got)
 }
 
 // buildWide creates a depth-3 file: root → 3 children → 3 each → 2 each.
@@ -873,36 +1007,6 @@ func buildWide(t *testing.T, s *Store) *Tree {
 	}
 	grow(page.RootPath, []int{3, 3, 2})
 	return tr
-}
-
-// walkRecord is what a page looks like to Walk, minus the block numbers
-// of pages private to one version.
-type walkRecord struct {
-	path    string
-	flags   page.Flags
-	shared  block.Num // the block, when still shared with the base
-	base    block.Num
-	nrefs   int
-	data    string
-	version bool
-}
-
-func walkRecords(t *testing.T, tr *Tree) []walkRecord {
-	t.Helper()
-	var out []walkRecord
-	err := tr.Walk(func(p page.Path, ref page.Ref, pg *page.Page) error {
-		r := walkRecord{path: p.String(), flags: ref.Flags, base: pg.BaseRef,
-			nrefs: len(pg.Refs), data: string(pg.Data), version: pg.IsVersion}
-		if !ref.Flags.Accessed() {
-			r.shared = ref.Block
-		}
-		out = append(out, r)
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return out
 }
 
 // TestWritePagesMatchesSequentialWrites: a batch with shared prefixes,
@@ -975,14 +1079,8 @@ func TestWritePagesMatchesSequentialWrites(t *testing.T) {
 			t.Fatalf("seed %d: batch of %d cost %d reads, %d allocs, %d writes; want <= %d, 1, <= 1",
 				seed, len(ps), cs.reads, cs.allocs, cs.writes, depth+1)
 		}
-		want, got := walkRecords(t, seq), walkRecords(t, bat)
-		if len(want) != len(got) {
-			t.Fatalf("seed %d: %d pages after the batch, %d after sequential writes", seed, len(got), len(want))
-		}
-		for i := range want {
-			if want[i] != got[i] {
-				t.Fatalf("seed %d: page %s: batch %+v, sequential %+v", seed, want[i].path, got[i], want[i])
-			}
+		if err := sameTrees(s, seq.Root, bat.Root); err != nil {
+			t.Fatalf("seed %d: the batch against sequential writes: %v", seed, err)
 		}
 		// Then a seeded mix of reads, writes and every shape command, each
 		// through the pass on bat and through the reference on seq.
@@ -991,20 +1089,17 @@ func TestWritePagesMatchesSequentialWrites(t *testing.T) {
 }
 
 // mixOps applies 60 random operations — reads, writes, every shape
-// command, sub-file inserts and links, on paths that may be bad — to got
-// through the single pass (over cs, which counts its block calls) and,
-// when the pass accepts one, to want through the reference engine. After
-// every operation the two trees must match; each pass stays within its
-// budget of one read per depth plus the root, one alloc and one write;
-// and a refused operation makes no mutating call at all.
+// command and sub-file inserts, on paths that may be bad or cross into
+// sub-files — to got through the single pass (over cs, which counts its
+// block calls, and with got's Cross hook) and, when the pass accepts one,
+// to want through the reference engine, crossing sub-file boundaries by
+// refCross. After every operation the two trees must match; each pass
+// stays within its budget of one read per depth plus the root, one alloc
+// and one write; and a refused operation makes no mutating call at all.
 func mixOps(t *testing.T, rng *rand.Rand, s *Store, want, got *Tree, cs *countStore, what string) {
 	t.Helper()
-	fc, vc, f := caps(t)
-	ext, err := CreateFile(s, fc, vc, []byte("ext")) // a version page to link
-	if err != nil {
-		t.Fatal(err)
-	}
-	counted := &Tree{St: NewStore(cs, testAcct), Root: got.Root}
+	_, _, f := caps(t)
+	counted := &Tree{St: NewStore(cs, testAcct), Root: got.Root, Cross: got.Cross}
 	cs.reads, cs.allocs, cs.writes = 0, 0, 0
 	shape := func(p page.Path) (n, hole int, data []byte) {
 		pg, err := want.PeekPage(p)
@@ -1023,7 +1118,7 @@ func mixOps(t *testing.T, rng *rand.Rand, s *Store, want, got *Tree, cs *countSt
 	// through a hole or a sub-file.
 	randPath := func() page.Path {
 		p := page.RootPath
-		for len(p) < 4 && rng.Intn(3) > 0 {
+		for len(p) < 6 && rng.Intn(4) > 0 {
 			n, _, _ := shape(p)
 			p = p.Child(rng.Intn(n + 1))
 		}
@@ -1041,15 +1136,15 @@ func mixOps(t *testing.T, rng *rand.Rand, s *Store, want, got *Tree, cs *countSt
 		data := []byte(fmt.Sprintf("%s op %d", what, i))
 		var name string
 		var gotErr error
-		var wantOp func() error
+		var wantOp func(w *Tree, rest page.Path) error
 		maxDepth := len(p)
-		switch rng.Intn(20) {
+		switch rng.Intn(18) {
 		case 0, 1, 2:
 			name = "read"
 			gd, gn, err := counted.ReadPage(p)
 			gotErr = err
-			wantOp = func() error {
-				wd, wn, err := refReadPage(want, p)
+			wantOp = func(w *Tree, rest page.Path) error {
+				wd, wn, err := refReadPage(w, rest)
 				if err == nil && (!bytes.Equal(gd, wd) || gn != wn) {
 					err = fmt.Errorf("pass read %q/%d, reference %q/%d", gd, gn, wd, wn)
 				}
@@ -1058,38 +1153,38 @@ func mixOps(t *testing.T, rng *rand.Rand, s *Store, want, got *Tree, cs *countSt
 		case 3, 4, 5:
 			name = "write"
 			gotErr = counted.WritePage(p, data)
-			wantOp = func() error { return refWritePage(want, p, data) }
+			wantOp = func(w *Tree, rest page.Path) error { return refWritePage(w, rest, data) }
 		case 6, 7:
 			name = "insert"
 			idx := randIdx(p, false)
 			gotErr = counted.InsertPage(p, idx, data)
-			wantOp = func() error { return refInsertPage(want, p, idx, data) }
+			wantOp = func(w *Tree, rest page.Path) error { return refInsertPage(w, rest, idx, data) }
 		case 8:
 			name = "remove"
 			idx := randIdx(p, false)
 			gotErr = counted.RemovePage(p, idx)
-			wantOp = func() error { return refRemovePage(want, p, idx) }
+			wantOp = func(w *Tree, rest page.Path) error { return refRemovePage(w, rest, idx) }
 		case 9, 10:
 			name = "makeHole"
 			idx := randIdx(p, false)
 			gotErr = counted.MakeHole(p, idx)
-			wantOp = func() error { return refMakeHole(want, p, idx) }
+			wantOp = func(w *Tree, rest page.Path) error { return refMakeHole(w, rest, idx) }
 		case 11:
 			name = "fillHole"
 			idx := randIdx(p, true)
 			gotErr = counted.FillHole(p, idx, data)
-			wantOp = func() error { return refFillHole(want, p, idx, data) }
+			wantOp = func(w *Tree, rest page.Path) error { return refFillHole(w, rest, idx, data) }
 		case 12:
 			name = "removeHole"
 			idx := randIdx(p, true)
 			gotErr = counted.RemoveHole(p, idx)
-			wantOp = func() error { return refRemoveHole(want, p, idx) }
+			wantOp = func(w *Tree, rest page.Path) error { return refRemoveHole(w, rest, idx) }
 		case 13:
 			_, _, cur := shape(p)
 			name = "split"
 			keep := rng.Intn(len(cur) + 2)
 			gotErr = counted.SplitPage(p, keep)
-			wantOp = func() error { return refSplitPage(want, p, keep) }
+			wantOp = func(w *Tree, rest page.Path) error { return refSplitPage(w, rest, keep) }
 		case 14, 15, 16:
 			srcIdx, dst := randIdx(p, false), randPath()
 			for k := 0; k < 4; k++ { // look for a hole to move into
@@ -1104,24 +1199,17 @@ func mixOps(t *testing.T, rng *rand.Rand, s *Store, want, got *Tree, cs *countSt
 				maxDepth = len(dst)
 			}
 			gotErr = counted.MoveSubtree(p, srcIdx, dst, dstIdx)
-			wantOp = func() error { return refMoveSubtree(want, p, srcIdx, dst, dstIdx) }
-		case 17:
-			name = "insertSubFile"
-			idx := randIdx(p, false)
-			obj := uint32(100 + i)
-			_, gotErr = counted.InsertSubFile(p, idx, f.Register(obj), f.Register(obj+1000), data)
-			wantOp = func() error {
-				sub, err := CreateFile(s, f.Register(obj), f.Register(obj+1000), data)
-				if err != nil {
-					return err
-				}
-				return refInsertSubFile(want, p, idx, sub.Root)
+			// The pass accepts only a move inside one file, so the
+			// destination crosses the boundaries the source does.
+			wantOp = func(w *Tree, rest page.Path) error {
+				return refMoveSubtree(w, rest, srcIdx, dst[len(p)-len(rest):], dstIdx)
 			}
 		default:
-			name = "link"
+			name = "insertSubFile"
 			idx := randIdx(p, false)
-			gotErr = counted.LinkSubVersion(p, idx, ext.Root)
-			wantOp = func() error { return refLinkSubVersion(want, p, idx, ext.Root) }
+			fc, vc := f.Register(uint32(100+i)), f.Register(uint32(1100+i))
+			_, gotErr = counted.InsertSubFile(p, idx, fc, vc, data)
+			wantOp = func(w *Tree, rest page.Path) error { return refInsertSubFile(w, rest, idx, fc, vc, data) }
 		}
 		if cs.reads > maxDepth+1 || cs.allocs > 1 || cs.writes > 1 {
 			t.Fatalf("%s: %s %s cost %d reads, %d allocs, %d writes; want <= %d, 1, 1",
@@ -1131,19 +1219,183 @@ func mixOps(t *testing.T, rng *rand.Rand, s *Store, want, got *Tree, cs *countSt
 			if cs.allocs != 0 || cs.writes != 0 {
 				t.Fatalf("%s: refused %s %s (%v) made %d allocs and %d writes", what, name, p, gotErr, cs.allocs, cs.writes)
 			}
-		} else if err := wantOp(); err != nil {
+		} else if err := refCross(want, p, wantOp); err != nil {
 			t.Fatalf("%s: %s %s: the pass accepted it, the reference: %v", what, name, p, err)
 		}
 		cs.reads, cs.allocs, cs.writes = 0, 0, 0
-		w, g := walkRecords(t, want), walkRecords(t, got)
-		if len(w) != len(g) {
-			t.Fatalf("%s: after %s %s: %d pages through the pass, %d through the reference", what, name, p, len(g), len(w))
+		if err := sameTrees(s, want.Root, got.Root); err != nil {
+			t.Fatalf("%s: after %s %s: %v", what, name, p, err)
 		}
-		for k := range w {
-			if w[k] != g[k] {
-				t.Fatalf("%s: after %s %s: page %s: pass %+v, reference %+v", what, name, p, w[k].path, g[k], w[k])
+	}
+}
+
+// buildNested creates a file whose tree holds sub-files nested in
+// sub-files: /0 and /0/1 to start with, then forty random inserts of
+// pages and sub-files down to depth three, all in the birth version, so
+// that no insert crosses a boundary.
+func buildNested(t *testing.T, rng *rand.Rand, s *Store) *Tree {
+	t.Helper()
+	fc, vc, f := caps(t)
+	tr, err := CreateFile(s, fc, vc, []byte("outer"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	insert := func(p page.Path, idx int, sub bool, data []byte) {
+		t.Helper()
+		if sub {
+			_, err = tr.InsertSubFile(p, idx, f.Register(uint32(10+len(data))), f.Register(uint32(60+len(data))), data)
+		} else {
+			err = tr.InsertPage(p, idx, data)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	insert(page.RootPath, 0, true, []byte("sub A"))
+	insert(page.Path{0}, 0, false, []byte("in A"))
+	insert(page.Path{0}, 1, true, []byte("sub A/B"))
+	insert(page.Path{0, 1}, 0, false, []byte("in A/B"))
+	for i := 0; i < 40; i++ {
+		p := page.RootPath
+		pg, err := tr.PeekPage(p)
+		for err == nil && len(p) < 3 && len(pg.Refs) > 0 && rng.Intn(4) > 0 {
+			p = p.Child(rng.Intn(len(pg.Refs)))
+			pg, err = tr.PeekPage(p)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		insert(p, rng.Intn(len(pg.Refs)+1), len(p) > 0 && rng.Intn(3) == 0, []byte(fmt.Sprint("page ", i)))
+	}
+	return tr
+}
+
+// TestCrossingPassMatchesLinkThenRerun holds the pass that crosses
+// sub-file boundaries itself to the sequence it replaced — fork, point
+// the fork's parent reference at the enclosing version page, link, then
+// rerun the operation inside the sub-file — over seeded random trees with
+// nested sub-files: the second of two versions, so the first has already
+// forked some sub-files, which the second must fork again. Every crossing
+// pass stays within one read per depth plus the root, one alloc and one
+// write, a nested crossing's patched parent reference included.
+func TestCrossingPassMatchesLinkThenRerun(t *testing.T) {
+	for seed := int64(1); seed <= 20; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		srv := block.NewServer(disk.MustNew(disk.Geometry{Blocks: 1 << 14, BlockSize: 1024}))
+		s := NewStore(srv, testAcct)
+		base := buildNested(t, rng, s)
+		_, vc, _ := caps(t)
+		first, err := CreateVersion(s, base.Root, vc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		first.Cross = forkHook
+		for i := 0; i < 10; i++ {
+			p := page.RootPath
+			for len(p) < 4 && rng.Intn(4) > 0 {
+				p = p.Child(rng.Intn(3))
+			}
+			if err := first.WritePage(p, []byte(fmt.Sprint("first ", i))); err != nil && !errors.Is(err, ErrBadPath) && !errors.Is(err, ErrHole) {
+				t.Fatal(err)
 			}
 		}
+		pair := func() (want, got *Tree) {
+			t.Helper()
+			want, err := CreateVersion(s, first.Root, vc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err = CreateVersion(s, first.Root, vc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got.Cross = forkHook
+			return want, got
+		}
+		// One batch that writes every sub-file's version page, crossing
+		// each boundary above it, nested ones included, in one pass.
+		want, got := pair()
+		var ps []page.Path
+		var datas [][]byte
+		maxDepth := 0
+		err = want.Walk(func(p page.Path, _ page.Ref, pg *page.Page) error {
+			if pg.IsVersion && len(p) > 0 {
+				ps, datas = append(ps, p), append(datas, []byte("batch "+p.String()))
+				maxDepth = max(maxDepth, len(p))
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		cs := newCountStore(srv)
+		counted := &Tree{St: NewStore(cs, testAcct), Root: got.Root, Cross: got.Cross}
+		if err := counted.WritePages(ps, datas); err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		if cs.reads > maxDepth+1 || cs.allocs != 1 || cs.writes != 1 {
+			t.Fatalf("seed %d: a batch into %d sub-files cost %d reads, %d allocs, %d writes; want <= %d, 1, 1",
+				seed, len(ps), cs.reads, cs.allocs, cs.writes, maxDepth+1)
+		}
+		for i, p := range ps {
+			if err := refCross(want, p, func(w *Tree, rest page.Path) error { return refWritePage(w, rest, datas[i]) }); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := sameTrees(s, want.Root, got.Root); err != nil {
+			t.Fatalf("seed %d: a batch into %d sub-files: %v", seed, len(ps), err)
+		}
+		// Then the random mix, on a second pair.
+		want, got = pair()
+		mixOps(t, rng, s, want, got, cs, fmt.Sprintf("seed %d", seed))
+	}
+}
+
+// TestCrossingRefusals: with no Cross hook a pass that reaches a sub-file
+// this version has not entered refuses with ErrSubFile and writes
+// nothing, and so does a move between two files of a super-file, before
+// it calls the hook.
+func TestCrossingRefusals(t *testing.T) {
+	srv := block.NewServer(disk.MustNew(disk.Geometry{Blocks: 4096, BlockSize: 1024}))
+	s := NewStore(srv, testAcct)
+	base := buildFile(t, s) // /0 /1 /2, /1 has /1/0 and /1/1
+	fc, vc, _ := caps(t)
+	if _, err := base.InsertSubFile(page.Path{1}, 2, fc, vc, []byte("sub")); err != nil {
+		t.Fatal(err)
+	}
+	if err := base.InsertPage(page.Path{1, 2}, 0, []byte("in sub")); err != nil {
+		t.Fatal(err)
+	}
+	if err := base.MakeHole(page.RootPath, 2); err != nil {
+		t.Fatal(err)
+	}
+	v, err := CreateVersion(s, base.Root, vc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cs := newCountStore(srv)
+	tr := &Tree{St: NewStore(cs, testAcct), Root: v.Root}
+	refuses := func(what string, err error) {
+		t.Helper()
+		if !errors.Is(err, ErrSubFile) {
+			t.Fatalf("%s: err = %v, want ErrSubFile", what, err)
+		}
+		if cs.allocs != 0 || cs.writes != 0 {
+			t.Fatalf("%s: refused pass made %d allocs and %d writes", what, cs.allocs, cs.writes)
+		}
+	}
+	_, _, err = tr.ReadPage(page.Path{1, 2, 0})
+	refuses("read with no hook", err)
+	refuses("batch with no hook", tr.WritePages([]page.Path{{0}, {1, 2}}, [][]byte{nil, nil}))
+	crossed := 0
+	tr.Cross = func(blk block.Num, pg *page.Page) (*page.Page, error) {
+		crossed++
+		return forkHook(blk, pg)
+	}
+	refuses("move out of a sub-file", tr.MoveSubtree(page.Path{1, 2}, 0, page.RootPath, 2))
+	refuses("move into a sub-file", tr.MoveSubtree(page.RootPath, 0, page.Path{1, 2}, 0))
+	if crossed != 0 {
+		t.Fatalf("refused moves called the Cross hook %d times", crossed)
 	}
 }
 
@@ -1214,7 +1466,6 @@ func TestShapeCommandsRefuseBeforeWriting(t *testing.T) {
 	refuses("fill a live reference", ErrNotHole, tr.FillHole(page.Path{1}, 0, nil))
 	refuses("remove a live reference as a hole", ErrNotHole, tr.RemoveHole(page.RootPath, 0))
 	refuses("split past the end", ErrBadPath, tr.SplitPage(page.Path{0}, 99))
-	refuses("link at a bad index", page.ErrBadIndex, tr.LinkSubVersion(page.Path{1}, 5, v.Root))
 	refuses("move onto a live reference", ErrNotHole, tr.MoveSubtree(page.Path{1}, 0, page.RootPath, 0))
 	refuses("move from a hole", ErrHole, tr.MoveSubtree(page.RootPath, 2, page.Path{1}, 0))
 
