@@ -249,17 +249,19 @@ func (m *Manager) AcquireInner(blk block.Num) (block.Num, *page.Page, error) {
 // page in blk.
 func (m *Manager) Clear(blk block.Num, holder capability.Port) error {
 	return m.mutate(blk, func(vp *page.Page) (bool, error) {
-		changed := false
-		if vp.TopLock == holder {
-			vp.TopLock = capability.NilPort
-			changed = true
-		}
-		if vp.InnerLock == holder {
-			vp.InnerLock = capability.NilPort
-			changed = true
-		}
-		return changed, nil
+		return clearHolder(vp, holder), nil
 	})
+}
+
+// clearHolder clears holder's locks in vp, reporting whether any was set.
+func clearHolder(vp *page.Page, holder capability.Port) (changed bool) {
+	if vp.TopLock == holder {
+		vp.TopLock, changed = capability.NilPort, true
+	}
+	if vp.InnerLock == holder {
+		vp.InnerLock, changed = capability.NilPort, true
+	}
+	return changed
 }
 
 // Locks returns the current lock fields of the version page in blk.
@@ -430,23 +432,18 @@ func (m *Manager) CommitSubFiles(newRoot block.Num, holder capability.Port) ([]b
 	return bases, m.Clear(newRoot, holder)
 }
 
-// commitOneSub commits one new sub-file version (newBlk) over its base:
-// under the locks setting base.CommitRef "always succeeds", and re-running
-// it after a crash finds it set.
+// commitOneSub commits one new sub-file version (newBlk) over its base
+// and clears the holder's locks on the base, in one write under the block
+// lock: under the locks setting base.CommitRef "always succeeds", and
+// re-running it after a crash finds it set.
 func (m *Manager) commitOneSub(newBlk, base block.Num, holder capability.Port) error {
-	err := m.mutate(base, func(bvp *page.Page) (bool, error) {
-		if bvp.CommitRef == block.NilNum {
-			bvp.CommitRef = newBlk
-			return true, nil
-		}
-		if bvp.CommitRef != newBlk {
+	return m.mutate(base, func(bvp *page.Page) (bool, error) {
+		if bvp.CommitRef != block.NilNum && bvp.CommitRef != newBlk {
 			return false, fmt.Errorf("lock: sub-file commit clash at block %d: %d vs %d",
 				base, bvp.CommitRef, newBlk)
 		}
-		return false, nil
+		set := bvp.CommitRef == block.NilNum
+		bvp.CommitRef = newBlk
+		return clearHolder(bvp, holder) || set, nil
 	})
-	if err != nil {
-		return err
-	}
-	return m.Clear(base, holder)
 }

@@ -483,7 +483,7 @@ func TestCommitSubFilesReadBudget(t *testing.T) {
 	for i := range ps {
 		ps[i], datas[i] = page.Path{0, i}, []byte("new")
 	}
-	if err := v.WritePages(ps, datas); err != nil {
+	if err := v.Apply(nil, ps, datas); err != nil {
 		t.Fatal(err)
 	}
 	mid, err := v.PeekPage(page.Path{0})

@@ -119,7 +119,11 @@ func (c *Committer) BindTrace(tc trace.Context) *Committer {
 // back" — the single critical section of the whole commit path.
 //
 // It returns (NilNum, nil) on success, or the existing successor if base
-// has already been superseded.
+// has already been superseded. A current base whose inner lock is set
+// belongs to a super-file update that has entered this file (§5.3):
+// nothing may commit over it but that update's own sub-file commit, so
+// the update is refused with ErrConflict, and its redo's CreateVersion
+// waits for the lock or recovers a dead holder.
 func (c *Committer) TestAndSetCommitRef(base, succ block.Num) (block.Num, error) {
 	var existing block.Num
 	err := block.WithLock(c.St.Blocks, c.St.Acct, base, func(raw []byte) ([]byte, error) {
@@ -133,6 +137,9 @@ func (c *Committer) TestAndSetCommitRef(base, succ block.Num) (block.Num, error)
 		if vp.CommitRef != block.NilNum {
 			existing = vp.CommitRef
 			return nil, nil // examine only; no write-back
+		}
+		if !vp.InnerLock.IsNil() {
+			return nil, fmt.Errorf("occ: version page %d is inner-locked by %v: %w", base, vp.InnerLock, ErrConflict)
 		}
 		vp.CommitRef = succ
 		return vp.Encode(c.St.Blocks.BlockSize())
@@ -179,6 +186,9 @@ func (c *Committer) commit(b *version.Tree) error {
 	first := true
 	for {
 		prev, err := c.testAndSetRetry(base, b.Root)
+		if errors.Is(err, ErrConflict) {
+			c.Stat.Conflicts.Add(1)
+		}
 		if err != nil {
 			return err
 		}

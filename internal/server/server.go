@@ -276,6 +276,11 @@ type verRec struct {
 	pendPaths []page.Path
 	pendData  [][]byte
 	pendIdx   map[string]int // path.String() → index
+	// The read set: every update's reads, once per path, whose R and S
+	// flags wait for the same flush. See Server.ReadPage.
+	readPaths []page.Path
+	readIdx   map[string]bool // path.String() → read
+	// pendBytes counts the buffered data and the read paths' wire length.
 	pendBytes int
 }
 
@@ -305,13 +310,28 @@ func (rec *verRec) pending(p page.Path) bool {
 	return ok
 }
 
-// dropPending empties the write buffer.
-func (rec *verRec) dropPending() {
-	rec.pendPaths, rec.pendData, rec.pendIdx, rec.pendBytes = nil, nil, nil, 0
+// read records a read of p in the read set.
+func (rec *verRec) read(p page.Path) {
+	key := p.String()
+	if rec.readIdx[key] {
+		return
+	}
+	if rec.readIdx == nil {
+		rec.readIdx = make(map[string]bool)
+	}
+	rec.readIdx[key] = true
+	rec.readPaths = append(rec.readPaths, p.Clone())
+	rec.pendBytes += 1 + 2*len(p) // page.Path.Encode's length
 }
 
-// flushBytes bounds one version's buffered write data: a write that
-// takes the buffer past it flushes at once.
+// dropPending empties the write buffer and the read set.
+func (rec *verRec) dropPending() {
+	rec.pendPaths, rec.pendData, rec.pendIdx, rec.pendBytes = nil, nil, nil, 0
+	rec.readPaths, rec.readIdx = nil, nil
+}
+
+// flushBytes bounds one version's buffered write data and read paths: a
+// write or read that takes the buffer past it flushes at once.
 const flushBytes = 1 << 20
 
 // CreateVersionOpts selects the §5.3 lock discipline variants.
@@ -445,10 +465,10 @@ func (s *Server) OCCStats() *occ.Stats { return s.com.Stat }
 func (s *Server) LockManager() *lock.Manager { return s.locks }
 
 // Crash simulates a server-process crash: all in-memory version records
-// vanish — buffered writes with them, never having reached the block
-// service — and their update ports die, so probes by waiters fail. Locks
-// held on disk remain — exactly the §5.3 situation that waiters recover
-// from.
+// vanish — buffered writes and read sets with them, never having reached
+// the block service — and their update ports die, so probes by waiters
+// fail. Locks held on disk remain — exactly the §5.3 situation that
+// waiters recover from.
 func (s *Server) Crash() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -641,32 +661,42 @@ func (s *Server) withFlushed(vcap capability.Capability, need capability.Rights,
 	})
 }
 
-// flush applies rec's buffered writes in one batched copy-on-write pass
-// (version.Tree.WritePages) against the block store bound to tc; a batch
-// that enters a sub-file — one created in this version, or one whose
-// Super mark has not reached this server's table yet — crosses into it in
-// the same pass, taking its inner lock (§5.3) here at flush time, not
-// when the write was acknowledged. The writes were acknowledged when
-// buffered, so a flush that fails aborts the version and releases its
-// locks; the client learns of it at the operation that triggered the
-// flush, at the latest at Commit.
+// flush applies rec's buffered writes and records its read set in one
+// batched copy-on-write pass (version.Tree.Apply) against the block store
+// bound to tc; a batch that enters a sub-file — one created in this
+// version, or one whose Super mark has not reached this server's table
+// yet — crosses into it in the same pass, taking its inner lock (§5.3)
+// here at flush time, not when the write was acknowledged. The writes and
+// reads were acknowledged when buffered, so a flush that fails aborts the
+// version and releases its locks; the client learns of it at the
+// operation that triggered the flush, at the latest at Commit.
 func (s *Server) flush(rec *verRec, tc trace.Context) error {
-	if len(rec.pendPaths) == 0 {
+	if len(rec.pendPaths)+len(rec.readPaths) == 0 {
 		return nil
 	}
-	ps, datas := rec.pendPaths, rec.pendData
+	reads, ps, datas := rec.readPaths, rec.pendPaths, rec.pendData
 	rec.dropPending()
 	tree := *rec.tree
 	tree.St = version.NewStore(block.BindTrace(s.st.Blocks, tc), s.st.Acct)
-	if err := tree.WritePages(ps, datas); err != nil {
+	if err := tree.Apply(reads, ps, datas); err != nil {
 		s.abort(rec)
-		return fmt.Errorf("server: apply buffered writes: %w", err)
+		return fmt.Errorf("server: apply buffered reads and writes: %w", err)
 	}
 	return nil
 }
 
-// ReadPage reads the page at path in the version. A read of a page with
-// a buffered write flushes the buffer first.
+// ReadPage reads the page at path in the version.
+//
+// The read looks the page up through the version's tree without
+// shadowing anything and adds the path to the version's read set; its R
+// and S flags (§5.1) go out with the next flush, before Commit validates
+// (§5.2), so an update that aborts never writes them and the read makes
+// no mutating block call. A read of a page with a buffered write flushes
+// the buffer first. A read that reaches a sub-file the update has not
+// entered — a super-file update's first read in it, or a plain-file
+// update under a Super mark this server has not seen — crosses it in the
+// same pass, taking its inner lock (§5.3) now, and records its flags at
+// once.
 func (s *Server) ReadPage(vcap capability.Capability, p page.Path) (data []byte, nrefs int, err error) {
 	err = s.withVersion(vcap, capability.RightRead, func(rec *verRec) error {
 		if rec.pending(p) {
@@ -674,8 +704,16 @@ func (s *Server) ReadPage(vcap capability.Capability, p page.Path) (data []byte,
 				return err
 			}
 		}
-		data, nrefs, err = rec.tree.ReadPage(p)
-		return err
+		var recorded bool
+		data, nrefs, recorded, err = rec.tree.Look(p)
+		if err != nil || recorded {
+			return err
+		}
+		rec.read(p)
+		if rec.pendBytes <= flushBytes {
+			return nil
+		}
+		return s.flush(rec, trace.Context{})
 	})
 	return data, nrefs, err
 }
@@ -826,7 +864,9 @@ func (s *Server) commitT(tc trace.Context, vcap capability.Capability) error {
 		// Commit the sub-file versions created during this update and
 		// clear every lock we hold in the affected region, the inner
 		// locks of crossings whose pass was refused before it wrote a
-		// fork included.
+		// fork included. The new root itself carries no lock: Fork
+		// copies none, and the update locked only its base and the
+		// sub-files it entered.
 		if len(rec.crossing) > 0 || rec.super {
 			committed, err := rec.locks.CommitSubFiles(rec.tree.Root, rec.locks.Port)
 			if err != nil {
@@ -835,7 +875,6 @@ func (s *Server) commitT(tc trace.Context, vcap capability.Capability) error {
 			s.clearCrossings(rec, committed)
 		}
 		rec.locks.Clear(rec.topBase, rec.locks.Port)
-		rec.locks.Clear(rec.tree.Root, rec.locks.Port)
 		s.close(rec, StateCommitted)
 		// The §5.4.1 table update: one CAS on the file's entry. This is
 		// the client's ack point — the commit is already durable through
@@ -849,9 +888,9 @@ func (s *Server) commitT(tc trace.Context, vcap capability.Capability) error {
 	})
 }
 
-// Abort abandons the version: its buffered writes are dropped, its
-// private pages become garbage for the collector, and all locks are
-// released.
+// Abort abandons the version: its buffered writes and read set are
+// dropped, its private pages become garbage for the collector, and all
+// locks are released.
 func (s *Server) Abort(vcap capability.Capability) error {
 	return s.withVersion(vcap, capability.RightCommit, func(rec *verRec) error {
 		s.abort(rec)

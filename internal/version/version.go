@@ -43,9 +43,13 @@
 // itself: a path that reaches the version page of an embedded sub-file
 // this version has not entered calls the tree's Cross hook, which takes
 // the §5.3 inner lock and forks the sub-file, and the fork joins the pass
-// as a page created in it. Whole-tree walks — the collector's, the
-// validators', the recovery paths' — are Store.Visit, which reads a level
-// of any number of trees with one multi-block read. A Tree is not safe
+// as a page created in it. A read may be split in two: Look is the pass's
+// reading half alone, and the read's flags go out later with other
+// operations' in one Apply, which records reads and writes together; a
+// Look that has to cross a boundary records its read at once. Whole-tree
+// walks — the collector's, the validators', the recovery paths' — are
+// Store.Visit, which reads a level of any number of trees with one
+// multi-block read. A Tree is not safe
 // for concurrent use; the server serialises operations per version,
 // matching the paper's model of a version owned by a single client.
 package version
@@ -297,6 +301,8 @@ type pass struct {
 	t     *Tree
 	nodes []*node // parents before children
 	at    []*node // at[i]: the page at the operation's i-th path
+	// crossed reports that begin called the Cross hook.
+	crossed bool
 }
 
 // begin reads the union of the root-to-target chains of ps level by level
@@ -378,6 +384,7 @@ func (t *Tree) begin(ps []page.Path, oneFile bool) (*pass, error) {
 				if n.pg, err = t.Cross(n.blk, n.pg); err != nil {
 					return nil, err
 				}
+				x.crossed = true
 				ref := &n.parent.pg.Refs[n.idx]
 				ref.Flags = ref.Flags.Set(page.FlagC)
 			}
@@ -495,18 +502,41 @@ func (t *Tree) edit(p page.Path, bits page.Flags, fn func(x *pass, tg *node) err
 }
 
 // ReadPage returns the client data and reference count of the page at
-// path, recording the access (R on the page, S on its ancestors).
+// path, recording the access (R on the page, S on its ancestors) at once.
 func (t *Tree) ReadPage(p page.Path) (data []byte, nrefs int, err error) {
+	data, nrefs, _, err = t.read(p, true)
+	return data, nrefs, err
+}
+
+// Look returns the client data and reference count of the page at path
+// as this version sees it, recording nothing and writing nothing: the
+// begin of a read pass with no write. The caller records the read with a
+// later Apply, before the version commits, or validation will not see
+// it. A path that reaches the version page of a sub-file this version
+// has not entered is the exception: the pass crosses it through the Cross
+// hook (which takes the §5.3 inner lock) and then records the read at
+// once, as ReadPage does, and recorded reports it; with no hook such a
+// look is refused with ErrSubFile.
+func (t *Tree) Look(p page.Path) (data []byte, nrefs int, recorded bool, err error) {
+	return t.read(p, false)
+}
+
+// read is ReadPage, and Look when record is false.
+func (t *Tree) read(p page.Path, record bool) (data []byte, nrefs int, recorded bool, err error) {
 	x, err := t.begin([]page.Path{p}, false)
 	if err != nil {
-		return nil, 0, err
+		return nil, 0, false, err
 	}
 	tg := x.at[0]
-	tg.bits = page.FlagR
-	if err := x.write(); err != nil {
-		return nil, 0, err
+	if record || x.crossed {
+		tg.bits = page.FlagR
+		if err := x.write(); err != nil {
+			return nil, 0, false, err
+		}
+		recorded = true
 	}
-	return append([]byte(nil), tg.pg.Data...), len(tg.pg.Refs), nil
+	// The pass's decoded pages die with it, so the data needs no copy.
+	return tg.pg.Data, len(tg.pg.Refs), recorded, nil
 }
 
 // PeekPage returns data and shape without recording any access and
@@ -535,35 +565,41 @@ func (t *Tree) PeekPage(p page.Path) (*page.Page, error) {
 }
 
 // WritePage replaces the client data of the page at path, recording the
-// access (W on the page, S on its ancestors): WritePages with one entry.
+// access (W on the page, S on its ancestors): Apply with one write.
 func (t *Tree) WritePage(p page.Path, data []byte) error {
-	return t.WritePages([]page.Path{p}, [][]byte{data})
+	return t.Apply(nil, []page.Path{p}, [][]byte{data})
 }
 
-// WritePages replaces the client data of the page at each ps[i] with
-// datas[i], exactly as the writes would one after another (a later write
-// of a repeated path wins), in one pass: every path is checked — data too
-// large for its page's references fails with page.ErrPageFull — before
-// anything is written, so a refused batch changes nothing.
-func (t *Tree) WritePages(ps []page.Path, datas [][]byte) error {
+// Apply records a read of the page at each path in reads (R on the page,
+// S on its ancestors, each page shadowed exactly as ReadPage shadows it)
+// and replaces the client data of the page at each ps[i] with datas[i],
+// exactly as the writes would one after another (a later write of a
+// repeated path wins), in one pass; a path both read and written gets
+// R|W. Every path is checked — data too large for its page's references
+// fails with page.ErrPageFull — before anything is written, so a refused
+// batch changes nothing.
+func (t *Tree) Apply(reads, ps []page.Path, datas [][]byte) error {
 	if len(ps) != len(datas) {
 		return fmt.Errorf("version: write %d paths with %d pages: %w", len(ps), len(datas), ErrBadPath)
 	}
-	if len(ps) == 0 {
+	if len(reads)+len(ps) == 0 {
 		return nil
 	}
-	x, err := t.begin(ps, false)
+	x, err := t.begin(append(slices.Clip(reads), ps...), false)
 	if err != nil {
 		return err
 	}
+	for _, n := range x.at[:len(reads)] {
+		n.bits |= page.FlagR
+	}
 	bs := t.St.Blocks.BlockSize()
-	for i, n := range x.at {
+	for i, n := range x.at[len(reads):] {
 		n.pg.Data = datas[i]
 		if !n.pg.Fits(bs) {
 			return fmt.Errorf("version: %s: %d bytes with %d refs: %w",
 				ps[i], len(datas[i]), len(n.pg.Refs), page.ErrPageFull)
 		}
-		n.bits, n.dirty = page.FlagW, true
+		n.bits, n.dirty = n.bits|page.FlagW, true
 	}
 	return x.write()
 }

@@ -1009,10 +1009,11 @@ func buildWide(t *testing.T, s *Store) *Tree {
 	return tr
 }
 
-// TestWritePagesMatchesSequentialWrites: a batch with shared prefixes,
-// repeated paths and pages this version already shadowed leaves the same
-// tree — pages, data and flags — as the same writes made one at a time,
-// and costs at most one read per depth plus the root, one alloc and one
+// TestWritePagesMatchesSequentialWrites: a batch of writes and recorded
+// reads with shared prefixes, repeated paths, paths both read and written
+// and pages this version already shadowed leaves the same tree — pages,
+// data and flags — as the same reads and writes made one at a time, and
+// costs at most one read per depth plus the root, one alloc and one
 // write.
 func TestWritePagesMatchesSequentialWrites(t *testing.T) {
 	const depth = 3
@@ -1065,19 +1066,33 @@ func TestWritePagesMatchesSequentialWrites(t *testing.T) {
 		}
 		ps = append(ps, page.Path{2, 1, 0}) // at least one page first touched here
 		datas = append(datas, []byte("fresh"))
+		var reads []page.Path
+		for i := 0; i < 6; i++ {
+			p := randPath(3)
+			if rng.Intn(3) == 0 {
+				p = ps[rng.Intn(len(ps))] // a path both read and written
+			}
+			reads = append(reads, p)
+		}
+		reads = append(reads, page.Path{2, 2}) // a read of a page first touched here
 		for i, p := range ps {
 			if err := refWritePage(seq, p, datas[i]); err != nil {
 				t.Fatal(err)
 			}
 		}
+		for _, p := range reads {
+			if _, _, err := refReadPage(seq, p); err != nil {
+				t.Fatal(err)
+			}
+		}
 		cs := newCountStore(srv)
 		counted := &Tree{St: NewStore(cs, testAcct), Root: bat.Root}
-		if err := counted.WritePages(ps, datas); err != nil {
+		if err := counted.Apply(reads, ps, datas); err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
 		if cs.reads > depth+1 || cs.allocs != 1 || cs.writes > 1 {
-			t.Fatalf("seed %d: batch of %d cost %d reads, %d allocs, %d writes; want <= %d, 1, <= 1",
-				seed, len(ps), cs.reads, cs.allocs, cs.writes, depth+1)
+			t.Fatalf("seed %d: batch of %d writes and %d reads cost %d reads, %d allocs, %d writes; want <= %d, 1, <= 1",
+				seed, len(ps), len(reads), cs.reads, cs.allocs, cs.writes, depth+1)
 		}
 		if err := sameTrees(s, seq.Root, bat.Root); err != nil {
 			t.Fatalf("seed %d: the batch against sequential writes: %v", seed, err)
@@ -1093,9 +1108,13 @@ func TestWritePagesMatchesSequentialWrites(t *testing.T) {
 // sub-files — to got through the single pass (over cs, which counts its
 // block calls, and with got's Cross hook) and, when the pass accepts one,
 // to want through the reference engine, crossing sub-file boundaries by
-// refCross. After every operation the two trees must match; each pass
+// refCross. A read on got is the server's: a Look whose path waits to be
+// recorded by the next write's Apply, or by an Apply of its own before a
+// shape command, and a ReadPage when the Look meets a sub-file got has
+// not entered. Whenever no read waits the two trees must match; each pass
 // stays within its budget of one read per depth plus the root, one alloc
-// and one write; and a refused operation makes no mutating call at all.
+// and one write; a Look makes no mutating call; and a refused operation
+// makes no mutating call at all.
 func mixOps(t *testing.T, rng *rand.Rand, s *Store, want, got *Tree, cs *countStore, what string) {
 	t.Helper()
 	_, _, f := caps(t)
@@ -1131,6 +1150,27 @@ func mixOps(t *testing.T, rng *rand.Rand, s *Store, want, got *Tree, cs *countSt
 		}
 		return rng.Intn(n+2) - 1
 	}
+	var looked []page.Path // reads Look answered, not yet recorded
+	lookDepth := 0
+	record := func() {
+		t.Helper()
+		if len(looked) == 0 {
+			return
+		}
+		if err := counted.Apply(looked, nil, nil); err != nil {
+			t.Fatalf("%s: recording the reads %v: %v", what, looked, err)
+		}
+		if cs.reads > lookDepth+1 || cs.allocs > 1 || cs.writes > 1 {
+			t.Fatalf("%s: recording %d reads cost %d reads, %d allocs, %d writes; want <= %d, 1, 1",
+				what, len(looked), cs.reads, cs.allocs, cs.writes, lookDepth+1)
+		}
+		looked, lookDepth = nil, 0
+		cs.reads, cs.allocs, cs.writes = 0, 0, 0
+		if err := sameTrees(s, want.Root, got.Root); err != nil {
+			t.Fatalf("%s: after recording the reads: %v", what, err)
+		}
+	}
+	defer record()
 	for i := 0; i < 60; i++ {
 		p := randPath()
 		data := []byte(fmt.Sprintf("%s op %d", what, i))
@@ -1138,10 +1178,22 @@ func mixOps(t *testing.T, rng *rand.Rand, s *Store, want, got *Tree, cs *countSt
 		var gotErr error
 		var wantOp func(w *Tree, rest page.Path) error
 		maxDepth := len(p)
-		switch rng.Intn(18) {
+		op := rng.Intn(18)
+		if op > 5 {
+			record() // a shape command records the reads first
+		}
+		switch op {
 		case 0, 1, 2:
 			name = "read"
-			gd, gn, err := counted.ReadPage(p)
+			gd, gn, recorded, err := counted.Look(p)
+			switch {
+			case recorded:
+				name = "crossing read"
+			case cs.allocs != 0 || cs.writes != 0:
+				t.Fatalf("%s: look %s made %d allocs and %d writes", what, p, cs.allocs, cs.writes)
+			case err == nil:
+				looked, lookDepth = append(looked, p), max(lookDepth, len(p))
+			}
 			gotErr = err
 			wantOp = func(w *Tree, rest page.Path) error {
 				wd, wn, err := refReadPage(w, rest)
@@ -1152,7 +1204,11 @@ func mixOps(t *testing.T, rng *rand.Rand, s *Store, want, got *Tree, cs *countSt
 			}
 		case 3, 4, 5:
 			name = "write"
-			gotErr = counted.WritePage(p, data)
+			maxDepth = max(maxDepth, lookDepth)
+			gotErr = counted.Apply(looked, []page.Path{p}, [][]byte{data})
+			if gotErr == nil {
+				looked, lookDepth = nil, 0
+			}
 			wantOp = func(w *Tree, rest page.Path) error { return refWritePage(w, rest, data) }
 		case 6, 7:
 			name = "insert"
@@ -1223,6 +1279,9 @@ func mixOps(t *testing.T, rng *rand.Rand, s *Store, want, got *Tree, cs *countSt
 			t.Fatalf("%s: %s %s: the pass accepted it, the reference: %v", what, name, p, err)
 		}
 		cs.reads, cs.allocs, cs.writes = 0, 0, 0
+		if len(looked) > 0 {
+			continue
+		}
 		if err := sameTrees(s, want.Root, got.Root); err != nil {
 			t.Fatalf("%s: after %s %s: %v", what, name, p, err)
 		}
@@ -1330,7 +1389,7 @@ func TestCrossingPassMatchesLinkThenRerun(t *testing.T) {
 		}
 		cs := newCountStore(srv)
 		counted := &Tree{St: NewStore(cs, testAcct), Root: got.Root, Cross: got.Cross}
-		if err := counted.WritePages(ps, datas); err != nil {
+		if err := counted.Apply(nil, ps, datas); err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
 		if cs.reads > maxDepth+1 || cs.allocs != 1 || cs.writes != 1 {
@@ -1354,7 +1413,8 @@ func TestCrossingPassMatchesLinkThenRerun(t *testing.T) {
 // TestCrossingRefusals: with no Cross hook a pass that reaches a sub-file
 // this version has not entered refuses with ErrSubFile and writes
 // nothing, and so does a move between two files of a super-file, before
-// it calls the hook.
+// it calls the hook. With the hook, a Look that crosses records its read
+// at once; once inside, a Look writes nothing.
 func TestCrossingRefusals(t *testing.T) {
 	srv := block.NewServer(disk.MustNew(disk.Geometry{Blocks: 4096, BlockSize: 1024}))
 	s := NewStore(srv, testAcct)
@@ -1386,7 +1446,9 @@ func TestCrossingRefusals(t *testing.T) {
 	}
 	_, _, err = tr.ReadPage(page.Path{1, 2, 0})
 	refuses("read with no hook", err)
-	refuses("batch with no hook", tr.WritePages([]page.Path{{0}, {1, 2}}, [][]byte{nil, nil}))
+	_, _, _, err = tr.Look(page.Path{1, 2, 0})
+	refuses("look with no hook", err)
+	refuses("batch with no hook", tr.Apply(nil, []page.Path{{0}, {1, 2}}, [][]byte{nil, nil}))
 	crossed := 0
 	tr.Cross = func(blk block.Num, pg *page.Page) (*page.Page, error) {
 		crossed++
@@ -1396,6 +1458,17 @@ func TestCrossingRefusals(t *testing.T) {
 	refuses("move into a sub-file", tr.MoveSubtree(page.RootPath, 0, page.Path{1, 2}, 0))
 	if crossed != 0 {
 		t.Fatalf("refused moves called the Cross hook %d times", crossed)
+	}
+	data, _, recorded, err := tr.Look(page.Path{1, 2, 0})
+	if err != nil || string(data) != "in sub" || !recorded || crossed != 1 || cs.allocs != 1 || cs.writes != 1 {
+		t.Fatalf("crossing look: %q, recorded %v, %v after %d crossings, %d allocs, %d writes; want in sub, recorded, 1, 1, 1",
+			data, recorded, err, crossed, cs.allocs, cs.writes)
+	}
+	cs.allocs, cs.writes = 0, 0
+	data, _, recorded, err = tr.Look(page.Path{1, 2, 0})
+	if err != nil || string(data) != "in sub" || recorded || crossed != 1 || cs.allocs != 0 || cs.writes != 0 {
+		t.Fatalf("look inside the entered sub-file: %q, recorded %v, %v after %d crossings, %d allocs, %d writes; want in sub, not recorded, 1, 0, 0",
+			data, recorded, err, crossed, cs.allocs, cs.writes)
 	}
 }
 
@@ -1425,7 +1498,7 @@ func TestWritePagesRefusesBeforeWriting(t *testing.T) {
 		{page.Path{2}, good, ErrHole},
 		{page.Path{1, 1}, bytes.Repeat([]byte{1}, 2000), page.ErrPageFull},
 	} {
-		err := tr.WritePages([]page.Path{{0}, {1, 0}, c.bad}, [][]byte{good, good, c.data})
+		err := tr.Apply(nil, []page.Path{{0}, {1, 0}, c.bad}, [][]byte{good, good, c.data})
 		if !errors.Is(err, c.want) {
 			t.Fatalf("%s: err = %v, want %v", c.bad, err, c.want)
 		}
