@@ -75,10 +75,6 @@ type Options struct {
 	// RecoverFiles returns the recovered files' capabilities. Close
 	// the cluster when done.
 	Dir string
-	// SyncMode tunes the durable store's fsync policy: "group"
-	// (default: batched group commit), "each" (one fsync per write) or
-	// "none" (benchmarks only). Ignored without Dir.
-	SyncMode string
 	// StableStorage stores every block on a pair of companion block
 	// servers (the paper's §4 modification of Lampson–Sturgis stable
 	// storage), surviving single-disk crashes. Ignored with Dir.
@@ -100,11 +96,6 @@ type Options struct {
 	// segment-log store in this directory (implies Archive): snapshots
 	// survive process restarts. Close the cluster when done.
 	ArchiveDir string
-	// NetworkLatency, DiskReadCost and DiskWriteCost inject service
-	// times for experiments.
-	NetworkLatency time.Duration
-	DiskReadCost   time.Duration
-	DiskWriteCost  time.Duration
 	// TraceSample, when positive, turns on distributed tracing: that
 	// ratio ([0,1]) of client operations is sampled into span trees
 	// covering every layer the operation crossed (client, server, OCC,
@@ -128,12 +119,8 @@ func Start(o Options) (*Cluster, error) {
 			Blocks:    o.DiskBlocks,
 			BlockSize: o.BlockSize,
 			Pair:      o.StableStorage,
-			Sync:      o.SyncMode,
-			ReadCost:  o.DiskReadCost,
-			WriteCost: o.DiskWriteCost,
 		},
 		Retain:      o.RetainVersions,
-		NetLatency:  o.NetworkLatency,
 		TraceSample: o.TraceSample,
 		TraceSlow:   o.TraceSlow,
 	}
@@ -142,9 +129,9 @@ func Start(o Options) (*Cluster, error) {
 	}
 	switch {
 	case o.ArchiveDir != "":
-		cfg.Archive = &core.Backend{Kind: "seg", Dir: o.ArchiveDir, Blocks: o.DiskBlocks, Sync: o.SyncMode}
+		cfg.Archive = &core.Backend{Kind: "seg", Dir: o.ArchiveDir, Blocks: o.DiskBlocks}
 	case o.Archive:
-		cfg.Archive = &core.Backend{Blocks: o.DiskBlocks, ReadCost: o.DiskReadCost, WriteCost: o.DiskWriteCost}
+		cfg.Archive = &core.Backend{Blocks: o.DiskBlocks}
 	}
 	c, err := core.NewCluster(cfg)
 	if err != nil {

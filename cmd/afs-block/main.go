@@ -66,7 +66,6 @@ func main() {
 		bsize   = flag.Int("bsize", 4096, "block size in bytes")
 		sync    = flag.String("sync", "group", "seg durability: group, each or none")
 		lanes   = flag.Int("log-shards", 0, "seg log lanes writes are striped over (0 = one per CPU, capped at 8; pinned at store creation)")
-		syncWin = flag.Duration("sync-window", 0, "cap on the seg adaptive group-commit window (0 = 2ms default; negative disables the window)")
 		compact = flag.Duration("compact", time.Minute, "seg compaction interval (0 disables)")
 		shards  = flag.Int("shards", 1, "independent block stores to serve, one port each")
 		pair    = flag.Bool("pair", false, "serve each store as a pre-joined §4 companion pair over two backends")
@@ -105,7 +104,7 @@ func main() {
 	m, err := core.StartBlockMachine(core.Backend{
 		Kind: *backend, Dir: *dir, Shards: *shards, Pair: *pair,
 		Blocks: *blocks, BlockSize: *bsize,
-		Sync: *sync, LogShards: *lanes, SyncWindow: *syncWin, Compact: *compact,
+		Sync: *sync, LogShards: *lanes, Compact: *compact,
 	}, *listen, reg, ports...)
 	if err != nil {
 		core.Fatal("start block service", "err", err)
@@ -128,7 +127,7 @@ func main() {
 		// as soon as a restore is possible: the full copy needs the
 		// mounting file server's recovery scan to have announced its
 		// account, so the loop simply retries until it has.
-		go core.Every(2*time.Second, stop, func() { core.Heal(m.Pairs, nil) })
+		go core.Every(core.HealEvery, stop, func() { core.Heal(m.Pairs, nil) })
 	}
 
 	<-core.ShutdownSignal()

@@ -19,7 +19,9 @@
 // corruption, and either half can be killed without interrupting the
 // file service — mutations made during the outage are replayed when the
 // half comes back (the server probes and rejoins down halves
-// automatically on the -heal interval). Several mirrored pairs compose
+// automatically every two seconds). A half that missed writes while no
+// server process was alive boots with the lower persisted epoch and is
+// mounted stale, then restored by full copy. Several mirrored pairs compose
 // behind the sharded facade exactly like -blocks mounts do: mirrored
 // shards, the RAID-10 topology.
 //
@@ -99,20 +101,15 @@ func main() {
 		bsize       = flag.Int("bsize", 4096, "block size of the in-process store (ignored with -blocks)")
 		sync        = flag.String("sync", "group", "seg durability: group, each or none")
 		shards      = flag.Int("log-shards", 0, "seg log lanes writes are striped over (0 = one per CPU, capped at 8; pinned at store creation)")
-		syncWin     = flag.Duration("sync-window", 0, "cap on the seg adaptive group-commit window (0 = 2ms default; negative disables the window)")
 		compact     = flag.Duration("compact", time.Minute, "seg compaction interval (0 disables)")
 		mounts      = flag.String("blocks", "", "remote block services as PORT@ADDR[,PORT@ADDR...] (from afs-block); two or more are sharded")
 		mirrors     = flag.String("mirror", "", "mirrored block services as PORT@ADDR+PORT@ADDR[,PORT@ADDR+PORT@ADDR...]: each element is a §4 companion pair; several pairs are sharded")
-		heal        = flag.Duration("heal", 2*time.Second, "probe interval for rejoining down mirror halves (0 disables)")
-		stale       = flag.String("stale", "", "mirror halves known to have missed writes, as PAIR:a|b[,PAIR:a|b...] (e.g. 0:b): mounted down and restored by full copy (usually unnecessary: epochs detect this)")
 		debugAddr   = flag.String("debug-addr", "", "HTTP address serving Prometheus text on /metrics, the file table on /ftab, traces on /debug/traces and profiling on /debug/pprof/ (empty disables)")
 		archSpec    = flag.String("archive", "", "archive tier backing: a directory (durable segstore, sized by -nblocks) or PORT@ADDR (remote block service); the collector demotes retired versions here instead of deleting them")
 		gcEvery     = flag.Duration("gc", 5*time.Second, "garbage collection interval (0 disables; safe to leave on everywhere in a -peers mesh — the lowest-ID replica is elected sweeper)")
 		gcRetain    = flag.Int("retain", 4, "committed versions retained per file")
 		serverID    = flag.Uint("id", 0, "replica ID of this process, 0..63: bands its object numbers and names its file-table replication port (must be unique across a -peers mesh)")
 		peers       = flag.String("peers", "", "sibling afs-server processes as ID@ADDR[,ID@ADDR...]: replicates the file table (and capability secrets) so all of them serve one file system over one shared block store")
-		pushBatch   = flag.Int("push-batch", ftab.DefaultPushBatch, "file-table updates carried per replication frame: the per-peer streams coalesce up to this many pending pushes into one wire round trip")
-		pushWin     = flag.Duration("push-window", 0, "how long a below-batch-size replication frame waits for company before it is sent (0 sends immediately; raise to trade propagation lag for larger batches)")
 		traceSample = flag.Float64("trace-sample", 0, "ratio of requests sampled into distributed traces, 0..1 (0 disables server-side sampling; client-reported traces are accepted regardless)")
 		traceSlow   = flag.Duration("trace-slow", 100*time.Millisecond, "traces at least this long are kept in the slowest list and logged as warnings")
 		logLevel    = flag.String("log-level", "info", "log verbosity: debug, info, warn or error")
@@ -138,17 +135,15 @@ func main() {
 	dial := core.TCPDialer(issued)
 
 	spec := core.Service{
-		ID:         uint32(*serverID),
-		Servers:    *servers,
-		Retain:     *gcRetain,
-		PushBatch:  *pushBatch,
-		PushWindow: *pushWin,
-		Recover:    true, // a durable or remote store may hold a file system from a past life
-		Metrics:    reg,
+		ID:      uint32(*serverID),
+		Servers: *servers,
+		Retain:  *gcRetain,
+		Recover: true, // a durable or remote store may hold a file system from a past life
+		Metrics: reg,
 	}
 	local := core.Backend{
 		Kind: *backend, Dir: *dir, Blocks: *nblocks, BlockSize: *bsize,
-		Sync: *sync, LogShards: *shards, SyncWindow: *syncWin, Compact: *compact,
+		Sync: *sync, LogShards: *shards, Compact: *compact,
 	}
 	var pairs []*stable.Pair
 	var opened []*core.Storage
@@ -163,13 +158,6 @@ func main() {
 		}
 		if spec.Store, pairs, err = core.Mount(parsed, dial, reg); err != nil {
 			core.Fatal("mount block services", "err", err)
-		}
-		// Halves the operator knows diverged (the pair ran degraded
-		// under a previous server process, so no intentions record
-		// exists anymore) are mounted stale: the heal loop restores
-		// them by full copy before they serve anything.
-		if err := markStale(pairs, *stale); err != nil {
-			core.Fatal("mark stale halves", "err", err)
 		}
 		slog.Info("mounted remote block services", "component", "store", "mounts", list)
 	} else {
@@ -272,7 +260,7 @@ func main() {
 			writeTraces(w, tracer, r.URL.Query().Get("n"))
 		},
 	})
-	inst.Start(*gcEvery, *heal, pairs)
+	inst.Start(*gcEvery, pairs)
 
 	<-core.ShutdownSignal()
 	// Drain the push streams before tearing anything down.
@@ -355,36 +343,4 @@ func writeTableDump(w io.Writer, sh *server.Shared) {
 		e := entries[o]
 		fmt.Fprintf(w, "file %d root %d super %v cap %s\n", o, e.Entry, e.Super, e.Cap.Text())
 	}
-}
-
-// markStale parses PAIR:a|b[,...] and marks those halves stale: down
-// until the heal loop restores them by full copy. The operator uses it
-// after a service restart when one half is reachable but known to have
-// missed writes and the backends keep no persistent epoch (the mem
-// store) — with epochs, Pair.DetectStale finds the lagging half itself
-// at mount time.
-func markStale(pairs []*stable.Pair, list string) error {
-	for _, entry := range strings.Split(list, ",") {
-		entry = strings.TrimSpace(entry)
-		if entry == "" {
-			continue
-		}
-		var idx int
-		var half string
-		if _, err := fmt.Sscanf(entry, "%d:%s", &idx, &half); err != nil || (half != "a" && half != "b") {
-			return fmt.Errorf("-stale entry %q: want PAIR:a or PAIR:b", entry)
-		}
-		if idx < 0 || idx >= len(pairs) {
-			return fmt.Errorf("-stale entry %q: pair index out of range (have %d pairs)", entry, len(pairs))
-		}
-		a, b := pairs[idx].Halves()
-		h := a
-		if half == "b" {
-			h = b
-		}
-		h.MarkStale()
-		slog.Warn("mirror half marked stale; heal loop will restore it by full copy",
-			"component", "mirror", "pair", idx, "half", h.Name())
-	}
-	return nil
 }

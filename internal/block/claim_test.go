@@ -72,41 +72,3 @@ func TestClaimMultiContract(t *testing.T) {
 	}
 	blocktest.ClaimSuite(t, "remote-tcp", overTCP, opts)
 }
-
-// TestClaimMultiOnOldServer: a server that predates cmdClaimMulti
-// answers it with StatusBadCommand, and the proxy falls back to the
-// per-number path — one cmdClaim per number and one write — with the
-// same contract.
-func TestClaimMultiOnOldServer(t *testing.T) {
-	srv := block.NewServer(disk.MustNew(disk.Geometry{Blocks: 65, BlockSize: 256}))
-	serve := block.Serve(srv)
-	old := func(req *rpc.Message) *rpc.Message {
-		if block.CmdName(req.Command) == "claimMulti" {
-			return req.Errorf(rpc.StatusBadCommand, "block: command %#x", req.Command)
-		}
-		return serve(req)
-	}
-	net := rpc.NewNetwork()
-	port := capability.NewPort().Public()
-	if err := net.Register("blk", port, old); err != nil {
-		t.Fatal(err)
-	}
-	rec := &commandCounter{Transactor: net, seen: map[string]int{}}
-	remote, err := block.Dial(rec, port)
-	if err != nil {
-		t.Fatal(err)
-	}
-	blocktest.ClaimSuite(t, "old-server", remote, blocktest.ClaimOpts{Capacity: 64})
-
-	rec.seen = map[string]int{}
-	ns := []block.Num{40, 41, 42}
-	if err := block.ClaimMulti(remote, 1, ns, [][]byte{[]byte("a"), []byte("b"), []byte("c")}); err != nil {
-		t.Fatal(err)
-	}
-	if rec.seen["claimMulti"] != 1 || rec.seen["claim"] != len(ns) || rec.seen["writeMulti"] != 1 {
-		t.Fatalf("commands on an old server: %v; want 1 claimMulti, %d claim, 1 writeMulti", rec.seen, len(ns))
-	}
-	if got, err := srv.Read(1, 41); err != nil || got[0] != 'b' {
-		t.Fatalf("block 41 after the fallback: %q, %v", got[:1], err)
-	}
-}

@@ -19,6 +19,9 @@ import (
 // one across the network — which is how cmd/afs-server mounts
 // cmd/afs-block.
 const (
+	// The scalar data commands are reserved, not served: every peer
+	// sends the vectored ones below, a scalar call being a vector of
+	// one. Serve answers them StatusBadCommand.
 	cmdAlloc uint32 = 0x0b10c0 + iota
 	cmdFree
 	cmdRead
@@ -54,9 +57,7 @@ const (
 	cmdSetEpoch
 	// cmdClaimMulti is a companion's whole mirror leg in one command:
 	// claim the partner's numbers and store their payloads, all or
-	// nothing (ClaimMultiStore). A server that predates it answers
-	// StatusBadCommand and the proxy falls back to cmdClaim per number
-	// plus cmdWriteMulti.
+	// nothing (ClaimMultiStore).
 	cmdClaimMulti
 )
 
@@ -161,32 +162,6 @@ func serveFunc(orig Store) func(Store, *rpc.Message) *rpc.Message {
 			r := req.Reply(rpc.StatusOK)
 			r.Args[0] = uint64(s.BlockSize())
 			return r
-		case cmdAlloc:
-			got, err := s.Alloc(acct, req.Data)
-			if err != nil {
-				return blockErr(req, err)
-			}
-			r := req.Reply(rpc.StatusOK)
-			r.Args[0] = uint64(got)
-			return r
-		case cmdFree:
-			if err := s.Free(acct, n); err != nil {
-				return blockErr(req, err)
-			}
-			return req.Reply(rpc.StatusOK)
-		case cmdRead:
-			data, err := s.Read(acct, n)
-			if err != nil {
-				return blockErr(req, err)
-			}
-			r := req.Reply(rpc.StatusOK)
-			r.Data = data
-			return r
-		case cmdWrite:
-			if err := s.Write(acct, n, req.Data); err != nil {
-				return blockErr(req, err)
-			}
-			return req.Reply(rpc.StatusOK)
 		case cmdLock:
 			if err := s.Lock(acct, n); err != nil {
 				return blockErr(req, err)
@@ -627,9 +602,9 @@ func decodeStats(data []byte) (Stats, error) {
 // The client packs greedily up to rpc.MaxData per frame and issues as
 // many frames as the batch needs; a payload too large to share a frame
 // with its entry header is refused with rpc.ErrTooLarge. The scalar
-// command codes (cmdAlloc..cmdWrite) stay reserved and Serve still
-// answers them for older clients, but this proxy sends only the
-// vectored ones — a scalar call is a vector of one.
+// command codes (cmdAlloc..cmdWrite) stay reserved and unserved: this
+// proxy sends only the vectored ones — a scalar call is a vector of
+// one.
 
 // appendNums appends count block numbers.
 func appendNums(dst []byte, ns []Num) []byte {
@@ -848,9 +823,7 @@ func (r *remoteStore) AllocMulti(acct Account, data [][]byte) ([]Num, error) {
 // ClaimMulti implements ClaimMultiStore over the wire, packed like
 // WriteMulti and all-or-nothing across frames like AllocMulti: a
 // refused frame (already rolled back server-side) frees the frames that
-// claimed. A nil data travels as empty payloads. A server that does not
-// know cmdClaimMulti answers the first frame with StatusBadCommand, and
-// the call falls back to one cmdClaim per number plus one WriteMulti.
+// claimed. A nil data travels as empty payloads.
 func (r *remoteStore) ClaimMulti(acct Account, ns []Num, data [][]byte) error {
 	if data != nil && len(data) != len(ns) {
 		return errMultiShape
@@ -875,10 +848,6 @@ func (r *remoteStore) ClaimMulti(acct Account, ns []Num, data [][]byte) error {
 			_, err = r.multiCall("claim", req, i, end-i, len(ns))
 		}
 		if err != nil {
-			var se *rpc.StatusError
-			if i == 0 && errors.As(err, &se) && se.Status == rpc.StatusBadCommand {
-				return claimEach(r, r, acct, ns, data)
-			}
 			if i > 0 {
 				_ = r.FreeMulti(acct, ns[:i]) // best-effort rollback
 			}

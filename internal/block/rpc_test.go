@@ -141,8 +141,8 @@ func (c *cmdRecorder) Transact(port capability.Port, req *rpc.Message) (*rpc.Mes
 
 // TestProxySendsOnlyVectoredCommands pins the single data path on the
 // wire: scalar calls on the proxy travel as the vectored commands, and
-// the scalar command codes — still reserved, still answered by Serve
-// for clients that send them — are never issued.
+// the scalar command codes — reserved, answered StatusBadCommand by
+// Serve — are never issued.
 func TestProxySendsOnlyVectoredCommands(t *testing.T) {
 	srv := NewServer(disk.MustNew(disk.Geometry{Blocks: 64, BlockSize: 256}))
 	net := rpc.NewNetwork()
@@ -179,33 +179,16 @@ func TestProxySendsOnlyVectoredCommands(t *testing.T) {
 		}
 	}
 
-	// A client that still speaks the scalar codes is answered as before,
-	// sentinel statuses included.
-	call := func(cmd uint32, n Num, data []byte) *rpc.Message {
-		req := &rpc.Message{Command: cmd, Data: data}
-		req.Args[0], req.Args[1] = 1, uint64(n)
+	for _, cmd := range []uint32{cmdAlloc, cmdFree, cmdRead, cmdWrite} {
+		req := &rpc.Message{Command: cmd, Data: []byte("scalar")}
+		req.Args[0] = 1
 		resp, err := net.Transact(port, req)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return resp
-	}
-	resp := call(cmdAlloc, 0, []byte("old client"))
-	if resp.Status != rpc.StatusOK {
-		t.Fatalf("scalar alloc: %v", resp.Err())
-	}
-	n = Num(resp.Args[0])
-	if resp := call(cmdWrite, n, []byte("rewritten")); resp.Status != rpc.StatusOK {
-		t.Fatalf("scalar write: %v", resp.Err())
-	}
-	if resp := call(cmdRead, n, nil); resp.Status != rpc.StatusOK || !bytes.HasPrefix(resp.Data, []byte("rewritten")) {
-		t.Fatalf("scalar read = %q, %v", resp.Data, resp.Err())
-	}
-	if resp := call(cmdFree, n, nil); resp.Status != rpc.StatusOK {
-		t.Fatalf("scalar free: %v", resp.Err())
-	}
-	if resp := call(cmdRead, n, nil); resp.Status != statusNotAllocated {
-		t.Fatalf("scalar read of a freed block: status %v, want not-allocated", resp.Status)
+		if resp.Status != rpc.StatusBadCommand {
+			t.Errorf("scalar command %s answered %v, want StatusBadCommand", CmdName(cmd), resp.Status)
+		}
 	}
 }
 

@@ -37,15 +37,11 @@ type Backend struct {
 	// seg defaults are segstore's).
 	Blocks    int
 	BlockSize int
-	// Sync ("group", the default, "each" or "none"), LogShards,
-	// SyncWindow and Compact tune the segment log (segstore.Options).
-	Sync       string
-	LogShards  int
-	SyncWindow time.Duration
-	Compact    time.Duration
-	// ReadCost and WriteCost simulate disk service times (mem only).
-	ReadCost  time.Duration
-	WriteCost time.Duration
+	// Sync ("group", the default, "each" or "none"), LogShards and
+	// Compact tune the segment log (segstore.Options).
+	Sync      string
+	LogShards int
+	Compact   time.Duration
 }
 
 // Storage is an opened Backend.
@@ -109,7 +105,7 @@ func OpenBackend(b Backend) (_ *Storage, err error) {
 func (st *Storage) openOne(b Backend, dir string) (block.PairStore, error) {
 	switch b.Kind {
 	case "", "mem":
-		geo := disk.Geometry{Blocks: b.Blocks, BlockSize: b.BlockSize, ReadCost: b.ReadCost, WriteCost: b.WriteCost}
+		geo := disk.Geometry{Blocks: b.Blocks, BlockSize: b.BlockSize}
 		if geo.Blocks <= 0 {
 			geo.Blocks = 1 << 16
 		}
@@ -137,7 +133,6 @@ func (st *Storage) openOne(b Backend, dir string) (block.PairStore, error) {
 			Capacity:     b.Blocks,
 			Sync:         mode,
 			LogShards:    b.LogShards,
-			SyncWindow:   b.SyncWindow,
 			CompactEvery: b.Compact,
 		})
 		if err != nil {

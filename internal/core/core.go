@@ -70,8 +70,6 @@ type Config struct {
 	// servers answer the snapshot commands. Its BlockSize is derived:
 	// the front tier's plus archive.FrameOverhead.
 	Archive *Backend
-	// NetLatency simulates transport delay per message leg.
-	NetLatency time.Duration
 	// TraceSample, when positive, turns on distributed tracing: clients
 	// made with Client() sample that ratio of operations ([0,1]) into
 	// span trees and report them back to the service, where they land in
@@ -139,7 +137,6 @@ type wire struct {
 // NewCluster builds and starts a cluster on the in-proc network.
 func NewCluster(cfg Config) (*Cluster, error) {
 	net := rpc.NewNetwork()
-	net.SetLatency(cfg.NetLatency)
 	return newCluster(cfg, wire{
 		net: net,
 		listen: func() (func(capability.Port, rpc.Handler), string) {

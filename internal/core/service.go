@@ -52,11 +52,8 @@ type Service struct {
 	// requests itself according to its ratio.
 	Tracer *trace.Tracer
 	// Peers, when non-empty, replicates the file table (and capability
-	// secrets) across the mesh; PushBatch and PushWindow tune its push
-	// streams (zero: ftab defaults).
-	Peers      []Peer
-	PushBatch  int
-	PushWindow time.Duration
+	// secrets) across the mesh.
+	Peers []Peer
 	// Recover runs the §4 recovery scan before the servers start: set
 	// it when Store may hold a file system from a past life.
 	Recover bool
@@ -135,14 +132,12 @@ func NewInstance(spec Service) (*Instance, error) {
 		// during our recovery pulls what we have and receives the rest
 		// as adoption pushes.
 		rep := ftab.NewReplicated(ftab.Options{
-			ID:         spec.ID,
-			Local:      sh.Table.(*file.Table),
-			Store:      version.NewStore(spec.Store, sh.Acct),
-			Ident:      sh.Fact,
-			PortAlive:  sh.Ports.Alive,
-			Live:       in.live,
-			PushBatch:  spec.PushBatch,
-			PushWindow: spec.PushWindow,
+			ID:        spec.ID,
+			Local:     sh.Table.(*file.Table),
+			Store:     version.NewStore(spec.Store, sh.Acct),
+			Ident:     sh.Fact,
+			PortAlive: sh.Ports.Alive,
+			Live:      in.live,
 		})
 		for _, p := range spec.Peers {
 			rep.AddPeer(p.ID, p.Via)
@@ -258,10 +253,10 @@ func (in *Instance) Recover() (map[uint32]capability.Capability, error) {
 }
 
 // Start launches the instance's background work until Close: a
-// collection cycle every gcEvery, and every healEvery a heal pass over
-// the mounted pairs and the table's down peers. A non-positive interval
-// disables that loop.
-func (in *Instance) Start(gcEvery, healEvery time.Duration, pairs []*stable.Pair) {
+// collection cycle every gcEvery (non-positive disables it), and every
+// HealEvery a heal pass over the mounted pairs and the table's down
+// peers.
+func (in *Instance) Start(gcEvery time.Duration, pairs []*stable.Pair) {
 	if gcEvery > 0 && in.Table != nil {
 		slog.Info("collector elected by lowest configured ID; the others stand by",
 			"component", "gc", "replica", in.spec.ID, "sweeper", in.Table.SweepLeader())
@@ -279,7 +274,7 @@ func (in *Instance) Start(gcEvery, healEvery time.Duration, pairs []*stable.Pair
 		}
 	})
 	if len(pairs) > 0 || in.Table != nil {
-		in.every(healEvery, func() { Heal(pairs, in.Table) })
+		in.every(HealEvery, func() { Heal(pairs, in.Table) })
 	}
 }
 
@@ -320,6 +315,11 @@ func Every(interval time.Duration, stop <-chan struct{}, fn func()) {
 		}
 	}
 }
+
+// HealEvery is how often a process runs Heal over its pairs and its
+// table's peers: how soon a returned mirror half or file-table peer
+// rejoins.
+const HealEvery = 2 * time.Second
 
 // Heal is one heal pass: down mirror halves are probed and rejoined (§4
 // "compares notes ... and restores its disk") as soon as their backend

@@ -1,7 +1,7 @@
 // Package disk simulates the raw disks underneath the block servers.
 //
 // This is the *simulated* backend: blocks live in RAM and vanish with
-// the process, which is what makes the crash/corruption/latency faults
+// the process, which is what makes the crash and corruption faults
 // below cheap to inject and deterministic to test against. The durable
 // backend — a persistent segment-log block store on the real OS
 // filesystem — is internal/segstore; it implements the same block.Store
@@ -14,8 +14,6 @@
 // reproduces exactly that behaviour for a laptop-scale reproduction:
 //
 //   - fixed-size blocks, atomic write-with-ack;
-//   - a configurable service-time model (seek cost per operation) so that
-//     benchmarks preserve the relative costs the paper reasons about;
 //   - crash simulation: a crash discards writes that were issued but not
 //     yet acknowledged, and takes the disk offline until repaired;
 //   - corruption injection: individual blocks can be damaged so that reads
@@ -29,7 +27,6 @@ import (
 	"errors"
 	"fmt"
 	"sync"
-	"time"
 )
 
 // Common failure modes of the simulated hardware.
@@ -54,12 +51,6 @@ type Geometry struct {
 	// are at most 32 KiB (one transaction message), so block servers
 	// built on this disk typically use 32 KiB or smaller blocks.
 	BlockSize int
-	// ReadCost and WriteCost simulate media service time per operation.
-	// Zero means "electronic disk" (no artificial delay): the paper's
-	// §4 hierarchy explicitly mixes fast electronic and slow magnetic
-	// or optical media.
-	ReadCost  time.Duration
-	WriteCost time.Duration
 }
 
 // DefaultGeometry is a small, fast disk suitable for tests.
@@ -154,11 +145,7 @@ func (d *Disk) Read(n int) ([]byte, error) {
 	buf := make([]byte, d.geo.BlockSize)
 	copy(buf, d.data[n])
 	d.stats.Reads++
-	cost := d.geo.ReadCost
 	d.mu.Unlock()
-	if cost > 0 {
-		time.Sleep(cost)
-	}
 	return buf, nil
 }
 
@@ -183,11 +170,7 @@ func (d *Disk) Write(n int, p []byte) error {
 	d.data[n] = buf
 	delete(d.bad, n) // a full overwrite repairs media corruption
 	d.stats.Writes++
-	cost := d.geo.WriteCost
 	d.mu.Unlock()
-	if cost > 0 {
-		time.Sleep(cost)
-	}
 	return nil
 }
 

@@ -54,11 +54,6 @@ type Options struct {
 	// updates; if nothing coalesces the peer is dropped to snapshot
 	// catch-up rather than blocking the commit path.
 	PushQueue int
-	// PushWindow, when positive, lets a below-batch-size queue
-	// accumulate for this long before the stream sends, trading a
-	// little propagation latency for larger frames. Zero (the default)
-	// sends as soon as the stream is free.
-	PushWindow time.Duration
 }
 
 // upd is one pending table update in a peer's stream queue (and the
@@ -102,9 +97,8 @@ type Replicated struct {
 	portAlive func(capability.Port) bool
 	live      func() []block.Num
 
-	pushBatch  int
-	pushQueue  int
-	pushWindow time.Duration
+	pushBatch int
+	pushQueue int
 
 	// mu serialises applies and guards the replication metadata; it is
 	// ordered before the local table's own lock and before peer queue
@@ -156,7 +150,6 @@ func NewReplicated(o Options) *Replicated {
 		live:         o.Live,
 		pushBatch:    batch,
 		pushQueue:    queue,
-		pushWindow:   o.PushWindow,
 		estID:        o.ID & MaxID,
 		origin:       make(map[uint32]uint32),
 		dead:         make(map[uint32]bool),
@@ -446,10 +439,9 @@ func coalesceCAS(queue []upd, u upd) bool {
 
 // stream is a peer's sender goroutine: it drains the queue in batches
 // of at most pushBatch updates, one cmdUpdateBatch frame per batch.
-// Batching is mostly natural — updates accumulate while the previous
-// frame is on the wire — with PushWindow adding an optional fixed
-// accumulation delay. A transport failure marks the peer down and
-// drops the queue; the snapshot exchange at heal covers everything.
+// Batching is natural: updates accumulate while the previous frame is
+// on the wire. A transport failure marks the peer down and drops the
+// queue; the snapshot exchange at heal covers everything.
 func (r *Replicated) stream(p *peer) {
 	defer r.wg.Done()
 	for {
@@ -460,15 +452,6 @@ func (r *Replicated) stream(p *peer) {
 		if len(p.queue) == 0 && p.closing {
 			p.mu.Unlock()
 			return
-		}
-		if r.pushWindow > 0 && len(p.queue) < r.pushBatch && !p.closing {
-			p.mu.Unlock()
-			time.Sleep(r.pushWindow)
-			p.mu.Lock()
-			if len(p.queue) == 0 {
-				p.mu.Unlock()
-				continue
-			}
 		}
 		n := len(p.queue)
 		if n > r.pushBatch {

@@ -66,11 +66,10 @@ type Mesh struct {
 // Tune shapes the replicas' asynchronous push streams, exercising the
 // edge cases the defaults rarely hit: tiny queues force the coalescing
 // and overflow paths, Delay injects wire latency (and with it
-// cross-origin reordering), PushWindow exercises frame accumulation.
+// cross-origin reordering).
 type Tune struct {
-	PushBatch  int
-	PushQueue  int
-	PushWindow time.Duration
+	PushBatch int
+	PushQueue int
 	// Delay, when set, is slept before every outbound peer transact.
 	Delay func() time.Duration
 }
@@ -138,7 +137,7 @@ func (m *Mesh) newReplica(tb TB, id uint32) *Replica {
 	fact := capability.NewFactory(capability.NewPort().Public())
 	rep := ftab.NewReplicated(ftab.Options{
 		ID: id, Local: tab, Store: st, Ident: fact,
-		PushBatch: m.tune.PushBatch, PushQueue: m.tune.PushQueue, PushWindow: m.tune.PushWindow,
+		PushBatch: m.tune.PushBatch, PushQueue: m.tune.PushQueue,
 	})
 	return &Replica{ID: id, Tab: tab, Fact: fact, Rep: rep, St: st, Com: occ.NewCommitter(st)}
 }
@@ -357,18 +356,18 @@ func (m *Mesh) CheckConverged(tb TB) {
 // (one per replica) create and commit against a shared file set, one
 // replica optionally crashes and reboots mid-stream, and the mesh must
 // converge after quiesce. The seed also picks the stream tuning, so
-// the corpus exercises backpressure coalescing and overflow (tiny
-// queues), injected wire delays (cross-origin reordering), and frame
-// accumulation windows alongside the default shape. Used by both the
-// table-driven test and the fuzz target.
+// the corpus exercises four shapes: the default, backpressure
+// coalescing and overflow (tiny queues), injected wire delays
+// (cross-origin reordering), and the tiny queues under the delays.
+// Used by both the table-driven test and the fuzz target.
 func Fuzz(tb TB, seed int64, replicas, files, steps int, crash bool) {
 	var tu Tune
-	switch seed & 3 {
-	case 1:
+	if seed&1 != 0 {
 		// Tiny queue and batch: every worker burst overflows, forcing
 		// per-object CAS coalescing and drop-to-snapshot catch-up.
 		tu.PushBatch, tu.PushQueue = 2, 4
-	case 2:
+	}
+	if seed&2 != 0 {
 		// Injected wire latency: frames from different origins overtake
 		// each other freely.
 		var mu sync.Mutex
@@ -378,8 +377,6 @@ func Fuzz(tb TB, seed int64, replicas, files, steps int, crash bool) {
 			defer mu.Unlock()
 			return time.Duration(rng.Intn(200)) * time.Microsecond
 		}
-	case 3:
-		tu.PushWindow = 100 * time.Microsecond
 	}
 	m := NewTuned(tb, replicas, tu)
 	// A shared file set, created through different replicas.

@@ -13,15 +13,14 @@ import "repro/internal/capability"
 // the examples; the TCP transport provides the same semantics between
 // processes.
 //
-// A Network can simulate message latency (Latency) and server crashes
-// (Crash), which unregisters every port of a server group so that
-// subsequent transactions fail with ErrDeadPort — the signal the lock
-// recovery protocol of §5.3 relies on.
+// A Network can simulate server crashes (Crash), which unregisters
+// every port of a server group so that subsequent transactions fail
+// with ErrDeadPort — the signal the lock recovery protocol of §5.3
+// relies on.
 type Network struct {
 	mu       sync.RWMutex
 	handlers map[capability.Port]Handler
 	groups   map[string][]capability.Port
-	latency  time.Duration
 
 	statMu sync.Mutex
 	stats  NetStats
@@ -42,14 +41,6 @@ func NewNetwork() *Network {
 		handlers: make(map[capability.Port]Handler),
 		groups:   make(map[string][]capability.Port),
 	}
-}
-
-// SetLatency sets a one-way artificial delay applied twice per
-// transaction (request and reply legs).
-func (n *Network) SetLatency(d time.Duration) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	n.latency = d
 }
 
 // Register installs h as the service on port. The group name ties ports
@@ -121,7 +112,6 @@ func (n *Network) Transact(port capability.Port, req *Message) (*Message, error)
 	}
 	n.mu.RLock()
 	h, ok := n.handlers[port]
-	latency := n.latency
 	met := n.metrics
 	n.mu.RUnlock()
 	start := time.Now()
@@ -132,9 +122,6 @@ func (n *Network) Transact(port capability.Port, req *Message) (*Message, error)
 		n.statMu.Unlock()
 		return nil, fmt.Errorf("port %v: %w", port, ErrDeadPort)
 	}
-	if latency > 0 {
-		time.Sleep(latency)
-	}
 	resp := h(req)
 	if resp == nil {
 		resp = req.Reply(StatusBadCommand)
@@ -144,9 +131,6 @@ func (n *Network) Transact(port capability.Port, req *Message) (*Message, error)
 		resp = req.Errorf(StatusIO, "reply: %v", ErrTooLarge)
 	}
 	met.Observe(req.Command, time.Since(start), resp.Status, false)
-	if latency > 0 {
-		time.Sleep(latency)
-	}
 	n.statMu.Lock()
 	n.stats.Transactions++
 	n.stats.BytesMoved += uint64(len(req.Data) + len(resp.Data))

@@ -62,6 +62,10 @@ const maxPool = 4
 // shrinking below one step snaps to zero (no wait at all).
 const windowStep = 25 * time.Microsecond
 
+// maxWindow caps the adaptive window: the longest a lane's commit stays
+// open for stragglers once concurrency has been observed.
+const maxWindow = 2 * time.Millisecond
+
 // openLane creates (if necessary) and locks one lane directory.
 func openLane(s *Store, id int) (*lane, error) {
 	dir := laneDir(s.dir, id)
@@ -378,7 +382,7 @@ func (l *lane) runAppender() {
 
 // adapt resizes the group-commit window from the batch it just closed:
 // a filling batch means writers are arriving faster than fsyncs retire
-// them, so widening the window (toward the Options.SyncWindow cap)
+// them, so widening the window (toward the maxWindow cap)
 // trades a little latency for fewer, larger fsyncs; a near-empty batch
 // means the lane has gone quiet and the window decays to zero so a
 // lone sequential writer never waits at all.
@@ -388,10 +392,7 @@ func (l *lane) adapt(got int) {
 	case got >= maxBatch:
 		// Saturated without waiting; the window was not the limit.
 	case got >= 4:
-		w := l.window*2 + windowStep
-		if w > s.opt.SyncWindow {
-			w = s.opt.SyncWindow
-		}
+		w := min(l.window*2+windowStep, maxWindow)
 		if w != l.window {
 			l.window = w
 			l.windowNs.Store(int64(w))

@@ -516,7 +516,7 @@ func TestCompactErrorSurfaced(t *testing.T) {
 // --- adaptive group-commit window ---
 
 func TestAdaptiveWindowAdjust(t *testing.T) {
-	s := openTest(t, Options{BlockSize: 32, LogShards: 1, SyncWindow: 2 * time.Millisecond})
+	s := openTest(t, Options{BlockSize: 32, LogShards: 1})
 	l := s.lanes[0]
 	// (No writes in flight: the appender is parked on its empty queue,
 	// so poking the window from here cannot race it.)

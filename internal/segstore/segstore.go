@@ -34,7 +34,7 @@
 // however many writers hashed into the lane (the AsyncFS observation:
 // make the sync path batch-friendly and the hot path stays fast). The
 // commit window adapts to the arrival rate — zero for a lone writer,
-// growing toward Options.SyncWindow under load. SyncEach gives strict
+// growing toward a 2 ms cap under load. SyncEach gives strict
 // one-fsync-per-record semantics instead, and SyncNone none at all, for
 // benchmarks.
 //
@@ -147,12 +147,6 @@ type Options struct {
 	LogShards int
 	// Sync is the durability mode (default SyncGroup).
 	Sync SyncMode
-	// SyncWindow caps the adaptive group-commit window: how long a
-	// lane's commit may stay open for stragglers once concurrency has
-	// been observed (default 2ms; negative disables the window
-	// entirely). The window actually used starts at zero and adapts
-	// per lane between 0 and this cap. A runtime knob, not persisted.
-	SyncWindow time.Duration
 	// CompactEvery runs the background compactor at this interval; zero
 	// disables it (CompactOnce still works on demand).
 	CompactEvery time.Duration
@@ -181,11 +175,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.LogShards > maxShards {
 		o.LogShards = maxShards
-	}
-	if o.SyncWindow == 0 {
-		o.SyncWindow = 2 * time.Millisecond
-	} else if o.SyncWindow < 0 {
-		o.SyncWindow = 0
 	}
 	if o.CompactMinGarbage <= 0 {
 		o.CompactMinGarbage = 0.5
@@ -467,9 +456,9 @@ const epochName = "epoch"
 // must not report zero either — a survivor whose epoch file rotted
 // would then look OLDER than the stale half and be elected the
 // full-copy target, destroying the very writes the epoch protects. It
-// reports bad=true instead: Epoch() then errors, the pair skips
-// automatic divergence detection, and the operator's -stale override
-// is the fallback.
+// reports bad=true instead: Epoch() then errors and the pair skips
+// automatic divergence detection until the file is rewritten (the
+// next epoch write, or the operator by hand).
 func loadEpoch(dir string) (uint64, bool, error) {
 	raw, err := os.ReadFile(filepath.Join(dir, epochName))
 	if errors.Is(err, os.ErrNotExist) {
@@ -493,7 +482,7 @@ func (s *Store) Epoch() (uint64, error) {
 		return 0, ErrClosed
 	}
 	if s.epochBad {
-		return 0, fmt.Errorf("segstore: %s file unparsable; divergence detection disabled (operator -stale override applies) until the next epoch write", epochName)
+		return 0, fmt.Errorf("segstore: %s file unparsable; divergence detection disabled until the next epoch write", epochName)
 	}
 	return s.epoch, nil
 }

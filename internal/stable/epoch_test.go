@@ -21,7 +21,7 @@ func newMemPairStore(t *testing.T) *block.Server {
 // the whole pair process then dies too, and a FRESH pair over the same
 // two directories — with no memory of the outage — detects by itself
 // which half is stale and restores it by full copy, with no operator
-// -stale flag.
+// marking anything.
 func TestBootTimeDivergenceDetection(t *testing.T) {
 	base := t.TempDir()
 	open := func(name string) *segstore.Store {

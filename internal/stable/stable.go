@@ -337,8 +337,8 @@ func (h *Half) markDown() bool {
 // start to. A freshly constructed pair over the two backends — with no
 // memory of the outage — then spots the divergence by comparing epochs
 // (Pair.DetectStale). Best effort: a backend that does not track
-// epochs, or cannot persist right now, leaves boot-time divergence
-// detection to the operator (-stale).
+// epochs, or cannot persist right now, goes without boot-time
+// divergence detection.
 func (h *Half) bumpOwnEpoch() {
 	if h.Down() {
 		return
@@ -1315,8 +1315,7 @@ func (p *Pair) Halves() (*Half, *Half) { return p.a, p.b }
 // half that missed writes. It is marked stale (down until the heal loop
 // restores it by full copy) and its name returned. An empty name means
 // the epochs agree, a half is already down (the degraded-mount path
-// handles it), or a backend does not track epochs — in which case the
-// operator's explicit -stale flag remains the fallback.
+// handles it), or a backend's epoch cannot be read.
 func (p *Pair) DetectStale() (string, error) {
 	if p.a.Down() || p.b.Down() {
 		return "", nil
