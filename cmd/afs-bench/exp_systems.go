@@ -571,20 +571,22 @@ func runFig4() error {
 			return err
 		}
 	}
-	// Two uncommitted versions based on the current one.
-	u1, err := srv.CreateVersion(fcap, server.CreateVersionOpts{})
-	if err != nil {
-		return err
-	}
-	if err := srv.WritePage(u1, page.RootPath, []byte("draft-a")); err != nil {
-		return err
-	}
-	u2, err := srv.CreateVersion(fcap, server.CreateVersionOpts{})
-	if err != nil {
-		return err
-	}
-	if err := srv.WritePage(u2, page.RootPath, []byte("draft-b")); err != nil {
-		return err
+	// Two uncommitted versions based on the current one. Reading a
+	// buffered write back flushes it, which gives the draft's version
+	// page its block.
+	var drafts []capability.Capability
+	for _, data := range []string{"draft-a", "draft-b"} {
+		u, err := srv.CreateVersion(fcap, server.CreateVersionOpts{})
+		if err != nil {
+			return err
+		}
+		if err := srv.WritePage(u, page.RootPath, []byte(data)); err != nil {
+			return err
+		}
+		if _, _, err := srv.ReadPage(u, page.RootPath); err != nil {
+			return err
+		}
+		drafts = append(drafts, u)
 	}
 
 	hist, err := srv.History(fcap)
@@ -605,7 +607,7 @@ func runFig4() error {
 			root, vp.BaseRef, vp.CommitRef, trim(vp.Data), tag)
 	}
 	fmt.Println("uncommitted versions attached by their base references:")
-	for _, u := range []block.Num{mustRoot(srv, u1), mustRoot(srv, u2)} {
+	for _, u := range []block.Num{mustRoot(srv, drafts[0]), mustRoot(srv, drafts[1])} {
 		vp, err := srv.Store().ReadPage(u)
 		if err != nil {
 			return err

@@ -24,10 +24,12 @@
 // a block is freed only if it was unreachable in two consecutive
 // collections, giving in-flight descents and just-allocated-but-not-yet-
 // linked pages a full cycle of grace. That grace holds because a cycle
-// samples its pins — the open versions and their bases — before it reads
-// the file table: a block allocated after one cycle's pin sample is
-// reachable from the next cycle's roots, through an open version or, once
-// that version commits, through the table.
+// samples its pins — the open versions and their bases, where an open
+// version whose root has no block yet (it gets one in the version's
+// first flush) is pinned through its base alone — before it reads the
+// file table: a block allocated after one cycle's pin sample is reachable
+// from the next cycle's roots, through an open version or, once that
+// version commits, through the table.
 package gc
 
 import (

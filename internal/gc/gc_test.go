@@ -82,8 +82,10 @@ func TestAbortedVersionReclaimed(t *testing.T) {
 	fcap, _ := f.srv.CreateFile([]byte("keep"))
 	inUse := f.bs.InUse()
 
+	// A shape command flushes: the version's root and the new page reach
+	// the store, where a buffered write would not.
 	v, _ := f.srv.CreateVersion(fcap, server.CreateVersionOpts{})
-	if err := f.srv.WritePage(v, page.RootPath, []byte("garbage")); err != nil {
+	if err := f.srv.InsertPage(v, page.RootPath, 0, []byte("garbage")); err != nil {
 		t.Fatal(err)
 	}
 	if err := f.srv.Abort(v); err != nil {
@@ -150,13 +152,8 @@ func TestUncommittedVersionsPinned(t *testing.T) {
 	if err := f.srv.WritePage(v, page.RootPath, []byte("in-flight")); err != nil {
 		t.Fatal(err)
 	}
-	// Wire the live-version pin to the open version's root.
-	root, err := f.srv.VersionRoot(v)
-	if err != nil {
-		t.Fatal(err)
-	}
-	f.col.Live = func() []block.Num { return []block.Num{root} }
-
+	// The write waits in the server, so the version has no root block
+	// yet: the fixture's srv.LiveVersions pins it through its base.
 	f.collectTwice(t)
 	// The open version must still be usable and committable.
 	data, _, err := f.srv.ReadPage(v, page.RootPath)
@@ -226,7 +223,7 @@ func TestTwoCycleGracePeriod(t *testing.T) {
 	f := newFixture(t, 4)
 	fcap, _ := f.srv.CreateFile([]byte("x"))
 	v, _ := f.srv.CreateVersion(fcap, server.CreateVersionOpts{})
-	f.srv.WritePage(v, page.RootPath, []byte("y"))
+	f.srv.InsertPage(v, page.RootPath, 0, []byte("y")) // flushes: orphans on the store
 	f.srv.Abort(v)
 
 	used := f.bs.InUse()
@@ -502,7 +499,12 @@ func TestLiveVersionBasePinned(t *testing.T) {
 	}
 
 	fcap, _ := f.srv.CreateFile([]byte("g0"))
-	if _, err := sib.CreateVersion(fcap, server.CreateVersionOpts{}); err != nil {
+	ov, err := sib.CreateVersion(fcap, server.CreateVersionOpts{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A shape command flushes, so the orphan's root is on the store.
+	if err := sib.InsertPage(ov, page.RootPath, 0, []byte("draft")); err != nil {
 		t.Fatal(err)
 	}
 	live := sib.LiveVersions()
@@ -747,15 +749,18 @@ func TestRecoveryScanPagesOverTCP(t *testing.T) {
 	}
 }
 
-// cycleStore is the in-memory block server with two hooks for staging a
-// collection cycle against an update: one runs before the collector's
-// account scan (after its mark), one after an alloc returns. Each hook
-// fires once.
+// cycleStore is the in-memory block server with four hooks for staging
+// a collection cycle against an update: one runs before the collector's
+// account scan (after its mark), one inside an alloc before it reaches
+// the store, one after an alloc returns, one after an unlock returns.
+// Each hook fires once.
 type cycleStore struct {
 	*block.Server
 	block.Scalar
 	beforeRecover func()
+	beforeAlloc   func()
 	afterAlloc    func()
+	afterUnlock   func()
 }
 
 func (c *cycleStore) Recover(a block.Account) ([]block.Num, error) {
@@ -767,12 +772,25 @@ func (c *cycleStore) Recover(a block.Account) ([]block.Num, error) {
 }
 
 func (c *cycleStore) AllocMulti(a block.Account, data [][]byte) ([]block.Num, error) {
+	if h := c.beforeAlloc; h != nil {
+		c.beforeAlloc = nil
+		h()
+	}
 	ns, err := c.Server.AllocMulti(a, data)
 	if h := c.afterAlloc; h != nil && err == nil {
 		c.afterAlloc = nil
 		h()
 	}
 	return ns, err
+}
+
+func (c *cycleStore) Unlock(a block.Account, n block.Num) error {
+	err := c.Server.Unlock(a, n)
+	if h := c.afterUnlock; h != nil && err == nil {
+		c.afterUnlock = nil
+		h()
+	}
+	return err
 }
 
 func newCycleFixture(t *testing.T) (*cycleStore, *server.Server, *Collector) {
@@ -837,16 +855,18 @@ func TestCommitBetweenPinAndTableSamples(t *testing.T) {
 	}
 }
 
-// TestPinSampleWaitsForVersionCreation: a version's root is allocated
-// before its record is registered. Two whole cycles staged in that gap
-// must not free the root: the pin sample waits for the creation in
-// flight to register.
+// TestPinSampleWaitsForVersionCreation: a version creation chooses its
+// base before its record is registered, and allocates nothing, so until
+// its first flush the record's pin is the base. A newer version commits
+// over that base inside the gap, and with one version retained only the
+// pin keeps the base: two whole cycles staged in the gap must not free
+// it. The pin sample waits for the creation in flight to register.
 func TestPinSampleWaitsForVersionCreation(t *testing.T) {
 	cs, srv, col := newCycleFixture(t)
 	fcap, _ := srv.CreateFile([]byte("root"))
-	allocated, release := make(chan struct{}), make(chan struct{})
-	cs.afterAlloc = func() { // the new version's root: its first alloc
-		close(allocated)
+	chosen, release := make(chan struct{}), make(chan struct{})
+	cs.afterUnlock = func() { // the top-lock hint is written: the base is chosen
+		close(chosen)
 		<-release
 	}
 	type created struct {
@@ -858,7 +878,17 @@ func TestPinSampleWaitsForVersionCreation(t *testing.T) {
 		v, err := srv.CreateVersion(fcap, server.CreateVersionOpts{})
 		res <- created{v, err}
 	}()
-	<-allocated
+	<-chosen
+	w, err := srv.CreateVersion(fcap, server.CreateVersionOpts{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := srv.WritePage(w, page.RootPath, []byte("newer")); err != nil {
+		t.Fatal(err)
+	}
+	if err := srv.Commit(w); err != nil {
+		t.Fatal(err)
+	}
 	cycles := make(chan error, 1)
 	go func() {
 		_, err := col.Collect()
@@ -869,7 +899,6 @@ func TestPinSampleWaitsForVersionCreation(t *testing.T) {
 	}()
 	// Without the fence both cycles finish inside the gap; with it the
 	// first blocks in its pin sample until the creation registers.
-	var err error
 	select {
 	case err = <-cycles:
 		close(release)
@@ -884,10 +913,169 @@ func TestPinSampleWaitsForVersionCreation(t *testing.T) {
 	if r.err != nil {
 		t.Fatal(r.err)
 	}
-	if data, _, err := srv.ReadPage(r.v, page.RootPath); err != nil || string(data) != "root" {
-		t.Fatalf("version created across two cycles reads %q, %v", data, err)
-	}
+	// Its commit finds the base, sees the newer version there and merges
+	// over it.
 	if err := srv.Commit(r.v); err != nil {
+		t.Fatalf("version created across two cycles: %v", err)
+	}
+	cur, _ := srv.CurrentVersion(fcap)
+	if data, _, err := srv.ReadCommitted(cur, page.RootPath); err != nil || string(data) != "newer" {
+		t.Fatalf("merged version reads %q, %v", data, err)
+	}
+}
+
+// pagedCycleFile creates a file of n pages "p0".."p<n-1>" on the cycle
+// fixture's server and commits it.
+func pagedCycleFile(t *testing.T, srv *server.Server, n int) capability.Capability {
+	t.Helper()
+	fcap, err := srv.CreateFile([]byte("root"))
+	if err != nil {
 		t.Fatal(err)
 	}
+	v, _ := srv.CreateVersion(fcap, server.CreateVersionOpts{})
+	for i := 0; i < n; i++ {
+		if err := srv.InsertPage(v, page.RootPath, i, []byte(fmt.Sprint("p", i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := srv.Commit(v); err != nil {
+		t.Fatal(err)
+	}
+	return fcap
+}
+
+// rewrite commits one update of fcap that rewrites page /i with data.
+func rewrite(t *testing.T, srv *server.Server, fcap capability.Capability, i int, data string) {
+	t.Helper()
+	w, err := srv.CreateVersion(fcap, server.CreateVersionOpts{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := srv.WritePage(w, page.Path{i}, []byte(data)); err != nil {
+		t.Fatal(err)
+	}
+	if err := srv.Commit(w); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// readsBack checks that every block of fcap's current version reads back
+// and that its pages hold want.
+func readsBack(t *testing.T, srv *server.Server, fcap capability.Capability, want []string) {
+	t.Helper()
+	cur, err := srv.CurrentVersion(fcap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	blks, err := (&version.Tree{St: srv.Store(), Root: cur}).Blocks()
+	if err != nil {
+		t.Fatalf("committed version's tree: %v", err)
+	}
+	for n := range blks {
+		if _, err := srv.Store().ReadPage(n); err != nil {
+			t.Fatalf("committed version's block %d: %v", n, err)
+		}
+	}
+	for i, w := range want {
+		if data, _, err := srv.ReadCommitted(cur, page.Path{i}); err != nil || string(data) != w {
+			t.Fatalf("committed /%d reads %q, %v; want %q", i, data, err, w)
+		}
+	}
+}
+
+// TestFlushWindowPinned: a version's root gets its block in the flush's
+// AllocMulti, and until the flush's write lands and the root is published
+// the server pins the version's base. With one version retained and the
+// base superseded, LiveVersions and two whole cycles run inside the
+// flush's AllocMulti must leave the base — which the commit's
+// test-and-set still reads — and every page the version shares with it.
+// Then one cycle runs in the window after the alloc, and one after the
+// commit: the fresh pages it condemned are reachable by then, so the
+// two-cycle grace keeps them.
+func TestFlushWindowPinned(t *testing.T) {
+	cs, srv, col := newCycleFixture(t)
+	fcap := pagedCycleFile(t, srv, 4)
+	base, _ := srv.CurrentVersion(fcap)
+	v, _ := srv.CreateVersion(fcap, server.CreateVersionOpts{})
+	if err := srv.WritePage(v, page.Path{0}, []byte("mine")); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := srv.ReadPage(v, page.Path{3}); err != nil {
+		t.Fatal(err)
+	}
+	rewrite(t, srv, fcap, 1, "theirs")
+	var pins []block.Num
+	var cycleErr error
+	cs.beforeAlloc = func() {
+		pins = srv.LiveVersions()
+		for range 2 {
+			if _, err := col.Collect(); err != nil {
+				cycleErr = err
+			}
+		}
+	}
+	if err := srv.Commit(v); err != nil {
+		t.Fatalf("commit across two cycles in its flush: %v", err)
+	}
+	if cycleErr != nil {
+		t.Fatal(cycleErr)
+	}
+	if len(pins) != 1 || pins[0] != base {
+		t.Fatalf("pins inside the flush %v, want the base %d", pins, base)
+	}
+	readsBack(t, srv, fcap, []string{"mine", "theirs", "p2", "p3"})
+
+	v, _ = srv.CreateVersion(fcap, server.CreateVersionOpts{})
+	if err := srv.WritePage(v, page.Path{2}, []byte("later")); err != nil {
+		t.Fatal(err)
+	}
+	cs.afterAlloc = func() {
+		if _, err := col.Collect(); err != nil {
+			cycleErr = err
+		}
+	}
+	if err := srv.Commit(v); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := col.Collect(); err != nil {
+		t.Fatal(err)
+	}
+	if cycleErr != nil {
+		t.Fatal(cycleErr)
+	}
+	readsBack(t, srv, fcap, []string{"mine", "theirs", "later", "p3"})
+}
+
+// TestUnflushedVersionPinned: with one version retained, an open version
+// that has only read — its root has no block, its read waits in the
+// server — stays pinned, through its base, while two other updates
+// commit over that base, each followed by a cycle. It then reads, merges
+// over both and commits. (The merge needs the first of them too, which
+// the second cycle only condemns.)
+func TestUnflushedVersionPinned(t *testing.T) {
+	_, srv, col := newCycleFixture(t)
+	fcap := pagedCycleFile(t, srv, 4)
+	v, _ := srv.CreateVersion(fcap, server.CreateVersionOpts{})
+	if data, _, err := srv.ReadPage(v, page.Path{2}); err != nil || string(data) != "p2" {
+		t.Fatalf("read /2: %q, %v", data, err)
+	}
+	if root, err := srv.VersionRoot(v); err != nil || root != block.NilNum {
+		t.Fatalf("version that only read has root block %d, %v; want none", root, err)
+	}
+	for i, data := range []string{"first", "second"} {
+		rewrite(t, srv, fcap, i, data)
+		if _, err := col.Collect(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if data, _, err := srv.ReadPage(v, page.Path{3}); err != nil || string(data) != "p3" {
+		t.Fatalf("read /3 after two cycles: %q, %v", data, err)
+	}
+	if err := srv.WritePage(v, page.Path{2}, []byte("mine")); err != nil {
+		t.Fatal(err)
+	}
+	if err := srv.Commit(v); err != nil {
+		t.Fatalf("commit over two later versions: %v", err)
+	}
+	readsBack(t, srv, fcap, []string{"first", "second", "mine", "p3"})
 }

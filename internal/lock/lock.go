@@ -143,12 +143,14 @@ func (h Holder) port() capability.Port {
 // TryAcquireTop attempts the version-creation lock step on the current
 // version page blk. For a super-file both fields must be zero; for a
 // small file only the inner lock is tested. On success the top lock holds
-// m.Port. A small-file acquisition overwrites a foreign top lock (it is
-// only a hint there).
-func (m *Manager) TryAcquireTop(blk block.Num, super bool) (Holder, error) {
+// m.Port, and the page is returned as it was locked, so that a version
+// can be forked from it without reading it again. A small-file
+// acquisition overwrites a foreign top lock (it is only a hint there).
+func (m *Manager) TryAcquireTop(blk block.Num, super bool) (Holder, *page.Page, error) {
 	var h Holder
+	var locked *page.Page
 	err := m.mutate(blk, func(vp *page.Page) (bool, error) {
-		h = Holder{}
+		h, locked = Holder{}, nil
 		if !vp.InnerLock.IsNil() && vp.InnerLock != m.Port {
 			h.Inner = vp.InnerLock
 			return false, nil
@@ -157,32 +159,32 @@ func (m *Manager) TryAcquireTop(blk block.Num, super bool) (Holder, error) {
 			h.Top = vp.TopLock
 			return false, nil
 		}
-		vp.TopLock = m.Port
+		vp.TopLock, locked = m.Port, vp
 		return true, nil
 	})
-	return h, err
+	return h, locked, err
 }
 
 // AcquireTop waits until TryAcquireTop succeeds, recovering from crashed
-// holders along the way.
-func (m *Manager) AcquireTop(blk block.Num, super bool) error {
+// holders along the way, and returns the page it locked.
+func (m *Manager) AcquireTop(blk block.Num, super bool) (*page.Page, error) {
 	deadline := time.Now().Add(m.Patience)
 	for {
-		h, err := m.TryAcquireTop(blk, super)
+		h, locked, err := m.TryAcquireTop(blk, super)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		if !h.blocked() {
-			return nil
+			return locked, nil
 		}
 		if !m.alive(h.port()) {
 			if err := m.RecoverCrashed(blk, h.port()); err != nil {
-				return err
+				return nil, err
 			}
 			continue
 		}
 		if time.Now().After(deadline) {
-			return fmt.Errorf("version page %d held by %v: %w", blk, h.port(), ErrLockTimeout)
+			return nil, fmt.Errorf("version page %d held by %v: %w", blk, h.port(), ErrLockTimeout)
 		}
 		time.Sleep(m.Poll)
 	}

@@ -56,7 +56,7 @@ func TestTryAcquireTopSuper(t *testing.T) {
 	m := f.manager(capability.NewPort())
 	blk := f.versionPage(t, nil)
 
-	h, err := m.TryAcquireTop(blk, true)
+	h, _, err := m.TryAcquireTop(blk, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,13 +72,13 @@ func TestTryAcquireTopSuper(t *testing.T) {
 	}
 
 	// Re-acquiring one's own lock is fine (idempotent).
-	if h, err = m.TryAcquireTop(blk, true); err != nil || h.blocked() {
+	if h, _, err = m.TryAcquireTop(blk, true); err != nil || h.blocked() {
 		t.Fatalf("re-acquire blocked: %+v %v", h, err)
 	}
 
 	// A second server is blocked.
 	m2 := f.manager(capability.NewPort())
-	h, err = m2.TryAcquireTop(blk, true)
+	h, _, err = m2.TryAcquireTop(blk, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,12 +93,12 @@ func TestTryAcquireTopSmallIgnoresForeignTop(t *testing.T) {
 	m2 := f.manager(capability.NewPort())
 	blk := f.versionPage(t, nil)
 
-	if _, err := m1.TryAcquireTop(blk, false); err != nil {
+	if _, _, err := m1.TryAcquireTop(blk, false); err != nil {
 		t.Fatal(err)
 	}
 	// Small-file rule: only the inner lock is tested; the top lock is a
 	// hint and gets overwritten.
-	h, err := m2.TryAcquireTop(blk, false)
+	h, _, err := m2.TryAcquireTop(blk, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +119,7 @@ func TestTryAcquireTopBlockedByInner(t *testing.T) {
 	m := f.manager(capability.NewPort())
 
 	for _, super := range []bool{true, false} {
-		h, err := m.TryAcquireTop(blk, super)
+		h, _, err := m.TryAcquireTop(blk, super)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -134,11 +134,11 @@ func TestAcquireTopWaitsForRelease(t *testing.T) {
 	m1 := f.manager(capability.NewPort())
 	m2 := f.manager(capability.NewPort())
 	blk := f.versionPage(t, nil)
-	if _, err := m1.TryAcquireTop(blk, true); err != nil {
+	if _, _, err := m1.TryAcquireTop(blk, true); err != nil {
 		t.Fatal(err)
 	}
 	done := make(chan error, 1)
-	go func() { done <- m2.AcquireTop(blk, true) }()
+	go func() { _, err := m2.AcquireTop(blk, true); done <- err }()
 	time.Sleep(2 * time.Millisecond)
 	select {
 	case err := <-done:
@@ -163,10 +163,10 @@ func TestAcquireTopTimesOutOnLiveHolder(t *testing.T) {
 	m2 := f.manager(capability.NewPort())
 	m2.Patience = 5 * time.Millisecond
 	blk := f.versionPage(t, nil)
-	if _, err := m1.TryAcquireTop(blk, true); err != nil {
+	if _, _, err := m1.TryAcquireTop(blk, true); err != nil {
 		t.Fatal(err)
 	}
-	if err := m2.AcquireTop(blk, true); !errors.Is(err, ErrLockTimeout) {
+	if _, err := m2.AcquireTop(blk, true); !errors.Is(err, ErrLockTimeout) {
 		t.Fatalf("err = %v, want ErrLockTimeout", err)
 	}
 }
@@ -179,7 +179,7 @@ func TestAcquireTopRecoversFromDeadHolderBeforeCommit(t *testing.T) {
 
 	// The holder is dead and the commit reference is off: §5.3 says the
 	// lock can be cleared without further ado.
-	if err := m.AcquireTop(blk, true); err != nil {
+	if _, err := m.AcquireTop(blk, true); err != nil {
 		t.Fatal(err)
 	}
 	top, _, _ := m.Locks(blk)
@@ -246,7 +246,7 @@ func TestRecoverFinishesCrashedSuperCommit(t *testing.T) {
 
 	// A waiter on P's top lock finds the holder dead and the commit
 	// reference set: it finishes the crashed server's work.
-	if err := m.AcquireTop(p, true); err != nil {
+	if _, err := m.AcquireTop(p, true); err != nil {
 		t.Fatal(err)
 	}
 
@@ -370,7 +370,7 @@ func TestAcquireInnerBlockedByLiveTop(t *testing.T) {
 	m2 := f.manager(capability.NewPort())
 	m2.Patience = 5 * time.Millisecond
 	blk := f.versionPage(t, nil)
-	if _, err := m1.TryAcquireTop(blk, true); err != nil {
+	if _, _, err := m1.TryAcquireTop(blk, true); err != nil {
 		t.Fatal(err)
 	}
 	if _, _, err := m2.AcquireInner(blk); !errors.Is(err, ErrLockTimeout) {
@@ -383,7 +383,7 @@ func TestClearOnlyRemovesNamedHolder(t *testing.T) {
 	m1 := f.manager(capability.NewPort())
 	m2 := f.manager(capability.NewPort())
 	blk := f.versionPage(t, nil)
-	if _, err := m1.TryAcquireTop(blk, true); err != nil {
+	if _, _, err := m1.TryAcquireTop(blk, true); err != nil {
 		t.Fatal(err)
 	}
 	// Clearing a different holder is a no-op.
@@ -406,7 +406,7 @@ func TestLocksRejectsNonVersionPage(t *testing.T) {
 	if _, _, err := m.Locks(blk); err == nil {
 		t.Fatal("Locks accepted a plain page")
 	}
-	if _, err := m.TryAcquireTop(blk, true); err == nil {
+	if _, _, err := m.TryAcquireTop(blk, true); err == nil {
 		t.Fatal("TryAcquireTop accepted a plain page")
 	}
 }
@@ -422,7 +422,7 @@ func TestConcurrentTopAcquisitionExactlyOneWins(t *testing.T) {
 	wins := make(chan int, n)
 	for i, m := range managers {
 		go func(i int, m *Manager) {
-			h, err := m.TryAcquireTop(blk, true)
+			h, _, err := m.TryAcquireTop(blk, true)
 			if err == nil && !h.blocked() {
 				wins <- i
 			} else {

@@ -48,6 +48,7 @@ import (
 	"sync/atomic"
 
 	"repro/internal/block"
+	"repro/internal/capability"
 	"repro/internal/metrics"
 	"repro/internal/page"
 	"repro/internal/trace"
@@ -124,7 +125,10 @@ func (c *Committer) BindTrace(tc trace.Context) *Committer {
 // nothing may commit over it but that update's own sub-file commit, so
 // the update is refused with ErrConflict, and its redo's CreateVersion
 // waits for the lock or recovers a dead holder.
-func (c *Committer) TestAndSetCommitRef(base, succ block.Num) (block.Num, error) {
+//
+// A top lock equal to hint — the committing update's own top-lock hint —
+// is cleared in the same write that sets the commit reference.
+func (c *Committer) TestAndSetCommitRef(base, succ block.Num, hint capability.Port) (block.Num, error) {
 	var existing block.Num
 	err := block.WithLock(c.St.Blocks, c.St.Acct, base, func(raw []byte) ([]byte, error) {
 		vp, err := page.Decode(raw)
@@ -142,6 +146,9 @@ func (c *Committer) TestAndSetCommitRef(base, succ block.Num) (block.Num, error)
 			return nil, fmt.Errorf("occ: version page %d is inner-locked by %v: %w", base, vp.InnerLock, ErrConflict)
 		}
 		vp.CommitRef = succ
+		if !hint.IsNil() && vp.TopLock == hint {
+			vp.TopLock = capability.NilPort
+		}
 		return vp.Encode(c.St.Blocks.BlockSize())
 	})
 	if err != nil {
@@ -152,45 +159,60 @@ func (c *Committer) TestAndSetCommitRef(base, succ block.Num) (block.Num, error)
 
 // Commit makes version tree b the current version of its file, or fails
 // with ErrConflict. On success b's version page carries a nil commit
-// reference and its base's commit reference points at b.
+// reference and its base's commit reference points at b. A version page
+// that has no block yet gets one first.
 //
 // Contention on the block-level lock (two servers in the critical section
 // for the same version page) surfaces as block.ErrLocked; callers retry,
 // mirroring servers re-sending the set-commit-reference request.
 func (c *Committer) Commit(b *version.Tree) error {
+	_, err := c.CommitClearing(b, capability.NilPort)
+	return err
+}
+
+// CommitClearing is Commit for an update that holds the top-lock hint
+// hint (§5.3) on b's base: the test-and-set that sets that base's commit
+// reference clears the hint in the same write. It reports whether that
+// write was made, so that no hint of b's is left on the base; a commit
+// rebased onto a later version, or one an earlier attempt had already
+// installed, leaves the hint for the caller to clear.
+func (c *Committer) CommitClearing(b *version.Tree, hint capability.Port) (cleared bool, err error) {
 	if !c.tc.Sampled() {
-		return c.commit(b)
+		return c.commit(b, hint)
 	}
 	sp, ctx := c.tc.Start("occ", "commit")
 	bound := &Committer{
 		St:   version.NewStore(block.BindTrace(c.St.Blocks, ctx), c.St.Acct),
 		Stat: c.Stat,
 	}
-	err := bound.commit(b)
+	cleared, err = bound.commit(b, hint)
 	sp.End(err)
-	return err
+	return cleared, err
 }
 
-func (c *Committer) commit(b *version.Tree) error {
+func (c *Committer) commit(b *version.Tree, hint capability.Port) (cleared bool, err error) {
+	if err := b.Place(); err != nil {
+		return false, err
+	}
 	vp, err := b.VersionPage()
 	if err != nil {
-		return err
+		return false, err
 	}
 	base := vp.BaseRef
 	if base == block.NilNum {
 		// First version of a fresh file: current by construction.
 		c.Stat.Commits.Add(1)
 		c.Stat.FastCommits.Add(1)
-		return nil
+		return false, nil
 	}
 	first := true
 	for {
-		prev, err := c.testAndSetRetry(base, b.Root)
+		prev, err := c.testAndSetRetry(base, b.Root, hint)
 		if errors.Is(err, ErrConflict) {
 			c.Stat.Conflicts.Add(1)
 		}
 		if err != nil {
-			return err
+			return false, err
 		}
 		if prev == block.NilNum {
 			// Success: b is the current version.
@@ -198,12 +220,12 @@ func (c *Committer) commit(b *version.Tree) error {
 			if first {
 				c.Stat.FastCommits.Add(1)
 			}
-			return nil
+			return first && !hint.IsNil(), nil
 		}
 		if prev == b.Root {
 			// A crashed server (or a lost reply) already installed us.
 			c.Stat.Commits.Add(1)
-			return nil
+			return false, nil
 		}
 		// Another update committed first: validate against it (and
 		// merge its changes into b), then try to succeed it instead.
@@ -211,15 +233,15 @@ func (c *Committer) commit(b *version.Tree) error {
 		c.Stat.ChainRetries.Add(1)
 		ok, err := c.Serialise(b, prev)
 		if err != nil {
-			return err
+			return false, err
 		}
 		if !ok {
 			c.Stat.Conflicts.Add(1)
-			return fmt.Errorf("version %d vs committed %d: %w", b.Root, prev, ErrConflict)
+			return false, fmt.Errorf("version %d vs committed %d: %w", b.Root, prev, ErrConflict)
 		}
 		// b is now logically based on prev; record it and move on.
 		if err := c.rebase(b, prev); err != nil {
-			return err
+			return false, err
 		}
 		base = prev
 	}
@@ -227,9 +249,9 @@ func (c *Committer) commit(b *version.Tree) error {
 
 // testAndSetRetry re-sends the set-commit-reference request while another
 // server briefly holds the version page's block lock.
-func (c *Committer) testAndSetRetry(base, succ block.Num) (block.Num, error) {
+func (c *Committer) testAndSetRetry(base, succ block.Num, hint capability.Port) (block.Num, error) {
 	for {
-		prev, err := c.TestAndSetCommitRef(base, succ)
+		prev, err := c.TestAndSetCommitRef(base, succ, hint)
 		if err == nil {
 			return prev, nil
 		}
@@ -247,7 +269,7 @@ func (c *Committer) rebase(b *version.Tree, newBase block.Num) error {
 		return err
 	}
 	vp.BaseRef = newBase
-	return c.St.WritePage(b.Root, vp)
+	return b.WriteVersionPage(vp)
 }
 
 // Serialise tests whether the uncommitted version b can be serialised
@@ -290,7 +312,7 @@ func (c *Committer) Serialise(b *version.Tree, cRoot block.Num) (bool, error) {
 		dirty = true
 	}
 	if dirty {
-		if err := c.St.WritePage(b.Root, bRoot); err != nil {
+		if err := b.WriteVersionPage(bRoot); err != nil {
 			return false, err
 		}
 	}

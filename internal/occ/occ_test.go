@@ -554,7 +554,11 @@ func TestHistoryIgnoresUncommittedSiblings(t *testing.T) {
 	if err := f.com.Commit(v1); err != nil {
 		t.Fatal(err)
 	}
-	orphan := f.newVersion(t, v1.Root) // never committed
+	// Never committed, but on the store, as after its first flush.
+	orphan := f.newVersion(t, v1.Root)
+	if err := orphan.Place(); err != nil {
+		t.Fatal(err)
+	}
 
 	hist, err := History(f.st, orphan.Root)
 	if err != nil {

@@ -41,13 +41,15 @@ func pagedFile(t *testing.T, s *Server, n int) capability.Capability {
 
 // TestReadOnlyUpdateCallBudget: reads in an open version look the page
 // up and record the path in the version's read set; they make no
-// mutating block call. Eight depth-1 reads of a 32-page file cost two
-// reads each (the root, then the page) and nothing else, so an update
-// that only reads and aborts writes nothing between CreateVersion and
-// Abort. (Shadowing each read at once cost 16 reads, 8 allocs and 8
+// mutating block call. Eight depth-1 reads of a 32-page file cost one
+// read each, of the page — the version holds its root page in memory —
+// and nothing else, so an update that only reads and aborts writes
+// nothing between CreateVersion and Abort. (Reading the root block too
+// cost 16 reads; shadowing each read at once, 16 reads, 8 allocs and 8
 // writes.) When such an update commits instead, the flush records all
-// eight reads in one pass — one alloc for the eight shadows — and the
-// committed version carries R on each page read and S on its root.
+// eight reads in one pass — one alloc for the root and the eight
+// shadows — and the committed version carries R on each page read and S
+// on its root.
 func TestReadOnlyUpdateCallBudget(t *testing.T) {
 	cs, s := newCountService(t)
 	fcap := pagedFile(t, s, 32)
@@ -62,8 +64,8 @@ func TestReadOnlyUpdateCallBudget(t *testing.T) {
 				t.Fatalf("read /%d: %q, %v", p, data, err)
 			}
 		}
-		if cs.reads != 16 || cs.allocs != 0 || cs.writes != 0 {
-			t.Fatalf("8 reads: %d reads, %d allocs, %d writes; want 16, 0, 0", cs.reads, cs.allocs, cs.writes)
+		if cs.reads != 8 || cs.allocs != 0 || cs.writes != 0 {
+			t.Fatalf("8 reads: %d reads, %d allocs, %d writes; want 8, 0, 0", cs.reads, cs.allocs, cs.writes)
 		}
 		if !commit {
 			if err := s.Abort(v); err != nil {

@@ -251,7 +251,12 @@ type verRec struct {
 	cap     capability.Capability
 	fileObj uint32
 	tree    *version.Tree
-	state   VersionState
+	// root is tree.Root once the version's first copy-on-write pass has
+	// given its version page a block, and NilNum before: LiveVersions
+	// reads it under the server's mutex, so it is published under that
+	// too (see Server.publish), not read from the tree.
+	root  block.Num
+	state VersionState
 	// locks acts under this update's own lock port.
 	locks *lock.Manager
 	// super update bookkeeping: the base version page whose top lock we
@@ -361,8 +366,10 @@ type Server struct {
 	// creating fences version creation against the collector's pin
 	// sample: CreateVersion is inside it from choosing its base until its
 	// record is in versions, and LiveVersions waits out the creations
-	// inside it before it samples, so no base is chosen and no version
-	// root allocated before a sample and registered after it.
+	// inside it before it samples, so no base is chosen before a sample
+	// and registered after it. Creation allocates nothing: a version's
+	// root gets its block in the version's first flush, and until then
+	// the record pins the base.
 	creating fence
 }
 
@@ -425,9 +432,11 @@ func New(shared *Shared, probe lock.Prober) *Server {
 const closedGrace = time.Second
 
 // LiveVersions returns the root blocks of the open versions this server
-// manages; the garbage collector pins them. A version creation in
-// progress finishes first, so its root is in the sample. Closed records
-// past their grace period are reaped on the way.
+// manages; the garbage collector pins them. A version whose root has no
+// block yet references only its base's pages, so the base stands in for
+// it. A version creation in progress finishes first, so its base is in
+// the sample. Closed records past their grace period are reaped on the
+// way.
 func (s *Server) LiveVersions() []block.Num {
 	s.creating.pass()
 	s.mu.Lock()
@@ -436,7 +445,11 @@ func (s *Server) LiveVersions() []block.Num {
 	now := time.Now()
 	for obj, rec := range s.versions {
 		if rec.state == StateActive {
-			out = append(out, rec.tree.Root)
+			if rec.root != block.NilNum {
+				out = append(out, rec.root)
+			} else {
+				out = append(out, rec.topBase)
+			}
 			continue
 		}
 		if !rec.closedAt.IsZero() && now.Sub(rec.closedAt) > closedGrace {
@@ -556,15 +569,18 @@ func (s *Server) CreateVersion(fcap capability.Capability, opts CreateVersionOpt
 	upPort := capability.NewPort().Public()
 	s.shared.Ports.Register(upPort)
 	mgr := s.locks.As(upPort)
-	if err := mgr.AcquireTop(cur, superDiscipline); err != nil {
+	locked, err := mgr.AcquireTop(cur, superDiscipline)
+	if err != nil {
 		s.shared.Ports.Unregister(upPort)
 		return capability.Nil, err
 	}
 
+	// The new version is forked from the page the lock step read; its
+	// version page gets a block in the version's first flush.
 	obj, vcap, err := s.shared.newObject()
-	var tr *version.Tree
+	var vp *page.Page
 	if err == nil {
-		if tr, err = version.CreateVersion(s.st, cur, vcap); err != nil {
+		if vp, err = version.Fork(cur, locked, vcap); err != nil {
 			s.shared.Fact.Forget(obj)
 		}
 	}
@@ -573,6 +589,7 @@ func (s *Server) CreateVersion(fcap capability.Capability, opts CreateVersionOpt
 		s.shared.Ports.Unregister(upPort)
 		return capability.Nil, err
 	}
+	tr := version.NewTree(s.st, vp)
 	rec := &verRec{
 		cap:     vcap,
 		fileObj: fcap.Object,
@@ -636,7 +653,8 @@ func (s *Server) cross(rec *verRec) func(block.Num, *page.Page) (*page.Page, err
 	}
 }
 
-// withVersion runs fn on an open version under its record lock.
+// withVersion runs fn on an open version under its record lock, and
+// publishes the version's root once fn has given it a block.
 func (s *Server) withVersion(vcap capability.Capability, need capability.Rights, fn func(rec *verRec) error) error {
 	rec, err := s.lookup(vcap, need)
 	if err != nil {
@@ -647,14 +665,31 @@ func (s *Server) withVersion(vcap capability.Capability, need capability.Rights,
 	if rec.state != StateActive {
 		return fmt.Errorf("version object %d: %w", vcap.Object, ErrVersionClosed)
 	}
-	return fn(rec)
+	err = fn(rec)
+	s.publish(rec)
+	return err
+}
+
+// publish copies rec's root block, once it has one, to rec.root under
+// s.mu, where LiveVersions reads it. The caller holds rec.mu, the lock
+// every write of the tree is made under. Between the pass's alloc and
+// this the collector pins only the base, as it pins a pass's fresh
+// children only once their parent is written: its two-cycle grace covers
+// both.
+func (s *Server) publish(rec *verRec) {
+	if rec.root != block.NilNum || rec.tree.Root == block.NilNum {
+		return
+	}
+	s.mu.Lock()
+	rec.root = rec.tree.Root
+	s.mu.Unlock()
 }
 
 // withFlushed is withVersion for the shape commands: they can renumber
 // paths, so the version's buffered writes are applied first.
 func (s *Server) withFlushed(vcap capability.Capability, need capability.Rights, fn func(rec *verRec) error) error {
 	return s.withVersion(vcap, need, func(rec *verRec) error {
-		if err := s.flush(rec, trace.Context{}); err != nil {
+		if err := s.flush(rec); err != nil {
 			return err
 		}
 		return fn(rec)
@@ -662,23 +697,21 @@ func (s *Server) withFlushed(vcap capability.Capability, need capability.Rights,
 }
 
 // flush applies rec's buffered writes and records its read set in one
-// batched copy-on-write pass (version.Tree.Apply) against the block store
-// bound to tc; a batch that enters a sub-file — one created in this
-// version, or one whose Super mark has not reached this server's table
-// yet — crosses into it in the same pass, taking its inner lock (§5.3)
-// here at flush time, not when the write was acknowledged. The writes and
-// reads were acknowledged when buffered, so a flush that fails aborts the
-// version and releases its locks; the client learns of it at the
-// operation that triggered the flush, at the latest at Commit.
-func (s *Server) flush(rec *verRec, tc trace.Context) error {
+// batched copy-on-write pass (version.Tree.Apply); a batch that enters a
+// sub-file — one created in this version, or one whose Super mark has not
+// reached this server's table yet — crosses into it in the same pass,
+// taking its inner lock (§5.3) here at flush time, not when the write was
+// acknowledged. The writes and reads were acknowledged when buffered, so
+// a flush that fails aborts the version and releases its locks; the
+// client learns of it at the operation that triggered the flush, at the
+// latest at Commit.
+func (s *Server) flush(rec *verRec) error {
 	if len(rec.pendPaths)+len(rec.readPaths) == 0 {
 		return nil
 	}
 	reads, ps, datas := rec.readPaths, rec.pendPaths, rec.pendData
 	rec.dropPending()
-	tree := *rec.tree
-	tree.St = version.NewStore(block.BindTrace(s.st.Blocks, tc), s.st.Acct)
-	if err := tree.Apply(reads, ps, datas); err != nil {
+	if err := rec.tree.Apply(reads, ps, datas); err != nil {
 		s.abort(rec)
 		return fmt.Errorf("server: apply buffered reads and writes: %w", err)
 	}
@@ -700,7 +733,7 @@ func (s *Server) flush(rec *verRec, tc trace.Context) error {
 func (s *Server) ReadPage(vcap capability.Capability, p page.Path) (data []byte, nrefs int, err error) {
 	err = s.withVersion(vcap, capability.RightRead, func(rec *verRec) error {
 		if rec.pending(p) {
-			if err := s.flush(rec, trace.Context{}); err != nil {
+			if err := s.flush(rec); err != nil {
 				return err
 			}
 		}
@@ -713,7 +746,7 @@ func (s *Server) ReadPage(vcap capability.Capability, p page.Path) (data []byte,
 		if rec.pendBytes <= flushBytes {
 			return nil
 		}
-		return s.flush(rec, trace.Context{})
+		return s.flush(rec)
 	})
 	return data, nrefs, err
 }
@@ -744,7 +777,7 @@ func (s *Server) WritePage(vcap capability.Capability, p page.Path, data []byte)
 		if rec.pendBytes <= flushBytes {
 			return nil
 		}
-		return s.flush(rec, trace.Context{})
+		return s.flush(rec)
 	})
 }
 
@@ -843,17 +876,31 @@ func (s *Server) Commit(vcap capability.Capability) error {
 }
 
 // commitT is Commit bound to a trace context: on a sampled request the
-// OCC engine runs under an occ-layer span against trace-bound storage,
-// so the commit's storage fan-out is visible span by span.
+// flush and the OCC engine run against trace-bound storage, the engine
+// under an occ-layer span, so the commit's storage fan-out is visible
+// span by span.
 func (s *Server) commitT(tc trace.Context, vcap capability.Capability) error {
 	return s.withVersion(vcap, capability.RightCommit, func(rec *verRec) error {
-		if err := s.flush(rec, tc); err != nil {
+		st := rec.tree.St
+		rec.tree.St = version.NewStore(block.BindTrace(st.Blocks, tc), st.Acct)
+		defer func() { rec.tree.St = st }()
+		if err := s.flush(rec); err != nil {
 			return err
 		}
 		defer func(start time.Time) {
 			s.com.Stat.Latency.Observe(time.Since(start))
 		}(time.Now())
-		err := s.com.BindTrace(tc).Commit(rec.tree)
+		// A plain small-file update's top-lock hint is cleared in the
+		// write that sets the commit reference. A super-file update, or
+		// one that crossed into a sub-file, keeps the §5.3 order: commit
+		// reference, sub-file commits, then the top lock, which recovery
+		// (lock.RecoverCrashed) reads as "finish the sub-file commits".
+		plain := len(rec.crossing) == 0 && !rec.super
+		hint := capability.NilPort
+		if plain {
+			hint = rec.locks.Port
+		}
+		cleared, err := s.com.BindTrace(tc).CommitClearing(rec.tree, hint)
 		if errors.Is(err, occ.ErrConflict) {
 			s.abort(rec)
 			return err
@@ -867,14 +914,16 @@ func (s *Server) commitT(tc trace.Context, vcap capability.Capability) error {
 		// fork included. The new root itself carries no lock: Fork
 		// copies none, and the update locked only its base and the
 		// sub-files it entered.
-		if len(rec.crossing) > 0 || rec.super {
+		if !plain {
 			committed, err := rec.locks.CommitSubFiles(rec.tree.Root, rec.locks.Port)
 			if err != nil {
 				return err
 			}
 			s.clearCrossings(rec, committed)
 		}
-		rec.locks.Clear(rec.topBase, rec.locks.Port)
+		if !cleared {
+			rec.locks.Clear(rec.topBase, rec.locks.Port)
+		}
 		s.close(rec, StateCommitted)
 		// The §5.4.1 table update: one CAS on the file's entry. This is
 		// the client's ack point — the commit is already durable through
@@ -1021,13 +1070,17 @@ func (s *Server) ReadSnapshot(fcap capability.Capability, seq uint64, p page.Pat
 	return append([]byte(nil), pg.Data...), len(pg.Refs), nil
 }
 
-// VersionRoot exposes an open version's root block (cache layer).
+// VersionRoot exposes a version's root block (cache layer): NilNum for an
+// open version whose first flush has not yet given its version page a
+// block. A committed version always has one.
 func (s *Server) VersionRoot(vcap capability.Capability) (block.Num, error) {
 	rec, err := s.lookup(vcap, 0)
 	if err != nil {
 		return block.NilNum, err
 	}
-	return rec.tree.Root, nil
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return rec.root, nil
 }
 
 // VersionBase exposes the version's base root: the committed version it

@@ -189,6 +189,11 @@ func Update(st *version.Store, rng *rand.Rand, base block.Num, grow bool) (*vers
 			return nil, err
 		}
 	}
+	// On the store, as after the version's first flush, even when every
+	// operation was refused.
+	if err := t.Place(); err != nil {
+		return nil, err
+	}
 	return t, nil
 }
 
@@ -204,7 +209,7 @@ func refused(err error) bool {
 // and the page.
 func randomPath(t *version.Tree, rng *rand.Rand) (page.Path, *page.Page) {
 	var p page.Path
-	pg, err := t.St.ReadPage(t.Root)
+	pg, err := t.VersionPage()
 	if err != nil {
 		panic(err)
 	}

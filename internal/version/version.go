@@ -30,16 +30,18 @@
 // an uncommitted version live only in that version's private pages —
 // committed pages are immutable.
 //
-// Every page operation — a read, a write or a batch of writes, each
-// shape command — is one copy-on-write pass over the union of the paths
-// it touches. The pass reads that union one level at a time (the root,
-// then one multi-block read per depth), checks every step, shadows in
-// memory each page first accessed in this version, lets the operation
-// edit its targets, sets the flags, and then writes: every new page —
-// shadows and pages the operation creates — in one AllocMulti, every
-// changed private page in one WriteMulti. An operation on a path of depth
-// d therefore costs at most d+1 reads, one alloc and one write, and one
-// that refuses has written nothing. The pass crosses sub-file boundaries
+// Every page operation — a read, a write or a batch of writes, each shape
+// command — is one copy-on-write pass over the union of the paths it
+// touches. The pass reads that union one level at a time (one multi-block
+// read per depth below the version page, which the tree holds in memory),
+// checks every step, shadows in memory each page first accessed in this
+// version, lets the operation edit its targets, sets the flags, and then
+// writes: every new page — shadows and pages the operation creates — in
+// one AllocMulti, every changed private page in one WriteMulti. A new
+// version's page is one of those new pages: forked in memory, it gets its
+// block in the version's first pass. An operation on a path of depth d
+// therefore costs at most d reads, one alloc and one write, and one that
+// refuses has written nothing. The pass crosses sub-file boundaries
 // itself: a path that reaches the version page of an embedded sub-file
 // this version has not entered calls the tree's Cross hook, which takes
 // the §5.3 inner lock and forks the sub-file, and the fork joins the pass
@@ -49,9 +51,9 @@
 // Look that has to cross a boundary records its read at once. Whole-tree
 // walks — the collector's, the validators', the recovery paths' — are
 // Store.Visit, which reads a level of any number of trees with one
-// multi-block read. A Tree is not safe
-// for concurrent use; the server serialises operations per version,
-// matching the paper's model of a version owned by a single client.
+// multi-block read. A Tree is not safe for concurrent use; the server
+// serialises operations per version, matching the paper's model of a
+// version owned by a single client.
 package version
 
 import (
@@ -183,7 +185,12 @@ func (s *Store) Capacity(nrefs int, isVersion bool) int {
 
 // Tree is a handle on one version's page tree, rooted at a version page.
 type Tree struct {
-	St   *Store
+	St *Store
+	// Root is the block of the version page. A version CreateVersion or
+	// NewTree opens has none until its first copy-on-write pass, or
+	// Place, allocates one: until then its version page lives only in
+	// this tree, and §5.4.1 lets it, since an uncommitted version dies
+	// with its server anyway.
 	Root block.Num
 	// Cross is the §5.3 step of a pass that reaches the version page of
 	// an embedded sub-file this version has not accessed: blk is the
@@ -191,6 +198,13 @@ type Tree struct {
 	// the version page of the sub-file's new version inside this one,
 	// built by Fork. Nil refuses such a pass with ErrSubFile.
 	Cross func(blk block.Num, pg *page.Page) (*page.Page, error)
+	// vp is the version page as this tree last wrote it: the only copy
+	// while Root is NilNum, and afterwards a copy of Root's block that
+	// every write through the tree — a pass, WriteVersionPage — keeps
+	// current, so a pass reads no root block. Nil means read Root: a
+	// tree opened on a stored version, or one whose last write failed
+	// part-way.
+	vp *page.Page
 }
 
 // CreateFile creates the very first version of a new file: a single
@@ -205,16 +219,16 @@ func CreateFile(s *Store, fileCap, verCap capability.Capability, data []byte) (*
 		RootFlags:  page.Flags(0).Set(page.FlagW),
 		Data:       append([]byte(nil), data...),
 	}
-	root, err := s.AllocPage(vp)
-	if err != nil {
+	t := NewTree(s, vp)
+	if err := t.Place(); err != nil {
 		return nil, err
 	}
-	return &Tree{St: s, Root: root}, nil
+	return t, nil
 }
 
 // CreateVersion creates a new uncommitted version based on the committed
-// version whose version page is in block base: it reads the base, forks
-// it and allocates the fork.
+// version whose version page is in block base: it reads the base and
+// forks it in memory. It allocates nothing.
 func CreateVersion(s *Store, base block.Num, verCap capability.Capability) (*Tree, error) {
 	bp, err := s.ReadPage(base)
 	if err != nil {
@@ -224,12 +238,12 @@ func CreateVersion(s *Store, base block.Num, verCap capability.Capability) (*Tre
 	if err != nil {
 		return nil, err
 	}
-	root, err := s.AllocPage(vp)
-	if err != nil {
-		return nil, err
-	}
-	return &Tree{St: s, Root: root}, nil
+	return NewTree(s, vp), nil
 }
+
+// NewTree opens the tree of a version whose version page vp has no block
+// yet, such as one Fork built. The tree keeps vp.
+func NewTree(s *Store, vp *page.Page) *Tree { return &Tree{St: s, vp: vp} }
 
 // Fork builds in memory the version page of a new version based on bp,
 // the committed version page in block base. The new version shares the
@@ -262,8 +276,43 @@ func clearRefFlags(refs []page.Ref) []page.Ref {
 	return out
 }
 
-// VersionPage reads the tree's root (version) page.
-func (t *Tree) VersionPage() (*page.Page, error) { return t.St.ReadPage(t.Root) }
+// VersionPage returns a copy of the tree's version page: the one the tree
+// holds, else the one in Root.
+func (t *Tree) VersionPage() (*page.Page, error) {
+	if t.vp != nil {
+		return t.vp.Clone(), nil
+	}
+	return t.St.ReadPage(t.Root)
+}
+
+// WriteVersionPage replaces the tree's version page with vp, which the
+// tree keeps: in memory alone while the page has no block, and in Root
+// too afterwards.
+func (t *Tree) WriteVersionPage(vp *page.Page) error {
+	if t.Root != block.NilNum {
+		if err := t.St.WritePage(t.Root, vp); err != nil {
+			t.vp = nil
+			return err
+		}
+	}
+	t.vp = vp
+	return nil
+}
+
+// Place allocates the block of a version page that has none yet, and
+// does nothing otherwise: a commit needs a root for the commit reference
+// to name, also when no pass has written one.
+func (t *Tree) Place() error {
+	if t.Root != block.NilNum {
+		return nil
+	}
+	n, err := t.St.AllocPage(t.vp)
+	if err != nil {
+		return err
+	}
+	t.Root = n
+	return nil
+}
 
 // node is one page on the union of a pass's root-to-target chains, or a
 // page the pass creates.
@@ -306,22 +355,24 @@ type pass struct {
 }
 
 // begin reads the union of the root-to-target chains of ps level by level
-// — the root, then one multi-block read per depth — and checks every
-// step: ErrBadPath for an index outside a table, ErrHole for a nil
-// reference. Every page first accessed in this version becomes its own
-// shadow in memory: the decoded copy, its child flags cleared and its
-// base recorded. A sub-file's version page first accessed here is
-// replaced by the fork the Cross hook returns instead, and the reference
-// to it marked copied (C); the enclosing pages record only a search.
-// With oneFile set, a version page that not every path reaches refuses
-// the pass with ErrSubFile before the hook runs, so every target belongs
-// to one file and a refused operation has taken no lock.
+// — one multi-block read per depth below the version page, which the tree
+// holds (Tree.vp) — and checks every step: ErrBadPath for an index
+// outside a table, ErrHole for a nil reference. Every page first accessed
+// in this version becomes its own shadow in memory: the decoded copy, its
+// child flags cleared and its base recorded. A sub-file's version page
+// first accessed here is replaced by the fork the Cross hook returns
+// instead, and the reference to it marked copied (C); the enclosing pages
+// record only a search. With oneFile set, a version page that not every
+// path reaches refuses the pass with ErrSubFile before the hook runs, so
+// every target belongs to one file and a refused operation has taken no
+// lock.
 func (t *Tree) begin(ps []page.Path, oneFile bool) (*pass, error) {
-	rootPg, err := t.St.ReadPage(t.Root)
+	rootPg, err := t.VersionPage()
 	if err != nil {
 		return nil, err
 	}
-	root := &node{blk: t.Root, pg: rootPg}
+	// A version page with no block yet is a page the pass creates.
+	root := &node{blk: t.Root, pg: rootPg, fresh: t.Root == block.NilNum}
 	x := &pass{t: t, nodes: []*node{root}, at: make([]*node, len(ps))}
 	for i := range x.at {
 		x.at[i] = root
@@ -406,14 +457,17 @@ func (x *pass) create(parent *node, idx int, pg *page.Page) *node {
 // page's own bits — and writes the pass out: every fresh page, with its
 // final contents and flags, in one multi-block alloc, then every changed
 // private page, the parents patched to point at fresh pages included, in
-// one multi-block write. A fresh version page gets its enclosing version
-// page as parent reference, patched like a reference when that page is
-// fresh too. A shadow's references to deeper fresh pages still name the
-// base's pages (or nothing) until the write patches them, so every
-// allocated block is a valid page at every instant; fresh pages orphaned
-// by a failed write fall to the garbage collector, like an aborted
-// version's pages.
+// one multi-block write. A version's first pass allocates its version
+// page with the other fresh pages, and the tree keeps the pass's version
+// page as its own once the write lands. A fresh version page gets its
+// enclosing version page as parent reference, patched like a reference
+// when that page is fresh too. A shadow's references to deeper fresh
+// pages still name the base's pages (or nothing) until the write patches
+// them, so every allocated block is a valid page at every instant; fresh
+// pages orphaned by a failed write fall to the garbage collector, like an
+// aborted version's pages.
 func (x *pass) write() error {
+	root := x.nodes[0]
 	for _, n := range x.nodes {
 		bits := n.bits
 		if len(n.kids) > 0 {
@@ -437,7 +491,7 @@ func (x *pass) write() error {
 		if !n.fresh {
 			continue
 		}
-		if n.pg.IsVersion {
+		if n.pg.IsVersion && n.parent != nil {
 			if h := n.parent.home(); !h.fresh {
 				n.pg.ParentRef = h.blk
 			}
@@ -459,6 +513,9 @@ func (x *pass) write() error {
 			n.dirty = false // its contents went out with the alloc
 		}
 		for _, n := range fresh {
+			if n.parent == nil {
+				continue // the version page's first block
+			}
 			n.parent.pg.Refs[n.idx].Block = n.blk
 			n.parent.dirty = true
 			if n.pg.IsVersion {
@@ -476,10 +533,16 @@ func (x *pass) write() error {
 			pgs = append(pgs, n.pg)
 		}
 	}
-	if len(ns) == 0 {
-		return nil
+	if len(ns) > 0 {
+		if err := x.t.St.WritePages(ns, pgs); err != nil {
+			if !root.fresh {
+				x.t.vp = nil // Root may hold this pass's page or the last one
+			}
+			return err
+		}
 	}
-	return x.t.St.WritePages(ns, pgs)
+	x.t.Root, x.t.vp = root.blk, root.pg
+	return nil
 }
 
 // edit is the pass of a one-path operation that changes the page at p:
@@ -535,7 +598,11 @@ func (t *Tree) read(p page.Path, record bool) (data []byte, nrefs int, recorded 
 		}
 		recorded = true
 	}
-	// The pass's decoded pages die with it, so the data needs no copy.
+	// The pass's pages die with it, but for a version page it wrote, which
+	// the tree keeps.
+	if recorded && tg == x.nodes[0] {
+		return slices.Clone(tg.pg.Data), len(tg.pg.Refs), true, nil
+	}
 	return tg.pg.Data, len(tg.pg.Refs), recorded, nil
 }
 
@@ -544,7 +611,7 @@ func (t *Tree) read(p page.Path, record bool) (data []byte, nrefs int, recorded 
 // cache layer). It must not be used for client reads — uncounted reads
 // would break validation.
 func (t *Tree) PeekPage(p page.Path) (*page.Page, error) {
-	cur, err := t.St.ReadPage(t.Root)
+	cur, err := t.VersionPage()
 	if err != nil {
 		return nil, err
 	}
