@@ -278,7 +278,7 @@ func BenchmarkE5SerialiseCost(b *testing.B) {
 			for i := 0; i < tc.cSize; i++ {
 				vc.WritePage(leafPath(total-1-i), []byte("c"))
 			}
-			if err := com.Commit(vc); err != nil {
+			if err := com.Commit(vc, capability.NilPort); err != nil {
 				b.Fatal(err)
 			}
 			b.ResetTimer()

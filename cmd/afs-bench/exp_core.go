@@ -315,7 +315,7 @@ func runE5() error {
 				return err
 			}
 		}
-		if err := com.Commit(vc); err != nil {
+		if err := com.Commit(vc, capability.NilPort); err != nil {
 			return err
 		}
 		const reps = 50

@@ -192,7 +192,7 @@ func (m *Mesh) Commit(tb TB, i int, obj uint32, data []byte) (bool, error) {
 	if err := tr.WritePage(nil, data); err != nil {
 		return false, err
 	}
-	if err := r.Com.Commit(tr); err != nil {
+	if err := r.Com.Commit(tr, capability.NilPort); err != nil {
 		if errors.Is(err, occ.ErrConflict) {
 			return false, nil
 		}

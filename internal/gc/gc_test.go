@@ -749,11 +749,11 @@ func TestRecoveryScanPagesOverTCP(t *testing.T) {
 	}
 }
 
-// cycleStore is the in-memory block server with four hooks for staging
+// cycleStore is the in-memory block server with five hooks for staging
 // a collection cycle against an update: one runs before the collector's
 // account scan (after its mark), one inside an alloc before it reaches
-// the store, one after an alloc returns, one after an unlock returns.
-// Each hook fires once.
+// the store, one after an alloc returns, one after an unlock returns,
+// one inside a read before it reaches the store. Each hook fires once.
 type cycleStore struct {
 	*block.Server
 	block.Scalar
@@ -761,6 +761,15 @@ type cycleStore struct {
 	beforeAlloc   func()
 	afterAlloc    func()
 	afterUnlock   func()
+	beforeRead    func()
+}
+
+func (c *cycleStore) ReadMulti(a block.Account, ns []block.Num) ([][]byte, error) {
+	if h := c.beforeRead; h != nil {
+		c.beforeRead = nil
+		h()
+	}
+	return c.Server.ReadMulti(a, ns)
 }
 
 func (c *cycleStore) Recover(a block.Account) ([]block.Num, error) {
@@ -1044,6 +1053,46 @@ func TestFlushWindowPinned(t *testing.T) {
 		t.Fatal(cycleErr)
 	}
 	readsBack(t, srv, fcap, []string{"mine", "theirs", "later", "p3"})
+}
+
+// TestRebasedCommitPinned: a small update's writes wait for the flush
+// Commit makes, so its root and shadow get their blocks only there. When
+// another update has committed over the base, the test-and-set finds the
+// base's commit reference taken, and nothing reaches the new root through
+// the table until its own test-and-set lands. Two whole cycles run inside
+// Serialise, at its first read after the refused test-and-set's unlock:
+// the open version's root must be pinned through them, and every block
+// of the version it commits must read back intact.
+func TestRebasedCommitPinned(t *testing.T) {
+	cs, srv, col := newCycleFixture(t)
+	fcap := pagedCycleFile(t, srv, 4)
+	v, _ := srv.CreateVersion(fcap, server.CreateVersionOpts{})
+	if err := srv.WritePage(v, page.Path{0}, []byte("mine")); err != nil {
+		t.Fatal(err)
+	}
+	rewrite(t, srv, fcap, 1, "theirs")
+	var cycleErr error
+	cycles := 0
+	cs.afterUnlock = func() {
+		cs.beforeRead = func() {
+			for range 2 {
+				if _, err := col.Collect(); err != nil {
+					cycleErr = err
+				}
+				cycles++
+			}
+		}
+	}
+	if err := srv.Commit(v); err != nil {
+		t.Fatalf("commit across two cycles in its validation: %v", err)
+	}
+	if cycleErr != nil {
+		t.Fatal(cycleErr)
+	}
+	if cycles != 2 {
+		t.Fatalf("%d cycles ran inside the commit, want 2", cycles)
+	}
+	readsBack(t, srv, fcap, []string{"mine", "theirs", "p2", "p3"})
 }
 
 // TestUnflushedVersionPinned: with one version retained, an open version

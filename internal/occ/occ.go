@@ -162,21 +162,16 @@ func (c *Committer) TestAndSetCommitRef(base, succ block.Num, hint capability.Po
 // reference and its base's commit reference points at b. A version page
 // that has no block yet gets one first.
 //
+// hint is the top-lock hint (§5.3) the committing update holds on b's
+// base, or NilPort: the test-and-set that sets the base's commit
+// reference clears it in the same write. A commit rebased onto a later
+// version sets that version's commit reference instead, and leaves the
+// hint on the original base for the caller to clear.
+//
 // Contention on the block-level lock (two servers in the critical section
 // for the same version page) surfaces as block.ErrLocked; callers retry,
 // mirroring servers re-sending the set-commit-reference request.
-func (c *Committer) Commit(b *version.Tree) error {
-	_, err := c.CommitClearing(b, capability.NilPort)
-	return err
-}
-
-// CommitClearing is Commit for an update that holds the top-lock hint
-// hint (§5.3) on b's base: the test-and-set that sets that base's commit
-// reference clears the hint in the same write. It reports whether that
-// write was made, so that no hint of b's is left on the base; a commit
-// rebased onto a later version, or one an earlier attempt had already
-// installed, leaves the hint for the caller to clear.
-func (c *Committer) CommitClearing(b *version.Tree, hint capability.Port) (cleared bool, err error) {
+func (c *Committer) Commit(b *version.Tree, hint capability.Port) error {
 	if !c.tc.Sampled() {
 		return c.commit(b, hint)
 	}
@@ -185,25 +180,25 @@ func (c *Committer) CommitClearing(b *version.Tree, hint capability.Port) (clear
 		St:   version.NewStore(block.BindTrace(c.St.Blocks, ctx), c.St.Acct),
 		Stat: c.Stat,
 	}
-	cleared, err = bound.commit(b, hint)
+	err := bound.commit(b, hint)
 	sp.End(err)
-	return cleared, err
+	return err
 }
 
-func (c *Committer) commit(b *version.Tree, hint capability.Port) (cleared bool, err error) {
+func (c *Committer) commit(b *version.Tree, hint capability.Port) error {
 	if err := b.Place(); err != nil {
-		return false, err
+		return err
 	}
 	vp, err := b.VersionPage()
 	if err != nil {
-		return false, err
+		return err
 	}
 	base := vp.BaseRef
 	if base == block.NilNum {
 		// First version of a fresh file: current by construction.
 		c.Stat.Commits.Add(1)
 		c.Stat.FastCommits.Add(1)
-		return false, nil
+		return nil
 	}
 	first := true
 	for {
@@ -212,7 +207,7 @@ func (c *Committer) commit(b *version.Tree, hint capability.Port) (cleared bool,
 			c.Stat.Conflicts.Add(1)
 		}
 		if err != nil {
-			return false, err
+			return err
 		}
 		if prev == block.NilNum {
 			// Success: b is the current version.
@@ -220,12 +215,12 @@ func (c *Committer) commit(b *version.Tree, hint capability.Port) (cleared bool,
 			if first {
 				c.Stat.FastCommits.Add(1)
 			}
-			return first && !hint.IsNil(), nil
+			return nil
 		}
 		if prev == b.Root {
 			// A crashed server (or a lost reply) already installed us.
 			c.Stat.Commits.Add(1)
-			return false, nil
+			return nil
 		}
 		// Another update committed first: validate against it (and
 		// merge its changes into b), then try to succeed it instead.
@@ -233,15 +228,15 @@ func (c *Committer) commit(b *version.Tree, hint capability.Port) (cleared bool,
 		c.Stat.ChainRetries.Add(1)
 		ok, err := c.Serialise(b, prev)
 		if err != nil {
-			return false, err
+			return err
 		}
 		if !ok {
 			c.Stat.Conflicts.Add(1)
-			return false, fmt.Errorf("version %d vs committed %d: %w", b.Root, prev, ErrConflict)
+			return fmt.Errorf("version %d vs committed %d: %w", b.Root, prev, ErrConflict)
 		}
 		// b is now logically based on prev; record it and move on.
 		if err := c.rebase(b, prev); err != nil {
-			return false, err
+			return err
 		}
 		base = prev
 	}

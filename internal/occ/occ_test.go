@@ -50,7 +50,7 @@ func (f *fixture) newFile(t *testing.T, children int) *version.Tree {
 			t.Fatal(err)
 		}
 	}
-	if err := f.com.Commit(tr); err != nil {
+	if err := f.com.Commit(tr, capability.NilPort); err != nil {
 		t.Fatal(err)
 	}
 	return tr
@@ -83,7 +83,7 @@ func TestSequentialCommitsAlwaysSucceed(t *testing.T) {
 		if err := v.WritePage(page.Path{i % 3}, []byte(fmt.Sprintf("update%d", i))); err != nil {
 			t.Fatal(err)
 		}
-		if err := f.com.Commit(v); err != nil {
+		if err := f.com.Commit(v, capability.NilPort); err != nil {
 			t.Fatalf("sequential commit %d: %v", i, err)
 		}
 		cur = v.Root
@@ -104,12 +104,12 @@ func TestCommitLinksChain(t *testing.T) {
 	base := f.newFile(t, 1)
 	v1 := f.newVersion(t, base.Root)
 	v1.WritePage(page.Path{0}, []byte("v1"))
-	if err := f.com.Commit(v1); err != nil {
+	if err := f.com.Commit(v1, capability.NilPort); err != nil {
 		t.Fatal(err)
 	}
 	v2 := f.newVersion(t, v1.Root)
 	v2.WritePage(page.Path{0}, []byte("v2"))
-	if err := f.com.Commit(v2); err != nil {
+	if err := f.com.Commit(v2, capability.NilPort); err != nil {
 		t.Fatal(err)
 	}
 
@@ -156,10 +156,10 @@ func TestConcurrentDisjointWritesMerge(t *testing.T) {
 	}
 
 	// vc commits first (fast), vb must validate and merge.
-	if err := f.com.Commit(vc); err != nil {
+	if err := f.com.Commit(vc, capability.NilPort); err != nil {
 		t.Fatal(err)
 	}
-	if err := f.com.Commit(vb); err != nil {
+	if err := f.com.Commit(vb, capability.NilPort); err != nil {
 		t.Fatalf("disjoint concurrent update aborted: %v", err)
 	}
 	if f.com.Stat.Validations.Load() != 1 {
@@ -200,10 +200,10 @@ func TestReadWriteOverlapConflicts(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if err := f.com.Commit(vc); err != nil {
+	if err := f.com.Commit(vc, capability.NilPort); err != nil {
 		t.Fatal(err)
 	}
-	err := f.com.Commit(vb)
+	err := f.com.Commit(vb, capability.NilPort)
 	if !errors.Is(err, ErrConflict) {
 		t.Fatalf("write/read overlap committed: %v", err)
 	}
@@ -236,10 +236,10 @@ func TestReverseOrderAllowsReadersToCommit(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if err := f.com.Commit(vc); err != nil {
+	if err := f.com.Commit(vc, capability.NilPort); err != nil {
 		t.Fatal(err)
 	}
-	if err := f.com.Commit(vb); err != nil {
+	if err := f.com.Commit(vb, capability.NilPort); err != nil {
 		t.Fatalf("writer after reader aborted: %v", err)
 	}
 	cur := f.mustCurrent(t, base.Root)
@@ -257,10 +257,10 @@ func TestBlindWriteWriteLastWins(t *testing.T) {
 	vc := f.newVersion(t, base.Root)
 	vb.WritePage(page.Path{0}, []byte("B"))
 	vc.WritePage(page.Path{0}, []byte("C"))
-	if err := f.com.Commit(vc); err != nil {
+	if err := f.com.Commit(vc, capability.NilPort); err != nil {
 		t.Fatal(err)
 	}
-	if err := f.com.Commit(vb); err != nil {
+	if err := f.com.Commit(vb, capability.NilPort); err != nil {
 		t.Fatalf("blind write-write aborted: %v", err)
 	}
 	cur := f.mustCurrent(t, base.Root)
@@ -282,10 +282,10 @@ func TestRootDataWriteMergesIntoNonWriter(t *testing.T) {
 	if err := vb.WritePage(page.Path{1}, []byte("leaf")); err != nil {
 		t.Fatal(err)
 	}
-	if err := f.com.Commit(vc); err != nil {
+	if err := f.com.Commit(vc, capability.NilPort); err != nil {
 		t.Fatal(err)
 	}
-	if err := f.com.Commit(vb); err != nil {
+	if err := f.com.Commit(vb, capability.NilPort); err != nil {
 		t.Fatalf("root-write vs leaf-write aborted: %v", err)
 	}
 	cur := f.mustCurrent(t, base.Root)
@@ -309,10 +309,10 @@ func TestStructuralModifyVsSearchConflicts(t *testing.T) {
 	if err := vc.InsertPage(page.RootPath, 0, []byte("inserted")); err != nil {
 		t.Fatal(err)
 	}
-	if err := f.com.Commit(vc); err != nil {
+	if err := f.com.Commit(vc, capability.NilPort); err != nil {
 		t.Fatal(err)
 	}
-	if err := f.com.Commit(vb); !errors.Is(err, ErrConflict) {
+	if err := f.com.Commit(vb, capability.NilPort); !errors.Is(err, ErrConflict) {
 		t.Fatalf("M vs S overlap committed: %v", err)
 	}
 }
@@ -330,10 +330,10 @@ func TestRestructureByCommitterAdoptedWhenOtherDidNotSearch(t *testing.T) {
 	if err := vc.InsertPage(page.RootPath, 2, []byte("appended")); err != nil {
 		t.Fatal(err)
 	}
-	if err := f.com.Commit(vc); err != nil {
+	if err := f.com.Commit(vc, capability.NilPort); err != nil {
 		t.Fatal(err)
 	}
-	if err := f.com.Commit(vb); err != nil {
+	if err := f.com.Commit(vb, capability.NilPort); err != nil {
 		t.Fatalf("R-only vs M aborted: %v", err)
 	}
 	cur := f.mustCurrent(t, base.Root)
@@ -358,10 +358,10 @@ func TestRestructureByUncommittedStandsOverReadOnlyCommit(t *testing.T) {
 	if _, _, err := vc.ReadPage(page.Path{1}); err != nil {
 		t.Fatal(err)
 	}
-	if err := f.com.Commit(vc); err != nil {
+	if err := f.com.Commit(vc, capability.NilPort); err != nil {
 		t.Fatal(err)
 	}
-	if err := f.com.Commit(vb); err != nil {
+	if err := f.com.Commit(vb, capability.NilPort); err != nil {
 		t.Fatalf("restructure vs read-only aborted: %v", err)
 	}
 	cur := f.mustCurrent(t, base.Root)
@@ -383,13 +383,13 @@ func TestRestructureVsDeepWriteConservativeConflict(t *testing.T) {
 	if err := vc.WritePage(page.Path{1}, []byte("deep")); err != nil {
 		t.Fatal(err)
 	}
-	if err := f.com.Commit(vc); err != nil {
+	if err := f.com.Commit(vc, capability.NilPort); err != nil {
 		t.Fatal(err)
 	}
 	// The index correspondence under vb's restructure is lost, so the
 	// implementation conservatively refuses (documented deviation: a
 	// false conflict, never a false commit).
-	if err := f.com.Commit(vb); !errors.Is(err, ErrConflict) {
+	if err := f.com.Commit(vb, capability.NilPort); !errors.Is(err, ErrConflict) {
 		t.Fatalf("expected conservative conflict, got %v", err)
 	}
 }
@@ -404,14 +404,14 @@ func TestChainOfThreeConcurrentCommits(t *testing.T) {
 	v2.WritePage(page.Path{1}, []byte("two"))
 	v3.WritePage(page.Path{2}, []byte("three"))
 
-	if err := f.com.Commit(v1); err != nil {
+	if err := f.com.Commit(v1, capability.NilPort); err != nil {
 		t.Fatal(err)
 	}
-	if err := f.com.Commit(v2); err != nil {
+	if err := f.com.Commit(v2, capability.NilPort); err != nil {
 		t.Fatal(err)
 	}
 	// v3 must validate against v1 AND v2, walking the chain.
-	if err := f.com.Commit(v3); err != nil {
+	if err := f.com.Commit(v3, capability.NilPort); err != nil {
 		t.Fatal(err)
 	}
 	if got := f.com.Stat.ChainRetries.Load(); got < 3 {
@@ -436,12 +436,12 @@ func TestCommitIdempotentAfterCrashRedo(t *testing.T) {
 	base := f.newFile(t, 1)
 	v := f.newVersion(t, base.Root)
 	v.WritePage(page.Path{0}, []byte("x"))
-	if err := f.com.Commit(v); err != nil {
+	if err := f.com.Commit(v, capability.NilPort); err != nil {
 		t.Fatal(err)
 	}
 	// A client whose server crashed after setting the commit reference
 	// redoes the commit: it must succeed as a no-op.
-	if err := f.com.Commit(v); err != nil {
+	if err := f.com.Commit(v, capability.NilPort); err != nil {
 		t.Fatalf("redo of completed commit failed: %v", err)
 	}
 }
@@ -454,11 +454,11 @@ func TestSerialiseSkipsUnaccessedSubtrees(t *testing.T) {
 	vc := f.newVersion(t, base.Root)
 	vb.WritePage(page.Path{0}, []byte("b"))
 	vc.WritePage(page.Path{49}, []byte("c"))
-	if err := f.com.Commit(vc); err != nil {
+	if err := f.com.Commit(vc, capability.NilPort); err != nil {
 		t.Fatal(err)
 	}
 	before := f.com.Stat.PagesCompared.Load()
-	if err := f.com.Commit(vb); err != nil {
+	if err := f.com.Commit(vb, capability.NilPort); err != nil {
 		t.Fatal(err)
 	}
 	compared := f.com.Stat.PagesCompared.Load() - before
@@ -499,7 +499,7 @@ func TestConcurrentCommitStorm(t *testing.T) {
 					errs[i] = err
 					return
 				}
-				err = f.com.Commit(v)
+				err = f.com.Commit(v, capability.NilPort)
 				if err == nil {
 					return
 				}
@@ -551,7 +551,7 @@ func TestHistoryIgnoresUncommittedSiblings(t *testing.T) {
 	base := f.newFile(t, 1)
 	v1 := f.newVersion(t, base.Root)
 	v1.WritePage(page.Path{0}, []byte("v1"))
-	if err := f.com.Commit(v1); err != nil {
+	if err := f.com.Commit(v1, capability.NilPort); err != nil {
 		t.Fatal(err)
 	}
 	// Never committed, but on the store, as after its first flush.
@@ -596,8 +596,8 @@ func TestTestAndSetCommitRefContention(t *testing.T) {
 	var wg sync.WaitGroup
 	var e1, e2 error
 	wg.Add(2)
-	go func() { defer wg.Done(); e1 = f.com.Commit(v1) }()
-	go func() { defer wg.Done(); e2 = f.com.Commit(v2) }()
+	go func() { defer wg.Done(); e1 = f.com.Commit(v1, capability.NilPort) }()
+	go func() { defer wg.Done(); e2 = f.com.Commit(v2, capability.NilPort) }()
 	wg.Wait()
 	if e1 != nil || e2 != nil {
 		t.Fatalf("e1=%v e2=%v", e1, e2)

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/capability"
 	"repro/internal/page"
 	"repro/internal/version"
 )
@@ -75,10 +76,10 @@ func TestSerialisabilityOracle(t *testing.T) {
 		if _, err := apply(vc, cOps, "C"); err != nil {
 			t.Fatal(err)
 		}
-		if err := f.com.Commit(vc); err != nil {
+		if err := f.com.Commit(vc, capability.NilPort); err != nil {
 			t.Fatalf("trial %d: C commit: %v", trial, err)
 		}
-		err := f.com.Commit(vb)
+		err := f.com.Commit(vb, capability.NilPort)
 		allowed := err == nil
 		if err != nil && !errors.Is(err, ErrConflict) {
 			t.Fatalf("trial %d: B commit: %v", trial, err)
@@ -94,14 +95,14 @@ func TestSerialisabilityOracle(t *testing.T) {
 		if _, err := apply(sc, cOps, "C"); err != nil {
 			t.Fatal(err)
 		}
-		if err := g.com.Commit(sc); err != nil {
+		if err := g.com.Commit(sc, capability.NilPort); err != nil {
 			t.Fatal(err)
 		}
 		sb := g.newVersion(t, sc.Root)
 		if _, err := apply(sb, bOps, "B"); err != nil {
 			t.Fatal(err)
 		}
-		if err := g.com.Commit(sb); err != nil {
+		if err := g.com.Commit(sb, capability.NilPort); err != nil {
 			t.Fatalf("trial %d: serial B commit: %v", trial, err)
 		}
 

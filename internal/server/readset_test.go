@@ -289,7 +289,7 @@ func TestReadSetOracle(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		if err := com.Commit(base); err != nil {
+		if err := com.Commit(base, capability.NilPort); err != nil {
 			t.Fatal(err)
 		}
 		trees := make([]*version.Tree, 2)
@@ -305,10 +305,10 @@ func TestReadSetOracle(t *testing.T) {
 				return data, err
 			}, tr.WritePage)
 		}
-		if err := com.Commit(trees[1]); err != nil {
+		if err := com.Commit(trees[1], capability.NilPort); err != nil {
 			t.Fatalf("trial %d: eager C commit: %v", trial, err)
 		}
-		eagerErr := com.Commit(trees[0])
+		eagerErr := com.Commit(trees[0], capability.NilPort)
 		if eagerErr != nil && !errors.Is(eagerErr, occ.ErrConflict) {
 			t.Fatalf("trial %d: eager B commit: %v", trial, eagerErr)
 		}

@@ -672,7 +672,10 @@ func (s *Server) withVersion(vcap capability.Capability, need capability.Rights,
 
 // publish copies rec's root block, once it has one, to rec.root under
 // s.mu, where LiveVersions reads it. The caller holds rec.mu, the lock
-// every write of the tree is made under. Between the pass's alloc and
+// every write of the tree is made under. A flush publishes as soon as its
+// pass is done, and Commit before it validates, so the root is pinned
+// through the test-and-set, Serialise and rebase; other passes are
+// published when their operation returns. Between the pass's alloc and
 // this the collector pins only the base, as it pins a pass's fresh
 // children only once their parent is written: its two-cycle grace covers
 // both.
@@ -715,6 +718,7 @@ func (s *Server) flush(rec *verRec) error {
 		s.abort(rec)
 		return fmt.Errorf("server: apply buffered reads and writes: %w", err)
 	}
+	s.publish(rec)
 	return nil
 }
 
@@ -887,6 +891,13 @@ func (s *Server) commitT(tc trace.Context, vcap capability.Capability) error {
 		if err := s.flush(rec); err != nil {
 			return err
 		}
+		// The commit reference must name a block: an empty commit's root
+		// gets one here, and the collector pins it from now on, through
+		// the validation and rebase below.
+		if err := rec.tree.Place(); err != nil {
+			return err
+		}
+		s.publish(rec)
 		defer func(start time.Time) {
 			s.com.Stat.Latency.Observe(time.Since(start))
 		}(time.Now())
@@ -900,7 +911,7 @@ func (s *Server) commitT(tc trace.Context, vcap capability.Capability) error {
 		if plain {
 			hint = rec.locks.Port
 		}
-		cleared, err := s.com.BindTrace(tc).CommitClearing(rec.tree, hint)
+		err := s.com.BindTrace(tc).Commit(rec.tree, hint)
 		if errors.Is(err, occ.ErrConflict) {
 			s.abort(rec)
 			return err
@@ -921,7 +932,13 @@ func (s *Server) commitT(tc trace.Context, vcap capability.Capability) error {
 			}
 			s.clearCrossings(rec, committed)
 		}
-		if !cleared {
+		// A commit rebased onto a later version set that version's
+		// commit reference, so the hint on the base is still there.
+		vp, err := rec.tree.VersionPage()
+		if err != nil {
+			return err
+		}
+		if !plain || vp.BaseRef != rec.topBase {
 			rec.locks.Clear(rec.topBase, rec.locks.Port)
 		}
 		s.close(rec, StateCommitted)
