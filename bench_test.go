@@ -1,7 +1,8 @@
-// Benchmarks E1–E9 (plus E13): one per experiment in EXPERIMENTS.md,
-// each keyed to a figure or quantitative claim of the paper (see
-// DESIGN.md §4). The cmd/afs-bench tool runs the corresponding
-// parameter sweeps and prints the full tables.
+// Benchmarks E1–E9: one per experiment of cmd/afs-bench, each keyed to
+// a figure or quantitative claim of the paper. cmd/afs-bench runs the
+// corresponding parameter sweeps and prints the full tables.
+// BenchmarkE13Mirror prices the mirroring layer and has no afs-bench
+// table; the benchmark rig in benchmark/ runs mirrored pairs end to end.
 package main
 
 import (
@@ -422,7 +423,7 @@ func BenchmarkE8StableStorage(b *testing.B) {
 // BenchmarkE13Mirror measures the generalised mirroring layer over the
 // durable backend plus its failure paths: the mirrored-write penalty on
 // segstore pairs, the corrupt-read fallback-and-repair, and the
-// intentions-replay rejoin. (afs-bench -exp e13 runs the full sweep.)
+// intentions-replay rejoin.
 func BenchmarkE13Mirror(b *testing.B) {
 	geo := disk.Geometry{Blocks: 1 << 12, BlockSize: 4096}
 	payload := make([]byte, 4096)

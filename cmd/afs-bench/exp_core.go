@@ -3,6 +3,7 @@ package main
 import (
 	"errors"
 	"fmt"
+	"os"
 	"time"
 
 	"repro/internal/block"
@@ -10,6 +11,7 @@ import (
 	"repro/internal/disk"
 	"repro/internal/occ"
 	"repro/internal/page"
+	"repro/internal/segstore"
 	"repro/internal/server"
 	"repro/internal/version"
 	"repro/internal/workload"
@@ -18,6 +20,21 @@ import (
 // newService builds a fresh single-server service for an experiment.
 func newService() (*server.Server, error) {
 	return workload.NewService(1<<20, 4096)
+}
+
+// newSegStore opens a durable store (group commit) in a fresh temp
+// directory; cleanup closes it and removes the directory.
+func newSegStore() (*segstore.Store, func(), error) {
+	dir, err := os.MkdirTemp("", "afs-bench-seg-")
+	if err != nil {
+		return nil, nil, err
+	}
+	st, err := segstore.Open(dir, segstore.Options{BlockSize: 4096, Capacity: 1 << 20})
+	if err != nil {
+		os.RemoveAll(dir)
+		return nil, nil, err
+	}
+	return st, func() { st.Close(); os.RemoveAll(dir) }, nil
 }
 
 // flatFile creates a file with n child pages.

@@ -1,7 +1,11 @@
-// Command afs-bench regenerates the experiment tables: the paper has no
-// measured tables of its own, so every experiment here is keyed to a
-// figure or a quantitative claim in the text, or prices one of this
-// repo's own additions (E10 durability, E11 batching, E12 sharding).
+// Command afs-bench regenerates the experiment tables. The paper has no
+// measured tables of its own, so every experiment here is keyed to one
+// of its figures or to a quantitative claim in its §3–§5 text: E1–E9,
+// Fig. 2 and Fig. 4. What this repo adds beyond the paper (the segment
+// log, sharding, mirroring, the replicated file table, the archive
+// tier, tracing) is priced by the multi-process rig in benchmark/ and
+// by the count tests (fsyncs, block calls, allocations) in the
+// packages themselves.
 //
 //	afs-bench -exp all        # everything
 //	afs-bench -exp e4         # one experiment
@@ -9,7 +13,6 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"log"
@@ -35,40 +38,12 @@ var experiments = []experiment{
 	{"e7", "E7 (§5.4): cache validation without unsolicited messages", runE7},
 	{"e8", "E8 (§4): paired block servers (stable storage)", runE8},
 	{"e9", "E9 (§3.1, §5.4.1): crash recovery work", runE9},
-	{"e10", "E10 (§4): durable block store — group commit vs RAM disk", runE10},
-	{"e11", "E11: batched block I/O — round trips, fsyncs and throughput", runE11},
-	{"e12", "E12: sharded block service — aggregate bandwidth vs shard count", runE12},
-	{"e13", "E13 (§4): mirroring as a layer — write penalty, corrupt-read fallback, rejoin", runE13},
-	{"e14", "E14 (§5.4.1): replicated file table — multi-server commit throughput, conflicts, catch-up", runE14},
-	{"e15", "E15: content-addressed archive tier — dedup ratio, demote throughput, snapshot reads", runE15},
-	{"e16", "E16: multicore segment log — writers × log lanes sweep", runE16},
-	{"e17", "E17: tracing overhead — commit throughput off / sampled / full", runE17},
 	{"fig2", "Fig. 2: the file system is a tree of trees", runFig2},
 	{"fig4", "Fig. 4: the family tree of a file", runFig4},
 }
 
-// metrics collects machine-readable per-experiment numbers; -json dumps
-// them to BENCH.json so the perf trajectory is trackable across PRs.
-var metrics = map[string]map[string]float64{}
-
-// record stores one number for experiment exp.
-func record(exp, key string, v float64) {
-	m, ok := metrics[exp]
-	if !ok {
-		m = map[string]float64{}
-		metrics[exp] = m
-	}
-	m[key] = v
-}
-
-// quick shrinks experiment sizes for smoke runs (CI): same code paths,
-// tiny inputs, useless numbers.
-var quick *bool
-
 func main() {
-	exp := flag.String("exp", "all", "experiment to run (e1..e17, fig2, fig4, all)")
-	jsonOut := flag.Bool("json", false, "write recorded per-experiment numbers to BENCH.json")
-	quick = flag.Bool("quick", false, "tiny sizes for smoke runs; numbers are meaningless")
+	exp := flag.String("exp", "all", "experiment to run (e1..e9, fig2, fig4, all)")
 	flag.Parse()
 
 	want := strings.ToLower(*exp)
@@ -91,26 +66,6 @@ func main() {
 		sort.Strings(names)
 		fmt.Fprintf(os.Stderr, "unknown experiment %q; have %s, all\n", *exp, strings.Join(names, ", "))
 		os.Exit(2)
-	}
-	if *jsonOut {
-		// Merge over an existing BENCH.json so partial runs (-exp e11)
-		// refresh only their own numbers.
-		merged := map[string]map[string]float64{}
-		if old, err := os.ReadFile("BENCH.json"); err == nil {
-			_ = json.Unmarshal(old, &merged)
-		}
-		for exp, m := range metrics {
-			merged[exp] = m
-		}
-		blob, err := json.MarshalIndent(merged, "", "  ")
-		if err != nil {
-			log.Fatalf("marshal BENCH.json: %v", err)
-		}
-		blob = append(blob, '\n')
-		if err := os.WriteFile("BENCH.json", blob, 0o666); err != nil {
-			log.Fatalf("write BENCH.json: %v", err)
-		}
-		fmt.Printf("\nwrote BENCH.json (%d experiments recorded this run)\n", len(metrics))
 	}
 }
 

@@ -64,7 +64,7 @@ func main() {
 		// -blocks is the remote mount list this binary's output feeds.
 		blocks  = flag.Int("nblocks", 1<<16, "number of blocks (per shard)")
 		bsize   = flag.Int("bsize", 4096, "block size in bytes")
-		sync    = flag.String("sync", "group", "seg durability: group, each or none")
+		sync    = flag.String("sync", "group", "seg durability: group or none")
 		lanes   = flag.Int("log-shards", 0, "seg log lanes writes are striped over (0 = one per CPU, capped at 8; pinned at store creation)")
 		compact = flag.Duration("compact", time.Minute, "seg compaction interval (0 disables)")
 		shards  = flag.Int("shards", 1, "independent block stores to serve, one port each")

@@ -99,7 +99,7 @@ func main() {
 		dir         = flag.String("dir", "", "store directory (required with -store=seg)")
 		nblocks     = flag.Int("nblocks", 1<<16, "blocks of the in-process store (ignored with -blocks)")
 		bsize       = flag.Int("bsize", 4096, "block size of the in-process store (ignored with -blocks)")
-		sync        = flag.String("sync", "group", "seg durability: group, each or none")
+		sync        = flag.String("sync", "group", "seg durability: group or none")
 		shards      = flag.Int("log-shards", 0, "seg log lanes writes are striped over (0 = one per CPU, capped at 8; pinned at store creation)")
 		compact     = flag.Duration("compact", time.Minute, "seg compaction interval (0 disables)")
 		mounts      = flag.String("blocks", "", "remote block services as PORT@ADDR[,PORT@ADDR...] (from afs-block); two or more are sharded")

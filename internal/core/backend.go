@@ -37,7 +37,7 @@ type Backend struct {
 	// seg defaults are segstore's).
 	Blocks    int
 	BlockSize int
-	// Sync ("group", the default, "each" or "none"), LogShards and
+	// Sync ("group", the default, or "none"), LogShards and
 	// Compact tune the segment log (segstore.Options).
 	Sync      string
 	LogShards int

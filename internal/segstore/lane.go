@@ -413,9 +413,7 @@ func (l *lane) adapt(got int) {
 }
 
 // appendBatch admits one batch and appends its records to the lane,
-// sealing them to the lane's syncer. In SyncEach mode every record
-// seals (and so fsyncs) individually; otherwise the whole batch seals
-// at once.
+// sealing them to the lane's syncer: the whole batch seals at once.
 func (l *lane) appendBatch(batch []*writeReq) {
 	s := l.s
 	s.mu.Lock()
@@ -532,13 +530,6 @@ func (l *lane) appendBatch(batch []*writeReq) {
 		pending = pending[:start+s.recSize]
 		encodeRecord(pending[start:], s.opt.BlockSize, rec)
 		placed = append(placed, placement{req: r, at: at})
-		if s.opt.Sync == SyncEach {
-			if err := flush(); err != nil {
-				fail(err)
-				return
-			}
-			seal()
-		}
 	}
 	if err := flush(); err != nil {
 		fail(err)

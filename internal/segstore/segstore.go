@@ -34,9 +34,8 @@
 // however many writers hashed into the lane (the AsyncFS observation:
 // make the sync path batch-friendly and the hot path stays fast). The
 // commit window adapts to the arrival rate — zero for a lone writer,
-// growing toward a 2 ms cap under load. SyncEach gives strict
-// one-fsync-per-record semantics instead, and SyncNone none at all, for
-// benchmarks.
+// growing toward a 2 ms cap under load. SyncNone skips the fsync
+// altogether, for benchmarks and tests.
 //
 // Garbage from superseded records is reclaimed by a compactor that
 // copies a segment's few live records to its lane's tail and recycles
@@ -87,9 +86,6 @@ const (
 	// every acknowledged write is durable, and the fsync cost is shared
 	// by the whole batch.
 	SyncGroup SyncMode = iota
-	// SyncEach fsyncs after every single record: the strictest reading
-	// of §4, at one fsync per write.
-	SyncEach
 	// SyncNone never fsyncs (the OS flushes when it pleases); a crash
 	// may lose acknowledged writes. For benchmarks and tests only.
 	SyncNone
@@ -100,25 +96,21 @@ func (m SyncMode) String() string {
 	switch m {
 	case SyncGroup:
 		return "group"
-	case SyncEach:
-		return "each"
 	case SyncNone:
 		return "none"
 	}
 	return fmt.Sprintf("SyncMode(%d)", int(m))
 }
 
-// ParseSyncMode parses "group", "each" or "none".
+// ParseSyncMode parses "group" or "none".
 func ParseSyncMode(s string) (SyncMode, error) {
 	switch s {
 	case "group":
 		return SyncGroup, nil
-	case "each":
-		return SyncEach, nil
 	case "none":
 		return SyncNone, nil
 	}
-	return 0, fmt.Errorf("segstore: unknown sync mode %q (want group, each or none)", s)
+	return 0, fmt.Errorf("segstore: unknown sync mode %q (want group or none)", s)
 }
 
 // maxShards bounds Options.LogShards; far above any plausible CPU

@@ -254,7 +254,7 @@ func TestGroupCommitBatches(t *testing.T) {
 }
 
 func TestSyncModes(t *testing.T) {
-	for _, mode := range []SyncMode{SyncGroup, SyncEach, SyncNone} {
+	for _, mode := range []SyncMode{SyncGroup, SyncNone} {
 		t.Run(mode.String(), func(t *testing.T) {
 			s := openTest(t, Options{BlockSize: 32, Sync: mode})
 			n, err := s.Alloc(1, []byte("x"))
@@ -271,17 +271,12 @@ func TestSyncModes(t *testing.T) {
 			if data[0] != 'y' {
 				t.Fatalf("read %q", data[:1])
 			}
-			if mode == SyncEach {
-				if st := s.Stats(); st.Syncs < 2 {
-					t.Fatalf("SyncEach did %d fsyncs for 2 records", st.Syncs)
-				}
-			}
 		})
 	}
 }
 
 func TestParseSyncMode(t *testing.T) {
-	for _, mode := range []SyncMode{SyncGroup, SyncEach, SyncNone} {
+	for _, mode := range []SyncMode{SyncGroup, SyncNone} {
 		got, err := ParseSyncMode(mode.String())
 		if err != nil || got != mode {
 			t.Fatalf("round trip %v: got %v, %v", mode, got, err)

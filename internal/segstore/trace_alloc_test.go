@@ -11,7 +11,7 @@ import (
 // tracing off (an unsampled context), binding a trace to the store and
 // writing through it costs at most one extra allocation per op over the
 // bare store — in practice zero, because BindTrace returns the store
-// itself. This is the E16 hot write path.
+// itself. This is the segment log's hot write path.
 func TestTracingOffWriteAllocFree(t *testing.T) {
 	s := openTest(t, Options{BlockSize: 256, Sync: SyncNone, LogShards: 1})
 	buf := make([]byte, 256)
