@@ -24,7 +24,7 @@
 //
 // The package wraps the internal building blocks (block service, stable
 // storage pairs, version trees, OCC, locks, cache, GC) behind a stable
-// surface; see DESIGN.md for the mapping to the paper.
+// surface; see docs/ARCHITECTURE.md for the mapping to the paper.
 package afs
 
 import (
@@ -142,8 +142,11 @@ func Start(o Options) (*Cluster, error) {
 
 // RecoverFiles rebuilds the file table from the block store — the §4
 // recovery scan a restarted service runs over a durable or surviving
-// backend — and returns fresh owner capabilities for the recovered
-// files. Call it after Start on a Dir that already holds a file system.
+// backend — and returns the recovered files' owner capabilities. They
+// are the capabilities the files were created with: each is stored in
+// the file's version pages, so capabilities held before a crash keep
+// working after it. Call it after Start on a Dir that already holds a
+// file system.
 func (c *Cluster) RecoverFiles() ([]Capability, error) {
 	byObj, err := c.inner.RecoverTable()
 	if err != nil {

@@ -357,13 +357,16 @@ func TestDurableDirSurvivesRestart(t *testing.T) {
 	if string(data) != "survives the crash" {
 		t.Fatalf("read %q after restart", data)
 	}
-	// The old cluster's capability is dead (its secrets died with it):
-	// recovery mints fresh ones rather than resurrecting the old.
-	if _, err := c2.ReadFile(f); err == nil {
-		t.Fatal("pre-crash capability still verified after restart")
+	// The pre-crash capability is the recovered one: its owner
+	// capability is stored in the file's version pages.
+	if caps[0] != f {
+		t.Fatalf("recovered capability %v, want the pre-crash %v", caps[0], f)
 	}
-	// And the recovered file takes new updates.
-	if err := c2.WriteFile(caps[0], []byte("second life")); err != nil {
+	if data, err := c2.ReadFile(f); err != nil || string(data) != "survives the crash" {
+		t.Fatalf("pre-crash capability after restart: %q, %v", data, err)
+	}
+	// And the file takes new updates through it.
+	if err := c2.WriteFile(f, []byte("second life")); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -61,8 +61,8 @@ func BenchmarkE1PageCodec(b *testing.B) {
 	f := capability.NewFactory(capability.NewPort().Public())
 	p := &page.Page{
 		IsVersion:  true,
-		FileCap:    f.Register(1),
-		VersionCap: f.Register(2),
+		FileCap:    f.Mint(1),
+		VersionCap: f.Mint(2),
 		RootFlags:  page.FlagC,
 		Data:       make([]byte, 1024),
 	}
@@ -255,7 +255,7 @@ func BenchmarkE5SerialiseCost(b *testing.B) {
 			st := version.NewStore(block.NewServer(d), 1)
 			com := occ.NewCommitter(st)
 			fact := capability.NewFactory(capability.NewPort().Public())
-			base, err := version.CreateFile(st, fact.Register(1), fact.Register(2), nil)
+			base, err := version.CreateFile(st, fact.Mint(1), fact.Mint(2), nil)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -275,7 +275,7 @@ func BenchmarkE5SerialiseCost(b *testing.B) {
 			}
 			total := tc.fanout * tc.fanout
 			// c writes cSize leaves at the high end and commits.
-			vc, _ := version.CreateVersion(st, base.Root, fact.Register(3))
+			vc, _ := version.CreateVersion(st, base.Root, fact.Mint(3))
 			for i := 0; i < tc.cSize; i++ {
 				vc.WritePage(leafPath(total-1-i), []byte("c"))
 			}
@@ -286,7 +286,7 @@ func BenchmarkE5SerialiseCost(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				b.StopTimer()
 				// b writes bSize leaves at the low end (disjoint).
-				vb, _ := version.CreateVersion(st, base.Root, fact.Register(uint32(10+i)))
+				vb, _ := version.CreateVersion(st, base.Root, fact.Mint(uint32(10+i)))
 				for j := 0; j < tc.bSize; j++ {
 					vb.WritePage(leafPath(j), []byte("b"))
 				}

@@ -35,9 +35,10 @@
 //
 // With a durable or remote store the server recovers on startup: it
 // scans its account's blocks (§4; with shards, one concurrent scan per
-// block server), rebuilds the file table from the version pages found,
-// and mints fresh capabilities for the recovered files. Files written
-// before a crash are served again after it.
+// block server) and rebuilds the file table from the version pages
+// found. Files written before a crash are served again after it, through
+// the same capabilities: a file's owner capability is stored in its
+// version pages.
 //
 // With -debug-addr the server exposes every layer's counters over HTTP
 // as Prometheus text (GET /metrics): block-store operation and fsync
@@ -60,8 +61,7 @@
 // -trace-slow long are kept in a slowest-N list and logged.
 //
 // The service line printed on stdout (comma-separated PORT@ADDR pairs,
-// one per file server; the service capability secret is kept
-// in-process) is what the afs CLI consumes via -servers.
+// one per file server) is what the afs CLI consumes via -servers.
 //
 // The process is flags -> core.Backend or core.Mount -> core.Service ->
 // core.NewInstance; see the Assembly section of docs/ARCHITECTURE.md.
@@ -109,7 +109,7 @@ func main() {
 		gcEvery     = flag.Duration("gc", 5*time.Second, "garbage collection interval (0 disables; safe to leave on everywhere in a -peers mesh — the lowest-ID replica is elected sweeper)")
 		gcRetain    = flag.Int("retain", 4, "committed versions retained per file")
 		serverID    = flag.Uint("id", 0, "replica ID of this process, 0..63: bands its object numbers and names its file-table replication port (must be unique across a -peers mesh)")
-		peers       = flag.String("peers", "", "sibling afs-server processes as ID@ADDR[,ID@ADDR...]: replicates the file table (and capability secrets) so all of them serve one file system over one shared block store")
+		peers       = flag.String("peers", "", "sibling afs-server processes as ID@ADDR[,ID@ADDR...]: replicates the file table (owner capabilities included) so all of them serve one file system over one shared block store")
 		traceSample = flag.Float64("trace-sample", 0, "ratio of requests sampled into distributed traces, 0..1 (0 disables server-side sampling; client-reported traces are accepted regardless)")
 		traceSlow   = flag.Duration("trace-slow", 100*time.Millisecond, "traces at least this long are kept in the slowest list and logged as warnings")
 		logLevel    = flag.String("log-level", "info", "log verbosity: debug, info, warn or error")
@@ -221,11 +221,10 @@ func main() {
 	}
 	sh := inst.Shared
 	if inst.Table != nil {
-		// Zero snapshots pulled: no peer answered, this replica
-		// establishes the service identity and peers join via heal.
+		// Zero snapshots pulled: no peer answered, this replica starts
+		// from its own recovery scan and peers join via heal.
 		slog.Info("joined replication mesh", "component", "ftab", "replica", *serverID,
-			"snapshots_pulled", inst.Table.StatsSnapshot().Resyncs, "files", sh.Table.Len(),
-			"identity", sh.Fact.Port().String())
+			"snapshots_pulled", inst.Table.StatsSnapshot().Resyncs, "files", sh.Table.Len())
 	}
 	if spec.Archive != nil {
 		u, _ := sh.Archive.Usage()
@@ -336,7 +335,6 @@ func writeTraces(w io.Writer, tracer *trace.Tracer, nParam string) {
 // order) for GET /ftab: comparing two servers' dumps byte for byte is
 // the operator's convergence check.
 func writeTableDump(w io.Writer, sh *server.Shared) {
-	fmt.Fprintf(w, "identity %s\n", sh.Fact.Port())
 	fmt.Fprintf(w, "fingerprint %s\n", ftab.Fingerprint(sh.Table))
 	entries := sh.Table.Entries()
 	for _, o := range slices.Sorted(maps.Keys(entries)) {

@@ -10,14 +10,17 @@
 // but the directory: it reopens the log, which rebuilds the block
 // index by scanning the segments, runs the §4 recovery scan to rebuild
 // the file table from the version pages it finds, and serves the old
-// contents again.
+// contents again — through the very capability the first life handed
+// out, because a file's owner capability is stored in its version
+// pages.
 //
 //	go run ./examples/crashrecovery            # both lives, fresh temp dir
 //	go run ./examples/crashrecovery -dir d -phase write    # first life only
 //	go run ./examples/crashrecovery -dir d -phase recover  # second life only
 //
 // The two-process form (-phase write, then -phase recover) shows the
-// same thing across real process boundaries.
+// same thing across real process boundaries: the capability life 1
+// prints is among those life 2 recovers.
 package main
 
 import (
@@ -44,16 +47,18 @@ func main() {
 	}
 	fmt.Printf("store directory: %s\n", *dir)
 
+	var pre afs.Capability
 	if *phase == "write" || *phase == "both" {
-		write(*dir)
+		pre = write(*dir)
 	}
 	if *phase == "recover" || *phase == "both" {
-		recover(*dir)
+		recover(*dir, pre)
 	}
 }
 
-// write is the first life: create a file, update it, crash.
-func write(dir string) {
+// write is the first life: create a file, update it, crash. It returns
+// the file's capability.
+func write(dir string) afs.Capability {
 	cluster, err := afs.Start(afs.Options{Servers: 2, Dir: dir})
 	if err != nil {
 		log.Fatal(err)
@@ -77,7 +82,7 @@ func write(dir string) {
 	if err := v.Commit(); err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("life 1: created file %v, committed an update\n", f)
+	fmt.Printf("life 1: created file %v (capability %s), committed an update\n", f, f.Text())
 
 	// Crash. No Close, no flush: Abandon drops the store's file
 	// handles (and its single-writer directory lock) exactly as a
@@ -87,10 +92,13 @@ func write(dir string) {
 	// complete.
 	cluster.Abandon()
 	fmt.Println("life 1: CRASH (process state gone, store directory remains)")
+	return f
 }
 
-// recover is the second life: nothing survives but the directory.
-func recover(dir string) {
+// recover is the second life: nothing survives but the directory — and
+// the capability pre the first life handed out, when it ran in this
+// process.
+func recover(dir string, pre afs.Capability) {
 	cluster, err := afs.Start(afs.Options{Servers: 2, Dir: dir})
 	if err != nil {
 		log.Fatal(err)
@@ -99,8 +107,8 @@ func recover(dir string) {
 
 	// Rebuild the file table from the §4 recovery scan: list the
 	// account's blocks, find the version pages, pick each file's
-	// committed version. Fresh capabilities are minted — the old
-	// process's secrets died with it.
+	// committed version. Each file keeps the owner capability its
+	// version pages carry.
 	caps, err := cluster.RecoverFiles()
 	if err != nil {
 		log.Fatal(err)
@@ -108,6 +116,17 @@ func recover(dir string) {
 	fmt.Printf("life 2: recovered %d file(s) from the store\n", len(caps))
 
 	c := cluster.NewClient()
+	if !pre.IsNil() {
+		// The capability the crashed life handed out still works.
+		data, err := c.ReadFile(pre)
+		if err != nil {
+			log.Fatalf("life 2: read through the pre-crash capability: %v", err)
+		}
+		if len(caps) != 1 || caps[0] != pre {
+			log.Fatalf("life 2: recovered %v, want the pre-crash capability %v", caps, pre)
+		}
+		fmt.Printf("life 2: the pre-crash capability %s reads %q\n", pre.Text(), data)
+	}
 	for _, f := range caps {
 		root, err := c.ReadFile(f)
 		if err != nil {

@@ -9,8 +9,8 @@
 //
 //  1. A file created through machine 0 is updatable through machine 1
 //     as soon as the asynchronous push streams deliver it: the entry,
-//     and the capability secret that makes the capability verify there,
-//     ride the same batched stream every table update does (the demo
+//     with the owner capability the capability is checked against,
+//     rides the same batched stream every table update does (the demo
 //     drains the stream with Flush — a real client simply retries).
 //  2. Concurrent clients commit through BOTH machines at once. Every
 //     table update is an OCC CAS serialised by the storage-level commit
@@ -291,10 +291,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	if p0, p1 := m0.Shared.Fact.Port(), m1.Shared.Fact.Port(); p0 != p1 {
-		log.Fatalf("machines did not agree on a service identity: %v vs %v", p0, p1)
-	}
-	fmt.Printf("machines agreed on service identity %s\n\n", m0.Shared.Fact.Port())
+	fmt.Printf("both machines up\n\n")
 
 	// --- act 1: create through machine 0, update through machine 1 ---
 	c0, c1 := clientFor(m0, m1), clientFor(m1, m0)
@@ -304,7 +301,8 @@ func main() {
 	}
 	// The create was acknowledged after local durability only; drain
 	// machine 0's push streams so machine 1 holds the entry (and the
-	// secret that verifies the capability) before we present it there.
+	// owner capability the capability is checked against) before we
+	// present it there.
 	m0.Table.Flush(10 * time.Second)
 	v, err := c1.Update(fcap, client.UpdateOpts{})
 	if err != nil {

@@ -15,7 +15,8 @@
 //  3. The whole file service restarts from nothing but the three store
 //     directories: the §4 recovery scan fans out to every shard, the
 //     file table is rebuilt from the version pages found, and the file
-//     is served again under fresh capabilities.
+//     is served again under the capability it was created with: the
+//     owner capability is stored in its version pages.
 //
 // Run it with:
 //
@@ -158,13 +159,14 @@ func main() {
 	}
 	defer fs2.tcp.Close()
 	fmt.Printf("\nfile service RESTARTS: recovery scan over 3 shards found %d file(s)\n", len(fs2.inst.Recovered))
-	for _, fc := range fs2.inst.Recovered {
-		data, err := readPage(fs2.client, fc, page.Path{3})
-		if err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("recovered file, page /3 = %q\n", data)
+	if fs2.inst.Recovered[fcap.Object] != fcap {
+		log.Fatalf("recovered %v, want the pre-restart capability %v", fs2.inst.Recovered, fcap)
 	}
+	data, err := readPage(fs2.client, fcap, page.Path{3})
+	if err != nil {
+		log.Fatal(err)
+	}
+	fmt.Printf("recovered file, read through its pre-restart capability: page /3 = %q\n", data)
 
 	for i, nd := range nodes {
 		fmt.Printf("machine %d final: %d blocks in use\n", i, nd.Segs[0].InUse())

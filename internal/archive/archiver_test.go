@@ -41,7 +41,7 @@ func newTier(t *testing.T) (*version.Store, *archive.Store, *archive.Archiver) {
 func buildFile(t *testing.T, s *version.Store, id uint32, root string) *version.Tree {
 	t.Helper()
 	f := capability.NewFactory(capability.NewPort().Public())
-	tr, err := version.CreateFile(s, f.Register(id), f.Register(id+1), []byte(root))
+	tr, err := version.CreateFile(s, f.Mint(id), f.Mint(id+1), []byte(root))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,16 +3,21 @@
 // In Amoeba every service listens on a port and every object managed by a
 // service is named by a capability: the service port, an object number, a
 // rights mask, and a check field that protects the rights from forgery.
-// The check field is computed with a one-way function from the object's
-// secret random number and the rights mask, so a client can weaken a
-// capability (restrict rights) only through the server, and cannot widen
-// one at all. See Mullender & Tanenbaum, "Protection and Resource Control
-// in Distributed Operating Systems" (the paper's [Mullender85b]).
+// An object's random number is kept with the object, as the check field
+// of its owner capability: all rights, and 48 random bits drawn when the
+// object is made (Factory.Mint). A restricted capability's check field
+// is a one-way function of the port, the object, the owner check and the
+// rights mask, so the holder of a restricted capability can neither
+// widen it nor recover the owner's. A service checks every capability
+// against the owner capability stored with the object (Verify); it keeps
+// no secrets of its own, so what it stores durably with the object
+// verifies after a restart and at every server that can read it. See
+// Mullender & Tanenbaum, "Protection and Resource Control in Distributed
+// Operating Systems" (the paper's [Mullender85b]).
 //
-// This package reproduces that scheme with an HMAC-like SHA-256
-// construction from the standard library. The sizes follow Amoeba: a
-// 48-bit port, a 24-bit object number, an 8-bit rights field and a 48-bit
-// check field; the encoded wire form is 16 bytes.
+// The one-way function is SHA-256 from the standard library. The sizes
+// follow Amoeba: a 48-bit port, a 24-bit object number, an 8-bit rights
+// field and a 48-bit check field; the encoded wire form is 16 bytes.
 package capability
 
 import (
@@ -23,7 +28,6 @@ import (
 	"errors"
 	"fmt"
 	"strconv"
-	"sync"
 )
 
 // Port identifies a service mailbox. Ports are 48-bit values in Amoeba;
@@ -229,136 +233,41 @@ func ParseText(s string) (Capability, error) {
 }
 
 // ErrBadCheck is returned when a capability's check field does not match
-// the object's secret, i.e. the capability is forged or stale.
+// its object's owner capability, i.e. the capability is forged or stale.
 var ErrBadCheck = errors.New("capability: bad check field")
 
 // ErrRights is returned when a capability lacks a required right.
 var ErrRights = errors.New("capability: insufficient rights")
 
-// Factory mints and verifies capabilities for one service. It holds the
-// per-object secrets ("random numbers" in Amoeba terms) that make check
-// fields unforgeable. A Factory is safe for concurrent use: servers
-// verify while new objects register, and in a multi-server service the
-// replicated file table adopts peer secrets at runtime.
-//
-// In the paper's multi-server picture the secrets live in the replicated
-// file table itself, so any server of the service can verify any
-// capability. Secret, Adopt and Reseat expose exactly that surface: the
-// replication layer (internal/ftab) ships secrets between the servers'
-// factories alongside the table entries, and a server joining an
-// established service reseats its factory onto the service's port.
+// Factory mints owner capabilities for one service port. It keeps no
+// per-object state: whoever mints an owner capability stores it with
+// the object, and every capability for the object is checked against
+// that stored copy (Verify).
 type Factory struct {
-	mu      sync.RWMutex
-	port    Port
-	secrets map[uint32]uint64
+	port Port
 }
 
 // NewFactory creates a factory for the service listening on port.
-func NewFactory(port Port) *Factory {
-	return &Factory{port: port, secrets: make(map[uint32]uint64)}
-}
+func NewFactory(port Port) *Factory { return &Factory{port: port} }
 
-// Port returns the service port capabilities minted here will carry.
-func (f *Factory) Port() Port {
-	f.mu.RLock()
-	defer f.mu.RUnlock()
-	return f.port
-}
+// Port returns the service port capabilities minted here carry.
+func (f *Factory) Port() Port { return f.port }
 
-// Register assigns a fresh secret to object and returns an owner
-// capability carrying all rights.
-func (f *Factory) Register(object uint32) Capability {
+// Mint returns a fresh owner capability for object: every right, and a
+// check field of 48 random bits — the object's random number.
+func (f *Factory) Mint(object uint32) Capability {
 	var b [8]byte
 	if _, err := rand.Read(b[:]); err != nil {
 		panic(fmt.Sprintf("capability: entropy source failed: %v", err))
 	}
-	secret := binary.BigEndian.Uint64(b[:])
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	f.secrets[object] = secret
-	return f.mint(object, RightsAll, secret)
+	check := binary.BigEndian.Uint64(b[:]) & portMask
+	return Capability{Port: f.port, Object: object, Rights: RightsAll, Check: check}
 }
 
-// Secret returns the object's secret for replication to a sibling
-// server's factory.
-func (f *Factory) Secret(object uint32) (uint64, bool) {
-	f.mu.RLock()
-	defer f.mu.RUnlock()
-	s, ok := f.secrets[object]
-	return s, ok
-}
-
-// Adopt installs a secret received from a sibling server (replacing any
-// local one) and returns the object's owner capability, which is
-// identical to the one the sibling minted: same port, same secret, same
-// check field.
-func (f *Factory) Adopt(object uint32, secret uint64) Capability {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	f.secrets[object] = secret
-	return f.mint(object, RightsAll, secret)
-}
-
-// Reseat moves the factory onto a new service port, keeping every
-// secret. Outstanding capabilities minted under the old port stop
-// verifying (the check field binds the port); the caller re-mints the
-// ones it needs with Owner. A server joining an established service
-// mesh reseats onto the incumbent identity.
-func (f *Factory) Reseat(port Port) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	f.port = port
-}
-
-// Owner re-mints the owner capability of a registered object under the
-// factory's current port.
-func (f *Factory) Owner(object uint32) (Capability, bool) {
-	f.mu.RLock()
-	defer f.mu.RUnlock()
-	secret, ok := f.secrets[object]
-	if !ok {
-		return Nil, false
-	}
-	return f.mint(object, RightsAll, secret), true
-}
-
-// Forget removes an object's secret, invalidating all outstanding
-// capabilities for it.
-func (f *Factory) Forget(object uint32) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	delete(f.secrets, object)
-}
-
-// Restrict returns a copy of c with rights narrowed to keep. The check
-// field is recomputed so the narrowed capability is valid and the original
-// cannot be recovered from it.
-func (f *Factory) Restrict(c Capability, keep Rights) (Capability, error) {
-	if err := f.Verify(c, 0); err != nil {
-		return Nil, err
-	}
-	f.mu.RLock()
-	defer f.mu.RUnlock()
-	secret, ok := f.secrets[c.Object]
-	if !ok {
-		return Nil, ErrBadCheck
-	}
-	return f.mint(c.Object, c.Rights&keep, secret), nil
-}
-
-// Verify checks c's check field and that it conveys the rights in need.
-func (f *Factory) Verify(c Capability, need Rights) error {
-	f.mu.RLock()
-	secret, ok := f.secrets[c.Object]
-	var want Capability
-	if ok {
-		want = f.mint(c.Object, c.Rights, secret)
-	}
-	f.mu.RUnlock()
-	if !ok {
-		return fmt.Errorf("object %d: %w", c.Object, ErrBadCheck)
-	}
-	if want.Check != c.Check {
+// Verify checks c against owner, the owner capability stored with c's
+// object, and that c conveys the rights in need.
+func Verify(owner, c Capability, need Rights) error {
+	if owner.IsNil() || c != withRights(owner, c.Rights) {
 		return fmt.Errorf("object %d: %w", c.Object, ErrBadCheck)
 	}
 	if !c.Rights.Has(need) {
@@ -367,14 +276,31 @@ func (f *Factory) Verify(c Capability, need Rights) error {
 	return nil
 }
 
-// mint computes the check field for (object, rights) under secret.
-func (f *Factory) mint(object uint32, rights Rights, secret uint64) Capability {
-	var b [8 + 8 + 4 + 1]byte
-	binary.BigEndian.PutUint64(b[0:8], uint64(f.port))
-	binary.BigEndian.PutUint64(b[8:16], secret)
-	binary.BigEndian.PutUint32(b[16:20], object)
+// Restrict checks c against owner and returns it narrowed to the
+// rights in keep. The narrowed check field is a one-way function of the
+// owner's, so c cannot be recovered from the result.
+func Restrict(owner, c Capability, keep Rights) (Capability, error) {
+	if err := Verify(owner, c, 0); err != nil {
+		return Nil, err
+	}
+	return withRights(owner, c.Rights&keep), nil
+}
+
+// withRights returns the capability for owner's object with the given
+// rights: owner itself for the owner's rights, otherwise a check field
+// hashed from the port, the object, the owner check and the rights.
+func withRights(owner Capability, rights Rights) Capability {
+	c := owner
+	if rights == owner.Rights {
+		return c
+	}
+	var b [8 + 4 + 8 + 1]byte
+	binary.BigEndian.PutUint64(b[0:8], uint64(owner.Port))
+	binary.BigEndian.PutUint32(b[8:12], owner.Object)
+	binary.BigEndian.PutUint64(b[12:20], owner.Check)
 	b[20] = byte(rights)
 	sum := sha256.Sum256(b[:])
-	check := binary.BigEndian.Uint64(sum[:8]) & portMask
-	return Capability{Port: f.port, Object: object, Rights: rights, Check: check}
+	c.Rights = rights
+	c.Check = binary.BigEndian.Uint64(sum[:8]) & portMask
+	return c
 }

@@ -82,7 +82,7 @@ func TestRightsString(t *testing.T) {
 
 func TestEncodeDecodeRoundTrip(t *testing.T) {
 	f := NewFactory(NewPort().Public())
-	c := f.Register(42)
+	c := f.Mint(42)
 	enc := c.Encode(nil)
 	if len(enc) != EncodedLen {
 		t.Fatalf("encoded length %d, want %d", len(enc), EncodedLen)
@@ -122,91 +122,89 @@ func TestEncodeDecodeProperty(t *testing.T) {
 	}
 }
 
+// TestFactoryVerify checks capabilities of every kind against one
+// object's owner capability: the owner and a restriction of it verify,
+// a restricted capability conveys only its rights, and every edited
+// field — rights, check, object, port — fails the check.
 func TestFactoryVerify(t *testing.T) {
 	f := NewFactory(NewPort().Public())
-	c := f.Register(7)
-	if err := f.Verify(c, RightsAll); err != nil {
-		t.Fatalf("owner capability rejected: %v", err)
-	}
-}
-
-func TestFactoryVerifyForged(t *testing.T) {
-	f := NewFactory(NewPort().Public())
-	c := f.Register(7)
-
-	forged := c
-	forged.Check++
-	if err := f.Verify(forged, 0); !errors.Is(err, ErrBadCheck) {
-		t.Fatalf("forged check accepted: %v", err)
-	}
-
-	widened := c
-	widened.Rights = RightsAll
-	widened.Object = 8 // unknown object
-	if err := f.Verify(widened, 0); !errors.Is(err, ErrBadCheck) {
-		t.Fatalf("unknown object accepted: %v", err)
-	}
-}
-
-func TestFactoryRightsWideningDetected(t *testing.T) {
-	f := NewFactory(NewPort().Public())
-	owner := f.Register(7)
-	narrow, err := f.Restrict(owner, RightRead)
+	owner := f.Mint(7)
+	ro, err := Restrict(owner, owner, RightRead)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Client flips rights bits without the secret: check must fail.
-	widened := narrow
-	widened.Rights = RightsAll
-	if err := f.Verify(widened, 0); !errors.Is(err, ErrBadCheck) {
-		t.Fatalf("widened capability accepted: %v", err)
+	edit := func(c Capability, fn func(*Capability)) Capability {
+		fn(&c)
+		return c
+	}
+	cases := []struct {
+		name string
+		c    Capability
+		need Rights
+		want error
+	}{
+		{"owner", owner, RightsAll, nil},
+		{"restricted", ro, RightRead, nil},
+		{"restricted-overreach", ro, RightWrite, ErrRights},
+		{"widened", edit(ro, func(c *Capability) { c.Rights = RightsAll }), 0, ErrBadCheck},
+		{"widened-one-bit", edit(ro, func(c *Capability) { c.Rights |= RightWrite }), 0, ErrBadCheck},
+		{"narrowed-without-check", edit(owner, func(c *Capability) { c.Rights = RightRead }), 0, ErrBadCheck},
+		{"forged", edit(owner, func(c *Capability) { c.Check++ }), 0, ErrBadCheck},
+		{"forged-restricted", edit(ro, func(c *Capability) { c.Check ^= 1 }), 0, ErrBadCheck},
+		{"other-object", edit(owner, func(c *Capability) { c.Object = 8 }), 0, ErrBadCheck},
+		{"other-object-owner", f.Mint(7), 0, ErrBadCheck},
+		{"other-port", edit(owner, func(c *Capability) { c.Port = NewPort().Public() }), 0, ErrBadCheck},
+		{"other-port-restricted", edit(ro, func(c *Capability) { c.Port = NewPort().Public() }), 0, ErrBadCheck},
+		{"nil", Nil, 0, ErrBadCheck},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			err := Verify(owner, tc.c, tc.need)
+			if tc.want == nil && err != nil || tc.want != nil && !errors.Is(err, tc.want) {
+				t.Fatalf("Verify(%v) = %v, want %v", tc.c, err, tc.want)
+			}
+		})
+	}
+	if err := Verify(Nil, Nil, 0); !errors.Is(err, ErrBadCheck) {
+		t.Fatalf("Verify against no owner = %v, want ErrBadCheck", err)
 	}
 }
 
 func TestFactoryRestrict(t *testing.T) {
 	f := NewFactory(NewPort().Public())
-	owner := f.Register(9)
-	ro, err := f.Restrict(owner, RightRead)
+	owner := f.Mint(9)
+	rw, err := Restrict(owner, owner, RightRead|RightWrite)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ro.Rights != RightRead {
-		t.Fatalf("rights = %v, want read only", ro.Rights)
+	ro, err := Restrict(owner, rw, RightRead|RightCommit)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if err := f.Verify(ro, RightRead); err != nil {
+	if rw.Rights != RightRead|RightWrite || ro.Rights != RightRead {
+		t.Fatalf("rights = %v then %v, want rw then r", rw.Rights, ro.Rights)
+	}
+	if direct, _ := Restrict(owner, owner, RightRead); direct != ro {
+		t.Fatalf("restricting in two steps gave %+v, in one %+v", ro, direct)
+	}
+	if ro.Check == owner.Check || ro.Check == rw.Check {
+		t.Fatal("a restricted capability carries another capability's check field")
+	}
+	if err := Verify(owner, ro, RightRead); err != nil {
 		t.Fatalf("restricted capability invalid: %v", err)
 	}
-	if err := f.Verify(ro, RightWrite); !errors.Is(err, ErrRights) {
-		t.Fatalf("restricted capability conveyed write: %v", err)
+	if same, _ := Restrict(owner, owner, RightsAll); same != owner {
+		t.Fatalf("restricting to every right gave %+v, want the owner", same)
 	}
 }
 
 func TestFactoryRestrictRequiresValidInput(t *testing.T) {
 	f := NewFactory(NewPort().Public())
-	owner := f.Register(9)
+	owner := f.Mint(9)
 	bad := owner
 	bad.Check ^= 1
-	if _, err := f.Restrict(bad, RightRead); !errors.Is(err, ErrBadCheck) {
+	if _, err := Restrict(owner, bad, RightRead); !errors.Is(err, ErrBadCheck) {
 		t.Fatalf("Restrict accepted forged capability: %v", err)
-	}
-}
-
-func TestFactoryForget(t *testing.T) {
-	f := NewFactory(NewPort().Public())
-	c := f.Register(3)
-	f.Forget(3)
-	if err := f.Verify(c, 0); !errors.Is(err, ErrBadCheck) {
-		t.Fatalf("capability survived Forget: %v", err)
-	}
-}
-
-func TestFactoriesIndependent(t *testing.T) {
-	f1 := NewFactory(NewPort().Public())
-	f2 := NewFactory(NewPort().Public())
-	c := f1.Register(5)
-	f2.Register(5)
-	if err := f2.Verify(c, 0); !errors.Is(err, ErrBadCheck) {
-		t.Fatalf("capability from f1 accepted by f2: %v", err)
 	}
 }
 
@@ -218,9 +216,9 @@ func TestNilCapability(t *testing.T) {
 		t.Fatalf("Nil.String() = %q", Nil.String())
 	}
 	f := NewFactory(NewPort().Public())
-	c := f.Register(1)
+	c := f.Mint(1)
 	if c.IsNil() {
-		t.Fatal("registered capability is nil")
+		t.Fatal("minted capability is nil")
 	}
 }
 

@@ -44,7 +44,7 @@ type Config struct {
 	Servers int
 	// Peers, when > 1, splits the cluster into that many independent
 	// service instances ("machines"): each instance has its own Shared
-	// state — file table, capability factory, object band — and the
+	// state — file table, minting port, object band — and the
 	// tables are kept convergent through the replicated file table
 	// (internal/ftab) over the in-proc network, exactly as
 	// `afs-server -peers` does over TCP. Server i serves instance
@@ -201,8 +201,8 @@ func newCluster(cfg Config, w wire) (_ *Cluster, err error) {
 		archBacking = st.Stores[0]
 	}
 
-	// The service instances boot in ID order, like processes: instance 0
-	// establishes the service identity, every later one pulls it.
+	// The service instances boot in ID order, like processes: every
+	// later one pulls the table from those already up.
 	registers := make([]func(capability.Port, rpc.Handler), cfg.Peers)
 	c.addrs = make([]string, cfg.Peers)
 	for i := range registers {
@@ -368,10 +368,11 @@ func (c *Cluster) Pair() *stable.Pair {
 }
 
 // RecoverTable is the process-restart recovery path: rebuild the file
-// table from storage (§4 recovery scan) and adopt it into this
-// cluster's fresh service identity (Instance.Recover). It returns the
-// new capabilities by object number; instances racing the same
-// recovery converge on one set of capabilities.
+// table from storage (§4 recovery scan) and adopt it (Instance.Recover).
+// It returns the adopted files' owner capabilities by object number —
+// the ones their version pages carry, so the capabilities issued before
+// the restart — and instances racing the same recovery adopt the same
+// ones.
 func (c *Cluster) RecoverTable() (map[uint32]capability.Capability, error) {
 	return c.RecoverTableOn(0)
 }

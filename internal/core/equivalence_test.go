@@ -122,8 +122,8 @@ func driveMix(t *testing.T, c *Cluster, seed int64) (pages map[string][]byte, sh
 		}
 	}
 	// The tables' shape — every object, its entry root and super flag —
-	// leaves out only what each deployment draws at random: the
-	// capability secrets and the service identity.
+	// leaves out only what each deployment draws at random: the owner
+	// capabilities' ports and check fields.
 	var b bytes.Buffer
 	entries := c.Instances[0].Shared.Table.Entries()
 	for _, obj := range c.Instances[0].Shared.Table.Objects() {

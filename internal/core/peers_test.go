@@ -25,9 +25,9 @@ func TestPeersClusterEndToEnd(t *testing.T) {
 	if len(c.Instances) != 2 || c.Instances[0].Table == nil || c.Instances[1].Table == nil {
 		t.Fatalf("want 2 instances with replicated tables, got %d", len(c.Instances))
 	}
-	// The instances agreed on one service identity at bootstrap.
-	if a, b := c.Instances[0].Shared.Fact.Port(), c.Instances[1].Shared.Fact.Port(); a != b {
-		t.Fatalf("service identities differ: %v vs %v", a, b)
+	// Each instance mints under its own port: nothing is agreed at boot.
+	if a, b := c.Instances[0].Shared.Fact.Port(), c.Instances[1].Shared.Fact.Port(); a == b {
+		t.Fatalf("both instances mint under port %v", a)
 	}
 
 	ports := c.AllPorts()
@@ -39,10 +39,10 @@ func TestPeersClusterEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The create is acknowledged before it propagates; drain the async
-	// push streams so instance 1 holds the entry and its secret.
+	// push streams so instance 1 holds the entry.
 	c.FlushTables(30 * time.Second)
-	// Update through the OTHER machine: the replicated secret makes the
-	// capability verify there, and the replicated entry finds the file.
+	// Update through the OTHER machine: the replicated entry finds the
+	// file, and its owner capability makes the capability verify there.
 	v, err := cli1.Update(fcap, client.UpdateOpts{})
 	if err != nil {
 		t.Fatalf("update via instance 1: %v", err)
@@ -135,9 +135,9 @@ func TestPeersVersionLostRedo(t *testing.T) {
 }
 
 // TestAdoptTableIdempotent: two service instances racing the recovery
-// scan over the same store adopt once — the satellite fix: adoption is
-// guarded, so the second adopter keeps what replication already gave it
-// instead of double-minting capabilities.
+// scan over the same store adopt once — adoption is guarded, so the
+// second adopter keeps what replication already gave it — and the
+// adopted capability is the one the file was created with.
 func TestAdoptTableIdempotent(t *testing.T) {
 	// A store with one file from a previous life.
 	seedCluster, err := NewCluster(Config{Servers: 1, Backend: Backend{Blocks: 1 << 14, BlockSize: 1024}})
@@ -145,7 +145,8 @@ func TestAdoptTableIdempotent(t *testing.T) {
 		t.Fatal(err)
 	}
 	seedCli := seedCluster.Client()
-	if _, err := seedCli.CreateFile([]byte("survivor")); err != nil {
+	survivor, err := seedCli.CreateFile([]byte("survivor"))
+	if err != nil {
 		t.Fatal(err)
 	}
 	store := seedCluster.Instances[0].Shared.Store
@@ -159,8 +160,8 @@ func TestAdoptTableIdempotent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(caps0) != 1 {
-		t.Fatalf("first adopter recovered %d files, want 1", len(caps0))
+	if len(caps0) != 1 || caps0[survivor.Object] != survivor {
+		t.Fatalf("first adopter recovered %v, want %v", caps0, survivor)
 	}
 	c.FlushTables(30 * time.Second)
 	// The second instance runs the same recovery; replication already
@@ -170,7 +171,7 @@ func TestAdoptTableIdempotent(t *testing.T) {
 		t.Fatal(err)
 	}
 	if len(caps1) != 0 {
-		t.Fatalf("second adopter minted %d capabilities, want 0 (idempotent adoption)", len(caps1))
+		t.Fatalf("second adopter adopted %d files, want 0 (idempotent adoption)", len(caps1))
 	}
 	c.FlushTables(30 * time.Second)
 	if a, b := ftab.Fingerprint(c.Instances[0].Shared.Table), ftab.Fingerprint(c.Instances[1].Shared.Table); a != b {
@@ -182,7 +183,7 @@ func TestAdoptTableIdempotent(t *testing.T) {
 		t.Fatal(err)
 	}
 	if len(caps2) != 0 {
-		t.Fatalf("repeated adoption minted %d capabilities, want 0", len(caps2))
+		t.Fatalf("repeated adoption adopted %d files, want 0", len(caps2))
 	}
 }
 

@@ -51,8 +51,8 @@ type Service struct {
 	// Tracer, when set, is the sink for reported traces and samples
 	// requests itself according to its ratio.
 	Tracer *trace.Tracer
-	// Peers, when non-empty, replicates the file table (and capability
-	// secrets) across the mesh.
+	// Peers, when non-empty, replicates the file table (owner
+	// capabilities included) across the mesh.
 	Peers []Peer
 	// Recover runs the §4 recovery scan before the servers start: set
 	// it when Store may hold a file system from a past life.
@@ -76,8 +76,8 @@ type Instance struct {
 	// Archiver is the demote engine the collector feeds into the
 	// archive tier (Shared.Archive); nil without Service.Archive.
 	Archiver *archive.Archiver
-	// Recovered holds the capabilities the boot-time recovery scan
-	// minted, by object (Service.Recover).
+	// Recovered holds the owner capabilities of the files the boot-time
+	// recovery scan adopted, by object (Service.Recover).
 	Recovered map[uint32]capability.Capability
 
 	spec Service
@@ -135,7 +135,6 @@ func NewInstance(spec Service) (*Instance, error) {
 			ID:        spec.ID,
 			Local:     sh.Table.(*file.Table),
 			Store:     version.NewStore(spec.Store, sh.Acct),
-			Ident:     sh.Fact,
 			PortAlive: sh.Ports.Alive,
 			Live:      in.live,
 		})
@@ -239,11 +238,10 @@ func (in *Instance) gate() bool {
 }
 
 // Recover runs the §4 recovery scan over the store and adopts the
-// rebuilt table into this instance's service identity, minting fresh
-// owner capabilities for the recovered files (the old secrets died with
-// the old process). Adoption is guarded and idempotent
-// (server.Shared.AdoptTable): files the mesh already replicated here
-// keep their capabilities and are not in the returned map.
+// rebuilt table. Each recovered file keeps the owner capability its
+// version pages carry, so capabilities issued before the restart still
+// verify. Adoption is guarded and idempotent (server.Shared.AdoptTable):
+// files the mesh already replicated here are not in the returned map.
 func (in *Instance) Recover() (map[uint32]capability.Capability, error) {
 	t, err := file.Rebuild(version.NewStore(in.Shared.Store, in.Shared.Acct))
 	if err != nil {

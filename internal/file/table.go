@@ -30,7 +30,9 @@ var ErrUnknownFile = errors.New("file: unknown file")
 
 // Entry is one file's table row.
 type Entry struct {
-	// Cap is the file's owner capability.
+	// Cap is the file's owner capability — the one its version pages
+	// carry (page.Page.FileCap) — against which the file service checks
+	// every capability for the file.
 	Cap capability.Capability
 	// Entry is the block of a committed version page of the file; the
 	// current version is found by following commit references from it.
@@ -160,8 +162,9 @@ func (t *Table) Entries() map[uint32]Entry {
 
 // Rebuild reconstructs a file table from storage after a severe crash,
 // the §4 recovery path: scan the account's blocks, decode the version
-// pages among them (each carries its file capability), and pick a
-// committed version of each file as the entry point.
+// pages among them (each carries its file's owner capability, which the
+// rebuilt entry keeps), and pick a committed version of each file as the
+// entry point.
 //
 // A version page is provably committed when its commit reference is set,
 // when it has no base (the birth version), or when its base's commit
@@ -251,7 +254,6 @@ func Rebuild(st *version.Store) (*Table, error) {
 			if h := chainHead(obj, c.vp); h != nil && h.Deleted {
 				continue
 			}
-			fcap = c.vp.FileCap
 			proven := c.vp.CommitRef != block.NilNum || c.vp.BaseRef == block.NilNum
 			if !proven {
 				if base, ok := pages[c.vp.BaseRef]; ok && base.IsVersion && base.FileCap.Object == obj {
@@ -275,7 +277,10 @@ func Rebuild(st *version.Store) (*Table, error) {
 				rank += 2
 			}
 			if rank < best {
-				best, entry = rank, c.blk
+				// The owner capability comes from the chosen page: under
+				// a reused object number an older file's pages carry
+				// another one.
+				best, entry, fcap = rank, c.blk, c.vp.FileCap
 			}
 		}
 		if entry == block.NilNum {

@@ -20,7 +20,7 @@ func newStore(t *testing.T) *version.Store {
 func TestTableCRUD(t *testing.T) {
 	tb := NewTable()
 	f := capability.NewFactory(capability.NewPort().Public())
-	c := f.Register(1)
+	c := f.Mint(1)
 
 	if _, err := tb.Get(1); !errors.Is(err, ErrUnknownFile) {
 		t.Fatalf("empty table Get err = %v", err)
@@ -61,12 +61,12 @@ func TestRebuildFindsCommittedChains(t *testing.T) {
 	f := capability.NewFactory(capability.NewPort().Public())
 
 	// File A: three committed versions.
-	fa := f.Register(10)
-	v0, err := version.CreateFile(st, fa, f.Register(11), []byte("a0"))
+	fa := f.Mint(10)
+	v0, err := version.CreateFile(st, fa, f.Mint(11), []byte("a0"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	v1, err := version.CreateVersion(st, v0.Root, f.Register(12))
+	v1, err := version.CreateVersion(st, v0.Root, f.Mint(12))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,12 +79,12 @@ func TestRebuildFindsCommittedChains(t *testing.T) {
 	}
 
 	// File B: one committed version plus an uncommitted orphan.
-	fb := f.Register(20)
-	b0, err := version.CreateFile(st, fb, f.Register(21), []byte("b0"))
+	fb := f.Mint(20)
+	b0, err := version.CreateFile(st, fb, f.Mint(21), []byte("b0"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	orphan, err := version.CreateVersion(st, b0.Root, f.Register(22))
+	orphan, err := version.CreateVersion(st, b0.Root, f.Mint(22))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,12 +127,12 @@ func TestRebuildSurvivesSweptBase(t *testing.T) {
 	st := newStore(t)
 	f := capability.NewFactory(capability.NewPort().Public())
 
-	fa := f.Register(10)
-	v0, err := version.CreateFile(st, fa, f.Register(11), []byte("old"))
+	fa := f.Mint(10)
+	v0, err := version.CreateFile(st, fa, f.Mint(11), []byte("old"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	v1, err := version.CreateVersion(st, v0.Root, f.Register(12))
+	v1, err := version.CreateVersion(st, v0.Root, f.Mint(12))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,11 +167,11 @@ func TestRebuildDetectsSuperFiles(t *testing.T) {
 	st := newStore(t)
 	f := capability.NewFactory(capability.NewPort().Public())
 
-	super, err := version.CreateFile(st, f.Register(40), f.Register(41), []byte("super"))
+	super, err := version.CreateFile(st, f.Mint(40), f.Mint(41), []byte("super"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := super.InsertSubFile(page.RootPath, 0, f.Register(30), f.Register(31), []byte("sub")); err != nil {
+	if _, err := super.InsertSubFile(page.RootPath, 0, f.Mint(30), f.Mint(31), []byte("sub")); err != nil {
 		t.Fatal(err)
 	}
 
@@ -198,7 +198,7 @@ func TestRebuildDetectsSuperFiles(t *testing.T) {
 func TestHasSubFilesDeep(t *testing.T) {
 	st := newStore(t)
 	f := capability.NewFactory(capability.NewPort().Public())
-	super, err := version.CreateFile(st, f.Register(1), f.Register(2), nil)
+	super, err := version.CreateFile(st, f.Mint(1), f.Mint(2), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,7 +209,7 @@ func TestHasSubFilesDeep(t *testing.T) {
 	if err := super.InsertPage(page.Path{0}, 0, []byte("l2")); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := super.InsertSubFile(page.Path{0, 0}, 0, f.Register(3), f.Register(4), []byte("deep")); err != nil {
+	if _, err := super.InsertSubFile(page.Path{0, 0}, 0, f.Mint(3), f.Mint(4), []byte("deep")); err != nil {
 		t.Fatal(err)
 	}
 	found, err := HasSubFiles(st, super.Root)
@@ -220,7 +220,7 @@ func TestHasSubFilesDeep(t *testing.T) {
 		t.Fatal("deep sub-file not found")
 	}
 
-	plain, _ := version.CreateFile(st, f.Register(5), f.Register(6), nil)
+	plain, _ := version.CreateFile(st, f.Mint(5), f.Mint(6), nil)
 	plain.InsertPage(page.RootPath, 0, []byte("x"))
 	found, err = HasSubFiles(st, plain.Root)
 	if err != nil {
@@ -242,13 +242,13 @@ func TestRebuildPrefersProvenCommitted(t *testing.T) {
 	st := newStore(t)
 	f := capability.NewFactory(capability.NewPort().Public())
 
-	fa := f.Register(10)
-	v0, err := version.CreateFile(st, fa, f.Register(11), []byte("g0"))
+	fa := f.Mint(10)
+	v0, err := version.CreateFile(st, fa, f.Mint(11), []byte("g0"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	// A client opens an update of v0 and crashes: the orphan lives on.
-	orphan, err := version.CreateVersion(st, v0.Root, f.Register(12))
+	orphan, err := version.CreateVersion(st, v0.Root, f.Mint(12))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -256,7 +256,7 @@ func TestRebuildPrefersProvenCommitted(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Meanwhile v1 and v2 commit over v0.
-	v1, err := version.CreateVersion(st, v0.Root, f.Register(13))
+	v1, err := version.CreateVersion(st, v0.Root, f.Mint(13))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -268,7 +268,7 @@ func TestRebuildPrefersProvenCommitted(t *testing.T) {
 	if err := st.WritePage(v0.Root, vp); err != nil {
 		t.Fatal(err)
 	}
-	v2, err := version.CreateVersion(st, v1.Root, f.Register(14))
+	v2, err := version.CreateVersion(st, v1.Root, f.Mint(14))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -304,5 +304,43 @@ func TestRebuildPrefersProvenCommitted(t *testing.T) {
 		if e.Entry != v1.Root && e.Entry != v2.Root {
 			t.Fatalf("entry = %d, want a proven committed version (%d or %d)", e.Entry, v1.Root, v2.Root)
 		}
+	}
+}
+
+// TestRebuildKeepsChosenEntrysCapability: under a reused object number
+// the scan finds an older file's pages next to the live file's. The
+// rebuilt entry's owner capability is the one the chosen entry page
+// carries, whatever order the pages are scanned in.
+func TestRebuildKeepsChosenEntrysCapability(t *testing.T) {
+	st := newStore(t)
+	live := capability.NewFactory(capability.NewPort().Public()).Mint(10)
+	old := capability.NewFactory(capability.NewPort().Public()).Mint(10)
+	v0, err := version.CreateFile(st, live, capability.Nil, []byte("live"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The older file's surviving page, scanned after the live one: its
+	// commit reference names a block that was swept, so its chain is
+	// broken and it ranks below the live birth version.
+	gone, err := st.AllocPage(&page.Page{Data: []byte("swept")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := st.AllocPage(&page.Page{IsVersion: true, FileCap: old, CommitRef: gone}); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Blocks.Free(st.Acct, gone); err != nil {
+		t.Fatal(err)
+	}
+	tb, err := Rebuild(st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, err := tb.Get(10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if e.Entry != v0.Root || e.Cap != live {
+		t.Fatalf("entry %+v, want root %d with the live capability %v", e, v0.Root, live)
 	}
 }

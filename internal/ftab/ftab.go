@@ -52,31 +52,32 @@
 //
 // # Capabilities travel with the table
 //
-// In Amoeba the per-object secrets that make check fields unforgeable
-// would live in the replicated file table itself, so that any server of
-// the service can verify any capability. Create updates and snapshots
-// therefore carry the object's secret alongside the entry, and each
-// replica adopts it into its own capability factory: a capability minted
-// by server A verifies, bit for bit, at server B.
+// As in Amoeba, an object's random number is kept with the object: a
+// file's owner capability is part of its table entry, and durably of
+// every version page of the file (page.Page.FileCap). The file service
+// checks every capability against the entry's owner capability
+// (capability.Verify), so create updates and snapshot rows carry it
+// with the root, and a capability minted by server A verifies, bit for
+// bit, at server B. Each server mints under its own port; nothing about
+// capabilities is agreed at boot.
 //
-// Service identity (the factory port baked into every check field) is
-// agreed the same way: a booting server that finds a live peer adopts
-// the incumbent identity wholesale. Two servers that both establish
-// fresh identities over the same store (the racing-recovery case) detect
-// it when they first exchange snapshots and converge deterministically:
-// the identity established by the lower server ID wins, and per-object
-// double mints are resolved the same way (lower minting ID wins the
-// secret). The loser re-mints its capabilities under the winning
-// identity; capabilities it issued before convergence stop verifying,
-// which is the same cost today's single-adopter recovery already pays.
+// The capability goes with the chain: wherever an apply re-derives an
+// entry from storage, the entry takes the owner capability of the
+// version page it ends on. Two servers that recover the same store
+// while partitioned therefore adopt the same capabilities, and a
+// replica that slept through a Remove and a re-create of the same
+// object number takes the new file's capability along with its chain.
 //
 // # What is replicated, what is derived
 //
-// Only the table (entries, secrets, identity) replicates. Uncommitted
-// versions stay private to the server that created them and die with it
-// — "clients must be prepared to redo the updates in a version" — so
-// the client library turns a failed-over version operation into a redo
-// signal rather than asking a peer about state it cannot have.
+// Only the table (entries with their owner capabilities) replicates;
+// no process keeps capability state of its own. Uncommitted versions
+// stay private to the server that created them and die with it —
+// "clients must be prepared to redo the updates in a version" — so the
+// client library turns a failed-over version operation into a redo
+// signal rather than asking a peer about state it cannot have; a
+// version capability is checked against the owner capability in its
+// server's version record.
 //
 // Entry deletion replicates as a tombstone with a durable anchor:
 // Remove stamps the Deleted flag on the chain's storage head, so a
@@ -142,20 +143,6 @@ type Table interface {
 // *file.Table is the local implementation.
 var _ Table = (*file.Table)(nil)
 
-// Identity is the capability-factory surface the replicated table keeps
-// in sync across servers: per-object secrets plus the service port.
-// *capability.Factory implements it.
-type Identity interface {
-	Port() capability.Port
-	Secret(object uint32) (uint64, bool)
-	Adopt(object uint32, secret uint64) capability.Capability
-	Owner(object uint32) (capability.Capability, bool)
-	Forget(object uint32)
-	Reseat(port capability.Port)
-}
-
-var _ Identity = (*capability.Factory)(nil)
-
 // MaxID bounds replica IDs: the ID is banded into the high bits of the
 // 24-bit object-number space (server.Shared) and into the well-known
 // replication port.
@@ -186,9 +173,8 @@ type Stats struct {
 	// Applied counts remote updates applied; FastApplied the subset
 	// that matched their expectation and needed no storage I/O.
 	Applied, FastApplied atomic.Uint64
-	// Resolved counts entries re-derived from storage (the chase rule);
-	// TieBreaks counts double-mint resolutions by server ID.
-	Resolved, TieBreaks atomic.Uint64
+	// Resolved counts entries re-derived from storage (the chase rule).
+	Resolved atomic.Uint64
 	// Resyncs counts snapshot exchanges (bootstrap pulls and heals).
 	Resyncs atomic.Uint64
 }
@@ -199,7 +185,7 @@ type StatsSnapshot struct {
 	Pushes, PushFailures          uint64
 	Batches, Coalesced, Overflows uint64
 	Applied, FastApplied          uint64
-	Resolved, TieBreaks           uint64
+	Resolved                      uint64
 	Resyncs                       uint64
 	PeersUp, PeersDown            int
 	QueueDepth                    int
@@ -207,8 +193,8 @@ type StatsSnapshot struct {
 
 // Fingerprint hashes a table snapshot deterministically: object, entry
 // root, super flag and the full owner capability of every file, in
-// object order. Two replicas in sync — including identical capability
-// secrets and service identity — produce equal fingerprints; the
+// object order. Two replicas in sync — owner capabilities included —
+// produce equal fingerprints; the
 // multiserver example and the convergence tests compare them.
 func Fingerprint(t Table) string {
 	entries := t.Entries()

@@ -36,8 +36,8 @@ func TestReplicationBasics(t *testing.T) {
 	if e0 != e1 {
 		t.Fatalf("entries differ: %+v vs %+v", e0, e1)
 	}
-	// The replicated secret makes the capability verify at replica 1.
-	if err := m.Replicas[1].Fact.Verify(e0.Cap, capability.RightsAll); err != nil {
+	// The replicated owner capability makes replica 0's verify at replica 1.
+	if err := capability.Verify(e1.Cap, e0.Cap, capability.RightsAll); err != nil {
 		t.Fatalf("replica 1 refuses replica 0's capability: %v", err)
 	}
 	// Commit through replica 1; replica 0 must follow.
@@ -87,10 +87,11 @@ func TestCrashCatchUp(t *testing.T) {
 	}
 }
 
-// TestRacingEstablishment: two replicas that each established a fresh
-// service identity over the same store (partitioned recovery) and
-// double-minted the same recovered object converge when they meet: the
-// lower server ID's identity and secrets win on both sides.
+// TestRacingEstablishment: two replicas that each recover the same
+// store while partitioned adopt the same entries — the owner capability
+// comes from the version pages, not from either replica — so their
+// tables agree before they ever meet, the capability a client held
+// before the crash verifies at both, and the heal changes nothing.
 func TestRacingEstablishment(t *testing.T) {
 	d, err := disk.New(disk.Geometry{Blocks: 1 << 12, BlockSize: 512})
 	if err != nil {
@@ -101,79 +102,65 @@ func TestRacingEstablishment(t *testing.T) {
 	acct := block.Account(1)
 
 	// The file both will recover: written by a dead previous server.
-	oldFact := capability.NewFactory(capability.NewPort().Public())
+	old := capability.NewFactory(capability.NewPort().Public()).Mint(7)
 	st := version.NewStore(store, acct)
-	tr, err := version.CreateFile(st, oldFact.Register(7), oldFact.Register(8), []byte("old data"))
+	tr, err := version.CreateFile(st, old, capability.Nil, []byte("old data"))
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	type replica struct {
-		id   uint32
-		tab  *file.Table
-		fact *capability.Factory
-		rep  *ftab.Replicated
-	}
-	mk := func(id uint32) *replica {
-		r := &replica{id: id, tab: file.NewTable(), fact: capability.NewFactory(capability.NewPort().Public())}
-		r.rep = ftab.NewReplicated(ftab.Options{
-			ID: id, Local: r.tab, Store: version.NewStore(store, acct), Ident: r.fact,
-		})
-		return r
+	mk := func(id uint32) *ftab.Replicated {
+		return ftab.NewReplicated(ftab.Options{ID: id, Local: file.NewTable(), Store: version.NewStore(store, acct)})
 	}
 	a, b := mk(0), mk(1)
-	a.rep.AddPeer(1, net)
-	b.rep.AddPeer(0, net)
-	if err := net.Register("a", ftab.PortFor(0), a.rep.Handler()); err != nil {
+	a.AddPeer(1, net)
+	b.AddPeer(0, net)
+	if err := net.Register("a", ftab.PortFor(0), a.Handler()); err != nil {
 		t.Fatal(err)
 	}
-	if err := net.Register("b", ftab.PortFor(1), b.rep.Handler()); err != nil {
+	if err := net.Register("b", ftab.PortFor(1), b.Handler()); err != nil {
 		t.Fatal(err)
 	}
 
-	// Both adopt the scanned file independently (peers down: partition).
+	// Both adopt the scanned file independently (peers down: partition),
+	// as server.Shared.AdoptTable does.
 	rebuilt, err := file.Rebuild(st)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, r := range []*replica{a, b} {
+	for _, r := range []*ftab.Replicated{a, b} {
 		for obj, e := range rebuilt.Entries() {
-			e.Cap = r.fact.Register(obj)
-			r.rep.Put(obj, e)
+			r.Put(obj, e)
 		}
 	}
-	fa, fb := ftab.Fingerprint(a.rep), ftab.Fingerprint(b.rep)
-	if fa == fb {
-		t.Fatalf("double mint should diverge before healing")
+	fa, fb := ftab.Fingerprint(a), ftab.Fingerprint(b)
+	if fa != fb {
+		t.Fatalf("partitioned adopters disagree before healing: %s vs %s\n%v\nvs\n%v", fa, fb, a.Entries(), b.Entries())
+	}
+	for i, r := range []*ftab.Replicated{a, b} {
+		e, err := r.Get(7)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := capability.Verify(e.Cap, old, capability.RightsAll); err != nil || e.Entry != tr.Root {
+			t.Fatalf("replica %d: entry %+v; the pre-crash capability: %v", i, e, err)
+		}
 	}
 
 	// They meet: a heals towards b (hello + push + pull).
-	if _, err := a.rep.Heal(); err != nil {
+	if _, err := a.Heal(); err != nil {
 		t.Fatal(err)
 	}
-	if fa, fb = ftab.Fingerprint(a.rep), ftab.Fingerprint(b.rep); fa != fb {
-		t.Fatalf("fingerprints still differ after heal: %s vs %s\n%v\nvs\n%v",
-			fa, fb, a.rep.Entries(), b.rep.Entries())
-	}
-	// The winning identity is replica 0's (lower ID); replica 1 verifies
-	// replica 0's capability for the shared object.
-	ea, _ := a.rep.Get(7)
-	if ea.Cap.Port != a.fact.Port() || b.fact.Port() != a.fact.Port() {
-		t.Fatalf("identity did not converge on replica 0: cap port %v, a %v, b %v",
-			ea.Cap.Port, a.fact.Port(), b.fact.Port())
-	}
-	if err := b.fact.Verify(ea.Cap, capability.RightsAll); err != nil {
-		t.Fatalf("replica 1 refuses converged capability: %v", err)
-	}
-	if ea.Entry != tr.Root {
-		t.Fatalf("entry root %d, want recovered root %d", ea.Entry, tr.Root)
+	if ga, gb := ftab.Fingerprint(a), ftab.Fingerprint(b); ga != fa || gb != fa {
+		t.Fatalf("the heal changed agreeing tables: %s, %s; were %s", ga, gb, fa)
 	}
 }
 
 // TestEqualOriginRemintConverges: a server that reboots while
-// partitioned re-mints its own band's objects under its own ID; when
-// the partition heals, both sides carry the same origin with different
-// secrets, and the numerically smaller secret must win on both.
+// partitioned recovers its own band's objects from the store. They keep
+// the owner capabilities their version pages carry, so its table equals
+// the unreachable peer's before the partition heals, and both still
+// verify the capability issued before the reboot.
 func TestEqualOriginRemintConverges(t *testing.T) {
 	m := ftabtest.New(t, 2)
 	obj, err := m.CreateFile(t, 0, []byte("minted by replica 0"))
@@ -181,12 +168,12 @@ func TestEqualOriginRemintConverges(t *testing.T) {
 		t.Fatal(err)
 	}
 	m.FlushAll(t)
-	if _, err := m.Replicas[1].Rep.Get(obj); err != nil {
+	before, err := m.Replicas[1].Rep.Get(obj)
+	if err != nil {
 		t.Fatal(err)
 	}
 	// Replica 0 reboots while replica 1 is unreachable: its bootstrap
-	// pulls nothing, and its recovery re-mints the object under its own
-	// ID with a fresh secret.
+	// pulls nothing, and its recovery adopts the scanned entries.
 	m.Crash(1)
 	m.Crash(0)
 	m.Reboot(t, 0)
@@ -199,26 +186,32 @@ func TestEqualOriginRemintConverges(t *testing.T) {
 		t.Fatal(err)
 	}
 	for o, re := range ref.Entries() {
-		re.Cap = r0.Fact.Register(o)
 		r0.Rep.Put(o, re)
 	}
+	check := func(when string) {
+		t.Helper()
+		if a, b := ftab.Fingerprint(m.Replicas[0].Rep), ftab.Fingerprint(m.Replicas[1].Rep); a != b {
+			t.Fatalf("%s: tables differ: %s vs %s\n%v\nvs\n%v",
+				when, a, b, m.Replicas[0].Rep.Entries(), m.Replicas[1].Rep.Entries())
+		}
+		for i, r := range m.Replicas {
+			e, err := r.Rep.Get(obj)
+			if err != nil {
+				t.Fatalf("%s: replica %d: %v", when, i, err)
+			}
+			if err := capability.Verify(e.Cap, before.Cap, capability.RightsAll); err != nil {
+				t.Fatalf("%s: replica %d refuses the pre-reboot capability: %v", when, i, err)
+			}
+		}
+	}
+	check("before the heal")
 	// The partition heals: replica 1 comes back reachable (its state
 	// never went away — only the link did).
 	m.Uncrash(t, 1)
 	if _, err := r0.Rep.Heal(); err != nil {
 		t.Fatal(err)
 	}
-	if a, b := ftab.Fingerprint(m.Replicas[0].Rep), ftab.Fingerprint(m.Replicas[1].Rep); a != b {
-		t.Fatalf("equal-origin double mint did not converge: %s vs %s\n%v\nvs\n%v",
-			a, b, m.Replicas[0].Rep.Entries(), m.Replicas[1].Rep.Entries())
-	}
-	// Both verify the converged capability.
-	ce, _ := m.Replicas[0].Rep.Get(obj)
-	for i, r := range m.Replicas {
-		if err := r.Fact.Verify(ce.Cap, capability.RightsAll); err != nil {
-			t.Fatalf("replica %d refuses converged capability: %v", i, err)
-		}
-	}
+	check("after the heal")
 }
 
 // TestRetireReplicatesExactly: a Retire — the GC moving a file's entry
@@ -259,7 +252,7 @@ func TestRetireReplicatesExactly(t *testing.T) {
 }
 
 // TestRemoveReplicates: a removal tombstones the entry on every live
-// replica and forgets the secret.
+// replica.
 func TestRemoveReplicates(t *testing.T) {
 	m := ftabtest.New(t, 2)
 	obj, err := m.CreateFile(t, 0, []byte("doomed"))
@@ -274,9 +267,6 @@ func TestRemoveReplicates(t *testing.T) {
 	m.FlushAll(t)
 	if _, err := m.Replicas[1].Rep.Get(obj); !errors.Is(err, file.ErrUnknownFile) {
 		t.Fatalf("want unknown after replicated remove, got %v", err)
-	}
-	if _, ok := m.Replicas[1].Fact.Secret(obj); ok {
-		t.Fatalf("secret survived replicated remove")
 	}
 	// A late CAS for the removed object must not resurrect it.
 	m.Replicas[0].Rep.Advance(obj, 3)

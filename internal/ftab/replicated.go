@@ -22,7 +22,7 @@ const (
 	DefaultPushBatch = 128
 	// DefaultPushQueue is the default per-peer queue bound.
 	DefaultPushQueue = 1024
-	// maxPushBatch keeps a worst-case frame (17-byte create payloads)
+	// maxPushBatch keeps a worst-case frame (21-byte create payloads)
 	// comfortably inside rpc.MaxData.
 	maxPushBatch = 700
 )
@@ -30,16 +30,17 @@ const (
 // Options configures a Replicated table.
 type Options struct {
 	// ID is this replica's server ID (0..MaxID). It bands the object
-	// number space, names this replica's well-known port (PortFor) and
-	// tie-breaks double mints.
+	// number space and names this replica's well-known port (PortFor).
 	ID uint32
 	// Local is the in-process table the replica serves from.
 	Local *file.Table
 	// Store reads the shared block store: the ground truth divergent
 	// entries are re-derived from.
 	Store *version.Store
-	// Ident is the capability factory kept in sync with the table.
-	Ident Identity
+	// Ident is ignored: capabilities travel in the table entries and
+	// the table keeps no factory in sync. The field stays until the
+	// benchmark rig, which still sets it, stops doing so.
+	Ident *capability.Factory
 	// PortAlive, when set, answers peers' lock-port liveness probes
 	// (cmdPortAlive) from this process's update-port registry.
 	PortAlive func(capability.Port) bool
@@ -93,7 +94,6 @@ type Replicated struct {
 	id        uint32
 	local     *file.Table
 	st        *version.Store
-	ident     Identity
 	portAlive func(capability.Port) bool
 	live      func() []block.Num
 
@@ -105,10 +105,8 @@ type Replicated struct {
 	// locks, and is never held across a peer RPC (it may be held across
 	// block-store reads while an entry is re-derived — storage never
 	// calls back into ftab).
-	mu     sync.Mutex
-	estID  uint32            // ID of the server that established the identity
-	origin map[uint32]uint32 // object -> ID of the minting server
-	dead   map[uint32]bool   // tombstones for removed objects
+	mu   sync.Mutex
+	dead map[uint32]bool // tombstones for removed objects
 	// pendingSuper holds super marks that raced ahead of their create:
 	// streams are ordered per origin, so a third replica's MarkSuper can
 	// arrive before the minting replica's create. The mark is consumed
@@ -145,13 +143,10 @@ func NewReplicated(o Options) *Replicated {
 		id:           o.ID & MaxID,
 		local:        o.Local,
 		st:           o.Store,
-		ident:        o.Ident,
 		portAlive:    o.PortAlive,
 		live:         o.Live,
 		pushBatch:    batch,
 		pushQueue:    queue,
-		estID:        o.ID & MaxID,
-		origin:       make(map[uint32]uint32),
 		dead:         make(map[uint32]bool),
 		pendingSuper: make(map[uint32]bool),
 		BatchSizes:   metrics.NewHistogram(1, 2, 4, 8, 16, 32, 64, 128, 256, 512),
@@ -201,7 +196,6 @@ func (r *Replicated) StatsSnapshot() StatsSnapshot {
 		Applied:      r.Stat.Applied.Load(),
 		FastApplied:  r.Stat.FastApplied.Load(),
 		Resolved:     r.Stat.Resolved.Load(),
-		TieBreaks:    r.Stat.TieBreaks.Load(),
 		Resyncs:      r.Stat.Resyncs.Load(),
 	}
 	for _, p := range r.peers {
@@ -244,18 +238,16 @@ func (r *Replicated) Len() int { return r.local.Len() }
 func (r *Replicated) Entries() map[uint32]file.Entry { return r.local.Entries() }
 
 // Put implements Table: install locally, then stream the entry (with
-// its capability secret) to every live peer. Local mutations happen
+// its owner capability) to every live peer. Local mutations happen
 // under r.mu so they cannot interleave with a remote apply's
 // check-then-set, and the enqueue happens under the same lock so each
 // peer's stream carries this origin's updates in issue order.
 func (r *Replicated) Put(object uint32, e file.Entry) {
 	r.mu.Lock()
-	r.origin[object] = r.id
 	delete(r.dead, object)
 	r.local.Put(object, e)
-	secret, _ := r.ident.Secret(object)
 	r.broadcast(upd{op: opCreate, obj: object, expect: block.NilNum, next: e.Entry,
-		data: encodeCreate(e.Entry, e.Super, r.id, secret)})
+		data: encodeCreate(e.Entry, e.Super, e.Cap)})
 	r.mu.Unlock()
 }
 
@@ -322,10 +314,8 @@ func (r *Replicated) Remove(object uint32) {
 	r.mu.Lock()
 	e, err := r.local.Get(object)
 	r.dead[object] = true
-	delete(r.origin, object)
 	delete(r.pendingSuper, object)
 	r.local.Remove(object)
-	r.ident.Forget(object)
 	if err == nil {
 		r.stampTombstone(e.Entry)
 	}
@@ -570,45 +560,45 @@ func (r *Replicated) Kill() {
 
 // --- apply side (remote updates) ---
 
-// headInfo chases the commit chain from root to the storage head and
-// reports whether the head carries the delete tombstone. ok is false
-// when the chain cannot be read at all (swept past the GC horizon, or
-// root was never a version page here).
-func (r *Replicated) headInfo(root block.Num) (head block.Num, deleted, ok bool) {
+// headOf chases the commit chain from root to the storage head and
+// returns the entry the head makes — the head block, and the owner
+// capability its version page carries — and whether the head carries
+// the delete tombstone. ok is false when the chain cannot be read at
+// all (swept past the GC horizon, or root was never a version page
+// here).
+func (r *Replicated) headOf(root block.Num) (head file.Entry, deleted, ok bool) {
 	h, err := occ.Current(r.st, root)
 	if err != nil {
-		return block.NilNum, false, false
+		return file.Entry{}, false, false
 	}
 	vp, err := r.st.ReadPage(h)
 	if err != nil {
-		return h, false, true
+		return file.Entry{}, false, false
 	}
-	return h, vp.Deleted, true
+	return file.Entry{Cap: vp.FileCap, Entry: h}, vp.Deleted, true
 }
 
-// resolveRoot picks the entry root two disagreeing observations
-// converge on: the storage head reached by chasing commit references.
-// The local root is chased first; when its block is gone (retired past
-// the GC horizon while this replica was down) the remote root — fresher
-// by construction — is chased instead, and adopted raw as a last
-// resort. A chase that lands on a delete tombstone does not win: the
-// other observation is tried, and when every readable chain ends
-// tombstoned the file is reported deleted.
-func (r *Replicated) resolveRoot(local, remote block.Num) (head block.Num, deleted bool) {
-	if local == remote {
+// resolveRoot picks the entry two disagreeing observations converge on:
+// the storage head reached by chasing commit references, with the owner
+// capability of the chain it ends. The local root is chased first; when
+// its block is gone (retired past the GC horizon while this replica was
+// down) the remote root — fresher by construction — is chased instead,
+// and adopted raw with the remote capability as a last resort. A chase
+// that lands on a delete tombstone does not win: the other observation
+// is tried, and when every readable chain ends tombstoned the file is
+// reported deleted. Capabilities differ between the two only when the
+// object number was reused after a Remove, and then the live chain's
+// capability is the one that stays.
+func (r *Replicated) resolveRoot(local, remote file.Entry) (head file.Entry, deleted bool) {
+	if local.Entry == remote.Entry {
 		return local, false
 	}
 	sawTombstone := false
-	if local != block.NilNum {
-		if h, dead, ok := r.headInfo(local); ok {
-			if !dead {
-				return h, false
-			}
-			sawTombstone = true
+	for _, root := range []block.Num{local.Entry, remote.Entry} {
+		if root == block.NilNum {
+			continue
 		}
-	}
-	if remote != block.NilNum {
-		if h, dead, ok := r.headInfo(remote); ok {
+		if h, dead, ok := r.headOf(root); ok {
 			if !dead {
 				return h, false
 			}
@@ -622,15 +612,13 @@ func (r *Replicated) resolveRoot(local, remote block.Num) (head block.Num, delet
 // seen on storage). Caller holds r.mu.
 func (r *Replicated) removeLocked(obj uint32) {
 	r.dead[obj] = true
-	delete(r.origin, obj)
 	delete(r.pendingSuper, obj)
 	r.local.Remove(obj)
-	r.ident.Forget(obj)
 }
 
 // applyEntry installs or reconciles one replicated entry (a create
 // update or a snapshot row). Caller does not hold r.mu.
-func (r *Replicated) applyEntry(obj uint32, root block.Num, super bool, origin uint32, secret uint64) {
+func (r *Replicated) applyEntry(obj uint32, in file.Entry) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if r.pendingSuper[obj] {
@@ -639,80 +627,48 @@ func (r *Replicated) applyEntry(obj uint32, root block.Num, super bool, origin u
 		// toward peers that already knew the entry, and parked marks are
 		// not in snapshot rows, so without this the mark would survive
 		// only here.
-		super = true
+		in.Super = true
 		delete(r.pendingSuper, obj)
 		r.broadcast(upd{op: opSuper, obj: obj, expect: block.NilNum, next: block.NilNum})
 	}
-	if r.dead[obj] {
-		// Tombstoned locally. A chain whose head is not tombstoned is a
-		// legitimate re-create of a reused object number; anything else
-		// (tombstoned head, unreadable chain) stays deleted.
-		h, dead, ok := r.headInfo(root)
-		if !ok || dead {
-			return
-		}
-		delete(r.dead, obj)
-		c := r.ident.Adopt(obj, secret)
-		r.local.Put(obj, file.Entry{Cap: c, Entry: h, Super: super})
-		r.origin[obj] = origin
-		r.Stat.Applied.Add(1)
-		return
-	}
 	e, err := r.local.Get(obj)
-	if err != nil {
-		// Unknown here: adopt the entry and its secret wholesale. The
-		// chase absorbs commits whose CAS updates raced ahead of this
-		// create — unless it finds the delete tombstone, in which case
-		// the entry is a stale resurrection attempt.
-		h, dead, ok := r.headInfo(root)
-		if ok && dead {
+	if r.dead[obj] || err != nil {
+		// Unknown or tombstoned here: adopt the entry at the head of its
+		// chain, whose chase absorbs commits whose CAS updates raced
+		// ahead of this create. A tombstoned head is a stale resurrection
+		// attempt. An unreadable chain is adopted raw as a last resort,
+		// but not over a local tombstone: only a readable chain whose
+		// head is not tombstoned re-creates a reused object number.
+		h, dead, ok := r.headOf(in.Entry)
+		if dead || !ok && r.dead[obj] {
 			r.dead[obj] = true
 			return
 		}
-		if !ok {
-			h = root // chain unreadable: adopt raw as a last resort
+		if ok {
+			in.Cap, in.Entry = h.Cap, h.Entry
 		}
-		c := r.ident.Adopt(obj, secret)
-		r.local.Put(obj, file.Entry{Cap: c, Entry: h, Super: super})
-		r.origin[obj] = origin
+		delete(r.dead, obj)
+		r.local.Put(obj, in)
 		r.Stat.Applied.Add(1)
 		return
 	}
-	curOrigin, known := r.origin[obj]
-	if !known {
-		curOrigin = r.id
-	}
 	changed := false
-	if sec, ok := r.ident.Secret(obj); !ok || sec != secret {
-		// Double mint (two servers raced the recovery scan): the secret
-		// minted by the lower server ID wins, on both sides. Equal
-		// origins happen too — a server that rebooted while partitioned
-		// re-mints its own band under the same ID — so the numerically
-		// smaller secret breaks that tie, again identically on both
-		// sides.
-		if origin < curOrigin || (origin == curOrigin && (!ok || secret < sec)) {
-			e.Cap = r.ident.Adopt(obj, secret)
-			r.origin[obj] = origin
-			r.Stat.TieBreaks.Add(1)
-			changed = true
-		}
-	} else if origin < curOrigin {
-		r.origin[obj] = origin
-	}
-	if super && !e.Super {
+	if in.Super && !e.Super {
 		e.Super = true
 		changed = true
 	}
-	if root != e.Entry {
-		head, dead := r.resolveRoot(e.Entry, root)
+	if in.Entry != e.Entry {
+		head, dead := r.resolveRoot(e, in)
 		if dead {
 			r.removeLocked(obj)
 			r.Stat.Applied.Add(1)
 			return
 		}
-		if head != e.Entry {
-			e.Entry = head
+		if head.Entry != e.Entry {
 			r.Stat.Resolved.Add(1)
+		}
+		if head.Entry != e.Entry || head.Cap != e.Cap {
+			e.Entry, e.Cap = head.Entry, head.Cap
 			changed = true
 		}
 	}
@@ -746,14 +702,19 @@ func (r *Replicated) applyCAS(obj uint32, expect, next block.Num) {
 		r.Stat.FastApplied.Add(1)
 		return
 	}
-	head, dead := r.resolveRoot(e.Entry, next)
+	head, dead := r.resolveRoot(e, file.Entry{Cap: e.Cap, Entry: next})
 	if dead {
 		r.removeLocked(obj)
 		r.Stat.Applied.Add(1)
 		return
 	}
-	if head != e.Entry {
-		r.local.Advance(obj, head)
+	if head.Cap != e.Cap {
+		// next is on a re-created file's chain (see resolveRoot).
+		e.Cap, e.Entry = head.Cap, head.Entry
+		r.local.Put(obj, e)
+		r.Stat.Resolved.Add(1)
+	} else if head.Entry != e.Entry {
+		r.local.Advance(obj, head.Entry)
 		r.Stat.Resolved.Add(1)
 	}
 	r.Stat.Applied.Add(1)
@@ -809,11 +770,11 @@ func (r *Replicated) applyDelete(obj uint32) {
 func (r *Replicated) applyUpdate(u upd) error {
 	switch u.op {
 	case opCreate:
-		root, super, origin, secret, err := decodeCreate(u.data)
+		e, err := decodeCreate(u.data)
 		if err != nil {
 			return err
 		}
-		r.applyEntry(u.obj, root, super, origin, secret)
+		r.applyEntry(u.obj, e)
 	case opCAS:
 		r.applyCAS(u.obj, u.expect, u.next)
 	case opRetire:
@@ -826,66 +787,6 @@ func (r *Replicated) applyUpdate(u upd) error {
 		return fmt.Errorf("%w %d", errUnknownOp, u.op)
 	}
 	return nil
-}
-
-// --- identity agreement ---
-
-// identityLess orders candidate service identities: established state
-// (a table with files) always beats a fresh empty boot, then the lower
-// establishing server ID wins, then the lower port (the tiebreak for a
-// server re-established twice under the same ID).
-func identityLess(hasA bool, estA uint32, portA capability.Port, hasB bool, estB uint32, portB capability.Port) bool {
-	if hasA != hasB {
-		return hasA
-	}
-	if estA != estB {
-		return estA < estB
-	}
-	return portA < portB
-}
-
-// considerIdentity adopts the remote service identity when it wins the
-// deterministic order; both sides of any exchange apply the same rule,
-// so a mesh converges on one identity. Adoption re-mints every local
-// entry's owner capability under the new port (secrets are kept).
-func (r *Replicated) considerIdentity(rEst uint32, rPort capability.Port, rHasFiles bool) {
-	if rPort == capability.NilPort {
-		return
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	lPort := r.ident.Port()
-	if rPort == lPort {
-		if rEst < r.estID {
-			r.estID = rEst
-		}
-		return
-	}
-	lHas := r.local.Len() > 0
-	if !identityLess(rHasFiles, rEst, rPort, lHas, r.estID, lPort) {
-		return
-	}
-	r.ident.Reseat(rPort)
-	r.estID = rEst
-	for _, obj := range r.local.Objects() {
-		c, ok := r.ident.Owner(obj)
-		if !ok {
-			continue
-		}
-		e, err := r.local.Get(obj)
-		if err != nil {
-			continue
-		}
-		e.Cap = c
-		r.local.Put(obj, e)
-	}
-}
-
-// identity snapshots the local identity under r.mu.
-func (r *Replicated) identity() (estID uint32, port capability.Port, hasFiles bool) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.estID, r.ident.Port(), r.local.Len() > 0
 }
 
 // --- snapshot exchange ---
@@ -944,12 +845,7 @@ func (r *Replicated) snapshotRows(after uint32) (rows []snapRow, more bool) {
 		if err != nil {
 			continue
 		}
-		secret, _ := r.ident.Secret(o)
-		origin, ok := r.origin[o]
-		if !ok {
-			origin = r.id
-		}
-		rows = append(rows, snapRow{obj: o, root: e.Entry, super: e.Super, origin: origin, secret: secret})
+		rows = append(rows, snapRow{obj: o, e: e})
 	}
 	return rows, false
 }
@@ -961,13 +857,12 @@ func (r *Replicated) mergeRows(rows []snapRow) {
 			r.applyDelete(row.obj)
 			continue
 		}
-		r.applyEntry(row.obj, row.root, row.super, row.origin, row.secret)
+		r.applyEntry(row.obj, row.e)
 	}
 }
 
-// pullFrom drains the peer's snapshot pages into the local table,
-// adopting its identity when it wins. It does not change the peer's
-// up/down state.
+// pullFrom drains the peer's snapshot pages into the local table. It
+// does not change the peer's up/down state.
 func (r *Replicated) pullFrom(p *peer) error {
 	after := uint32(0)
 	for {
@@ -981,8 +876,7 @@ func (r *Replicated) pullFrom(p *peer) error {
 		if err := resp.Err(); err != nil {
 			return fmt.Errorf("ftab: pull from %d: %w", p.id, err)
 		}
-		rEst, rPort, more, hasFiles := decodePageArgs(resp)
-		r.considerIdentity(rEst, rPort, hasFiles)
+		more := resp.Args[1] != 0
 		rows, err := decodeRows(resp.Data)
 		if err != nil {
 			return fmt.Errorf("ftab: pull from %d: %w", p.id, err)
@@ -1002,10 +896,8 @@ func (r *Replicated) pushTo(p *peer) error {
 	after := uint32(0)
 	for {
 		rows, more := r.snapshotRows(after)
-		est, port, has := r.identity()
 		req := &rpc.Message{Command: cmdPush, Data: encodeRows(rows)}
 		req.Args[0] = uint64(r.id)
-		encodePageArgs(req, est, port, more, has)
 		if _, err := p.tr.Transact(p.port, req); err != nil {
 			return err
 		}
@@ -1016,8 +908,8 @@ func (r *Replicated) pushTo(p *peer) error {
 	}
 }
 
-// Bootstrap pulls the table, secrets and service identity from every
-// answering peer, then pushes the resulting union back to them; call it
+// Bootstrap pulls the table from every answering peer, then pushes the
+// resulting union back to them; call it
 // at process start, before or after the local recovery scan (adoption
 // is idempotent). The push-back matters with asynchronous streams: a
 // previous incarnation of this server can have delivered an update to
@@ -1025,9 +917,8 @@ func (r *Replicated) pushTo(p *peer) error {
 // survivors — neither of whom saw the other go down. The rejoining
 // server holds the union after its pulls and is the natural place to
 // reconcile them. Bootstrap returns how many peers answered; zero means
-// this server establishes the service identity — with the
-// racing-establishment convergence described in the package doc if a
-// peer was in fact alive but unreachable.
+// this server starts from its own recovery scan, and peers that were in
+// fact alive but unreachable meet it at the next heal.
 func (r *Replicated) Bootstrap() int {
 	var answered []*peer
 	for _, p := range r.peers {
@@ -1165,7 +1056,7 @@ func (r *Replicated) Collect(e *metrics.Emitter) {
 	s := r.StatsSnapshot()
 	e.Counters("afs_ftab_total", "Replicated file-table events by kind.", "event", map[string]uint64{
 		"pushes": s.Pushes, "push_failures": s.PushFailures, "applied": s.Applied,
-		"fast_applied": s.FastApplied, "resolved": s.Resolved, "tie_breaks": s.TieBreaks,
+		"fast_applied": s.FastApplied, "resolved": s.Resolved,
 		"resyncs": s.Resyncs, "batches": s.Batches, "coalesced": s.Coalesced,
 		"overflows": s.Overflows,
 	})

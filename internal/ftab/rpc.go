@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/block"
 	"repro/internal/capability"
+	"repro/internal/file"
 	"repro/internal/rpc"
 )
 
@@ -18,15 +19,15 @@ const (
 	// cmdHello probes a peer (the heal loop's "are you back?").
 	cmdHello uint32 = 0xf7ab00 + iota
 	// cmdPull requests one snapshot page of entries with object numbers
-	// above Args[1]; the reply carries the page plus the sender's
-	// service identity.
+	// above Args[1]; the reply carries the page, and Args[1] is 1 when
+	// more pages follow.
 	cmdPull
 	// cmdPush delivers one snapshot page for merging (the healing
 	// side's catch-up stream).
 	cmdPush
 	// cmdUpdate delivers one incremental table update: Args[1]=op,
 	// Args[2]=object, Args[3]=expect<<32|next; create ops carry
-	// root/flags/origin/secret in Data.
+	// root/flags/owner capability in Data.
 	cmdUpdate
 	// cmdPortAlive asks whether this process serves the update-lock
 	// port in Args[1] (cross-server §5.3 liveness probing).
@@ -51,18 +52,19 @@ const (
 	opRetire
 )
 
-// maxPageRows bounds one snapshot page: 21 bytes per row keeps the page
-// comfortably inside rpc.MaxData.
+// maxPageRows bounds one snapshot page: rowLen bytes per row keeps the
+// page inside rpc.MaxData.
 const maxPageRows = 1200
+
+// rowLen is a snapshot row's wire length: obj(4) root(4) flags(1)
+// owner capability(16).
+const rowLen = 9 + capability.EncodedLen
 
 // snapRow is one snapshot row: an entry or a tombstone.
 type snapRow struct {
 	obj     uint32
-	root    block.Num
-	super   bool
+	e       file.Entry
 	deleted bool
-	origin  uint32
-	secret  uint64
 }
 
 // batchMsg builds one cmdUpdateBatch message from pending updates.
@@ -115,86 +117,68 @@ func decodeBatch(data []byte) ([]upd, error) {
 	return out, nil
 }
 
+// createLen is a create payload's length: root(4) flags(1) owner
+// capability(16).
+const createLen = 5 + capability.EncodedLen
+
 // encodeCreate packs a create update's payload.
-func encodeCreate(root block.Num, super bool, origin uint32, secret uint64) []byte {
-	out := make([]byte, 0, 17)
+func encodeCreate(root block.Num, super bool, owner capability.Capability) []byte {
+	out := make([]byte, 0, createLen)
 	out = appendU32(out, uint32(root))
 	if super {
 		out = append(out, 1)
 	} else {
 		out = append(out, 0)
 	}
-	out = appendU32(out, origin)
-	out = appendU64(out, secret)
-	return out
+	return owner.Encode(out)
 }
 
 // decodeCreate unpacks encodeCreate.
-func decodeCreate(data []byte) (root block.Num, super bool, origin uint32, secret uint64, err error) {
-	if len(data) != 17 {
-		return 0, false, 0, 0, fmt.Errorf("create payload of %d bytes: %w", len(data), rpc.ErrMalformed)
+func decodeCreate(data []byte) (file.Entry, error) {
+	if len(data) != createLen {
+		return file.Entry{}, fmt.Errorf("create payload of %d bytes: %w", len(data), rpc.ErrMalformed)
 	}
-	return block.Num(u32(data[0:])), data[4] != 0, u32(data[5:]), u64(data[9:]), nil
+	c, _, err := capability.Decode(data[5:])
+	return file.Entry{Cap: c, Entry: block.Num(u32(data)), Super: data[4] != 0}, err
 }
 
-// encodePageArgs stamps a snapshot page's identity header: Args[1] the
-// establishing server ID, Args[2] the service port, Args[3] packs the
-// more flag (bit 0) and the sender-has-files flag (bit 1).
-func encodePageArgs(m *rpc.Message, est uint32, port capability.Port, more, hasFiles bool) {
-	m.Args[1] = uint64(est)
-	m.Args[2] = uint64(port)
-	var bits uint64
-	if more {
-		bits |= 1
-	}
-	if hasFiles {
-		bits |= 2
-	}
-	m.Args[3] = bits
-}
-
-// decodePageArgs unpacks encodePageArgs.
-func decodePageArgs(m *rpc.Message) (est uint32, port capability.Port, more, hasFiles bool) {
-	return uint32(m.Args[1]), capability.Port(m.Args[2]), m.Args[3]&1 != 0, m.Args[3]&2 != 0
-}
-
-// encodeRows packs snapshot rows: obj(4) root(4) flags(1) origin(4)
-// secret(8) each.
+// encodeRows packs snapshot rows: obj(4) root(4) flags(1) owner
+// capability(16) each.
 func encodeRows(rows []snapRow) []byte {
-	out := make([]byte, 0, 21*len(rows))
+	out := make([]byte, 0, rowLen*len(rows))
 	for _, row := range rows {
 		out = appendU32(out, row.obj)
-		out = appendU32(out, uint32(row.root))
+		out = appendU32(out, uint32(row.e.Entry))
 		var f byte
-		if row.super {
+		if row.e.Super {
 			f |= 1
 		}
 		if row.deleted {
 			f |= 2
 		}
 		out = append(out, f)
-		out = appendU32(out, row.origin)
-		out = appendU64(out, row.secret)
+		out = row.e.Cap.Encode(out)
 	}
 	return out
 }
 
 // decodeRows unpacks encodeRows.
 func decodeRows(data []byte) ([]snapRow, error) {
-	if len(data)%21 != 0 {
+	if len(data)%rowLen != 0 {
 		return nil, fmt.Errorf("snapshot page of %d bytes: %w", len(data), rpc.ErrMalformed)
 	}
-	rows := make([]snapRow, 0, len(data)/21)
+	rows := make([]snapRow, 0, len(data)/rowLen)
 	for len(data) > 0 {
+		c, _, err := capability.Decode(data[9:])
+		if err != nil {
+			return nil, err
+		}
 		rows = append(rows, snapRow{
 			obj:     u32(data[0:]),
-			root:    block.Num(u32(data[4:])),
-			super:   data[8]&1 != 0,
+			e:       file.Entry{Cap: c, Entry: block.Num(u32(data[4:])), Super: data[8]&1 != 0},
 			deleted: data[8]&2 != 0,
-			origin:  u32(data[9:]),
-			secret:  u64(data[13:]),
 		})
-		data = data[21:]
+		data = data[rowLen:]
 	}
 	return rows, nil
 }
@@ -216,17 +200,16 @@ func (r *Replicated) Handler() rpc.Handler {
 				r.markPeerUp(sender)
 			}
 			rows, more := r.snapshotRows(uint32(req.Args[1]))
-			est, port, has := r.identity()
 			resp := req.Reply(rpc.StatusOK)
 			resp.Args[0] = uint64(r.id)
-			encodePageArgs(resp, est, port, more, has)
+			if more {
+				resp.Args[1] = 1
+			}
 			resp.Data = encodeRows(rows)
 			return resp
 
 		case cmdPush:
 			r.markPeerUp(sender)
-			est, port, _, hasFiles := decodePageArgs(req)
-			r.considerIdentity(est, port, hasFiles)
 			rows, err := decodeRows(req.Data)
 			if err != nil {
 				return req.Errorf(rpc.StatusBadArgument, "ftab: %v", err)
@@ -290,17 +273,8 @@ func appendU32(dst []byte, v uint32) []byte {
 	return append(dst, byte(v>>24), byte(v>>16), byte(v>>8), byte(v))
 }
 
-func appendU64(dst []byte, v uint64) []byte {
-	return append(dst, byte(v>>56), byte(v>>48), byte(v>>40), byte(v>>32),
-		byte(v>>24), byte(v>>16), byte(v>>8), byte(v))
-}
-
 func u32(b []byte) uint32 {
 	return uint32(b[0])<<24 | uint32(b[1])<<16 | uint32(b[2])<<8 | uint32(b[3])
-}
-
-func u64(b []byte) uint64 {
-	return uint64(u32(b))<<32 | uint64(u32(b[4:]))
 }
 
 // decodeNums parses a packed block-number list.

@@ -155,9 +155,8 @@ func TestRecreateAfterRemove(t *testing.T) {
 	m.FlushAll(t)
 	// Re-create under the same object number: a fresh storage chain.
 	r0 := m.Replicas[0]
-	fcap := r0.Fact.Register(obj)
-	vcap := r0.Fact.Register(obj | 1<<22)
-	tr, err := version.CreateFile(r0.St, fcap, vcap, []byte("second life"))
+	fcap := r0.Fact.Mint(obj)
+	tr, err := version.CreateFile(r0.St, fcap, capability.Nil, []byte("second life"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,11 +166,54 @@ func TestRecreateAfterRemove(t *testing.T) {
 	if err != nil {
 		t.Fatalf("peer rejected re-create of reused object number: %v", err)
 	}
-	if e1.Entry != tr.Root {
-		t.Fatalf("peer entry %d, want re-created root %d", e1.Entry, tr.Root)
+	if e1.Entry != tr.Root || e1.Cap != fcap {
+		t.Fatalf("peer entry %+v, want re-created root %d with capability %v", e1, tr.Root, fcap)
 	}
 	if a, b := ftab.Fingerprint(m.Replicas[0].Rep), ftab.Fingerprint(m.Replicas[1].Rep); a != b {
 		t.Fatalf("re-create diverged: %s vs %s", a, b)
+	}
+}
+
+// TestRecreateReachesPartitionedPeer: a peer that slept through a
+// Remove and the re-create of the same object number still holds the
+// first file's entry. At the heal the re-created chain wins, because the
+// first one ends in the tombstone, and its owner capability comes with
+// it: the capability goes with the root that stays.
+func TestRecreateReachesPartitionedPeer(t *testing.T) {
+	m := ftabtest.New(t, 2)
+	obj, err := m.CreateFile(t, 0, []byte("first life"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.FlushAll(t)
+	first, err := m.Replicas[1].Rep.Get(obj)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.Crash(1)
+	m.Remove(0, obj)
+	r0 := m.Replicas[0]
+	fcap := r0.Fact.Mint(obj)
+	tr, err := version.CreateFile(r0.St, fcap, capability.Nil, []byte("second life"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	r0.Rep.Put(obj, file.Entry{Cap: fcap, Entry: tr.Root})
+	if ok, err := m.Commit(t, 0, obj, []byte("second life, v2")); err != nil || !ok {
+		t.Fatalf("commit: ok=%v err=%v", ok, err)
+	}
+	if e, _ := m.Replicas[1].Rep.Get(obj); e != first {
+		t.Fatalf("the partitioned peer's entry moved: %+v, was %+v", e, first)
+	}
+	m.Uncrash(t, 1)
+	m.HealAll(t)
+	m.CheckConverged(t)
+	e1, err := m.Replicas[1].Rep.Get(obj)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if e1.Cap != fcap || e1.Cap == first.Cap {
+		t.Fatalf("peer capability %v after the heal, want the re-created %v", e1.Cap, fcap)
 	}
 }
 
@@ -191,8 +233,7 @@ func TestSweepLeader(t *testing.T) {
 	if leaders != 1 {
 		t.Fatalf("%d sweep leaders, want exactly 1", leaders)
 	}
-	solo := ftab.NewReplicated(ftab.Options{ID: 5, Local: file.NewTable(),
-		Ident: capability.NewFactory(capability.NewPort().Public())})
+	solo := ftab.NewReplicated(ftab.Options{ID: 5, Local: file.NewTable()})
 	if !solo.SweepLeader() {
 		t.Fatal("a mesh of one must lead its own sweep")
 	}

@@ -156,9 +156,9 @@ func (m *Mesh) CreateFile(tb TB, i int, data []byte) (uint32, error) {
 			break
 		}
 	}
-	fcap := r.Fact.Register(obj)
-	vcap := r.Fact.Register(obj + 1<<20) // version object, never tabled
-	tr, err := version.CreateFile(r.St, fcap, vcap, data)
+	fcap := r.Fact.Mint(obj)
+	tr, err := version.CreateFile(r.St, fcap, capability.Nil, data) // the birth version takes no number
+
 	if err != nil {
 		return 0, err
 	}
@@ -184,7 +184,7 @@ func (m *Mesh) Commit(tb TB, i int, obj uint32, data []byte) (bool, error) {
 	if cur != e.Entry {
 		r.Rep.Advance(obj, cur)
 	}
-	vcap := r.Fact.Register(obj | 1<<21) // throwaway version object
+	vcap := r.Fact.Mint(obj | 1<<21) // throwaway version object
 	tr, err := version.CreateVersion(r.St, cur, vcap)
 	if err != nil {
 		return false, err

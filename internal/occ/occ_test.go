@@ -35,7 +35,7 @@ func newFixture(t *testing.T) *fixture {
 
 func (f *fixture) cap() capability.Capability {
 	f.next++
-	return f.fact.Register(f.next)
+	return f.fact.Mint(f.next)
 }
 
 // newFile creates a committed initial version with children child0..childN-1.

@@ -200,8 +200,8 @@ func newVersionPage(t *testing.T) *Page {
 	f := capability.NewFactory(capability.NewPort().Public())
 	return &Page{
 		IsVersion:  true,
-		FileCap:    f.Register(1),
-		VersionCap: f.Register(2),
+		FileCap:    f.Mint(1),
+		VersionCap: f.Mint(2),
 		CommitRef:  7,
 		TopLock:    capability.NewPort(),
 		InnerLock:  capability.NilPort,

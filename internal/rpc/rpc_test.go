@@ -16,7 +16,7 @@ func TestMessageEncodeDecodeRoundTrip(t *testing.T) {
 		Command: 7,
 		Status:  StatusConflict,
 		Args:    [4]uint64{1, 2, 3, 4},
-		Caps:    []capability.Capability{f.Register(1), f.Register(2)},
+		Caps:    []capability.Capability{f.Mint(1), f.Mint(2)},
 		Data:    []byte("payload"),
 	}
 	enc, err := m.Encode(nil)

@@ -280,7 +280,7 @@ func TestReadSetOracle(t *testing.T) {
 		st := version.NewStore(block.NewServer(disk.MustNew(disk.Geometry{Blocks: 1 << 12, BlockSize: 1024})), 1)
 		com := occ.NewCommitter(st)
 		fact := capability.NewFactory(capability.NewPort().Public())
-		base, err := version.CreateFile(st, fact.Register(1), fact.Register(2), []byte("root"))
+		base, err := version.CreateFile(st, fact.Mint(1), fact.Mint(2), []byte("root"))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -294,7 +294,7 @@ func TestReadSetOracle(t *testing.T) {
 		}
 		trees := make([]*version.Tree, 2)
 		for i := range trees {
-			if trees[i], err = version.CreateVersion(st, base.Root, fact.Register(uint32(3+i))); err != nil {
+			if trees[i], err = version.CreateVersion(st, base.Root, fact.Mint(uint32(3+i))); err != nil {
 				t.Fatal(err)
 			}
 		}

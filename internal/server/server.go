@@ -4,12 +4,12 @@
 // mechanism of §5.2 and, for super-files, the locking mechanism of §5.3.
 //
 // A file service consists of any number of Server processes sharing the
-// capability factory and file table (the paper's replicated structures)
-// and a block store. Each Server has its own port: lock fields name the
-// individual server so waiters can detect its death, and clients fail
-// over to a sibling server when theirs stops answering. Uncommitted
-// versions are managed by the server that created them and die with it;
-// "clients must be prepared to redo the updates in a version" (§5.4.1).
+// file table (the paper's replicated structure) and a block store. Each
+// Server has its own port: lock fields name the individual server so
+// waiters can detect its death, and clients fail over to a sibling
+// server when theirs stops answering. Uncommitted versions are managed
+// by the server that created them and die with it; "clients must be
+// prepared to redo the updates in a version" (§5.4.1).
 package server
 
 import (
@@ -93,13 +93,15 @@ const objBandBits = 6
 const objBandShift = 24 - objBandBits
 
 // Shared is the state common to all server processes of one file
-// service: the paper's replicated file table and shared service
-// identity.
+// service instance: the paper's replicated file table, and the port
+// capabilities are minted under.
 type Shared struct {
-	// Fact mints and checks capabilities; its port is the service's
-	// public identity, common to all servers. In a replicated service
-	// the per-object secrets travel with the file table (ftab), so a
-	// capability minted by any server verifies at every server.
+	// Fact mints owner capabilities under this instance's port. It
+	// keeps no per-object state: a file's owner capability is its table
+	// entry's Cap (and, durably, every version page's FileCap), a
+	// version's is its record's, and capabilities are checked against
+	// those — so a capability verifies at every server whose table holds
+	// the file, and after a restart.
 	Fact *capability.Factory
 	// Table is the file table: a plain in-process *file.Table for a
 	// single-machine service, or an ftab.Replicated for a multi-server
@@ -155,41 +157,23 @@ func (sh *Shared) ID() uint32 {
 }
 
 // AdoptTable installs a rebuilt file table (file.Rebuild) after a
-// process restart. Adoption is idempotent and guarded: an object the
-// live table already knows — because a sibling server replicated it to
-// us, or because an earlier adoption installed it — is left untouched,
-// so two servers racing the recovery scan over the same store converge
-// on one set of capabilities instead of double-minting. (Racing
-// adopters that were partitioned while both scanned still double-mint;
-// the replicated table resolves that deterministically — lower server
-// ID wins — when they meet.)
-//
-// A newly adopted file gets a fresh owner capability minted under this
-// service's factory (the old secrets died with the old process); the
-// object counter advances past the recovered objects of this server's
-// own band so new files cannot collide. The returned map hands the new
-// owner capabilities to whoever drives the recovery; files skipped
-// because they were already live are not in it.
+// process restart. A recovered file keeps the owner capability its
+// version pages carry, so the capabilities clients held before the
+// restart still verify, and servers racing the recovery scan over the
+// same store adopt the same capabilities. An object the live table
+// already knows — replicated to us by a sibling, or installed by an
+// earlier adoption — is left untouched. The object counter advances past
+// the recovered objects of this server's own band. The returned map
+// holds the adopted files' owner capabilities; files skipped because
+// they were already live are not in it.
 func (sh *Shared) AdoptTable(t *file.Table) map[uint32]capability.Capability {
 	out := make(map[uint32]capability.Capability)
 	for obj, e := range t.Entries() {
 		if _, err := sh.Table.Get(obj); err == nil {
 			continue // already live (replicated or previously adopted)
 		}
-		if _, ok := sh.Fact.Secret(obj); ok {
-			// Secret known but entry missing: a concurrent adopter got
-			// here between our check and theirs. Keep the registered
-			// secret; re-put the entry with its capability.
-			if c, ok := sh.Fact.Owner(obj); ok {
-				e.Cap = c
-				sh.Table.Put(obj, e)
-				continue
-			}
-		}
-		c := sh.Fact.Register(obj)
-		e.Cap = c
 		sh.Table.Put(obj, e)
-		out[obj] = c
+		out[obj] = e.Cap
 	}
 	sh.syncObjects()
 	return out
@@ -211,27 +195,39 @@ func (sh *Shared) syncObjects() {
 	}
 }
 
-// ErrObjectsExhausted reports a server whose band of object numbers holds
-// a registered secret for every number.
+// ErrObjectsExhausted reports a server whose band of object numbers has
+// no free number.
 var ErrObjectsExhausted = errors.New("server: no free object number in this server's band")
 
 // newObject reserves a fresh object number in this server's band and
-// mints its owner capability. Numbers whose secrets are present — live
-// files and versions, and objects adopted from a peer snapshot minted by
-// this server's previous life — are skipped; a version's number comes
-// free again once its record is reaped (Server.LiveVersions). After one
-// lap of the band without a free number it gives up.
-func (sh *Shared) newObject() (uint32, capability.Capability, error) {
+// mints its owner capability. Numbers the table holds are skipped, and
+// so are those held reports taken (a version creation passes its
+// server's live records); a version's number comes free again once its
+// record is reaped (Server.LiveVersions). After one lap of the band
+// without a free number it gives up.
+func (sh *Shared) newObject(held func(uint32) bool) (capability.Capability, error) {
 	for range 1 << objBandShift {
 		sh.mu.Lock()
 		sh.nextObj++
 		obj := sh.id<<objBandShift | sh.nextObj&(1<<objBandShift-1)
 		sh.mu.Unlock()
-		if _, taken := sh.Fact.Secret(obj); !taken {
-			return obj, sh.Fact.Register(obj), nil
+		if _, err := sh.Table.Get(obj); err == nil || held != nil && held(obj) {
+			continue
 		}
+		return sh.Fact.Mint(obj), nil
 	}
-	return 0, capability.Nil, ErrObjectsExhausted
+	return capability.Nil, ErrObjectsExhausted
+}
+
+// checkFile verifies fcap against the owner capability in its file's
+// table entry and returns the entry. An object the table does not hold
+// fails the check like a forged capability.
+func (sh *Shared) checkFile(fcap capability.Capability, need capability.Rights) (file.Entry, error) {
+	e, err := sh.Table.Get(fcap.Object)
+	if err != nil {
+		return file.Entry{}, fmt.Errorf("object %d: %w", fcap.Object, capability.ErrBadCheck)
+	}
+	return e, capability.Verify(e.Cap, fcap, need)
 }
 
 // VersionState is the lifecycle of a version record.
@@ -260,20 +256,12 @@ type verRec struct {
 	// locks acts under this update's own lock port.
 	locks *lock.Manager
 	// super update bookkeeping: the base version page whose top lock we
-	// hold, and the current sub-file version pages we inner-locked, each
-	// with the version capability of its fork (nil until minted). A pass
-	// refused after its crossing forks that page again under the same
-	// capability when it is retried.
+	// hold, and the current sub-file version pages we inner-locked.
 	super    bool
 	topBase  block.Num
-	crossing map[block.Num]capability.Capability
+	crossing map[block.Num]bool
 	// closedAt stamps commit/abort for record reaping.
 	closedAt time.Time
-	// minted lists the version objects this update created besides its
-	// own: sub-file forks and sub-file birth versions. Their capabilities
-	// go to no client, and no stored VersionCap is ever verified, so the
-	// reaper forgets them with the record's own object.
-	minted []uint32
 
 	// A plain-file update's page writes wait here until the next flush:
 	// paths in first-write order, a later write to a path replacing its
@@ -454,9 +442,6 @@ func (s *Server) LiveVersions() []block.Num {
 		}
 		if !rec.closedAt.IsZero() && now.Sub(rec.closedAt) > closedGrace {
 			delete(s.versions, obj)
-			for _, o := range append(rec.minted, obj) {
-				s.shared.Fact.Forget(o)
-			}
 		}
 	}
 	return out
@@ -503,46 +488,36 @@ func (s *Server) checkAlive() error {
 }
 
 // CreateFile creates a new small file whose birth version holds data,
-// committed immediately. It returns the owner file capability.
+// committed immediately. It returns the owner file capability. The
+// birth version is committed at once and no record holds it, so it
+// takes no object number: its version page stores no capability.
 func (s *Server) CreateFile(data []byte) (capability.Capability, error) {
 	if err := s.checkAlive(); err != nil {
 		return capability.Nil, err
 	}
-	obj, fcap, err := s.shared.newObject()
+	fcap, err := s.shared.newObject(nil)
 	if err != nil {
 		return capability.Nil, err
 	}
-	vobj, vcap, err := s.shared.newObject()
+	tr, err := version.CreateFile(s.st, fcap, capability.Nil, data)
 	if err != nil {
-		s.shared.Fact.Forget(obj)
 		return capability.Nil, err
 	}
-	tr, err := version.CreateFile(s.st, fcap, vcap, data)
-	// The birth version is committed at once and no record holds it;
-	// no stored VersionCap is ever verified, so its secret goes now.
-	s.shared.Fact.Forget(vobj)
-	if err != nil {
-		s.shared.Fact.Forget(obj)
-		return capability.Nil, err
-	}
-	s.shared.Table.Put(obj, file.Entry{Cap: fcap, Entry: tr.Root})
+	s.shared.Table.Put(fcap.Object, file.Entry{Cap: fcap, Entry: tr.Root})
 	return fcap, nil
 }
 
-// currentOf resolves the current version root of a file.
-func (s *Server) currentOf(fileObj uint32) (block.Num, file.Entry, error) {
-	e, err := s.shared.Table.Get(fileObj)
-	if err != nil {
-		return block.NilNum, file.Entry{}, err
-	}
+// currentOf resolves the current version root of the file whose table
+// entry is e.
+func (s *Server) currentOf(fileObj uint32, e file.Entry) (block.Num, error) {
 	cur, err := occ.Current(s.st, e.Entry)
 	if err != nil {
-		return block.NilNum, file.Entry{}, err
+		return block.NilNum, err
 	}
 	if cur != e.Entry {
 		s.shared.Table.Advance(fileObj, cur)
 	}
-	return cur, e, nil
+	return cur, nil
 }
 
 // CreateVersion opens a new version of the file for update, applying the
@@ -552,11 +527,12 @@ func (s *Server) CreateVersion(fcap capability.Capability, opts CreateVersionOpt
 	if err := s.checkAlive(); err != nil {
 		return capability.Nil, err
 	}
-	if err := s.shared.Fact.Verify(fcap, capability.RightCreate); err != nil {
+	entry, err := s.shared.checkFile(fcap, capability.RightCreate)
+	if err != nil {
 		return capability.Nil, err
 	}
 	defer s.creating.enter()()
-	cur, entry, err := s.currentOf(fcap.Object)
+	cur, err := s.currentOf(fcap.Object, entry)
 	if err != nil {
 		return capability.Nil, err
 	}
@@ -576,42 +552,34 @@ func (s *Server) CreateVersion(fcap capability.Capability, opts CreateVersionOpt
 	}
 
 	// The new version is forked from the page the lock step read; its
-	// version page gets a block in the version's first flush.
-	obj, vcap, err := s.shared.newObject()
+	// version page gets a block in the version's first flush. Its number
+	// is chosen where its record goes in, so no live record of this
+	// server holds it.
+	rec := &verRec{fileObj: fcap.Object, locks: mgr, super: entry.Super, topBase: cur}
+	s.mu.Lock()
+	rec.cap, err = s.shared.newObject(func(o uint32) bool { return s.versions[o] != nil })
 	var vp *page.Page
 	if err == nil {
-		if vp, err = version.Fork(cur, locked, vcap); err != nil {
-			s.shared.Fact.Forget(obj)
-		}
+		vp, err = version.Fork(cur, locked, rec.cap)
 	}
+	if err == nil {
+		rec.tree = version.NewTree(s.st, vp)
+		rec.tree.Cross = s.cross(rec)
+		s.versions[rec.cap.Object] = rec
+	}
+	s.mu.Unlock()
 	if err != nil {
 		mgr.Clear(cur, upPort)
 		s.shared.Ports.Unregister(upPort)
 		return capability.Nil, err
 	}
-	tr := version.NewTree(s.st, vp)
-	rec := &verRec{
-		cap:     vcap,
-		fileObj: fcap.Object,
-		tree:    tr,
-		locks:   mgr,
-		super:   entry.Super,
-		topBase: cur,
-	}
-	tr.Cross = s.cross(rec)
-	s.mu.Lock()
-	s.versions[obj] = rec
-	s.mu.Unlock()
-	return vcap, nil
+	return rec.cap, nil
 }
 
-// lookup resolves and checks a version capability to this server's
-// record.
+// lookup resolves a version capability to this server's record and
+// checks it against the record's owner capability.
 func (s *Server) lookup(vcap capability.Capability, need capability.Rights) (*verRec, error) {
 	if err := s.checkAlive(); err != nil {
-		return nil, err
-	}
-	if err := s.shared.Fact.Verify(vcap, need); err != nil {
 		return nil, err
 	}
 	s.mu.Lock()
@@ -620,6 +588,9 @@ func (s *Server) lookup(vcap capability.Capability, need capability.Rights) (*ve
 	if !ok {
 		return nil, fmt.Errorf("version object %d: %w", vcap.Object, ErrUnknownVersion)
 	}
+	if err := capability.Verify(rec.cap, vcap, need); err != nil {
+		return nil, err
+	}
 	return rec, nil
 }
 
@@ -627,8 +598,9 @@ func (s *Server) lookup(vcap capability.Capability, need capability.Rights) (*ve
 // time the update enters a sub-file: it inner-locks the sub-file's
 // current version — lock.AcquireInner chases past versions committed
 // since the super-file's tree named blk — records the lock at once, and
-// forks the locked version inside the update under a version object the
-// record forgets when it is reaped; a retried crossing reuses it.
+// forks the locked version inside the update. The fork is committed
+// with the update and no client ever holds it, so it takes no object
+// number: its version page stores no capability.
 func (s *Server) cross(rec *verRec) func(block.Num, *page.Page) (*page.Page, error) {
 	return func(blk block.Num, _ *page.Page) (*page.Page, error) {
 		cur, vp, err := rec.locks.AcquireInner(blk)
@@ -636,20 +608,11 @@ func (s *Server) cross(rec *verRec) func(block.Num, *page.Page) (*page.Page, err
 			return nil, err
 		}
 		if rec.crossing == nil {
-			rec.crossing = make(map[block.Num]capability.Capability)
+			rec.crossing = make(map[block.Num]bool)
 		}
-		vcap := rec.crossing[cur]
-		if vcap.IsNil() {
-			var obj uint32
-			obj, vcap, err = s.shared.newObject()
-			rec.crossing[cur] = vcap // the lock is recorded even if this failed
-			if err != nil {
-				return nil, err
-			}
-			rec.minted = append(rec.minted, obj)
-		}
+		rec.crossing[cur] = true
 		s.shared.Table.MarkSuper(rec.fileObj)
-		return version.Fork(cur, vp, vcap)
+		return version.Fork(cur, vp, capability.Nil)
 	}
 }
 
@@ -843,27 +806,20 @@ func (s *Server) MoveSubtree(vcap capability.Capability, srcPath page.Path, srcI
 // CreateSubFile creates a brand-new file whose birth version page is
 // embedded at index idx of the page at path inside the open version,
 // turning the enclosing file into a super-file. It returns the sub-file's
-// owner capability.
+// owner capability. Like CreateFile's, the birth version takes no object
+// number.
 func (s *Server) CreateSubFile(vcap capability.Capability, p page.Path, idx int, data []byte) (capability.Capability, error) {
 	var fcap capability.Capability
 	err := s.withFlushed(vcap, capability.RightWrite, func(rec *verRec) error {
-		obj, fc, err := s.shared.newObject()
+		fc, err := s.shared.newObject(nil)
 		if err != nil {
 			return err
 		}
-		vobj, vc, err := s.shared.newObject()
+		subRoot, err := rec.tree.InsertSubFile(p, idx, fc, capability.Nil, data)
 		if err != nil {
-			s.shared.Fact.Forget(obj)
 			return err
 		}
-		subRoot, err := rec.tree.InsertSubFile(p, idx, fc, vc, data)
-		if err != nil {
-			s.shared.Fact.Forget(obj)
-			s.shared.Fact.Forget(vobj)
-			return err
-		}
-		rec.minted = append(rec.minted, vobj)
-		s.shared.Table.Put(obj, file.Entry{Cap: fc, Entry: subRoot})
+		s.shared.Table.Put(fc.Object, file.Entry{Cap: fc, Entry: subRoot})
 		s.shared.Table.MarkSuper(rec.fileObj)
 		fcap = fc
 		return nil
@@ -1005,11 +961,11 @@ func (s *Server) CurrentVersion(fcap capability.Capability) (block.Num, error) {
 	if err := s.checkAlive(); err != nil {
 		return block.NilNum, err
 	}
-	if err := s.shared.Fact.Verify(fcap, capability.RightRead); err != nil {
+	e, err := s.shared.checkFile(fcap, capability.RightRead)
+	if err != nil {
 		return block.NilNum, err
 	}
-	cur, _, err := s.currentOf(fcap.Object)
-	return cur, err
+	return s.currentOf(fcap.Object, e)
 }
 
 // History returns the committed version chain of the file, oldest first.
@@ -1017,10 +973,7 @@ func (s *Server) History(fcap capability.Capability) ([]block.Num, error) {
 	if err := s.checkAlive(); err != nil {
 		return nil, err
 	}
-	if err := s.shared.Fact.Verify(fcap, capability.RightRead); err != nil {
-		return nil, err
-	}
-	e, err := s.shared.Table.Get(fcap.Object)
+	e, err := s.shared.checkFile(fcap, capability.RightRead)
 	if err != nil {
 		return nil, err
 	}
@@ -1051,7 +1004,7 @@ func (s *Server) Snapshots(fcap capability.Capability) ([]archive.Entry, error) 
 	if err := s.checkAlive(); err != nil {
 		return nil, err
 	}
-	if err := s.shared.Fact.Verify(fcap, capability.RightRead); err != nil {
+	if _, err := s.shared.checkFile(fcap, capability.RightRead); err != nil {
 		return nil, err
 	}
 	if s.shared.Archive == nil {
@@ -1068,7 +1021,7 @@ func (s *Server) ReadSnapshot(fcap capability.Capability, seq uint64, p page.Pat
 	if err := s.checkAlive(); err != nil {
 		return nil, 0, err
 	}
-	if err := s.shared.Fact.Verify(fcap, capability.RightRead); err != nil {
+	if _, err := s.shared.checkFile(fcap, capability.RightRead); err != nil {
 		return nil, 0, err
 	}
 	arch := s.shared.Archive

@@ -82,7 +82,7 @@ func TestCapabilityEnforcement(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ro, err := s.Shared().Fact.Restrict(vcap, capability.RightRead)
+	ro, err := capability.Restrict(vcap, vcap, capability.RightRead)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -1036,8 +1036,8 @@ func TestCrossingForksTheSubFilesCurrentVersion(t *testing.T) {
 // TestRefusedCrossingHoldsLockUntilCommit: a pass that takes a
 // sub-file's inner lock and is then refused further down writes no fork,
 // so the commit finds nothing to commit in that sub-file; it must still
-// clear the lock. Retrying the refused pass forks under the version
-// object the first crossing minted rather than minting another.
+// clear the lock. A crossing takes no object number, however often the
+// refused pass is retried, and records its lock once.
 func TestRefusedCrossingHoldsLockUntilCommit(t *testing.T) {
 	sh, s := newService(t)
 	superCap, subCap := buildSuper(t, s, "sub") // the sub-file at /1 has no pages
@@ -1045,14 +1045,17 @@ func TestRefusedCrossingHoldsLockUntilCommit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	before := registered(sh)
+	before := held(sh, s)
 	for i := 0; i < 3; i++ {
 		if err := s.WritePage(v, page.Path{1, 0}, []byte("nowhere")); !errors.Is(err, version.ErrBadPath) {
 			t.Fatalf("write %d below the sub-file's last page: %v, want ErrBadPath", i, err)
 		}
 	}
-	if n := registered(sh) - before; n != 1 {
-		t.Fatalf("3 refused crossings registered %d version objects, want 1", n)
+	s.mu.Lock()
+	rec := s.versions[v.Object]
+	s.mu.Unlock()
+	if n := held(sh, s) - before; n != 0 || len(rec.crossing) != 1 {
+		t.Fatalf("3 refused crossings took %d object numbers and recorded crossings %v, want none and one", n, rec.crossing)
 	}
 	sub, err := s.CurrentVersion(subCap)
 	if err != nil {
@@ -1083,7 +1086,7 @@ func TestRefusedMoveTakesNoLock(t *testing.T) {
 	if err := s.MakeHole(v, page.RootPath, 0); err != nil {
 		t.Fatal(err)
 	}
-	before := registered(sh)
+	before := held(sh, s)
 	if err := s.MoveSubtree(v, page.Path{1}, 0, page.RootPath, 0); !errors.Is(err, version.ErrSubFile) {
 		t.Fatalf("move out of the sub-file: err = %v, want ErrSubFile", err)
 	}
@@ -1100,8 +1103,8 @@ func TestRefusedMoveTakesNoLock(t *testing.T) {
 	s.mu.Lock()
 	rec := s.versions[v.Object]
 	s.mu.Unlock()
-	if n := registered(sh) - before; n != 0 || len(rec.crossing) != 0 {
-		t.Fatalf("refused moves registered %d objects and recorded crossings %v", n, rec.crossing)
+	if n := held(sh, s) - before; n != 0 || len(rec.crossing) != 0 {
+		t.Fatalf("refused moves took %d object numbers and recorded crossings %v", n, rec.crossing)
 	}
 	small, err := s.CreateVersion(subCap, CreateVersionOpts{})
 	if err != nil {
@@ -1115,21 +1118,17 @@ func TestRefusedMoveTakesNoLock(t *testing.T) {
 	}
 }
 
-// registered counts the objects of server ID 0's band with a registered
-// secret.
-func registered(sh *Shared) int {
-	n := 0
-	for obj := uint32(0); obj < 1<<objBandShift; obj++ {
-		if _, ok := sh.Fact.Secret(obj); ok {
-			n++
-		}
-	}
-	return n
+// held counts the object numbers taken in a one-server service: the
+// table's files and the server's version records.
+func held(sh *Shared, s *Server) int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return sh.Table.Len() + len(s.versions)
 }
 
 // TestCreateSubFileForgetsRefusedObjects: a CreateSubFile the version
-// refuses leaves no object behind — neither the sub-file's nor its birth
-// version's secret stays registered.
+// refuses leaves no object behind — the sub-file's number goes to no
+// table entry, and its birth version takes none.
 func TestCreateSubFileForgetsRefusedObjects(t *testing.T) {
 	sh, s := newService(t)
 	fcap, err := s.CreateFile([]byte("outer"))
@@ -1140,14 +1139,28 @@ func TestCreateSubFileForgetsRefusedObjects(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	before := registered(sh)
+	before := held(sh, s)
 	for i := 0; i < 10; i++ {
 		if _, err := s.CreateSubFile(v, page.Path{5}, 0, []byte("lost")); !errors.Is(err, version.ErrBadPath) {
 			t.Fatalf("create %d on a bad path: %v, want ErrBadPath", i, err)
 		}
 	}
-	if after := registered(sh); after != before {
-		t.Fatalf("10 refused CreateSubFile calls left %d more registered secrets", after-before)
+	if after := held(sh, s); after != before {
+		t.Fatalf("10 refused CreateSubFile calls took %d more object numbers", after-before)
+	}
+	sub, err := s.CreateSubFile(v, page.RootPath, 0, []byte("kept"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if after := held(sh, s); after != before+1 {
+		t.Fatalf("one sub-file took %d object numbers, want 1", after-before)
+	}
+	e, err := sh.Table.Get(sub.Object)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if vp, err := s.st.ReadPage(e.Entry); err != nil || !vp.VersionCap.IsNil() || vp.FileCap != sub {
+		t.Fatalf("sub-file birth page: %v; version capability %v, file capability %v (want none, %v)", err, vp.VersionCap, vp.FileCap, sub)
 	}
 }
 
@@ -1383,7 +1396,8 @@ func TestValidateCacheReadBudget(t *testing.T) {
 // TestObjectNumbersComeBack: a reaped version record gives its object
 // number back — the band wraps and creation goes on with the numbers of
 // closed versions, whose old capabilities no longer verify — and a band
-// with no free number refuses a creation instead of spinning.
+// with no free number refuses a creation instead of spinning. Numbers
+// are held by the table and by the server's live records.
 func TestObjectNumbersComeBack(t *testing.T) {
 	sh, s := newService(t)
 	fcap, err := s.CreateFile([]byte("x"))
@@ -1394,8 +1408,8 @@ func TestObjectNumbersComeBack(t *testing.T) {
 	// Every number of the band taken but two, the counter near its end.
 	free := map[uint32]bool{7: true, band - 1: true}
 	for n := uint32(0); n < band; n++ {
-		if _, ok := sh.Fact.Secret(n); !ok && !free[n] {
-			sh.Fact.Adopt(n, 1)
+		if _, err := sh.Table.Get(n); err != nil && !free[n] {
+			sh.Table.Put(n, file.Entry{Cap: sh.Fact.Mint(n)})
 		}
 	}
 	sh.nextObj = band - 3
@@ -1423,8 +1437,13 @@ func TestObjectNumbersComeBack(t *testing.T) {
 			first = v
 		} else if v.Object == first.Object {
 			reused++
-			if err := sh.Fact.Verify(first, 0); !errors.Is(err, capability.ErrBadCheck) {
-				t.Fatalf("the reaped version's capability on its reused number: Verify = %v, want ErrBadCheck", err)
+			if _, _, err := s.ReadPage(first, page.RootPath); !errors.Is(err, capability.ErrBadCheck) {
+				t.Fatalf("the reaped version's capability on its reused number: read = %v, want ErrBadCheck", err)
+			}
+		}
+		if i > 0 && v.Object != first.Object {
+			if _, _, err := s.ReadPage(first, page.RootPath); !errors.Is(err, ErrUnknownVersion) {
+				t.Fatalf("the reaped version's capability: read = %v, want ErrUnknownVersion", err)
 			}
 		}
 		if err := s.WritePage(v, page.RootPath, []byte(fmt.Sprint(i))); err != nil {
@@ -1469,9 +1488,9 @@ func TestObjectNumbersComeBack(t *testing.T) {
 }
 
 // TestCreateFileForgetsBirthVersion: a birth version is committed at
-// once and no record holds it, so CreateFile forgets its object's
-// secret — N files leave N registered secrets, not 2N — while every
-// file capability still verifies.
+// once and no record holds it, so it takes no object number at all — N
+// files hold N numbers, not 2N, and their birth pages store no version
+// capability — while every file capability verifies.
 func TestCreateFileForgetsBirthVersion(t *testing.T) {
 	sh, s := newService(t)
 	const files = 100
@@ -1483,8 +1502,11 @@ func TestCreateFileForgetsBirthVersion(t *testing.T) {
 		}
 		caps[i] = fc
 	}
+	if n := held(sh, s); n != files {
+		t.Fatalf("%d files hold %d object numbers", files, n)
+	}
 	for i, fc := range caps {
-		if err := sh.Fact.Verify(fc, capability.RightRead); err != nil {
+		if _, err := s.CurrentVersion(fc); err != nil {
 			t.Fatalf("file %d: capability does not verify: %v", i, err)
 		}
 		e, err := sh.Table.Get(fc.Object)
@@ -1495,11 +1517,8 @@ func TestCreateFileForgetsBirthVersion(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if vp.VersionCap.Object == fc.Object {
-			t.Fatalf("file %d: birth version shares the file's object %d", i, fc.Object)
-		}
-		if _, ok := sh.Fact.Secret(vp.VersionCap.Object); ok {
-			t.Fatalf("file %d: birth version object %d still has a registered secret", i, vp.VersionCap.Object)
+		if !vp.VersionCap.IsNil() || vp.FileCap != fc {
+			t.Fatalf("file %d: birth page carries version capability %v and file capability %v, want none and %v", i, vp.VersionCap, vp.FileCap, fc)
 		}
 	}
 }

@@ -40,10 +40,11 @@ func (s *Server) ValidateCache(fcap capability.Capability, cachedRoot block.Num)
 	if err := s.checkAlive(); err != nil {
 		return block.NilNum, Invalidation{}, err
 	}
-	if err := s.shared.Fact.Verify(fcap, capability.RightRead); err != nil {
+	e, err := s.shared.checkFile(fcap, capability.RightRead)
+	if err != nil {
 		return block.NilNum, Invalidation{}, err
 	}
-	cur, _, err := s.currentOf(fcap.Object)
+	cur, err := s.currentOf(fcap.Object, e)
 	if err != nil {
 		return block.NilNum, Invalidation{}, err
 	}

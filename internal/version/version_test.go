@@ -24,7 +24,7 @@ func newStore(t *testing.T) *Store {
 func caps(t *testing.T) (capability.Capability, capability.Capability, *capability.Factory) {
 	t.Helper()
 	f := capability.NewFactory(capability.NewPort().Public())
-	return f.Register(1), f.Register(2), f
+	return f.Mint(1), f.Mint(2), f
 }
 
 // buildFile creates a file whose root has three children, the middle one
@@ -1281,7 +1281,7 @@ func mixOps(t *testing.T, rng *rand.Rand, s *Store, want, got *Tree, cs *countSt
 		default:
 			name = "insertSubFile"
 			idx := randIdx(p, false)
-			fc, vc := f.Register(uint32(100+i)), f.Register(uint32(1100+i))
+			fc, vc := f.Mint(uint32(100+i)), f.Mint(uint32(1100+i))
 			_, gotErr = got.InsertSubFile(p, idx, fc, vc, data)
 			wantOp = func(w *Tree, rest page.Path) error { return refInsertSubFile(w, rest, idx, fc, vc, data) }
 		}
@@ -1320,7 +1320,7 @@ func buildNested(t *testing.T, rng *rand.Rand, s *Store) *Tree {
 	insert := func(p page.Path, idx int, sub bool, data []byte) {
 		t.Helper()
 		if sub {
-			_, err = tr.InsertSubFile(p, idx, f.Register(uint32(10+len(data))), f.Register(uint32(60+len(data))), data)
+			_, err = tr.InsertSubFile(p, idx, f.Mint(uint32(10+len(data))), f.Mint(uint32(60+len(data))), data)
 		} else {
 			err = tr.InsertPage(p, idx, data)
 		}
@@ -1580,7 +1580,7 @@ func TestShapeCommandsRefuseBeforeWriting(t *testing.T) {
 		}
 	}
 	cs.allocs, cs.writes = 0, 0
-	_, err = tr.InsertSubFile(page.Path{1}, 0, f.Register(7), f.Register(8), nil)
+	_, err = tr.InsertSubFile(page.Path{1}, 0, f.Mint(7), f.Mint(8), nil)
 	refuses("sub-file into a full table", page.ErrPageFull, err)
 }
 
