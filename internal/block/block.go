@@ -558,9 +558,10 @@ func (s *Server) Owners() map[Num]Account {
 
 // WithLock runs fn while holding the lock on block n, implementing the
 // §5.2 critical section "lock and read a block, examine and modify it,
-// then write and unlock the block again" as a convenience. fn receives
-// the block contents and returns the new contents (nil to skip the
-// write-back).
+// then write and unlock the block again". fn receives the block contents
+// and returns the new contents (nil to skip the write-back). Its one
+// program caller is version.(*Store).UpdateVersionPage, which adds the
+// version-page decoding and the bounded wait on a held lock.
 func WithLock(st Store, account Account, n Num, fn func(data []byte) ([]byte, error)) error {
 	if err := st.Lock(account, n); err != nil {
 		return err

@@ -11,6 +11,8 @@ import (
 	"repro/internal/file"
 	"repro/internal/ftab"
 	"repro/internal/ftabtest"
+	"repro/internal/occ"
+	"repro/internal/page"
 	"repro/internal/rpc"
 	"repro/internal/version"
 )
@@ -303,4 +305,69 @@ func FuzzConvergence(f *testing.F) {
 		s := int(steps)%40 + 2
 		ftabtest.Fuzz(t, seed, n, 2, s, crash)
 	})
+}
+
+// lockRefuser refuses Lock on block blk its first refuse times, as a
+// store does while a commit holds that version page's critical section.
+type lockRefuser struct {
+	*block.Server
+	blk             block.Num
+	refuse, refused int
+}
+
+func (s *lockRefuser) Lock(a block.Account, n block.Num) error {
+	if n == s.blk && s.refused < s.refuse {
+		s.refused++
+		return block.ErrLocked
+	}
+	return s.Server.Lock(a, n)
+}
+
+// TestTombstoneWaitsOutHeldBlockLock: a Remove whose chain head stays
+// block-locked for twenty attempts still stamps the durable tombstone,
+// so a table rebuilt from storage does not bring the file back.
+func TestTombstoneWaitsOutHeldBlockLock(t *testing.T) {
+	d, err := disk.New(disk.Geometry{Blocks: 1 << 10, BlockSize: 512})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ls := &lockRefuser{Server: block.NewServer(d)}
+	st := version.NewStore(ls, 1)
+	const obj = 5
+	fc := capability.NewFactory(capability.NewPort().Public()).Mint(obj)
+	born, err := version.CreateFile(st, fc, capability.Nil, []byte("doomed"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	next, err := version.CreateVersion(st, born.Root, capability.Nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := next.WritePage(page.RootPath, []byte("doomed v2")); err != nil {
+		t.Fatal(err)
+	}
+	if err := occ.NewCommitter(st).Commit(next, capability.NilPort); err != nil {
+		t.Fatal(err)
+	}
+	r := ftab.NewReplicated(ftab.Options{Local: file.NewTable(), Store: st})
+	r.Put(obj, file.Entry{Cap: fc, Entry: born.Root}) // the head is a chase away
+	ls.blk, ls.refuse = next.Root, 20
+	r.Remove(obj)
+	if ls.refused != 20 {
+		t.Fatalf("head lock refused %d times, want 20", ls.refused)
+	}
+	vp, err := st.ReadPage(next.Root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !vp.Deleted {
+		t.Fatal("chain head not stamped Deleted")
+	}
+	ref, err := file.Rebuild(st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ref.Get(obj); !errors.Is(err, file.ErrUnknownFile) {
+		t.Fatalf("recovery scan resurrected the removed file: %v", err)
+	}
 }

@@ -324,43 +324,31 @@ func (r *Replicated) Remove(object uint32) {
 }
 
 // stampTombstone marks the chain head reachable from entry as Deleted
-// on storage: the durable half of a Remove. It shares the commit
-// path's block-level critical section — the head page is the one page
-// written in place, and an unlocked read-modify-write here could
-// clobber a commit reference being set concurrently. A head that
-// gained a successor while we waited is chased and the new head
-// stamped instead. Best-effort with a bounded retry: a chain already
-// swept (or a lock that stays contended) needs no tombstone badly
-// enough to block Remove — the documented remove/commit race remains.
+// on storage: the durable half of a Remove. The head page is the one
+// page written in place, so the stamp is a version.UpdateVersionPage,
+// the commit path's critical section: an unlocked read-modify-write here
+// could clobber a commit reference being set concurrently, and a commit
+// holding the block lock is waited out there. A head that gained a
+// successor is chased and the new head stamped instead. Best-effort: a
+// chain already swept, or a block lock held past the critical section's
+// bound, leaves no tombstone — the documented remove/commit race
+// remains.
 func (r *Replicated) stampTombstone(entry block.Num) {
 	head, err := occ.Current(r.st, entry)
-	if err != nil {
-		return
-	}
-	for try := 0; try < 8; try++ {
+	for err == nil && head != block.NilNum {
 		succ := block.NilNum
-		err := block.WithLock(r.st.Blocks, r.st.Acct, head, func(raw []byte) ([]byte, error) {
-			vp, err := page.Decode(raw)
-			if err != nil || !vp.IsVersion || vp.Deleted {
-				return nil, nil // nothing to do (or not ours to touch)
-			}
-			if vp.CommitRef != block.NilNum {
+		err = r.st.UpdateVersionPage(head, func(vp *page.Page) (bool, error) {
+			switch {
+			case vp.Deleted:
+				return false, nil
+			case vp.CommitRef != block.NilNum:
 				succ = vp.CommitRef // superseded under us: stamp the successor
-				return nil, nil
+				return false, nil
 			}
 			vp.Deleted = true
-			return vp.Encode(r.st.Blocks.BlockSize())
+			return true, nil
 		})
-		switch {
-		case errors.Is(err, block.ErrLocked):
-			continue // a commit holds the critical section; retry
-		case err != nil:
-			return
-		case succ != block.NilNum:
-			head = succ
-		default:
-			return // stamped (or already stamped / page gone)
-		}
+		head = succ
 	}
 }
 

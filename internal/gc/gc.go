@@ -360,22 +360,17 @@ func (g *Collector) reshareVersion(root block.Num) (int, error) {
 	// The version page is the one page of a committed version that is
 	// still written in place — its commit reference is set by a
 	// successor's commit, and lock hints and tombstones land there too —
-	// always inside the block-level critical section. Writing the copy
-	// read above back whole would erase a commit reference set since,
-	// forking the chain and losing acknowledged commits. Join the same
-	// critical section and patch only the reshared slots into the page
-	// as it is now; its references never change once it is committed.
-	// A held lock (block.ErrLocked) skips the write-back: the next cycle
-	// reshares again.
-	err = block.WithLock(g.St.Blocks, g.St.Acct, root, func(raw []byte) ([]byte, error) {
-		fresh, err := page.Decode(raw)
-		if err != nil {
-			return nil, fmt.Errorf("gc: version page %d: %w", root, err)
-		}
+	// always inside version.UpdateVersionPage, the critical section.
+	// Writing the copy read above back whole would erase a commit
+	// reference set since, forking the chain and losing acknowledged
+	// commits. Join the same critical section and patch only the
+	// reshared slots into the page as it is now; its references never
+	// change once it is committed.
+	err = g.St.UpdateVersionPage(root, func(fresh *page.Page) (bool, error) {
 		for _, i := range patched[vp] {
 			fresh.Refs[i] = vp.Page.Refs[i]
 		}
-		return fresh.Encode(g.St.Blocks.BlockSize())
+		return true, nil
 	})
 	return reshared, err
 }

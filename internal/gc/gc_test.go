@@ -1128,3 +1128,81 @@ func TestUnflushedVersionPinned(t *testing.T) {
 	}
 	readsBack(t, srv, fcap, []string{"first", "second", "mine", "p3"})
 }
+
+// lockRefuser refuses Lock on block blk its first refuse times, as a
+// store does while a commit holds that version page's critical section.
+type lockRefuser struct {
+	*block.Server
+	blk             block.Num
+	refuse, refused int
+}
+
+func (s *lockRefuser) Lock(a block.Account, n block.Num) error {
+	if n == s.blk && s.refused < s.refuse {
+		s.refused++
+		return block.ErrLocked
+	}
+	return s.Server.Lock(a, n)
+}
+
+// TestReshareWaitsOutHeldBlockLock: the reshare of a retained version
+// whose version page stays block-locked for three attempts still lands
+// in the collection cycle that computed it.
+func TestReshareWaitsOutHeldBlockLock(t *testing.T) {
+	ls := &lockRefuser{Server: block.NewServer(disk.MustNew(disk.Geometry{Blocks: 1 << 12, BlockSize: 1024}))}
+	sh := server.NewShared(ls, 1)
+	srv := server.New(sh, nil)
+	col := New(srv.Store(), sh.Table, 8, srv.LiveVersions)
+
+	fcap, _ := srv.CreateFile(nil)
+	setup, _ := srv.CreateVersion(fcap, server.CreateVersionOpts{})
+	for i := 0; i < 4; i++ {
+		srv.InsertPage(setup, page.RootPath, i, []byte(fmt.Sprintf("leaf%d", i)))
+	}
+	if err := srv.Commit(setup); err != nil {
+		t.Fatal(err)
+	}
+	// Three read shadows and one written page.
+	v, _ := srv.CreateVersion(fcap, server.CreateVersionOpts{})
+	for i := 0; i < 3; i++ {
+		if _, _, err := srv.ReadPage(v, page.Path{i}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := srv.WritePage(v, page.Path{3}, []byte("written")); err != nil {
+		t.Fatal(err)
+	}
+	if err := srv.Commit(v); err != nil {
+		t.Fatal(err)
+	}
+	chain, err := srv.History(fcap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	head, base := chain[len(chain)-1], chain[len(chain)-2]
+
+	ls.blk, ls.refuse = head, 3
+	rep, err := col.Collect()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ls.refused != 3 {
+		t.Fatalf("version page lock refused %d times, want 3", ls.refused)
+	}
+	if rep.Reshared < 3 {
+		t.Fatalf("reshared %d pages, want >= 3", rep.Reshared)
+	}
+	hp, err := col.St.ReadPage(head)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bp, err := col.St.ReadPage(base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		if hp.Refs[i].Block != bp.Refs[i].Block {
+			t.Fatalf("reference %d names block %d, not the base's %d: the reshare did not land", i, hp.Refs[i].Block, bp.Refs[i].Block)
+		}
+	}
+}

@@ -27,8 +27,12 @@
 // the crashed server's work by committing the sub-files of the version
 // the commit reference names.
 //
-// Lock field mutations are made atomic with the block service's lock
-// facility, the same primitive the commit critical section uses.
+// Every lock field mutation is one version.UpdateVersionPage, the same
+// critical section that sets commit references: a block lock held by
+// another server is waited out there, for a bounded time. A lock field
+// held by another live update is waited out here, in one wait loop
+// shared by the top and the inner lock: Poll at a time, for at most
+// Patience, recovering a dead holder as it finds one.
 package lock
 
 import (
@@ -96,33 +100,6 @@ func (m *Manager) alive(holder capability.Port) bool {
 	return m.Probe(holder)
 }
 
-// mutate runs fn on the version page in blk under the block lock; fn
-// returns whether to write the page back. It retries while another server
-// briefly holds the block lock.
-func (m *Manager) mutate(blk block.Num, fn func(vp *page.Page) (write bool, err error)) error {
-	for {
-		err := block.WithLock(m.St.Blocks, m.St.Acct, blk, func(raw []byte) ([]byte, error) {
-			vp, err := page.Decode(raw)
-			if err != nil {
-				return nil, fmt.Errorf("lock: version page %d: %w", blk, err)
-			}
-			if !vp.IsVersion {
-				return nil, fmt.Errorf("lock: block %d is not a version page", blk)
-			}
-			write, err := fn(vp)
-			if err != nil || !write {
-				return nil, err
-			}
-			return vp.Encode(m.St.Blocks.BlockSize())
-		})
-		if errors.Is(err, block.ErrLocked) {
-			time.Sleep(m.Poll)
-			continue
-		}
-		return err
-	}
-}
-
 // Holder describes why a lock attempt failed.
 type Holder struct {
 	Top   capability.Port // non-nil if a top lock blocked us
@@ -149,7 +126,7 @@ func (h Holder) port() capability.Port {
 func (m *Manager) TryAcquireTop(blk block.Num, super bool) (Holder, *page.Page, error) {
 	var h Holder
 	var locked *page.Page
-	err := m.mutate(blk, func(vp *page.Page) (bool, error) {
+	err := m.St.UpdateVersionPage(blk, func(vp *page.Page) (bool, error) {
 		h, locked = Holder{}, nil
 		if !vp.InnerLock.IsNil() && vp.InnerLock != m.Port {
 			h.Inner = vp.InnerLock
@@ -168,26 +145,13 @@ func (m *Manager) TryAcquireTop(blk block.Num, super bool) (Holder, *page.Page, 
 // AcquireTop waits until TryAcquireTop succeeds, recovering from crashed
 // holders along the way, and returns the page it locked.
 func (m *Manager) AcquireTop(blk block.Num, super bool) (*page.Page, error) {
-	deadline := time.Now().Add(m.Patience)
-	for {
-		h, locked, err := m.TryAcquireTop(blk, super)
-		if err != nil {
-			return nil, err
-		}
-		if !h.blocked() {
-			return locked, nil
-		}
-		if !m.alive(h.port()) {
-			if err := m.RecoverCrashed(blk, h.port()); err != nil {
-				return nil, err
-			}
-			continue
-		}
-		if time.Now().After(deadline) {
-			return nil, fmt.Errorf("version page %d held by %v: %w", blk, h.port(), ErrLockTimeout)
-		}
-		time.Sleep(m.Poll)
-	}
+	var locked *page.Page
+	err := m.wait(func() (Holder, block.Num, error) {
+		h, pg, err := m.TryAcquireTop(blk, super)
+		locked = pg
+		return h, blk, err
+	})
+	return locked, err
 }
 
 // AcquireInner sets the inner lock on the current version page of the
@@ -200,57 +164,72 @@ func (m *Manager) AcquireTop(blk block.Num, super bool) (*page.Page, error) {
 // discovers a top lock, it must wait"), recovering from crashed holders.
 // It returns the block it locked and that page as it locked it.
 func (m *Manager) AcquireInner(blk block.Num) (block.Num, *page.Page, error) {
+	var locked *page.Page
+	err := m.wait(func() (Holder, block.Num, error) {
+		for {
+			var h Holder
+			next := block.NilNum
+			err := m.St.UpdateVersionPage(blk, func(vp *page.Page) (bool, error) {
+				h, next, locked = Holder{}, vp.CommitRef, nil
+				switch {
+				case next != block.NilNum:
+					return false, nil
+				case !vp.TopLock.IsNil() && vp.TopLock != m.Port:
+					h.Top = vp.TopLock
+					return false, nil
+				case !vp.InnerLock.IsNil() && vp.InnerLock != m.Port:
+					h.Inner = vp.InnerLock
+					return false, nil
+				}
+				vp.InnerLock, locked = m.Port, vp
+				return true, nil
+			})
+			if err != nil || next == block.NilNum {
+				return h, blk, err
+			}
+			blk = next
+		}
+	})
+	if err != nil {
+		return block.NilNum, nil, err
+	}
+	return blk, locked, nil
+}
+
+// wait repeats try, one locked attempt on the version page it returns,
+// until no other update's lock stands in the way. A dead holder is
+// recovered by the §5.3 rule for the lock it holds — a top lock by
+// RecoverCrashed, an inner lock by recoverInner — and the attempt made
+// again at once; a live one is waited out, Poll at a time, for at most
+// Patience.
+func (m *Manager) wait(try func() (Holder, block.Num, error)) error {
 	deadline := time.Now().Add(m.Patience)
 	for {
-		var h Holder
-		var locked *page.Page
-		next := block.NilNum
-		err := m.mutate(blk, func(vp *page.Page) (bool, error) {
-			h, next, locked = Holder{}, vp.CommitRef, nil
-			switch {
-			case next != block.NilNum:
-				return false, nil
-			case !vp.TopLock.IsNil() && vp.TopLock != m.Port:
-				h.Top = vp.TopLock
-				return false, nil
-			case !vp.InnerLock.IsNil() && vp.InnerLock != m.Port:
-				h.Inner = vp.InnerLock
-				return false, nil
-			}
-			vp.InnerLock, locked = m.Port, vp
-			return true, nil
-		})
+		h, blk, err := try()
+		if err != nil || !h.blocked() {
+			return err
+		}
 		switch {
-		case err != nil:
-			return block.NilNum, nil, err
-		case next != block.NilNum:
-			blk = next
-			continue
-		case !h.blocked():
-			return blk, locked, nil
-		}
-		if !m.alive(h.port()) {
-			if !h.Top.IsNil() {
-				err = m.RecoverCrashed(blk, h.Top)
-			} else {
-				err = m.recoverInner(blk, h.Inner)
+		case m.alive(h.port()):
+			if time.Now().After(deadline) {
+				return fmt.Errorf("version page %d held by %v: %w", blk, h.port(), ErrLockTimeout)
 			}
-			if err != nil {
-				return block.NilNum, nil, err
-			}
-			continue
+			time.Sleep(m.Poll)
+		case !h.Top.IsNil():
+			err = m.RecoverCrashed(blk, h.Top)
+		default:
+			err = m.recoverInner(blk, h.Inner)
 		}
-		if time.Now().After(deadline) {
-			return block.NilNum, nil, fmt.Errorf("version page %d held by %v: %w", blk, h.port(), ErrLockTimeout)
+		if err != nil {
+			return err
 		}
-		time.Sleep(m.Poll)
 	}
 }
 
 // Clear removes this server's locks (or a dead holder's) from the version
 // page in blk.
 func (m *Manager) Clear(blk block.Num, holder capability.Port) error {
-	return m.mutate(blk, func(vp *page.Page) (bool, error) {
+	return m.St.UpdateVersionPage(blk, func(vp *page.Page) (bool, error) {
 		return clearHolder(vp, holder), nil
 	})
 }
@@ -397,10 +376,12 @@ func (m *Manager) subVersions(roots []block.Num) ([]block.Num, error) {
 // committed version tree rooted at newRoot (following only references
 // the update actually touched, into the sub-files too) and, for every
 // sub-file version created during the update, sets the base's commit
-// reference and clears the holder's locks — outer sub-files before the
-// sub-files inside them, whose new versions are unlocked first. It
-// returns the bases whose locks it cleared. The operation is idempotent,
-// so a waiter can safely re-run it for a crashed server.
+// reference and clears the holder's locks on the base in one write —
+// outer sub-files before the sub-files inside them. The new versions and
+// newRoot carry no lock to clear: version.Fork copies none, and an update
+// locks only the bases it forks. It returns the bases whose locks it
+// cleared. The operation is idempotent, so a waiter can safely re-run it
+// for a crashed server.
 func (m *Manager) CommitSubFiles(newRoot block.Num, holder capability.Port) ([]block.Num, error) {
 	var subs []*version.Node
 	err := m.St.Visit([]block.Num{newRoot}, func(n *version.Node) (version.Follow, error) {
@@ -424,14 +405,7 @@ func (m *Manager) CommitSubFiles(newRoot block.Num, holder capability.Port) ([]b
 			bases = append(bases, base)
 		}
 	}
-	// New sub-versions become current; leave them unlocked, and the new
-	// current version of the super-file too.
-	for i := len(subs) - 1; i >= 0; i-- {
-		if err := m.Clear(subs[i].Ref.Block, holder); err != nil {
-			return nil, err
-		}
-	}
-	return bases, m.Clear(newRoot, holder)
+	return bases, nil
 }
 
 // commitOneSub commits one new sub-file version (newBlk) over its base
@@ -439,7 +413,7 @@ func (m *Manager) CommitSubFiles(newRoot block.Num, holder capability.Port) ([]b
 // lock: under the locks setting base.CommitRef "always succeeds", and
 // re-running it after a crash finds it set.
 func (m *Manager) commitOneSub(newBlk, base block.Num, holder capability.Port) error {
-	return m.mutate(base, func(bvp *page.Page) (bool, error) {
+	return m.St.UpdateVersionPage(base, func(bvp *page.Page) (bool, error) {
 		if bvp.CommitRef != block.NilNum && bvp.CommitRef != newBlk {
 			return false, fmt.Errorf("lock: sub-file commit clash at block %d: %d vs %d",
 				base, bvp.CommitRef, newBlk)

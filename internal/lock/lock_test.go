@@ -8,6 +8,7 @@ import (
 	"repro/internal/block"
 	"repro/internal/capability"
 	"repro/internal/disk"
+	"repro/internal/occ"
 	"repro/internal/page"
 	"repro/internal/treetest"
 	"repro/internal/version"
@@ -195,6 +196,9 @@ func TestAcquireTopRecoversFromDeadHolderBeforeCommit(t *testing.T) {
 //	P' (new super version; tree holds Q', a new version of sub-file Q)
 //	Q  (sub-file current version; inner lock = dead)
 //	Q' (new sub version; BaseRef -> Q; commit ref not yet set)
+//
+// P' and Q' carry no lock: version.Fork copies none, and an update locks
+// only the versions it forks from.
 func buildSuperCommitScene(t *testing.T, f *fixture, dead capability.Port) (p, pNew, q, qNew block.Num) {
 	t.Helper()
 	q = f.versionPage(t, func(vp *page.Page) {
@@ -207,12 +211,10 @@ func buildSuperCommitScene(t *testing.T, f *fixture, dead capability.Port) (p, p
 	})
 	qNew = f.versionPage(t, func(vp *page.Page) {
 		vp.BaseRef = q
-		vp.InnerLock = dead
 		vp.Data = []byte("sub new")
 	})
 	pNew = f.versionPage(t, func(vp *page.Page) {
 		vp.BaseRef = p
-		vp.TopLock = dead
 		vp.Refs = []page.Ref{{Block: qNew, Flags: page.Flags(0).Set(page.FlagW)}}
 	})
 	// P crashed mid-commit: its commit reference is already set.
@@ -444,8 +446,7 @@ func TestConcurrentTopAcquisitionExactlyOneWins(t *testing.T) {
 // TestCommitSubFilesReadBudget: committing a super-file update that
 // crossed k sub-files at depth d reads the new tree one level per call —
 // at most d+1 calls down to the sub-files' version pages, whatever k is —
-// besides the reads inside the block lock of each version page it
-// commits or unlocks.
+// besides one read inside the block lock of each base it commits.
 func TestCommitSubFilesReadBudget(t *testing.T) {
 	fs := treetest.NewStore()
 	st := version.NewStore(fs, acct)
@@ -502,8 +503,8 @@ func TestCommitSubFilesReadBudget(t *testing.T) {
 	if reads > 3 {
 		t.Fatalf("%d sub-files at depth 2: %d read calls outside the block lock, want <= 3", k, reads)
 	}
-	if want := 3*k + 1; locked > want {
-		t.Fatalf("%d reads inside the block lock, want <= %d (commit, unlock base, unlock fork; unlock root)", locked, want)
+	if locked != k {
+		t.Fatalf("%d reads inside the block lock, want %d (one commit of each base)", locked, k)
 	}
 	for i, b := range bases {
 		vp, err := st.ReadPage(b)
@@ -512,6 +513,97 @@ func TestCommitSubFilesReadBudget(t *testing.T) {
 		}
 		if vp.CommitRef != forks[i] || !vp.InnerLock.IsNil() {
 			t.Fatalf("sub-file %d: commit ref %d, inner lock %v; want %d, none", i, vp.CommitRef, vp.InnerLock, forks[i])
+		}
+	}
+}
+
+// TestSuperFileCommitLeavesNewVersionsUnlocked: a super-file update that
+// holds the top lock on its base and crosses into sub-files, one of them
+// nested in another, locks only the versions it forks from. After the
+// commit reference is set, the sub-files are committed and the top lock
+// is cleared, no version page of the new tree — the new root, a new
+// sub-file version, an untouched sub-file — and no base carries a lock:
+// the invariant that lets CommitSubFiles clear locks on the bases alone.
+func TestSuperFileCommitLeavesNewVersionsUnlocked(t *testing.T) {
+	st := version.NewStore(block.NewServer(disk.MustNew(disk.Geometry{Blocks: 4096, BlockSize: 1024})), acct)
+	c := capability.Capability{Object: 1}
+	outer, err := version.CreateFile(st, c, c, []byte("outer"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := outer.InsertPage(page.RootPath, 0, []byte("mid")); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		if _, err := outer.InsertSubFile(page.Path{0}, i, c, c, []byte("sub")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := outer.InsertSubFile(page.Path{0, 0}, 0, c, c, []byte("nested")); err != nil {
+		t.Fatal(err)
+	}
+	holder := capability.NewPort()
+	m := NewManager(st, holder, nil)
+	locked, err := m.AcquireTop(outer.Root, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	vp, err := version.Fork(outer.Root, locked, c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	v := version.NewTree(st, vp)
+	bases := []block.Num{outer.Root}
+	v.Cross = func(blk block.Num, _ *page.Page) (*page.Page, error) {
+		cur, vp, err := m.AcquireInner(blk)
+		if err != nil {
+			return nil, err
+		}
+		bases = append(bases, cur)
+		return version.Fork(cur, vp, c)
+	}
+	ps := []page.Path{{0, 0, 0}, {0, 1}}
+	if err := v.Apply(nil, ps, [][]byte{[]byte("new nested"), []byte("new sub")}); err != nil {
+		t.Fatal(err)
+	}
+	if len(bases) != 4 {
+		t.Fatalf("crossed %d sub-files, want 3", len(bases)-1)
+	}
+	if err := occ.NewCommitter(st).Commit(v, capability.NilPort); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := m.CommitSubFiles(v.Root, holder); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Clear(outer.Root, holder); err != nil {
+		t.Fatal(err)
+	}
+	pages := 0
+	err = st.Visit([]block.Num{v.Root}, func(n *version.Node) (version.Follow, error) {
+		if n.Err != nil {
+			return nil, n.Err
+		}
+		if n.Page.IsVersion {
+			pages++
+			if !n.Page.TopLock.IsNil() || !n.Page.InnerLock.IsNil() {
+				t.Errorf("version page %d of the new tree locked: top %v, inner %v", n.Ref.Block, n.Page.TopLock, n.Page.InnerLock)
+			}
+		}
+		return version.All, nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if pages != 5 {
+		t.Fatalf("new tree holds %d version pages, want 5", pages)
+	}
+	for _, b := range bases {
+		top, inner, err := m.Locks(b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !top.IsNil() || !inner.IsNil() {
+			t.Errorf("base %d still locked: top %v, inner %v", b, top, inner)
 		}
 	}
 }

@@ -36,15 +36,17 @@
 // page under the block service's lock facility. It therefore touches
 // exactly one block — and under the sharded facade, exactly one block
 // server — no matter how large the update; coordination stays off the
-// data path. ErrConflict means the update must be redone on a fresh
-// version; block.ErrLocked means another server is in the critical
-// section and the request is simply re-sent.
+// data path. The critical section itself is version.UpdateVersionPage,
+// shared with the lock fields, tombstones and the collector's reshare:
+// while another server holds the version page's block lock the request
+// is re-sent, for a bounded time. ErrConflict means the update must be
+// redone on a fresh version; an error wrapping block.ErrLocked means the
+// block lock stayed held past that bound.
 package occ
 
 import (
 	"errors"
 	"fmt"
-	"runtime"
 	"sync/atomic"
 
 	"repro/internal/block"
@@ -114,10 +116,10 @@ func (c *Committer) BindTrace(tc trace.Context) *Committer {
 }
 
 // TestAndSetCommitRef atomically sets the commit reference of the version
-// page in block base to succ if and only if it is still nil, using the
-// block service's lock facility: "only one server may be allowed to read
-// the version block, test the commit reference, set it, and write it
-// back" — the single critical section of the whole commit path.
+// page in block base to succ if and only if it is still nil, inside
+// version.UpdateVersionPage: "only one server may be allowed to read the
+// version block, test the commit reference, set it, and write it back" —
+// the single critical section of the whole commit path.
 //
 // It returns (NilNum, nil) on success, or the existing successor if base
 // has already been superseded. A current base whose inner lock is set
@@ -129,27 +131,20 @@ func (c *Committer) BindTrace(tc trace.Context) *Committer {
 // A top lock equal to hint — the committing update's own top-lock hint —
 // is cleared in the same write that sets the commit reference.
 func (c *Committer) TestAndSetCommitRef(base, succ block.Num, hint capability.Port) (block.Num, error) {
-	var existing block.Num
-	err := block.WithLock(c.St.Blocks, c.St.Acct, base, func(raw []byte) ([]byte, error) {
-		vp, err := page.Decode(raw)
-		if err != nil {
-			return nil, fmt.Errorf("occ: version page %d: %w", base, err)
-		}
-		if !vp.IsVersion {
-			return nil, fmt.Errorf("occ: block %d is not a version page", base)
-		}
+	existing := block.NilNum
+	err := c.St.UpdateVersionPage(base, func(vp *page.Page) (bool, error) {
 		if vp.CommitRef != block.NilNum {
 			existing = vp.CommitRef
-			return nil, nil // examine only; no write-back
+			return false, nil // examine only; no write-back
 		}
 		if !vp.InnerLock.IsNil() {
-			return nil, fmt.Errorf("occ: version page %d is inner-locked by %v: %w", base, vp.InnerLock, ErrConflict)
+			return false, fmt.Errorf("occ: version page %d is inner-locked by %v: %w", base, vp.InnerLock, ErrConflict)
 		}
 		vp.CommitRef = succ
 		if !hint.IsNil() && vp.TopLock == hint {
 			vp.TopLock = capability.NilPort
 		}
-		return vp.Encode(c.St.Blocks.BlockSize())
+		return true, nil
 	})
 	if err != nil {
 		return block.NilNum, err
@@ -169,8 +164,10 @@ func (c *Committer) TestAndSetCommitRef(base, succ block.Num, hint capability.Po
 // hint on the original base for the caller to clear.
 //
 // Contention on the block-level lock (two servers in the critical section
-// for the same version page) surfaces as block.ErrLocked; callers retry,
-// mirroring servers re-sending the set-commit-reference request.
+// for the same version page) is waited out inside TestAndSetCommitRef, as
+// a server re-sends the set-commit-reference request; only a lock held
+// past version.UpdateVersionPage's bound surfaces, as an error wrapping
+// block.ErrLocked.
 func (c *Committer) Commit(b *version.Tree, hint capability.Port) error {
 	if !c.tc.Sampled() {
 		return c.commit(b, hint)
@@ -202,7 +199,7 @@ func (c *Committer) commit(b *version.Tree, hint capability.Port) error {
 	}
 	first := true
 	for {
-		prev, err := c.testAndSetRetry(base, b.Root, hint)
+		prev, err := c.TestAndSetCommitRef(base, b.Root, hint)
 		if errors.Is(err, ErrConflict) {
 			c.Stat.Conflicts.Add(1)
 		}
@@ -239,21 +236,6 @@ func (c *Committer) commit(b *version.Tree, hint capability.Port) error {
 			return err
 		}
 		base = prev
-	}
-}
-
-// testAndSetRetry re-sends the set-commit-reference request while another
-// server briefly holds the version page's block lock.
-func (c *Committer) testAndSetRetry(base, succ block.Num, hint capability.Port) (block.Num, error) {
-	for {
-		prev, err := c.TestAndSetCommitRef(base, succ, hint)
-		if err == nil {
-			return prev, nil
-		}
-		if !errors.Is(err, block.ErrLocked) {
-			return block.NilNum, err
-		}
-		runtime.Gosched()
 	}
 }
 

@@ -63,8 +63,12 @@ func (s *Store) compactLane(li int) bool {
 	return did
 }
 
+// compactMinGarbage is the fraction of a sealed segment's records that
+// must be dead before it is an eligible compaction victim.
+const compactMinGarbage = 0.5
+
 // CompactOnce picks the sealed segment with the most garbage across all
-// lanes (dead records ≥ CompactMinGarbage of its records), copies its
+// lanes (dead records ≥ compactMinGarbage of its records), copies its
 // live records to the owning lane's log tail, and recycles the file
 // into that lane's free pool. It reports whether a segment was
 // reclaimed.
@@ -100,7 +104,7 @@ func (s *Store) compact(laneIdx int) (bool, error) {
 				continue
 			}
 			g := seg.records - s.idx.live[segKey{lane: l.id, seg: id}]
-			if g == 0 || float64(g) < float64(seg.records)*s.opt.CompactMinGarbage {
+			if g == 0 || float64(g) < float64(seg.records)*compactMinGarbage {
 				continue
 			}
 			if victim == nil || g > garbage {

@@ -103,14 +103,12 @@ func openLane(s *Store, id int) (*lane, error) {
 }
 
 // loadState merges the concurrent per-lane recovery scans into the
-// shared index, newest-seq-wins per block. Within a lane the scan order
-// already is sequence order, but a block whose records span lanes —
-// possible after a flat-layout upgrade, where its old records sit in
-// lane 0 and newer ones in its hash lane — needs the explicit
-// comparison so a stale lane-0 record cannot shadow the current one.
+// shared index. Every record of a block lives in the block's hash lane —
+// compaction relocates through that lane too — and a lane's scan runs
+// in sequence order, so the last record a lane replays for a block is
+// its newest.
 type loadState struct {
 	mu        sync.Mutex
-	lastSeq   map[block.Num]uint64
 	maxSeq    uint64
 	truncated uint64
 }
@@ -123,10 +121,6 @@ func (ls *loadState) apply(x *index, rec record, at loc) {
 	if rec.seq > ls.maxSeq {
 		ls.maxSeq = rec.seq
 	}
-	if last, ok := ls.lastSeq[block.Num(rec.num)]; ok && rec.seq < last {
-		return
-	}
-	ls.lastSeq[block.Num(rec.num)] = rec.seq
 	switch rec.kind {
 	case recData:
 		x.place(block.Num(rec.num), block.Account(rec.account), at)

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -196,112 +197,17 @@ func TestMissingMetaWithLanesRefused(t *testing.T) {
 	}
 }
 
-// --- flat v1 layout migration ---
-
-// TestFlatLayoutMigration doctors a store into the old single-log
-// layout — segment files in the top-level directory, a version-1 meta
-// line — and reopens it sharded: the records must migrate into lane 0,
-// the meta must be rewritten pinning the lane count, and every block
-// must read back byte-equal across a further reopen and compaction.
-func TestFlatLayoutMigration(t *testing.T) {
+// TestVersionOneMetaRefused: a meta file of the old flat single-log
+// layout (version 1) is not opened; the flat layout is not migrated.
+func TestVersionOneMetaRefused(t *testing.T) {
 	dir := t.TempDir()
-	s, err := Open(dir, Options{BlockSize: 64, SegmentRecords: 4, LogShards: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := make(map[block.Num][]byte)
-	for i := 0; i < 20; i++ {
-		payload := []byte(fmt.Sprintf("v1 block %d", i))
-		n, err := s.Alloc(1, payload)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want[n] = payload
-	}
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	// Back-convert to the v1 layout: segments at top level, v1 meta.
-	ids, err := listSegments(laneDir(dir, 0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, id := range ids {
-		if err := os.Rename(segPath(laneDir(dir, 0), id), segPath(dir, id)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := os.Remove(laneDir(dir, 0)); err != nil {
-		t.Fatal(err)
-	}
 	meta := "segstore 1 blocksize 64 segrecords 4\n"
 	if err := os.WriteFile(filepath.Join(dir, metaName), []byte(meta), 0o666); err != nil {
 		t.Fatal(err)
 	}
-
-	// First sharded open: the upgrade.
-	s2, err := Open(dir, Options{BlockSize: 64, SegmentRecords: 4, LogShards: 4})
-	if err != nil {
-		t.Fatalf("open over v1 layout: %v", err)
-	}
-	if got := s2.Lanes(); got != 4 {
-		t.Fatalf("upgraded store has %d lanes, want 4", got)
-	}
-	if left, _ := listSegments(dir); len(left) != 0 {
-		t.Fatalf("%d segment files left at top level after upgrade", len(left))
-	}
-	for n, data := range want {
-		got, err := s2.Read(1, n)
-		if err != nil {
-			t.Fatalf("block %d after upgrade: %v", n, err)
-		}
-		if !bytes.Equal(got[:len(data)], data) {
-			t.Fatalf("block %d reads %q, want %q", n, got[:len(data)], data)
-		}
-	}
-	// New writes land in hash lanes while old records sit in lane 0;
-	// churn one block so its history spans lanes, then compact.
-	var churn block.Num
-	for n := range want {
-		churn = n
-		break
-	}
-	for i := 0; i < 30; i++ {
-		want[churn] = []byte(fmt.Sprintf("churned %d", i))
-		if err := s2.Write(1, churn, want[churn]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for {
-		ok, err := s2.CompactOnce()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !ok {
-			break
-		}
-	}
-	// Crash (no Close) and reopen: the migrated meta must have been
-	// durable from the first sharded open, and the merged per-lane scan
-	// must pick each block's newest record across lanes.
-	s2.Abandon()
-	s3, err := Open(dir, Options{BlockSize: 64, SegmentRecords: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s3.Close()
-	if got := s3.Lanes(); got != 4 {
-		t.Fatalf("re-reopened store has %d lanes, want 4", got)
-	}
-	for n, data := range want {
-		got, err := s3.Read(1, n)
-		if err != nil {
-			t.Fatalf("block %d after second reopen: %v", n, err)
-		}
-		if !bytes.Equal(got[:len(data)], data) {
-			t.Fatalf("block %d reads %q, want %q", n, got[:len(data)], data)
-		}
+	_, err := Open(dir, Options{BlockSize: 64, SegmentRecords: 4})
+	if err == nil || !strings.Contains(err.Error(), "version 1 not supported") {
+		t.Fatalf("open over a version-1 meta: err = %v, want version 1 not supported", err)
 	}
 }
 

@@ -134,18 +134,13 @@ type Options struct {
 	// (default runtime.GOMAXPROCS, capped at 8). Pinned in the meta
 	// file at creation like BlockSize — the routing hash must stay
 	// stable — so reopening an existing store adopts its stored value
-	// and ignores this field. A store written with the old flat layout
-	// adopts LogShards when it is upgraded on first open.
+	// and ignores this field.
 	LogShards int
 	// Sync is the durability mode (default SyncGroup).
 	Sync SyncMode
 	// CompactEvery runs the background compactor at this interval; zero
 	// disables it (CompactOnce still works on demand).
 	CompactEvery time.Duration
-	// CompactMinGarbage is the fraction of a sealed segment's records
-	// that must be dead before it is an eligible compaction victim
-	// (default 0.5).
-	CompactMinGarbage float64
 }
 
 // withDefaults fills unset fields.
@@ -167,9 +162,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.LogShards > maxShards {
 		o.LogShards = maxShards
-	}
-	if o.CompactMinGarbage <= 0 {
-		o.CompactMinGarbage = 0.5
 	}
 	return o
 }
@@ -355,7 +347,7 @@ func Open(dir string, opt Options) (*Store, error) {
 		dirf.Close()
 		return nil, fmt.Errorf("segstore: %s: %w", dir, err)
 	}
-	shards, legacy, fresh, err := loadMeta(dir, &opt)
+	shards, fresh, err := loadMeta(dir, &opt)
 	if err != nil {
 		dirf.Close()
 		return nil, err
@@ -387,10 +379,6 @@ func Open(dir string, opt Options) (*Store, error) {
 		}
 		s.lanes = append(s.lanes, l)
 	}
-	if err := s.migrateFlat(legacy); err != nil {
-		s.closeFiles(false)
-		return nil, err
-	}
 	if err := s.load(); err != nil {
 		s.closeFiles(false)
 		return nil, err
@@ -413,7 +401,7 @@ func Open(dir string, opt Options) (*Store, error) {
 			return nil, err
 		}
 	}
-	if !fresh && !legacy && s.seq.Load() > 0 {
+	if !fresh && s.seq.Load() > 0 {
 		// A lane directory that had to be recreated on a store that
 		// already held data is a lost lane (dead disk stripe, errant
 		// rm): its acknowledged blocks now read as never-allocated. The
@@ -548,114 +536,60 @@ func writeMeta(dir string, opt Options, shards int) error {
 }
 
 // loadMeta validates opt against an existing store's meta file, or
-// writes one for a fresh store. It reports the lane count to run with,
-// whether the directory is an old flat-layout (version 1) store that
-// still needs its upgrade finished, and whether the meta was written
-// fresh just now (a brand-new store).
-func loadMeta(dir string, opt *Options) (shards int, legacy, fresh bool, err error) {
+// writes one for a fresh store. It reports the lane count to run with
+// and whether the meta was written fresh just now (a brand-new store).
+func loadMeta(dir string, opt *Options) (shards int, fresh bool, err error) {
 	raw, err := os.ReadFile(filepath.Join(dir, metaName))
 	if errors.Is(err, os.ErrNotExist) {
 		// No meta: only a genuinely empty directory may be initialised
-		// as a new store. Top-level segments (flat layout) or lane
-		// directories with a lost meta must refuse — writing a fresh
-		// meta would re-pin LogShards from this process's defaults,
-		// changing the routing hash and silently orphaning every
-		// acknowledged record in lanes beyond the new count.
+		// as a new store. Top-level segments or lane directories with a
+		// lost meta must refuse — writing a fresh meta would re-pin
+		// LogShards from this process's defaults, changing the routing
+		// hash and silently orphaning every acknowledged record in
+		// lanes beyond the new count.
 		ids, err := listSegments(dir)
 		if err != nil {
-			return 0, false, false, err
+			return 0, false, err
 		}
 		lanes, err := listLaneDirs(dir)
 		if err != nil {
-			return 0, false, false, err
+			return 0, false, err
 		}
 		if len(ids) > 0 || len(lanes) > 0 {
-			return 0, false, false, fmt.Errorf("segstore: %s has log data but no %s file: %w", dir, metaName, ErrCorrupt)
+			return 0, false, fmt.Errorf("segstore: %s has log data but no %s file: %w", dir, metaName, ErrCorrupt)
 		}
 		if err := writeMeta(dir, *opt, opt.LogShards); err != nil {
-			return 0, false, false, err
+			return 0, false, err
 		}
-		return opt.LogShards, false, true, nil
+		return opt.LogShards, true, nil
 	}
 	if err != nil {
-		return 0, false, false, err
+		return 0, false, err
 	}
-	var version int
+	var version, bsize, srecs int
 	if _, err := fmt.Sscanf(string(raw), "segstore %d", &version); err != nil {
-		return 0, false, false, fmt.Errorf("segstore: bad %s file: %w", metaName, err)
+		return 0, false, fmt.Errorf("segstore: bad %s file: %w", metaName, err)
 	}
-	var bsize, srecs int
-	switch version {
-	case 1:
-		// The old flat layout: segments in the top-level directory, no
-		// lane count. Adopt the requested LogShards; Open moves the
-		// files into lane 0 and rewrites the meta.
-		if _, err := fmt.Sscanf(string(raw), "segstore 1 blocksize %d segrecords %d", &bsize, &srecs); err != nil {
-			return 0, false, false, fmt.Errorf("segstore: bad %s file: %w", metaName, err)
-		}
-		shards, legacy = opt.LogShards, true
-	case 2:
-		if _, err := fmt.Sscanf(string(raw), "segstore 2 blocksize %d segrecords %d shards %d", &bsize, &srecs, &shards); err != nil {
-			return 0, false, false, fmt.Errorf("segstore: bad %s file: %w", metaName, err)
-		}
-		if shards < 1 || shards > maxShards {
-			return 0, false, false, fmt.Errorf("segstore: %s names %d shards (want 1..%d): %w", metaName, shards, maxShards, ErrCorrupt)
-		}
-	default:
-		return 0, false, false, fmt.Errorf("segstore: %s version %d not supported", metaName, version)
+	if version != 2 {
+		return 0, false, fmt.Errorf("segstore: %s version %d not supported", metaName, version)
+	}
+	if _, err := fmt.Sscanf(string(raw), "segstore 2 blocksize %d segrecords %d shards %d", &bsize, &srecs, &shards); err != nil {
+		return 0, false, fmt.Errorf("segstore: bad %s file: %w", metaName, err)
+	}
+	if shards < 1 || shards > maxShards {
+		return 0, false, fmt.Errorf("segstore: %s names %d shards (want 1..%d): %w", metaName, shards, maxShards, ErrCorrupt)
 	}
 	if bsize != opt.BlockSize || srecs != opt.SegmentRecords {
-		return 0, false, false, fmt.Errorf("store has blocksize %d segrecords %d, opened with %d and %d: %w",
+		return 0, false, fmt.Errorf("store has blocksize %d segrecords %d, opened with %d and %d: %w",
 			bsize, srecs, opt.BlockSize, opt.SegmentRecords, ErrGeometry)
 	}
-	return shards, legacy, false, nil
-}
-
-// migrateFlat sweeps any top-level segment files into lane 0: the whole
-// of an old flat-layout store on its first open under this version, or
-// the un-fsynced stragglers of an upgrade a crash interrupted. The
-// records keep their ids and sequence numbers — lane 0 simply starts
-// life with history in it, and blocks whose hash says another lane
-// migrate there naturally as compaction relocates their records. Once
-// the files are in place (and durably so), the meta is rewritten as
-// version 2, pinning the lane count.
-func (s *Store) migrateFlat(legacy bool) error {
-	ids, err := listSegments(s.dir)
-	if err != nil {
-		return err
-	}
-	if len(ids) == 0 && !legacy {
-		return nil
-	}
-	l0 := s.lanes[0]
-	for _, id := range ids {
-		if err := os.Rename(segPath(s.dir, id), segPath(l0.dir, id)); err != nil {
-			return err
-		}
-	}
-	if len(ids) > 0 {
-		if err := l0.dirf.Sync(); err != nil {
-			return err
-		}
-		if err := s.dirf.Sync(); err != nil {
-			return err
-		}
-	}
-	if legacy {
-		if err := writeMeta(s.dir, s.opt, len(s.lanes)); err != nil {
-			return err
-		}
-		if err := s.dirf.Sync(); err != nil {
-			return err
-		}
-	}
-	return nil
+	return shards, false, nil
 }
 
 // load scans every lane concurrently, merging their records into the
 // shared index by sequence number.
 func (s *Store) load() error {
-	ls := &loadState{lastSeq: make(map[block.Num]uint64)}
+	ls := &loadState{}
 	errs := make([]error, len(s.lanes))
 	var wg sync.WaitGroup
 	for _, l := range s.lanes {

@@ -17,7 +17,8 @@
 // allocate collisions (both halves choose the same number for different
 // clients) and write collisions (two clients write the same block through
 // different halves) are detected before damage is done; the caller redoes
-// the operation, typically after a random wait.
+// the operation. The paper redoes it after a random wait; the failover
+// front (Pair) redoes it at once, up to a fixed number of attempts.
 //
 // Reads may be served locally; only when the local copy is corrupt does a
 // half consult its companion (and repair its own copy from the good one).
@@ -55,7 +56,6 @@ package stable
 import (
 	"errors"
 	"fmt"
-	"math/rand"
 	"slices"
 	"sync"
 
@@ -66,7 +66,7 @@ import (
 )
 
 // ErrCollision reports a simultaneous allocate or write detected at the
-// companion; the client should redo the operation after a random wait.
+// companion; the client should redo the operation.
 // It is the shared block.ErrCollision sentinel, so collisions classify
 // identically when a pair is served over the wire.
 var ErrCollision = block.ErrCollision
@@ -1264,34 +1264,17 @@ func isPerBlock(err error) bool {
 // halves.
 type Pair struct {
 	block.Scalar
-	a, b    *Half
-	backoff *backoff
-}
-
-// backoff is the pair's collision-backoff randomness: its own seeded
-// source (no global math/rand state), so concurrent pairs are
-// race-clean and a test's backoff schedule is reproducible from its
-// seed.
-type backoff struct {
-	mu  sync.Mutex
-	rng *rand.Rand
+	a, b *Half
 }
 
 // NewFailoverPair builds the two halves plus the failover front over any
-// two block.PairStore backends, with the default backoff seed.
+// two block.PairStore backends.
 func NewFailoverPair(a, b block.PairStore) *Pair {
-	return NewFailoverPairSeed(a, b, 1)
+	return newFront(NewPair(a, b))
 }
 
-// NewFailoverPairSeed is NewFailoverPair with the collision-backoff
-// randomness seeded explicitly.
-func NewFailoverPairSeed(a, b block.PairStore, seed int64) *Pair {
-	ha, hb := NewPair(a, b)
-	return newFront(ha, hb, &backoff{rng: rand.New(rand.NewSource(seed))})
-}
-
-func newFront(a, b *Half, bo *backoff) *Pair {
-	p := &Pair{a: a, b: b, backoff: bo}
+func newFront(a, b *Half) *Pair {
+	p := &Pair{a: a, b: b}
 	p.Scalar = block.Scalar{Multi: p}
 	return p
 }
@@ -1302,7 +1285,7 @@ func newFront(a, b *Half, bo *backoff) *Pair {
 // records a mirror-layer span and passes the trace context down to its
 // backend (so segstore lane spans nest under the half that issued them).
 func (p *Pair) BindTrace(tc trace.Context) block.Store {
-	return newFront(p.a.bind(tc), p.b.bind(tc), p.backoff)
+	return newFront(p.a.bind(tc), p.b.bind(tc))
 }
 
 // Halves returns the two halves for fault injection.
@@ -1393,11 +1376,12 @@ func (p *Pair) pick() (*Half, error) {
 	return nil, ErrBothDown
 }
 
-// retryCollision runs fn on a serving half, redoing it "after a random
-// wait interval" when a collision is detected, as §4 prescribes — and
-// redoing it immediately on the companion when the serving half's own
-// backend proves unreachable mid-operation ("clients send requests to
-// the alternative block server if the primary fails to respond").
+// retryCollision runs fn on a serving half, redoing it when a collision
+// is detected — at once, up to a fixed number of attempts: §4's "random
+// wait interval" before the redo is not modelled — and redoing it
+// immediately on the companion when the serving half's own backend
+// proves unreachable mid-operation ("clients send requests to the
+// alternative block server if the primary fails to respond").
 func (p *Pair) retryCollision(fn func(h *Half) error) error {
 	for attempt := 0; ; attempt++ {
 		h, err := p.pick()
@@ -1419,15 +1403,6 @@ func (p *Pair) retryCollision(fn func(h *Half) error) error {
 		}
 		if attempt > 16 {
 			return err
-		}
-		// Random backoff: the simulated equivalent of the paper's
-		// "redo the operation after a random wait interval". We spin
-		// on the scheduler rather than sleeping to keep tests fast.
-		p.backoff.mu.Lock()
-		spins := p.backoff.rng.Intn(1 << uint(min(attempt, 8)))
-		p.backoff.mu.Unlock()
-		for i := 0; i < spins; i++ {
-			_ = i
 		}
 	}
 }

@@ -523,27 +523,3 @@ func TestStaleHalfRefusesRejoinWithCompanionDown(t *testing.T) {
 		t.Fatal("stale half marked up despite failed rejoin")
 	}
 }
-
-func TestSeededBackoffIsDeterministic(t *testing.T) {
-	// Two pairs with the same seed draw identical backoff schedules;
-	// the source is per-pair, so drawing from one never disturbs the
-	// other (no global math/rand state involved).
-	geo := disk.Geometry{Blocks: 16, BlockSize: 32}
-	mk := func(seed int64) *Pair {
-		return NewFailoverPairSeed(block.NewServer(disk.MustNew(geo)), block.NewServer(disk.MustNew(geo)), seed)
-	}
-	p1, p2 := mk(7), mk(7)
-	draw := func(p *Pair, k int) []int {
-		out := make([]int, k)
-		for i := range out {
-			out[i] = p.backoff.rng.Intn(1 << 8)
-		}
-		return out
-	}
-	d1, d2 := draw(p1, 16), draw(p2, 16)
-	for i := range d1 {
-		if d1[i] != d2[i] {
-			t.Fatalf("draw %d: %d vs %d with identical seeds", i, d1[i], d2[i])
-		}
-	}
-}

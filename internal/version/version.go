@@ -51,7 +51,10 @@
 // Look that has to cross a boundary records its read at once. Whole-tree
 // walks — the collector's, the validators', the recovery paths' — are
 // Store.Visit, which reads a level of any number of trees with one
-// multi-block read. A Tree is not safe for concurrent use; the server
+// multi-block read. The version page that other servers also write in
+// place — its commit reference, its §5.3 lock fields, a tombstone — is
+// changed only inside UpdateVersionPage, the one critical section of
+// §5.2. A Tree is not safe for concurrent use; the server
 // serialises operations per version, matching the paper's model of a
 // version owned by a single client.
 package version
@@ -59,7 +62,9 @@ package version
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"slices"
+	"time"
 
 	"repro/internal/block"
 	"repro/internal/capability"
@@ -176,6 +181,49 @@ func (s *Store) WritePages(ns []block.Num, pgs []*page.Page) error {
 		return fmt.Errorf("version: write %d blocks: %w", len(ns), err)
 	}
 	return nil
+}
+
+// lockWait bounds how long UpdateVersionPage waits for another holder of
+// a version page's block lock: the lock layer's default patience.
+var lockWait = 5 * time.Second
+
+// UpdateVersionPage is the §5.2 critical section, the one locked
+// read-modify-write of a version page in place: "only one server may be
+// allowed to read the version block, test the commit reference, set it,
+// and write it back". It takes the block lock on blk, reads and decodes
+// the page, refuses a page that is not a version page, runs fn on it,
+// writes the page back only when fn asks, and unlocks. While another
+// holder has the block lock it yields and tries again; once lockWait has
+// passed it gives up with an error wrapping block.ErrLocked. Every
+// in-place write of a stored version page goes through here: the commit
+// reference, the §5.3 lock fields, a tombstone, a reshared reference.
+func (s *Store) UpdateVersionPage(blk block.Num, fn func(vp *page.Page) (write bool, err error)) error {
+	var deadline time.Time
+	for {
+		err := block.WithLock(s.Blocks, s.Acct, blk, func(raw []byte) ([]byte, error) {
+			vp, err := page.Decode(raw)
+			if err != nil {
+				return nil, fmt.Errorf("version: block %d: %w", blk, err)
+			}
+			if !vp.IsVersion {
+				return nil, fmt.Errorf("version: block %d is not a version page: %w", blk, ErrBadPath)
+			}
+			write, err := fn(vp)
+			if err != nil || !write {
+				return nil, err
+			}
+			return vp.Encode(s.Blocks.BlockSize())
+		})
+		if !errors.Is(err, block.ErrLocked) {
+			return err
+		}
+		if deadline.IsZero() {
+			deadline = time.Now().Add(lockWait)
+		} else if time.Now().After(deadline) {
+			return fmt.Errorf("version: block %d locked for %v: %w", blk, lockWait, err)
+		}
+		runtime.Gosched()
+	}
 }
 
 // Capacity returns the data capacity of a page with nrefs references.

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math/rand"
 	"testing"
+	"time"
 
 	"repro/internal/block"
 	"repro/internal/capability"
@@ -1708,5 +1709,98 @@ func TestVisitStops(t *testing.T) {
 	boom := errors.New("boom")
 	if err := s.Visit([]block.Num{tr.Root}, func(*Node) (Follow, error) { return All, boom }); !errors.Is(err, boom) {
 		t.Fatalf("visit err = %v, want boom", err)
+	}
+}
+
+// lockedStore refuses every Lock, as a store does while another server
+// holds the block lock and never lets go; it counts the attempts.
+type lockedStore struct {
+	*countStore
+	locks int
+}
+
+func (l *lockedStore) Lock(block.Account, block.Num) error {
+	l.locks++
+	return block.ErrLocked
+}
+
+// TestUpdateVersionPageBoundsTheWait: a block lock that never comes
+// free is retried until lockWait has passed, then reported as an error
+// wrapping block.ErrLocked; fn never runs and nothing is written.
+func TestUpdateVersionPageBoundsTheWait(t *testing.T) {
+	defer func(w time.Duration) { lockWait = w }(lockWait)
+	lockWait = 20 * time.Millisecond
+	cs := newCountStore(block.NewServer(disk.MustNew(disk.Geometry{Blocks: 64, BlockSize: 1024})))
+	s := NewStore(cs, testAcct)
+	blk, err := s.AllocPage(&page.Page{IsVersion: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ls := &lockedStore{countStore: cs}
+	s.Blocks = ls
+	cs.writes = 0
+	start := time.Now()
+	err = s.UpdateVersionPage(blk, func(*page.Page) (bool, error) {
+		t.Fatal("fn ran without the block lock")
+		return false, nil
+	})
+	if !errors.Is(err, block.ErrLocked) {
+		t.Fatalf("err = %v, want block.ErrLocked", err)
+	}
+	if waited := time.Since(start); waited < lockWait {
+		t.Fatalf("gave up after %v, before the %v bound", waited, lockWait)
+	}
+	if ls.locks < 2 || cs.writes != 0 {
+		t.Fatalf("%d lock attempts, %d writes; want a retry and no write", ls.locks, cs.writes)
+	}
+}
+
+// TestUpdateVersionPageRefusesPlainPage: a block that holds no version
+// page is refused before fn runs, with no write, and its lock released.
+func TestUpdateVersionPageRefusesPlainPage(t *testing.T) {
+	cs := newCountStore(block.NewServer(disk.MustNew(disk.Geometry{Blocks: 64, BlockSize: 1024})))
+	s := NewStore(cs, testAcct)
+	blk, err := s.AllocPage(&page.Page{Data: []byte("plain")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cs.writes = 0
+	err = s.UpdateVersionPage(blk, func(*page.Page) (bool, error) {
+		t.Fatal("fn ran on a plain page")
+		return true, nil
+	})
+	if !errors.Is(err, ErrBadPath) || cs.writes != 0 {
+		t.Fatalf("err = %v with %d writes; want ErrBadPath and none", err, cs.writes)
+	}
+	if err := cs.Lock(testAcct, blk); err != nil {
+		t.Fatalf("block lock left held: %v", err)
+	}
+}
+
+// TestUpdateVersionPageWritesOnlyWhenAsked: fn's answer decides the
+// write-back, and a written change is what the next read sees.
+func TestUpdateVersionPageWritesOnlyWhenAsked(t *testing.T) {
+	cs := newCountStore(block.NewServer(disk.MustNew(disk.Geometry{Blocks: 64, BlockSize: 1024})))
+	s := NewStore(cs, testAcct)
+	blk, err := s.AllocPage(&page.Page{IsVersion: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cs.writes = 0
+	for _, write := range []bool{false, true} {
+		err := s.UpdateVersionPage(blk, func(vp *page.Page) (bool, error) {
+			vp.CommitRef = 7
+			return write, nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	vp, err := s.ReadPage(blk)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cs.writes != 1 || vp.CommitRef != 7 {
+		t.Fatalf("%d writes, commit reference %d; want 1, 7", cs.writes, vp.CommitRef)
 	}
 }
